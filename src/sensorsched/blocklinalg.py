@@ -8,14 +8,22 @@ routines run a Schur-complement pivot recursion
 
 so their cost is linear in the number of blocks; dense fallbacks are
 provided for everything. All values are natural-log (nats).
+
+Every SPD factorization of a prior-, posterior- or Sigma_y-sized matrix
+in the package happens here: in the one pivot recursion or the one dense
+Cholesky. A failure raises ``NotPositiveDefiniteError`` whose ``.pivot``
+is the pivot block or dense matrix that failed to factor, or None when a
+log-determinant comes out non-finite because the input was.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import DimensionMismatchError, NotPositiveDefiniteError
@@ -163,22 +171,66 @@ class BlockDiagonalMatrix:
         return out
 
 
+def _not_spd(message: str, pivot: np.ndarray | None) -> NotPositiveDefiniteError:
+    err = NotPositiveDefiniteError(message)
+    err.pivot = pivot
+    return err
+
+
+def _cholesky(A: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """Lower Cholesky factor of a dense SPD matrix: the one dense factorization."""
+    try:
+        return scipy.linalg.cholesky(A, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise _not_spd(f"{what} is not positive definite", A) from exc
+
+
+def _solve_spd(A: np.ndarray, B: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """A^-1 B for a dense SPD matrix A."""
+    return cho_solve((_cholesky(A, what), True), B, check_finite=False)
+
+
+def _inverse_spd(A: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """Symmetric inverse of a dense SPD matrix."""
+    inv = _solve_spd(A, np.eye(A.shape[0]), what)
+    return 0.5 * (inv + inv.T)
+
+
 def logdet_dense(M: np.ndarray) -> float:
     """Log-determinant of a symmetric positive definite matrix, in nats.
 
     Raises:
-        NotPositiveDefiniteError: if the symmetric factorization fails.
+        NotPositiveDefiniteError: if the factorization fails (``exc.pivot``
+            is the matrix) or the input holds non-finite values.
     """
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
     if A.shape[0] == 0:
         return 0.0
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("dense factorization failed") from exc
-    return float(2.0 * np.sum(np.log(np.diagonal(L))))
+    logdet = float(2.0 * np.sum(np.log(np.diagonal(_cholesky(A)))))
+    if not math.isfinite(logdet):
+        raise _not_spd("dense log-determinant is not finite", None)
+    return logdet
+
+
+def _pivot_factors(
+    diag_blocks: Sequence[np.ndarray], offdiag_blocks: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """Lower Cholesky factors of the Schur pivots D_k, one per diagonal block.
+
+    A 0 x 0 block yields a 0 x 0 factor and decouples its neighbours.
+    """
+    chols: list[np.ndarray] = []
+    for k, D in enumerate(diag_blocks):
+        if k and chols[-1].shape[0] and D.shape[0]:
+            X = solve_triangular(chols[-1], offdiag_blocks[k - 1], lower=True, check_finite=False)
+            D = D - X.T @ X
+        try:
+            chols.append(np.linalg.cholesky(D) if D.shape[0] else D)
+        except np.linalg.LinAlgError as exc:
+            raise _not_spd(f"pivot block {k} is not positive definite", D) from exc
+    return chols
 
 
 def logdet_block_tridiagonal_blocks(
@@ -193,31 +245,16 @@ def logdet_block_tridiagonal_blocks(
     number of blocks.
 
     Raises:
-        NotPositiveDefiniteError: if any pivot block fails to factor; the
-            failing pivot is attached as ``exc.pivot`` for diagnostics.
+        NotPositiveDefiniteError: if any pivot block fails to factor (the
+            failing pivot is attached as ``exc.pivot``) or the blocks hold
+            non-finite values.
     """
     logdet = 0.0
-    chol_prev: np.ndarray | None = None
-    for k, B in enumerate(diag_blocks):
-        if k == 0 or chol_prev.shape[0] == 0:
-            D = B
-        else:
-            U = offdiag_blocks[k - 1]
-            if U.shape[1] == 0:
-                D = B
-            else:
-                X = solve_triangular(chol_prev, U, lower=True, check_finite=False)
-                D = B - X.T @ X
-        if D.shape[0] == 0:
-            chol_prev = D
-            continue
-        try:
-            chol_prev = np.linalg.cholesky(D)
-        except np.linalg.LinAlgError as exc:
-            err = NotPositiveDefiniteError(f"pivot block {k} is not positive definite")
-            err.pivot = D
-            raise err from exc
-        logdet += 2.0 * np.sum(np.log(np.diagonal(chol_prev)))
+    for L in _pivot_factors(diag_blocks, offdiag_blocks):
+        if L.shape[0]:
+            logdet += 2.0 * np.sum(np.log(np.diagonal(L)))
+    if not math.isfinite(logdet):
+        raise _not_spd("block log-determinant is not finite", None)
     return float(logdet)
 
 
@@ -245,7 +282,8 @@ def solve_block_tridiagonal(M: BlockTridiagonalMatrix, b: np.ndarray) -> np.ndar
         Solution vector x of length nK.
 
     Raises:
-        NotPositiveDefiniteError: on pivot factorization failure.
+        NotPositiveDefiniteError: on pivot factorization failure, with the
+            failing pivot attached as ``exc.pivot``.
         DimensionMismatchError: if b has the wrong length.
     """
     n, K = M.block_dim, M.num_blocks
@@ -253,32 +291,18 @@ def solve_block_tridiagonal(M: BlockTridiagonalMatrix, b: np.ndarray) -> np.ndar
     if rhs.shape != (n * K,):
         raise DimensionMismatchError(f"rhs has shape {rhs.shape}, expected ({n * K},)")
     parts = rhs.reshape(K, n)
+    chols = _pivot_factors(M.diag_blocks, M.offdiag_blocks)
 
-    chols: list[np.ndarray] = []
     ys = np.empty_like(parts)
-    for k in range(K):
-        if k == 0:
-            D = M.diag_blocks[0]
-            ys[0] = parts[0]
-        else:
-            U = M.offdiag_blocks[k - 1]
-            X = solve_triangular(chols[k - 1], U, lower=True, check_finite=False)
-            D = M.diag_blocks[k] - X.T @ X
-            t = cho_solve((chols[k - 1], True), ys[k - 1], check_finite=False)
-            ys[k] = parts[k] - U.T @ t
-        try:
-            chols.append(np.linalg.cholesky(D))
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(
-                f"pivot block {k} is not positive definite"
-            ) from exc
+    ys[0] = parts[0]
+    for k in range(1, K):
+        t = cho_solve((chols[k - 1], True), ys[k - 1], check_finite=False)
+        ys[k] = parts[k] - M.offdiag_blocks[k - 1].T @ t
 
     xs = np.empty_like(parts)
-    xs[K - 1] = cho_solve((chols[K - 1], True), ys[K - 1], check_finite=False)
-    for k in range(K - 2, -1, -1):
-        xs[k] = cho_solve(
-            (chols[k], True), ys[k] - M.offdiag_blocks[k] @ xs[k + 1], check_finite=False
-        )
+    for k in range(K - 1, -1, -1):
+        y = ys[k] if k == K - 1 else ys[k] - M.offdiag_blocks[k] @ xs[k + 1]
+        xs[k] = cho_solve((chols[k], True), y, check_finite=False)
     return xs.reshape(-1)
 
 

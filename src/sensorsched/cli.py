@@ -29,6 +29,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .blocklinalg import _cholesky
 from .entropy_oracle import conditional_entropy, make_context, map_linearization
 from .errors import ConfigError, SensorSchedError
 from .exhaustive import exhaustive_optimum
@@ -360,7 +361,7 @@ def _receding_greedy(prior, suite, budgets, lazy, seed):
     """
     rng = np.random.default_rng(seed)
     cov = prior.covariance_dense()
-    x_true = np.asarray(prior.mean) + np.linalg.cholesky(cov) @ rng.standard_normal(prior.dim)
+    x_true = np.asarray(prior.mean) + _cholesky(cov) @ rng.standard_normal(prior.dim)
 
     K = prior.K
     sets: list[tuple[int, ...]] = [() for _ in range(K)]

@@ -26,16 +26,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import cho_factor, cho_solve
 
 from .blocklinalg import (
     BlockTridiagonalMatrix,
+    _inverse_spd,
+    _solve_spd,
     logdet_block_tridiagonal_blocks,
     logdet_dense,
     solve_block_tridiagonal,
 )
-from .errors import NotPositiveDefiniteError, WrongFormError, DimensionMismatchError
+from .errors import DimensionMismatchError, InvalidParamsError, NotPositiveDefiniteError, WrongFormError
 from .process_models import LOG_TWO_PI_E, GaussianPrior, PriorForm, prior_entropy
 from .sensing import Schedule, SensorSuite
 
@@ -51,9 +52,10 @@ __all__ = [
     "MapEstimate",
 ]
 
-# Jitter policy: retry a failed Sigma_y factorization once with +1e-12 I,
-# but only when the matrix is PSD to within 1e-10 (anything worse is a
-# genuinely singular input, which the SPD noise assumption rules out).
+# Jitter policy, one for Sigma_y stored block-tridiagonal or dense: retry a
+# failed factorization once with +1e-12 I, but only when the failed pivot is
+# PSD to within 1e-10 (anything worse is a genuinely singular input, which
+# the SPD noise assumption rules out).
 _JITTER = 1e-12
 _JITTER_TOL = 1e-10
 
@@ -123,11 +125,16 @@ def make_context(
     jacobians, increments, logdets, covs = [], [], [], []
     for k in range(prior.K):
         row_j, row_inc, row_ld, row_cov = [], [], [], []
-        for sensor in suite.sensors:
+        for i, sensor in enumerate(suite.sensors):
             J = sensor.jacobian_at(states[k])
             R = sensor.noise_cov_at(k)
             factor = cho_factor(R, lower=True)
-            Z = cho_solve(factor, J)
+            try:
+                Z = cho_solve(factor, J)
+            except ValueError as exc:  # raised for non-finite entries
+                raise InvalidParamsError(
+                    f"step {k}, sensor {i} ({sensor.name!r}): Jacobian is not finite"
+                ) from exc
             inc = J.T @ Z
             row_j.append(J)
             row_inc.append(0.5 * (inc + inc.T))
@@ -160,17 +167,6 @@ def make_context(
     )
 
 
-def _logdet_dense_owned(M: np.ndarray) -> float:
-    """logdet of an SPD matrix this module owns (factored in place)."""
-    if M.shape[0] == 0:
-        return 0.0
-    try:
-        L = scipy.linalg.cholesky(M, lower=True, overwrite_a=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("dense factorization failed") from exc
-    return float(2.0 * np.sum(np.log(np.diagonal(L))))
-
-
 def _check_schedule(ctx: OracleContext, schedule: Schedule) -> None:
     if schedule.num_steps != ctx.K:
         raise DimensionMismatchError(
@@ -197,6 +193,19 @@ def _information_blocks(ctx: OracleContext, schedule: Schedule) -> list[np.ndarr
     return out
 
 
+def _plus_information(P, xi: list[np.ndarray | None]):
+    """P + blockdiag(xi) without None blocks: the diagonal blocks of a
+    block-tridiagonal P (off-diagonals unchanged), or a fresh dense array."""
+    if isinstance(P, BlockTridiagonalMatrix):
+        return [B if x is None else B + x for B, x in zip(P.diag_blocks, xi)]
+    M = np.array(P)
+    n = M.shape[0] // len(xi)
+    for k, x in enumerate(xi):
+        if x is not None:
+            M[k * n:(k + 1) * n, k * n:(k + 1) * n] += x
+    return M
+
+
 def conditional_entropy_precision_form(ctx: OracleContext, schedule: Schedule) -> float:
     """H(x_1:K | schedule) evaluated through the prior precision.
 
@@ -215,20 +224,11 @@ def conditional_entropy_precision_form(ctx: OracleContext, schedule: Schedule) -
             "prior has no precision representation and conversion is disabled"
         )
     _check_schedule(ctx, schedule)
-    xi = _information_blocks(ctx, schedule)
+    M = _plus_information(P, _information_blocks(ctx, schedule))
     if isinstance(P, BlockTridiagonalMatrix):
-        diag = [
-            P.diag_blocks[k] if xi[k] is None else P.diag_blocks[k] + xi[k]
-            for k in range(ctx.K)
-        ]
-        logdet = logdet_block_tridiagonal_blocks(diag, P.offdiag_blocks)
+        logdet = logdet_block_tridiagonal_blocks(M, P.offdiag_blocks)
     else:
-        M = np.array(P)
-        n = ctx.n
-        for k, blk in enumerate(xi):
-            if blk is not None:
-                M[k * n:(k + 1) * n, k * n:(k + 1) * n] += blk
-        logdet = _logdet_dense_owned(M)
+        logdet = logdet_dense(M)
     return 0.5 * ctx.prior.dim * LOG_TWO_PI_E - 0.5 * logdet
 
 
@@ -250,9 +250,16 @@ def _selected_noise(ctx: OracleContext, k: int, chosen: tuple[int, ...]) -> np.n
     return R
 
 
-def _logdet_measurement_cov(diag, offdiag) -> float:
-    """logdet of Sigma_y with the one-shot jitter retry on near-PSD failures."""
+def _logdet_measurement_cov(diag, offdiag=None) -> float:
+    """logdet of Sigma_y with the one-shot jitter retry on near-PSD failures.
+
+    Sigma_y is block-tridiagonal (lists ``diag`` and ``offdiag``) or, with
+    ``offdiag`` None, one dense array ``diag``.
+    """
+    dense = offdiag is None
     try:
+        if dense:
+            return logdet_dense(diag)
         return logdet_block_tridiagonal_blocks(diag, offdiag)
     except NotPositiveDefiniteError as exc:
         pivot = getattr(exc, "pivot", None)
@@ -261,8 +268,10 @@ def _logdet_measurement_cov(diag, offdiag) -> float:
         min_eig = float(np.linalg.eigvalsh(pivot)[0])
         if min_eig < -_JITTER_TOL:
             raise
-        jittered = [b + _JITTER * np.eye(b.shape[0]) for b in diag]
-        return logdet_block_tridiagonal_blocks(jittered, offdiag)
+    if dense:
+        return logdet_dense(diag + _JITTER * np.eye(diag.shape[0]))
+    jittered = [b + _JITTER * np.eye(b.shape[0]) for b in diag]
+    return logdet_block_tridiagonal_blocks(jittered, offdiag)
 
 
 def conditional_entropy_covariance_form(ctx: OracleContext, schedule: Schedule) -> float:
@@ -309,7 +318,6 @@ def conditional_entropy_covariance_form(ctx: OracleContext, schedule: Schedule) 
             C_blocks[k] @ S.offdiag_blocks[k] @ C_blocks[k + 1].T
             for k in range(ctx.K - 1)
         ]
-        logdet_y = _logdet_measurement_cov(diag, offdiag)
     else:
         n = ctx.n
         rows = sum(b.shape[0] for b in C_blocks)
@@ -329,14 +337,8 @@ def conditional_entropy_covariance_form(ctx: OracleContext, schedule: Schedule) 
         for k, Rk in enumerate(R_blocks):
             Sy[at:at + Rk.shape[0], at:at + Rk.shape[0]] += Rk
             at += Rk.shape[0]
-        Sy = 0.5 * (Sy + Sy.T)
-        try:
-            logdet_y = _logdet_dense_owned(Sy.copy())
-        except NotPositiveDefiniteError:
-            if Sy.size and float(np.linalg.eigvalsh(Sy)[0]) < -_JITTER_TOL:
-                raise
-            logdet_y = _logdet_dense_owned(Sy + _JITTER * np.eye(Sy.shape[0]))
-
+        diag, offdiag = 0.5 * (Sy + Sy.T), None
+    logdet_y = _logdet_measurement_cov(diag, offdiag)
     return 0.5 * (noise_logdet_total - logdet_y) + ctx.prior_entropy
 
 
@@ -368,17 +370,10 @@ def posterior_covariance(ctx: OracleContext, schedule: Schedule) -> np.ndarray:
             "prior has no precision representation and conversion is disabled"
         )
     _check_schedule(ctx, schedule)
-    M = P.assemble() if isinstance(P, BlockTridiagonalMatrix) else np.array(P)
-    n = ctx.n
-    for k, blk in enumerate(_information_blocks(ctx, schedule)):
-        if blk is not None:
-            M[k * n:(k + 1) * n, k * n:(k + 1) * n] += blk
-    try:
-        factor = cho_factor(M, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("posterior information matrix not SPD") from exc
-    cov = cho_solve(factor, np.eye(M.shape[0]))
-    return 0.5 * (cov + cov.T)
+    if isinstance(P, BlockTridiagonalMatrix):
+        P = P.assemble()
+    M = _plus_information(P, _information_blocks(ctx, schedule))
+    return _inverse_spd(M, "posterior information matrix")
 
 
 def mutual_information(ctx: OracleContext, schedule: Schedule) -> float:
@@ -414,8 +409,8 @@ def map_linearization(
 
     starting from the prior mean, until ||delta||_inf <= tol or max_iter.
     For linear sensors the first step lands exactly on the Gaussian
-    posterior mean. Covariance-form priors are handled by one dense
-    inversion of the prior (the dense fallback is acceptable here because
+    posterior mean. Covariance-form priors use the prior's dense precision,
+    inverted once per prior (the dense fallback is acceptable here because
     the MAP solve happens once per step, not once per candidate).
 
     Args:
@@ -436,12 +431,9 @@ def map_linearization(
         )
 
     n, K = prior.n, prior.K
-    sparse_precision = (
-        prior.matrix if prior.form == PriorForm.PRECISION_SPARSE else None
+    precision = (
+        prior.matrix if prior.form == PriorForm.PRECISION_SPARSE else prior.precision_dense()
     )
-    dense_precision = None
-    if sparse_precision is None:
-        dense_precision = prior.precision_dense()
 
     y_steps: list[np.ndarray | None] = []
     for k, chosen in enumerate(past_schedule.sets):
@@ -482,38 +474,27 @@ def map_linearization(
                 J = sensor.jacobian_at(states[k])
                 r = y[at:at + sensor.output_dim] - sensor.measure_at(states[k])
                 at += sensor.output_dim
-                w_r = cho_solve(noise_factors[(k, i)], r)
-                w_J = cho_solve(noise_factors[(k, i)], J)
+                try:
+                    w_r = cho_solve(noise_factors[(k, i)], r)
+                    w_J = cho_solve(noise_factors[(k, i)], J)
+                except ValueError as exc:  # raised for non-finite entries
+                    raise InvalidParamsError(
+                        f"step {k}, sensor {i} ({sensor.name!r}): non-finite residual or Jacobian"
+                    ) from exc
                 g_k += J.T @ w_r
                 xi += J.T @ w_J
             xi_blocks[k] = 0.5 * (xi + xi.T)
             grad[k * n:(k + 1) * n] += g_k
 
         dev = x - mu
-        if sparse_precision is not None:
-            grad -= sparse_precision.matvec(dev)
-            diag = [
-                sparse_precision.diag_blocks[k]
-                if xi_blocks[k] is None
-                else sparse_precision.diag_blocks[k] + xi_blocks[k]
-                for k in range(K)
-            ]
-            system = BlockTridiagonalMatrix(
-                diag_blocks=tuple(diag),
-                offdiag_blocks=sparse_precision.offdiag_blocks,
-            )
+        system = _plus_information(precision, xi_blocks)
+        if isinstance(precision, BlockTridiagonalMatrix):
+            grad -= precision.matvec(dev)
+            system = BlockTridiagonalMatrix(tuple(system), precision.offdiag_blocks)
             delta = solve_block_tridiagonal(system, grad)
         else:
-            grad -= dense_precision @ dev
-            M = np.array(dense_precision)
-            for k, blk in enumerate(xi_blocks):
-                if blk is not None:
-                    M[k * n:(k + 1) * n, k * n:(k + 1) * n] += blk
-            try:
-                factor = cho_factor(M, lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise NotPositiveDefiniteError("Gauss-Newton system not SPD") from exc
-            delta = cho_solve(factor, grad)
+            grad -= precision @ dev
+            delta = _solve_spd(system, grad, "Gauss-Newton system")
 
         x = x + delta
         if float(np.max(np.abs(delta))) <= tol:

@@ -13,10 +13,10 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .blocklinalg import (
     BlockTridiagonalMatrix,
+    _inverse_spd,
     logdet_block_tridiagonal,
     logdet_dense,
 )
@@ -117,25 +117,23 @@ class GaussianPrior:
         return np.array(self.matrix)
 
     def covariance_dense(self) -> np.ndarray:
-        """Dense covariance; inverts the stored precision if necessary (O(dim^3))."""
-        if not self.form.is_precision:
-            return self.assembled()
-        return _spd_inverse(self.assembled())
+        """Read-only dense covariance; a stored precision is inverted (O(dim^3)) once."""
+        return self._dense(precision=False)
 
     def precision_dense(self) -> np.ndarray:
-        """Dense precision; inverts the stored covariance if necessary (O(dim^3))."""
-        if self.form.is_precision:
-            return self.assembled()
-        return _spd_inverse(self.assembled())
+        """Read-only dense precision; a stored covariance is inverted (O(dim^3)) once."""
+        return self._dense(precision=True)
 
-
-def _spd_inverse(A: np.ndarray) -> np.ndarray:
-    try:
-        factor = cho_factor(A, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("matrix inversion failed") from exc
-    inv = cho_solve(factor, np.eye(A.shape[0]))
-    return 0.5 * (inv + inv.T)
+    def _dense(self, precision: bool) -> np.ndarray:
+        key = "_precision_dense" if precision else "_covariance_dense"
+        out = self.__dict__.get(key)
+        if out is None:
+            out = self.assembled()
+            if precision != self.form.is_precision:
+                out = _inverse_spd(out)
+            out.setflags(write=False)
+            object.__setattr__(self, key, out)
+        return out
 
 
 def build_tracking_prior(
@@ -196,8 +194,8 @@ def build_gauss_markov_prior(
         raise DimensionMismatchError(
             f"A, Q, Sigma0 must all be {n} x {n}; got {A.shape}, {Q.shape}, {Sigma0.shape}"
         )
-    Q_inv = _checked_spd_inverse(Q, "Q")
-    Sigma0_inv = _checked_spd_inverse(Sigma0, "Sigma0")
+    Q_inv = _inverse_spd(0.5 * (Q + Q.T), "Q")
+    Sigma0_inv = _inverse_spd(0.5 * (Sigma0 + Sigma0.T), "Sigma0")
 
     AtQinv = A.T @ Q_inv
     AtQinvA = AtQinv @ A
@@ -223,16 +221,6 @@ def build_gauss_markov_prior(
         matrix=precision,
         form=PriorForm.PRECISION_SPARSE,
     )
-
-
-def _checked_spd_inverse(M: np.ndarray, label: str) -> np.ndarray:
-    M = 0.5 * (M + M.T)
-    try:
-        factor = cho_factor(M, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"{label} is not positive definite") from exc
-    inv = cho_solve(factor, np.eye(M.shape[0]))
-    return 0.5 * (inv + inv.T)
 
 
 def build_dense_prior(

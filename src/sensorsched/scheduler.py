@@ -18,6 +18,7 @@ bounds -- valid by supermodularity -- and only refreshes the top.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -111,11 +112,13 @@ class _Evaluator:
         return [self.entropy(v) for v in variants]
 
 
-def _clamp_gain(gain: float) -> float:
+def _clamp_gain(gain: float, k: int, i: int) -> float:
+    if not math.isfinite(gain):
+        raise OracleInconsistencyError(f"step {k}, sensor {i}: marginal gain {gain} is not finite")
     if gain < -_GAIN_SLACK:
         raise OracleInconsistencyError(
-            f"marginal gain {gain:.3e} below -{_GAIN_SLACK}: adding a sensor "
-            "may not increase the conditional entropy"
+            f"step {k}, sensor {i}: marginal gain {gain:.3e} below -{_GAIN_SLACK}: "
+            "adding a sensor may not increase the conditional entropy"
         )
     return max(gain, 0.0)
 
@@ -139,14 +142,11 @@ def _eager_step(evaluator, sets, k, s_k, base, allow_zero_gain):
         best_gain = -np.inf
         best_H = np.nan
         for i, H in zip(ground, values):
-            gain = _clamp_gain(base - H)
+            gain = _clamp_gain(base - H, k, i)
             if gain > best_gain:
                 best_i, best_gain, best_H = i, gain, H
         if best_gain <= 0.0 and not allow_zero_gain:
             break
-        if len(chosen) + 1 > s_k:  # infeasible candidate: drop and rescan
-            ground.remove(best_i)
-            continue
         chosen.append(best_i)
         gains.append(best_gain)
         ground.remove(best_i)
@@ -169,7 +169,7 @@ def _lazy_step(evaluator, sets, k, s_k, base, allow_zero_gain):
         H = evaluator.entropy(_sets_with(sets, k, [i]))
         cached_H[i] = H
         fresh_round[i] = pick_round
-        heapq.heappush(heap, (-_clamp_gain(base - H), i))
+        heapq.heappush(heap, (-_clamp_gain(base - H, k, i), i))
 
     while heap and len(chosen) < s_k:
         neg_gain, i = heapq.heappop(heap)
@@ -177,7 +177,7 @@ def _lazy_step(evaluator, sets, k, s_k, base, allow_zero_gain):
             H = evaluator.entropy(_sets_with(sets, k, chosen + [i]))
             cached_H[i] = H
             fresh_round[i] = pick_round
-            entry = (-_clamp_gain(base - H), i)
+            entry = (-_clamp_gain(base - H, k, i), i)
             if heap and entry > heap[0]:
                 heapq.heappush(heap, entry)
                 continue
@@ -185,8 +185,6 @@ def _lazy_step(evaluator, sets, k, s_k, base, allow_zero_gain):
         gain = -neg_gain
         if gain <= 0.0 and not allow_zero_gain:
             break
-        if len(chosen) + 1 > s_k:  # infeasible candidate: drop and continue
-            continue
         chosen.append(i)
         gains.append(gain)
         base = min(cached_H[i], base)

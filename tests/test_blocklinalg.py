@@ -196,6 +196,47 @@ class TestSolveBlockTridiagonal:
             ss.solve_block_tridiagonal(M, np.ones(2))
 
 
+# [[1, 2], [2, 1]] is indefinite; as blocks it fails at the second pivot
+INDEFINITE = np.array([[1.0, 2.0], [2.0, 1.0]])
+INDEFINITE_BLOCKS = ss.BlockTridiagonalMatrix(
+    diag_blocks=([[1.0]], [[1.0]]), offdiag_blocks=([[2.0]],)
+)
+
+
+class TestFailureContract:
+    @pytest.mark.parametrize(
+        "factor",
+        [
+            lambda: ss.logdet_block_tridiagonal_blocks(
+                INDEFINITE_BLOCKS.diag_blocks, INDEFINITE_BLOCKS.offdiag_blocks
+            ),
+            lambda: ss.solve_block_tridiagonal(INDEFINITE_BLOCKS, np.ones(2)),
+            lambda: ss.logdet_dense(INDEFINITE),
+        ],
+        ids=["logdet_blocks", "solve", "logdet_dense"],
+    )
+    def test_indefinite_input_raises_with_pivot(self, factor):
+        with pytest.raises(ss.NotPositiveDefiniteError) as info:
+            factor()
+        pivot = info.value.pivot
+        assert pivot.shape[0] == pivot.shape[1] > 0
+        assert np.linalg.eigvalsh(pivot)[0] < 0
+
+    def test_nan_dense_input_raises(self):
+        A = np.eye(3)
+        A[1, 0] = A[0, 1] = np.nan
+        with pytest.raises(ss.NotPositiveDefiniteError):
+            ss.logdet_dense(A)
+
+    def test_nan_block_input_raises(self):
+        rng = np.random.default_rng(31)
+        M, _ = random_spd_block_tridiag(rng, 2, 4)
+        off = list(M.offdiag_blocks)
+        off[1] = np.full((2, 2), np.nan)
+        with pytest.raises(ss.NotPositiveDefiniteError):
+            ss.logdet_block_tridiagonal_blocks(M.diag_blocks, off)
+
+
 class TestConstruction:
     def test_diag_blocks_symmetrized(self):
         M = ss.BlockTridiagonalMatrix(

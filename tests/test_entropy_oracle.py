@@ -243,24 +243,33 @@ class TestMutualInformation:
                     assert ss.mutual_information(ctx, grown) >= mi - 1e-9
 
 
+def _sigma_y(M, storage):
+    """(diag, offdiag) arguments of the jitter helper for one Sigma_y storage."""
+    return ([M], []) if storage == "block" else (M, None)
+
+
 class TestJitterPolicy:
-    def test_barely_indefinite_pivot_gets_one_retry(self):
+    @pytest.mark.parametrize("storage", ["block", "dense"])
+    def test_barely_indefinite_pivot_gets_one_retry(self, storage):
         # a Sigma_y whose smallest eigenvalue is within the tolerance window
         # is evaluated after the +1e-12 jitter rather than raising
         from sensorsched.entropy_oracle import _logdet_measurement_cov
 
-        diag = [np.array([[1.0, 1.0], [1.0, 1.0 - 1e-12]])]
+        M = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-12]])
         with pytest.raises(ss.NotPositiveDefiniteError):
-            ss.logdet_block_tridiagonal_blocks(diag, [])
-        value = _logdet_measurement_cov(diag, [])
+            ss.logdet_block_tridiagonal_blocks([M], [])
+        with pytest.raises(ss.NotPositiveDefiniteError):
+            ss.logdet_dense(M)
+        value = _logdet_measurement_cov(*_sigma_y(M, storage))
         assert np.isfinite(value)
 
-    def test_genuinely_indefinite_still_raises(self):
+    @pytest.mark.parametrize("storage", ["block", "dense"])
+    def test_genuinely_indefinite_still_raises(self, storage):
         from sensorsched.entropy_oracle import _logdet_measurement_cov
 
-        diag = [np.array([[1.0, 2.0], [2.0, 1.0]])]
+        M = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(ss.NotPositiveDefiniteError):
-            _logdet_measurement_cov(diag, [])
+            _logdet_measurement_cov(*_sigma_y(M, storage))
 
 
 class TestFiniteDifferenceEntropy:
@@ -299,6 +308,34 @@ class TestContextCaches:
         prior, suite = random_instance(7)
         ctx = ss.make_context(prior, suite)
         np.testing.assert_array_equal(ctx.linearization, prior.mean)
+
+
+def nan_jacobian_suite(n):
+    """One valid sensor and, at index 1, a sensor whose Jacobian is NaN."""
+    broken = ss.Sensor(
+        output_dim=1,
+        measure=lambda x: np.array([x[0]]),
+        jacobian=lambda x: np.full((1, x.size), np.nan),
+        noise_cov=np.eye(1),
+        name="broken",
+    )
+    valid = ss.builtin_sensor("linear_coordinate", axis=0, noise_var=1.0)
+    return ss.SensorSuite(state_dim=n, sensors=(valid, broken))
+
+
+class TestNonFiniteJacobian:
+    def test_make_context_names_step_and_sensor(self):
+        prior, _ = random_instance(57, n=2, K=2, kind="tracking")
+        with pytest.raises(ss.InvalidParamsError, match=r"step 0, sensor 1 \('broken'\)"):
+            ss.make_context(prior, nan_jacobian_suite(2))
+
+    def test_map_linearization_names_step_and_sensor(self):
+        prior, _ = random_instance(58, n=2, K=2, kind="tracking")
+        sched = ss.Schedule(sets=((), (0, 1)), budgets=(2, 2))
+        with pytest.raises(ss.InvalidParamsError, match=r"step 1, sensor 1 \('broken'\)"):
+            ss.map_linearization(
+                prior, nan_jacobian_suite(2), sched, [None, np.array([0.1, 0.2])]
+            )
 
 
 class TestMapLinearization:

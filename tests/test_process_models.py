@@ -147,6 +147,22 @@ class TestDensify:
         assert ss.densify(prior) is prior
 
 
+class TestDenseConversion:
+    @pytest.mark.parametrize("kind", ["tracking", "gauss_markov"])
+    def test_converted_once_and_read_only(self, kind):
+        if kind == "tracking":
+            prior = ss.build_tracking_prior(2, 3, marginal_var=1.0, neighbor_corr=0.3)
+        else:
+            prior = ss.build_gauss_markov_prior(np.eye(1) * 0.5, np.eye(1), np.eye(1), K=3)
+        for convert in (prior.covariance_dense, prior.precision_dense):
+            first = convert()
+            assert convert() is first
+            assert not first.flags.writeable
+        np.testing.assert_allclose(
+            prior.covariance_dense() @ prior.precision_dense(), np.eye(prior.dim), atol=1e-12
+        )
+
+
 class TestValidation:
     def test_mean_length_checked(self):
         with pytest.raises(ss.DimensionMismatchError):

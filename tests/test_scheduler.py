@@ -1,5 +1,7 @@
 """Greedy scheduling, lazy acceleration, and the random baseline."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,16 @@ class TestGreedyStep:
         with pytest.raises(ss.OracleInconsistencyError):
             ss.greedy_schedule(ctx, [1] * prior.K)
 
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    def test_nan_gain_raises_naming_step_and_sensor(self, monkeypatch, lazy):
+        prior, suite = random_instance(76, K=3, m=2)
+        ctx = ss.make_context(prior, suite)
+        monkeypatch.setattr(
+            "sensorsched.scheduler.conditional_entropy", lambda _ctx, _schedule: math.nan
+        )
+        with pytest.raises(ss.OracleInconsistencyError, match="step 0, sensor 0"):
+            ss.greedy_schedule(ctx, [1] * prior.K, lazy=lazy, allow_zero_gain=True)
 
 class TestLazyGreedy:
     def test_identical_output_to_eager(self):
