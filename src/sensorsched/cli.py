@@ -21,6 +21,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import logging
 import statistics
 import time
 from dataclasses import dataclass
@@ -44,6 +45,8 @@ from .scheduler import GreedyTrace, StepTrace, greedy_schedule, greedy_step_deta
 from .sensing import Schedule, SensorSuite, builtin_sensor
 
 __all__ = ["Scenario", "load_scenario", "run_scenario", "run_scaling_benchmark", "main"]
+
+logger = logging.getLogger(__name__)
 
 _SCHEDULERS = ("greedy", "lazy", "random", "exhaustive")
 _LINEARIZATIONS = ("prior_mean", "receding")
@@ -387,16 +390,13 @@ def _receding_greedy(prior, suite, budgets, lazy, seed):
             Schedule(sets=tuple(sets), budgets=budgets),
             measurements,
         )
-        linearization = solution.estimate
-        steps.append(
-            StepTrace(
-                step=k,
-                chosen=detail.chosen,
-                gains=detail.gains,
-                oracle_calls=detail.oracle_calls,
-                wall_s=time.perf_counter() - started,
+        if not solution.converged:
+            logger.warning(
+                "receding step %d: MAP linearization did not converge in %d iterations",
+                k, solution.iterations,
             )
-        )
+        linearization = solution.estimate
+        steps.append(dataclasses.replace(detail, wall_s=time.perf_counter() - started))
     schedule = Schedule(sets=tuple(sets), budgets=budgets)
     return schedule, GreedyTrace(steps=tuple(steps)), ctx
 
@@ -405,7 +405,6 @@ def run_scenario(
     config_path: str | Path,
     output_dir: str | Path | None = None,
     *,
-    threads: int = 1,
     force_schedulers: tuple[str, ...] | None = None,
 ) -> dict[str, Path]:
     """Execute a scenario config and write the report files.
@@ -452,9 +451,7 @@ def run_scenario(
                 )
                 report_ctx = final_ctx
             else:
-                schedule, trace = greedy_schedule(
-                    plan_ctx, budgets, lazy=lazy, threads=threads
-                )
+                schedule, trace = greedy_schedule(plan_ctx, budgets, lazy=lazy)
                 report_ctx = plan_ctx
             entropy = conditional_entropy(report_ctx, schedule)
             mi = report_ctx.prior_entropy - entropy
@@ -538,7 +535,6 @@ def run_scaling_benchmark(
     output_dir: str | Path | None = None,
     *,
     repetitions: int | None = None,
-    threads: int = 1,
 ) -> dict[str, Path]:
     """Run the K-sweep benchmark of a config's ``bench`` section.
 
@@ -567,7 +563,7 @@ def run_scaling_benchmark(
             per_call = []
             for rep in range(reps):
                 started = time.perf_counter()
-                _, trace = greedy_schedule(ctx, budgets, threads=threads)
+                _, trace = greedy_schedule(ctx, budgets)
                 wall_ms = (time.perf_counter() - started) * 1e3
                 calls = trace.total_oracle_calls
                 ms_per_call = wall_ms / calls if calls else float("nan")
@@ -612,24 +608,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     for p in (run_p, bench_p, certify_p):
         p.add_argument("--config", required=True, help="path to the JSON scenario config")
         p.add_argument("--output-dir", default=None, help="directory for report files")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallel candidate evaluations per greedy pick")
     bench_p.add_argument("--repetitions", type=int, default=None,
                          help="override the config's repetition count")
 
     args = parser.parse_args(argv)
     try:
         if args.verb == "run":
-            paths = run_scenario(args.config, args.output_dir, threads=args.threads)
+            paths = run_scenario(args.config, args.output_dir)
         elif args.verb == "bench":
             paths = run_scaling_benchmark(
-                args.config, args.output_dir,
-                repetitions=args.repetitions, threads=args.threads,
+                args.config, args.output_dir, repetitions=args.repetitions
             )
         else:
             paths = run_scenario(
-                args.config, args.output_dir, threads=args.threads,
-                force_schedulers=("greedy", "exhaustive"),
+                args.config, args.output_dir, force_schedulers=("greedy", "exhaustive")
             )
     except SensorSchedError as exc:
         parser.exit(2, f"error: {exc}\n")

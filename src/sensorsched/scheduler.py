@@ -6,13 +6,14 @@ reduction is largest. This yields feasible schedules whose cost is within
 half of the optimal-to-worst range, because the objective is
 non-increasing and supermodular in the selection.
 
-Ties are broken toward the lowest sensor index (a deterministic
-refinement of the arbitrary tie-break) so that runs are reproducible and
-the lazy variant provably returns the same schedule as the eager one.
-Eager evaluation makes at most s_k * m oracle calls per step (one per
-remaining candidate per pick; the running base value is cached, never
-re-evaluated). The lazy variant keeps stale gains in a max-heap as upper
-bounds -- valid by supermodularity -- and only refreshes the top.
+Eager and lazy evaluation are two refresh policies of one selection
+loop over a max-heap of candidate gains. After each pick the eager policy
+re-evaluates every remaining candidate, at most s_k * m oracle calls per
+step (the running base value is cached, never re-evaluated); the lazy
+policy keeps the stale gains as upper bounds -- valid by supermodularity
+-- and refreshes only the top. Ties are broken toward the lowest sensor
+index (a deterministic refinement of the arbitrary tie-break) so that
+runs are reproducible and both policies return the same schedule.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -84,34 +84,6 @@ class GreedyTrace:
                 yield (s.step, order, sensor, gain)
 
 
-class _Evaluator:
-    """Counts oracle calls and evaluates candidate schedules."""
-
-    def __init__(self, ctx: OracleContext, budgets: tuple[int, ...], executor=None):
-        self.ctx = ctx
-        self.budgets = budgets
-        self.calls = 0
-        self.executor = executor
-
-    def entropy(self, sets: tuple[tuple[int, ...], ...]) -> float:
-        self.calls += 1
-        return conditional_entropy(
-            self.ctx, Schedule._unchecked(sets, self.budgets)
-        )
-
-    def entropies(self, variants: Sequence[tuple[tuple[int, ...], ...]]) -> list[float]:
-        if self.executor is not None and len(variants) > 1:
-            self.calls += len(variants)
-            ctx, budgets = self.ctx, self.budgets
-            return list(
-                self.executor.map(
-                    lambda s: conditional_entropy(ctx, Schedule._unchecked(s, budgets)),
-                    variants,
-                )
-            )
-        return [self.entropy(v) for v in variants]
-
-
 def _clamp_gain(gain: float, k: int, i: int) -> float:
     if not math.isfinite(gain):
         raise OracleInconsistencyError(f"step {k}, sensor {i}: marginal gain {gain} is not finite")
@@ -123,73 +95,70 @@ def _clamp_gain(gain: float, k: int, i: int) -> float:
     return max(gain, 0.0)
 
 
+def _check_budget(k: int, s_k: int, m: int) -> None:
+    if s_k < 0:
+        raise DimensionMismatchError(f"budget {s_k} at step {k} is negative")
+    if s_k > m:
+        raise DimensionMismatchError(f"budget {s_k} at step {k} exceeds the {m} sensors")
+
+
 def _sets_with(sets, k, new_set):
     out = list(sets)
     out[k] = tuple(sorted(new_set))
     return tuple(out)
 
 
-def _eager_step(evaluator, sets, k, s_k, base, allow_zero_gain):
+def _select(ctx, sets, budgets, k, s_k, base, lazy, allow_zero_gain):
+    """Greedy selection at step k; returns (trace, base after the picks).
+
+    Candidates sit in a max-heap of (-gain, sensor, entropy). After each
+    pick the eager policy re-evaluates every remaining candidate; the lazy
+    policy marks them stale and re-evaluates a stale entry only when it
+    reaches the top, re-inserting it unless it still beats the next one.
+    """
+    started = time.perf_counter()
+    calls = 0
     chosen: list[int] = []
     gains: list[float] = []
-    ground = list(range(evaluator.ctx.suite.m))
-    while ground and len(chosen) < s_k:
-        variants = [
-            _sets_with(sets, k, chosen + [i]) for i in ground
-        ]
-        values = evaluator.entropies(variants)
-        best_i = None
-        best_gain = -np.inf
-        best_H = np.nan
-        for i, H in zip(ground, values):
-            gain = _clamp_gain(base - H, k, i)
-            if gain > best_gain:
-                best_i, best_gain, best_H = i, gain, H
-        if best_gain <= 0.0 and not allow_zero_gain:
-            break
-        chosen.append(best_i)
-        gains.append(best_gain)
-        ground.remove(best_i)
-        base = min(best_H, base)  # clamped zero gains keep the base monotone
-    return tuple(chosen), tuple(gains), base
 
+    def entry(i):
+        nonlocal calls
+        calls += 1
+        variant = Schedule._unchecked(_sets_with(sets, k, chosen + [i]), budgets)
+        H = conditional_entropy(ctx, variant)
+        return (-_clamp_gain(base - H, k, i), i, H)
 
-def _lazy_step(evaluator, sets, k, s_k, base, allow_zero_gain):
-    if s_k <= 0:
-        return (), (), base
-    m = evaluator.ctx.suite.m
-    chosen: list[int] = []
-    gains: list[float] = []
-    heap: list[tuple[float, int]] = []
-    fresh_round: dict[int, int] = {}
-    cached_H: dict[int, float] = {}
-    pick_round = 0
-
-    for i in range(m):
-        H = evaluator.entropy(_sets_with(sets, k, [i]))
-        cached_H[i] = H
-        fresh_round[i] = pick_round
-        heapq.heappush(heap, (-_clamp_gain(base - H, k, i), i))
-
+    heap = [entry(i) for i in range(ctx.suite.m)] if s_k else []
+    heapq.heapify(heap)
+    stale: set[int] = set()
     while heap and len(chosen) < s_k:
-        neg_gain, i = heapq.heappop(heap)
-        if fresh_round[i] != pick_round:
-            H = evaluator.entropy(_sets_with(sets, k, chosen + [i]))
-            cached_H[i] = H
-            fresh_round[i] = pick_round
-            entry = (-_clamp_gain(base - H, k, i), i)
-            if heap and entry > heap[0]:
-                heapq.heappush(heap, entry)
+        top = heapq.heappop(heap)
+        if top[1] in stale:
+            stale.remove(top[1])
+            top = entry(top[1])
+            if heap and top > heap[0]:
+                heapq.heappush(heap, top)
                 continue
-            neg_gain = entry[0]
+        neg_gain, i, H = top
         gain = -neg_gain
         if gain <= 0.0 and not allow_zero_gain:
             break
         chosen.append(i)
         gains.append(gain)
-        base = min(cached_H[i], base)
-        pick_round += 1
-    return tuple(chosen), tuple(gains), base
+        base = min(H, base)  # clamped zero gains keep the base monotone
+        if lazy:
+            stale = {j for _, j, _ in heap}
+        elif len(chosen) < s_k:
+            heap = [entry(j) for j in sorted(j for _, j, _ in heap)]
+            heapq.heapify(heap)
+    trace = StepTrace(
+        step=k,
+        chosen=tuple(chosen),
+        gains=tuple(gains),
+        oracle_calls=calls,
+        wall_s=time.perf_counter() - started,
+    )
+    return trace, base
 
 
 def greedy_step_detailed(
@@ -208,8 +177,7 @@ def greedy_step_detailed(
     """
     if not 0 <= k < ctx.K:
         raise DimensionMismatchError(f"step {k} outside horizon of {ctx.K}")
-    if s_k > ctx.suite.m:
-        raise DimensionMismatchError(f"budget {s_k} exceeds the {ctx.suite.m} sensors")
+    _check_budget(k, s_k, ctx.suite.m)
     if fixed_prefix.num_steps < k:
         raise DimensionMismatchError(
             f"prefix covers {fixed_prefix.num_steps} steps, step {k} needs {k}"
@@ -223,17 +191,14 @@ def greedy_step_detailed(
     ]
     budgets[k] = max(budgets[k], s_k)
     budgets = tuple(budgets)
-    evaluator = _Evaluator(ctx, budgets)
     started = time.perf_counter()
-    base = evaluator.entropy(sets) if any(sets) else ctx.prior_entropy
-    step_fn = _lazy_step if lazy else _eager_step
-    chosen, gains, _ = step_fn(evaluator, sets, k, s_k, base, allow_zero_gain)
-    return StepTrace(
-        step=k,
-        chosen=chosen,
-        gains=gains,
-        oracle_calls=evaluator.calls,
-        wall_s=time.perf_counter() - started,
+    evaluated = any(sets)
+    base = ctx.prior_entropy
+    if evaluated:
+        base = conditional_entropy(ctx, Schedule._unchecked(sets, budgets))
+    trace, _ = _select(ctx, sets, budgets, k, s_k, base, lazy, allow_zero_gain)
+    return replace(
+        trace, oracle_calls=trace.oracle_calls + int(evaluated), wall_s=time.perf_counter() - started
     )
 
 
@@ -276,7 +241,6 @@ def greedy_schedule(
     *,
     lazy: bool = False,
     allow_zero_gain: bool = False,
-    threads: int = 1,
 ) -> tuple[Schedule, GreedyTrace]:
     """Full-horizon greedy schedule under per-step budgets.
 
@@ -289,8 +253,6 @@ def greedy_schedule(
         lazy: use the lazy-evaluation variant (identical output).
         allow_zero_gain: keep filling a step's budget with zero-gain
             sensors instead of stopping at the first non-positive gain.
-        threads: evaluate candidate gains in parallel when > 1 (eager
-            scans only; the oracle is pure, so this is safe).
 
     Returns:
         (schedule, trace) with per-step picks, gains and call counts.
@@ -301,40 +263,15 @@ def greedy_schedule(
             f"{len(budgets)} budgets for a horizon of {ctx.K}"
         )
     for k, b in enumerate(budgets):
-        if b > ctx.suite.m:
-            raise DimensionMismatchError(
-                f"budget {b} at step {k} exceeds the {ctx.suite.m} sensors"
-            )
+        _check_budget(k, b, ctx.suite.m)
 
-    executor = None
-    if threads > 1 and not lazy:
-        executor = ThreadPoolExecutor(max_workers=threads)
-    try:
-        evaluator = _Evaluator(ctx, budgets, executor=executor)
-        sets: tuple[tuple[int, ...], ...] = tuple(() for _ in range(ctx.K))
-        base = ctx.prior_entropy
-        steps: list[StepTrace] = []
-        step_fn = _lazy_step if lazy else _eager_step
-        for k in range(ctx.K):
-            started = time.perf_counter()
-            before = evaluator.calls
-            chosen, gains, base = step_fn(
-                evaluator, sets, k, budgets[k], base, allow_zero_gain
-            )
-            sets = _sets_with(sets, k, chosen)
-            steps.append(
-                StepTrace(
-                    step=k,
-                    chosen=chosen,
-                    gains=gains,
-                    oracle_calls=evaluator.calls - before,
-                    wall_s=time.perf_counter() - started,
-                )
-            )
-    finally:
-        if executor is not None:
-            executor.shutdown()
-
+    sets: tuple[tuple[int, ...], ...] = tuple(() for _ in range(ctx.K))
+    base = ctx.prior_entropy
+    steps: list[StepTrace] = []
+    for k in range(ctx.K):
+        trace, base = _select(ctx, sets, budgets, k, budgets[k], base, lazy, allow_zero_gain)
+        sets = _sets_with(sets, k, trace.chosen)
+        steps.append(trace)
     return Schedule(sets=sets, budgets=budgets), GreedyTrace(steps=tuple(steps))
 
 
@@ -342,8 +279,7 @@ def random_schedule(budgets: Sequence[int], m: int, seed: int) -> Schedule:
     """Uniformly random feasible schedule: s_k distinct sensors per step."""
     budgets = tuple(int(b) for b in budgets)
     for k, b in enumerate(budgets):
-        if b > m:
-            raise DimensionMismatchError(f"budget {b} at step {k} exceeds m={m}")
+        _check_budget(k, b, m)
     rng = np.random.default_rng(seed)
     sets = tuple(
         tuple(sorted(rng.choice(m, size=b, replace=False).tolist())) for b in budgets

@@ -1,8 +1,19 @@
 """Shared seeded instance builders for the test suite."""
 
+import os
+
 import numpy as np
+from hypothesis import settings
 
 import sensorsched as ss
+
+# Property tests replay the same examples on every run, with no deadline
+# and no example database. Hypothesis would still cache the constants it
+# reads from local sources under .hypothesis/; pointing its storage at the
+# null device makes those writes fail quietly, so the suite writes nothing.
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", os.devnull)
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 def random_spd(rng, d, scale=1.0):

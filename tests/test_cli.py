@@ -1,12 +1,15 @@
 """Scenario configs, CLI verbs, report schemas, determinism."""
 
 import csv
+import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
 
 import sensorsched as ss
+from sensorsched import cli
 from sensorsched.cli import load_scenario, main, run_scaling_benchmark, run_scenario
 
 
@@ -31,6 +34,27 @@ def write_config(path, **overrides):
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
     return cfg
+
+
+def write_receding_config(path):
+    return write_config(
+        path,
+        linearization="receding",
+        schedulers=["greedy"],
+        prior={
+            "kind": "gauss_markov",
+            "n": 1,
+            "K": 3,
+            "A": [[0.8]],
+            "Q": [[0.5]],
+            "Sigma0": [[1.0]],
+            "mu0": [0.5],
+        },
+        sensors=[
+            {"kind": "range", "anchor": [3.0], "noise_var": 0.5},
+            {"kind": "linear_coordinate", "axis": 0, "noise_var": 1.0},
+        ],
+    )
 
 
 def read_csv(path):
@@ -139,24 +163,7 @@ class TestRunScenario:
         assert all(float(r["wall_ms"]) >= 0 for r in timing_rows)
 
     def test_receding_mode_runs_and_is_deterministic(self, tmp_path):
-        write_config(
-            tmp_path / "c.json",
-            linearization="receding",
-            schedulers=["greedy"],
-            prior={
-                "kind": "gauss_markov",
-                "n": 1,
-                "K": 3,
-                "A": [[0.8]],
-                "Q": [[0.5]],
-                "Sigma0": [[1.0]],
-                "mu0": [0.5],
-            },
-            sensors=[
-                {"kind": "range", "anchor": [3.0], "noise_var": 0.5},
-                {"kind": "linear_coordinate", "axis": 0, "noise_var": 1.0},
-            ],
-        )
+        write_receding_config(tmp_path / "c.json")
         a = run_scenario(tmp_path / "c.json", tmp_path / "a")
         b = run_scenario(tmp_path / "c.json", tmp_path / "b")
         assert a["results"].read_bytes() == b["results"].read_bytes()
@@ -177,11 +184,28 @@ class TestRunScenario:
         paths = run_scenario(tmp_path / "c.json", tmp_path / "out")
         assert read_csv(paths["results"])[0]["scheduler"] == "greedy"
 
-    def test_threads_flag_keeps_results_identical(self, tmp_path):
-        write_config(tmp_path / "c.json", budgets=2)
-        a = run_scenario(tmp_path / "c.json", tmp_path / "a", threads=1)
-        b = run_scenario(tmp_path / "c.json", tmp_path / "b", threads=4)
-        assert a["results"].read_bytes() == b["results"].read_bytes()
+    def test_unconverged_receding_map_logs_warning(self, tmp_path, monkeypatch, caplog):
+        write_receding_config(tmp_path / "c.json")
+        with caplog.at_level(logging.WARNING, logger="sensorsched.cli"):
+            quiet = run_scenario(tmp_path / "c.json", tmp_path / "quiet")
+        assert not caplog.records
+
+        solve, solved = cli.map_linearization, []
+
+        def unconverged_at_step_1(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            if len(solved) == 2:
+                return dataclasses.replace(solved[-1], converged=False, iterations=50)
+            return solved[-1]
+
+        monkeypatch.setattr(cli, "map_linearization", unconverged_at_step_1)
+        with caplog.at_level(logging.WARNING, logger="sensorsched.cli"):
+            loud = run_scenario(tmp_path / "c.json", tmp_path / "loud")
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.WARNING, "receding step 1: MAP linearization did not converge in 50 iterations")
+        ]
+        for name in ("results", "trace"):
+            assert quiet[name].read_bytes() == loud[name].read_bytes()
 
 
 class TestVerbs:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sensorsched as ss
 from conftest import random_instance
@@ -86,13 +88,28 @@ class TestGreedySchedule:
         with pytest.raises(ss.DimensionMismatchError):
             ss.greedy_schedule(ctx, [1, 1])
 
-    def test_threaded_scan_matches_serial(self):
-        prior, suite = random_instance(64, n=2, K=3, m=4)
-        ctx = ss.make_context(prior, suite)
-        serial, serial_trace = ss.greedy_schedule(ctx, [2, 2, 2])
-        threaded, threaded_trace = ss.greedy_schedule(ctx, [2, 2, 2], threads=4)
-        assert serial.sets == threaded.sets
-        assert serial_trace.total_oracle_calls == threaded_trace.total_oracle_calls
+
+NEGATIVE_BUDGET_CALLS = {
+    "greedy_step": lambda ctx, prefix: ss.greedy_step(ctx, prefix, 1, -1),
+    "lazy_greedy_step": lambda ctx, prefix: ss.lazy_greedy_step(ctx, prefix, 1, -1),
+    "greedy_step_detailed": lambda ctx, prefix: ss.greedy_step_detailed(ctx, prefix, 1, -1),
+    "greedy_schedule": lambda ctx, prefix: ss.greedy_schedule(ctx, [1, -1]),
+    "random_schedule": lambda ctx, prefix: ss.random_schedule([1, -1], m=3, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", list(NEGATIVE_BUDGET_CALLS))
+def test_negative_budget_raises_naming_step_before_any_oracle_call(monkeypatch, name):
+    prior, suite = random_instance(65, K=2, m=3)
+    ctx = ss.make_context(prior, suite)
+    prefix = ss.Schedule(sets=((0,), ()), budgets=(1, 1))
+
+    def no_oracle(_ctx, _schedule):
+        raise AssertionError("oracle called before the budget was checked")
+
+    monkeypatch.setattr("sensorsched.scheduler.conditional_entropy", no_oracle)
+    with pytest.raises(ss.DimensionMismatchError, match="budget -1 at step 1"):
+        NEGATIVE_BUDGET_CALLS[name](ctx, prefix)
 
 
 class TestGreedyStep:
@@ -206,6 +223,40 @@ class TestLazyGreedy:
             assert ss.greedy_step(ctx, prefix, k, 2) == ss.lazy_greedy_step(
                 ctx, prefix, k, 2
             )
+
+
+@st.composite
+def greedy_instances(draw):
+    """A small random instance, per-step budgets and the zero-gain rule."""
+    prior, suite = random_instance(draw(st.integers(0, 2**20)))
+    budgets = draw(st.lists(st.integers(0, suite.m), min_size=prior.K, max_size=prior.K))
+    return ss.make_context(prior, suite), budgets, draw(st.booleans())
+
+
+@settings(max_examples=60)
+@given(greedy_instances())
+def test_lazy_equals_eager(instance):
+    ctx, budgets, allow_zero_gain = instance
+    runs = {
+        lazy: ss.greedy_schedule(ctx, budgets, lazy=lazy, allow_zero_gain=allow_zero_gain)
+        for lazy in (False, True)
+    }
+    (eager, eager_trace), (lazy, lazy_trace) = runs[False], runs[True]
+    assert eager.sets == lazy.sets
+    m = ctx.suite.m
+    for e, l in zip(eager_trace.steps, lazy_trace.steps):
+        assert (e.chosen, e.gains) == (l.chosen, l.gains)
+        assert l.oracle_calls <= e.oracle_calls
+        # one scan per pick, plus the scan that stopped at a zero gain
+        scans = min(len(e.chosen) + 1, budgets[e.step])
+        assert e.oracle_calls == sum(m - t for t in range(scans))
+    for policy, (schedule, trace) in runs.items():
+        for step in trace.steps:
+            detail = ss.greedy_step_detailed(
+                ctx, schedule, step.step, budgets[step.step],
+                lazy=policy, allow_zero_gain=allow_zero_gain,
+            )
+            assert (detail.chosen, detail.gains) == (step.chosen, step.gains)
 
 
 class TestRandomSchedule:
