@@ -4,13 +4,12 @@ Equivalent shell commands:
 
     sensorsched run     --config demos/configs/small_tracking.json --output-dir /tmp/run
     sensorsched certify --config demos/configs/small_tracking.json --output-dir /tmp/cert
-    sensorsched bench   --config demos/configs/scaling_bench.json  --output-dir /tmp/bench
 """
 
 import pathlib
 import tempfile
 
-from sensorsched.cli import run_scaling_benchmark, run_scenario
+from sensorsched.cli import run_scenario
 
 configs = pathlib.Path(__file__).parent / "configs"
 out = pathlib.Path(tempfile.mkdtemp(prefix="sensorsched-demo-"))
@@ -29,7 +28,3 @@ print(paths["trace"].read_text())
 again = run_scenario(configs / "small_tracking.json", out / "run2")
 print("re-run byte-identical:",
       paths["results"].read_bytes() == again["results"].read_bytes())
-
-bench_paths = run_scaling_benchmark(configs / "scaling_bench.json", out / "bench")
-print("\nbench timings.csv (wall time per oracle call across horizons):")
-print(bench_paths["timings"].read_text())

@@ -11,9 +11,20 @@ provided for everything. All values are natural-log (nats).
 
 Every SPD factorization of a prior-, posterior- or Sigma_y-sized matrix
 in the package happens here: in the one pivot recursion or the one dense
-Cholesky. A failure raises ``NotPositiveDefiniteError`` whose ``.pivot``
-is the pivot block or dense matrix that failed to factor, or None when a
-log-determinant comes out non-finite because the input was.
+Cholesky. Both call LAPACK directly (``dpotrf``, ``dtrtrs``, ``dpotrs``
+from ``scipy.linalg.lapack``), because at pivot-block sizes the checks
+and dispatch of the higher-level wrappers cost several times the
+factorization itself. Inputs are not checked for finiteness on the way
+in; a log-determinant takes one ``log`` over all factor diagonals and
+checks the sum once, so NaN or infinite input either fails a
+factorization or makes that sum non-finite.
+
+Failure contract: a positive LAPACK ``info`` from ``dpotrf`` means the
+matrix is not positive definite and raises ``NotPositiveDefiniteError``
+whose ``.pivot`` is the unfactored pivot block or dense matrix and whose
+``.block_index`` is the failing pivot's index (None for dense matrices);
+a non-finite log-determinant raises it with both None. Any other nonzero
+``info`` is an illegal call, an internal error, and raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -23,8 +34,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import DimensionMismatchError, NotPositiveDefiniteError
 
@@ -171,29 +181,68 @@ class BlockDiagonalMatrix:
         return out
 
 
-def _not_spd(message: str, pivot: np.ndarray | None) -> NotPositiveDefiniteError:
-    err = NotPositiveDefiniteError(message)
-    err.pivot = pivot
-    return err
+def _lapack_error(routine: str, info: int) -> RuntimeError:
+    # every info but a positive one from dpotrf: an illegal argument, or a
+    # zero on the diagonal of a factor that dpotrf accepted; a bug, not bad input
+    return RuntimeError(f"LAPACK {routine} returned info={info}")
 
 
-def _cholesky(A: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Lower Cholesky factor of a dense SPD matrix: the one dense factorization."""
-    try:
-        return scipy.linalg.cholesky(A, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise _not_spd(f"{what} is not positive definite", A) from exc
+def _cholesky(A: np.ndarray, what: str = "matrix", *, overwrite: bool = False) -> np.ndarray:
+    """Lower Cholesky factor of a dense SPD matrix: the one dense factorization.
+
+    With ``overwrite``, A must be a fresh, exactly symmetric, C-ordered
+    array that the caller gives up: LAPACK factors its transpose, the same
+    matrix in Fortran order, in place, and only the lower triangle of the
+    result is the factor.
+    """
+    if not overwrite:
+        L, info = dpotrf(A, lower=1)
+    else:
+        diagonal = A.diagonal().copy()
+        L, info = dpotrf(A.T, lower=1, overwrite_a=1, clean=0)
+        if info > 0:  # the factor overwrote the upper triangle and diagonal
+            A = np.tril(A, -1)
+            A += A.T
+            A[np.diag_indices_from(A)] = diagonal
+    if info > 0:
+        raise NotPositiveDefiniteError(f"{what} is not positive definite", A)
+    if info:
+        raise _lapack_error("dpotrf", info)
+    return L
+
+
+def _potrs(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A^-1 B from the lower Cholesky factor L of A."""
+    X, info = dpotrs(L, B, lower=1)
+    if info:
+        raise _lapack_error("dpotrs", info)
+    return X
 
 
 def _solve_spd(A: np.ndarray, B: np.ndarray, what: str = "matrix") -> np.ndarray:
     """A^-1 B for a dense SPD matrix A."""
-    return cho_solve((_cholesky(A, what), True), B, check_finite=False)
+    return _potrs(_cholesky(A, what), B)
 
 
 def _inverse_spd(A: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Symmetric inverse of a dense SPD matrix."""
     inv = _solve_spd(A, np.eye(A.shape[0]), what)
     return 0.5 * (inv + inv.T)
+
+
+def _logdet_of(factor_diagonal: np.ndarray, what: str) -> float:
+    """2 sum log of Cholesky diagonals: the one log-sum and finiteness check."""
+    logdet = 2.0 * float(np.log(factor_diagonal).sum())
+    if not math.isfinite(logdet):
+        raise NotPositiveDefiniteError(f"{what} log-determinant is not finite")
+    return logdet
+
+
+def _logdet_dense(A: np.ndarray, overwrite: bool = False) -> float:
+    """``logdet_dense`` of a square float array; ``overwrite`` as in ``_cholesky``."""
+    if A.shape[0] == 0:
+        return 0.0
+    return _logdet_of(_cholesky(A, overwrite=overwrite).diagonal(), "dense")
 
 
 def logdet_dense(M: np.ndarray) -> float:
@@ -206,12 +255,7 @@ def logdet_dense(M: np.ndarray) -> float:
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
-    if A.shape[0] == 0:
-        return 0.0
-    logdet = float(2.0 * np.sum(np.log(np.diagonal(_cholesky(A)))))
-    if not math.isfinite(logdet):
-        raise _not_spd("dense log-determinant is not finite", None)
-    return logdet
+    return _logdet_dense(A)
 
 
 def _pivot_factors(
@@ -219,17 +263,27 @@ def _pivot_factors(
 ) -> list[np.ndarray]:
     """Lower Cholesky factors of the Schur pivots D_k, one per diagonal block.
 
-    A 0 x 0 block yields a 0 x 0 factor and decouples its neighbours.
+    Per block one ``dtrtrs`` gives X = L_{k-1}^-1 C_k and one ``dpotrf``
+    factors D_k = B_k - X^T X. A 0 x 0 block yields a 0 x 0 factor and
+    decouples its neighbours.
     """
     chols: list[np.ndarray] = []
     for k, D in enumerate(diag_blocks):
         if k and chols[-1].shape[0] and D.shape[0]:
-            X = solve_triangular(chols[-1], offdiag_blocks[k - 1], lower=True, check_finite=False)
+            X, info = dtrtrs(chols[-1], offdiag_blocks[k - 1], lower=1)
+            if info:
+                raise _lapack_error("dtrtrs", info)
             D = D - X.T @ X
-        try:
-            chols.append(np.linalg.cholesky(D) if D.shape[0] else D)
-        except np.linalg.LinAlgError as exc:
-            raise _not_spd(f"pivot block {k} is not positive definite", D) from exc
+        if D.shape[0]:
+            L, info = dpotrf(D, lower=1)
+            if info > 0:
+                raise NotPositiveDefiniteError(
+                    f"pivot block {k} is not positive definite", D, k
+                )
+            if info:
+                raise _lapack_error("dpotrf", info)
+            D = L
+        chols.append(D)
     return chols
 
 
@@ -246,16 +300,11 @@ def logdet_block_tridiagonal_blocks(
 
     Raises:
         NotPositiveDefiniteError: if any pivot block fails to factor (the
-            failing pivot is attached as ``exc.pivot``) or the blocks hold
-            non-finite values.
+            failing pivot is attached as ``exc.pivot`` and its index as
+            ``exc.block_index``) or the blocks hold non-finite values.
     """
-    logdet = 0.0
-    for L in _pivot_factors(diag_blocks, offdiag_blocks):
-        if L.shape[0]:
-            logdet += 2.0 * np.sum(np.log(np.diagonal(L)))
-    if not math.isfinite(logdet):
-        raise _not_spd("block log-determinant is not finite", None)
-    return float(logdet)
+    diagonals = [L.diagonal() for L in _pivot_factors(diag_blocks, offdiag_blocks)]
+    return _logdet_of(np.concatenate(diagonals or [np.empty(0)]), "block")
 
 
 def logdet_block_tridiagonal(M: BlockTridiagonalMatrix) -> float:
@@ -283,7 +332,8 @@ def solve_block_tridiagonal(M: BlockTridiagonalMatrix, b: np.ndarray) -> np.ndar
 
     Raises:
         NotPositiveDefiniteError: on pivot factorization failure, with the
-            failing pivot attached as ``exc.pivot``.
+            failing pivot attached as ``exc.pivot`` and its index as
+            ``exc.block_index``.
         DimensionMismatchError: if b has the wrong length.
     """
     n, K = M.block_dim, M.num_blocks
@@ -296,13 +346,12 @@ def solve_block_tridiagonal(M: BlockTridiagonalMatrix, b: np.ndarray) -> np.ndar
     ys = np.empty_like(parts)
     ys[0] = parts[0]
     for k in range(1, K):
-        t = cho_solve((chols[k - 1], True), ys[k - 1], check_finite=False)
-        ys[k] = parts[k] - M.offdiag_blocks[k - 1].T @ t
+        ys[k] = parts[k] - M.offdiag_blocks[k - 1].T @ _potrs(chols[k - 1], ys[k - 1])
 
     xs = np.empty_like(parts)
     for k in range(K - 1, -1, -1):
         y = ys[k] if k == K - 1 else ys[k] - M.offdiag_blocks[k] @ xs[k + 1]
-        xs[k] = cho_solve((chols[k], True), y, check_finite=False)
+        xs[k] = _potrs(chols[k], y)
     return xs.reshape(-1)
 
 

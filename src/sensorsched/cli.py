@@ -4,8 +4,6 @@ Verbs:
     run      build the instance from a JSON config, run the requested
              schedulers, write results.csv / trace.csv / timings.csv and
              a manifest echoing every resolved value.
-    bench    K-sweep scaling benchmark over sparse and densified priors,
-             written to timings.csv.
     certify  run greedy plus exhaustive enumeration and report the bound.
 
 Outputs are deterministic for a fixed config and seed: results.csv and
@@ -22,7 +20,6 @@ import csv
 import dataclasses
 import json
 import logging
-import statistics
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,7 +41,7 @@ from .process_models import (
 from .scheduler import GreedyTrace, StepTrace, greedy_schedule, greedy_step_detailed, random_schedule
 from .sensing import Schedule, SensorSuite, builtin_sensor
 
-__all__ = ["Scenario", "load_scenario", "run_scenario", "run_scaling_benchmark", "main"]
+__all__ = ["Scenario", "load_scenario", "run_scenario", "main"]
 
 logger = logging.getLogger(__name__)
 
@@ -71,11 +68,10 @@ class Scenario:
     linearization: str
     schedulers: tuple[str, ...]
     exhaustive_cap: int
-    bench: dict | None
 
     def resolved(self) -> dict:
         """Manifest payload; itself a valid config that re-runs identically."""
-        out = {
+        return {
             "name": self.name,
             "seed": self.seed,
             "prior": self.prior,
@@ -86,9 +82,6 @@ class Scenario:
             "schedulers": list(self.schedulers),
             "exhaustive_cap": self.exhaustive_cap,
         }
-        if self.bench is not None:
-            out["bench"] = self.bench
-        return out
 
 
 def _require(cfg: dict, field: str, types, path: str):
@@ -267,31 +260,6 @@ def load_scenario(path: str | Path) -> Scenario:
     if not isinstance(cap, int) or cap < 1:
         raise ConfigError(f"exhaustive_cap: must be a positive integer, got {cap!r}")
 
-    bench = cfg.get("bench")
-    if bench is not None:
-        if not isinstance(bench, dict):
-            raise ConfigError("bench: expected an object")
-        k_values = _require(bench, "K_values", list, "bench.")
-        for i, k in enumerate(k_values):
-            if not isinstance(k, int) or k < 1:
-                raise ConfigError(f"bench.K_values[{i}]: must be a positive integer")
-        regimes = bench.get("regimes", ["sparse", "dense"])
-        for r in regimes:
-            if r not in ("sparse", "dense"):
-                raise ConfigError(f"bench.regimes: unknown regime {r!r}")
-        reps = bench.get("repetitions", 3)
-        if not isinstance(reps, int) or reps < 1:
-            raise ConfigError("bench.repetitions: must be a positive integer")
-        budget = bench.get("budget", budgets[0] if budgets else 1)
-        if not isinstance(budget, int) or budget < 0:
-            raise ConfigError("bench.budget: must be a non-negative integer")
-        bench = {
-            "K_values": list(k_values),
-            "regimes": list(regimes),
-            "repetitions": reps,
-            "budget": budget,
-        }
-
     return Scenario(
         name=name,
         seed=seed,
@@ -302,19 +270,14 @@ def load_scenario(path: str | Path) -> Scenario:
         linearization=linearization,
         schedulers=schedulers,
         exhaustive_cap=cap,
-        bench=bench,
     )
 
 
-def _build_prior(spec: dict, K_override: int | None = None) -> GaussianPrior:
-    kind = spec["kind"]
-    K = K_override if K_override is not None else spec["K"]
+def _build_prior(spec: dict) -> GaussianPrior:
+    kind, K = spec["kind"], spec["K"]
     if kind == "tracking":
-        mean = spec.get("mean")
-        if mean is not None and K_override is not None:
-            mean = None  # sweep horizons cannot reuse a fixed-length mean
         return build_tracking_prior(
-            spec["n"], K, spec["marginal_var"], spec["neighbor_corr"], mean=mean
+            spec["n"], K, spec["marginal_var"], spec["neighbor_corr"], mean=spec.get("mean")
         )
     if kind == "gauss_markov":
         return build_gauss_markov_prior(
@@ -530,71 +493,6 @@ def run_scenario(
     }
 
 
-def run_scaling_benchmark(
-    config_path: str | Path,
-    output_dir: str | Path | None = None,
-    *,
-    repetitions: int | None = None,
-) -> dict[str, Path]:
-    """Run the K-sweep benchmark of a config's ``bench`` section.
-
-    For each horizon K and regime (sparse prior, densified prior), runs
-    the greedy scheduler ``repetitions`` times and records wall time and
-    oracle calls per repetition plus a median summary row.
-    """
-    scenario = load_scenario(config_path)
-    if scenario.bench is None:
-        raise ConfigError("bench: config has no bench section")
-    if scenario.prior["kind"] == "dense_custom":
-        raise ConfigError("bench: K sweeps need a tracking or gauss_markov prior")
-    reps = repetitions if repetitions is not None else scenario.bench["repetitions"]
-    out_dir = Path(output_dir) if output_dir is not None else Path(config_path).parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    rows = []
-    for regime in scenario.bench["regimes"]:
-        for K in scenario.bench["K_values"]:
-            prior = _build_prior(scenario.prior, K_override=K)
-            if regime == "dense":
-                prior = densify(prior)
-            suite = _build_suite(scenario.sensors, scenario.prior["n"])
-            budgets = tuple(scenario.bench["budget"] for _ in range(K))
-            ctx = make_context(prior, suite)
-            per_call = []
-            for rep in range(reps):
-                started = time.perf_counter()
-                _, trace = greedy_schedule(ctx, budgets)
-                wall_ms = (time.perf_counter() - started) * 1e3
-                calls = trace.total_oracle_calls
-                ms_per_call = wall_ms / calls if calls else float("nan")
-                per_call.append((wall_ms, calls, ms_per_call))
-                rows.append((regime, K, str(rep), wall_ms, calls, ms_per_call))
-            rows.append(
-                (
-                    regime,
-                    K,
-                    "median",
-                    statistics.median(w for w, _, _ in per_call),
-                    per_call[0][1],
-                    statistics.median(c for _, _, c in per_call),
-                )
-            )
-
-    timings_path = out_dir / "timings.csv"
-    with open(timings_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["regime", "K", "rep", "wall_ms", "oracle_calls", "ms_per_call"])
-        for regime, K, rep, wall_ms, calls, ms_per_call in rows:
-            writer.writerow([regime, str(K), rep, _fmt(wall_ms), str(calls), _fmt(ms_per_call)])
-
-    manifest_path = out_dir / "manifest.json"
-    with open(manifest_path, "w") as f:
-        json.dump(scenario.resolved(), f, indent=2, sort_keys=True)
-        f.write("\n")
-
-    return {"timings": timings_path, "manifest": manifest_path}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="sensorsched",
@@ -603,22 +501,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     run_p = sub.add_parser("run", help="run a scenario config")
-    bench_p = sub.add_parser("bench", help="run a K-sweep scaling benchmark")
     certify_p = sub.add_parser("certify", help="certify the greedy bound exhaustively")
-    for p in (run_p, bench_p, certify_p):
+    for p in (run_p, certify_p):
         p.add_argument("--config", required=True, help="path to the JSON scenario config")
         p.add_argument("--output-dir", default=None, help="directory for report files")
-    bench_p.add_argument("--repetitions", type=int, default=None,
-                         help="override the config's repetition count")
 
     args = parser.parse_args(argv)
     try:
         if args.verb == "run":
             paths = run_scenario(args.config, args.output_dir)
-        elif args.verb == "bench":
-            paths = run_scaling_benchmark(
-                args.config, args.output_dir, repetitions=args.repetitions
-            )
         else:
             paths = run_scenario(
                 args.config, args.output_dir, force_schedulers=("greedy", "exhaustive")

@@ -31,6 +31,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .blocklinalg import (
     BlockTridiagonalMatrix,
     _inverse_spd,
+    _logdet_dense,
     _solve_spd,
     logdet_block_tridiagonal_blocks,
     logdet_dense,
@@ -122,13 +123,19 @@ def make_context(
     lin.setflags(write=False)
 
     states = lin.reshape(prior.K, prior.n)
+    # one factor and log-det per distinct noise covariance: noise_cov_at
+    # returns the same array on every step without an override
+    noise: dict[int, tuple] = {}
     jacobians, increments, logdets, covs = [], [], [], []
     for k in range(prior.K):
         row_j, row_inc, row_ld, row_cov = [], [], [], []
         for i, sensor in enumerate(suite.sensors):
             J = sensor.jacobian_at(states[k])
             R = sensor.noise_cov_at(k)
-            factor = cho_factor(R, lower=True)
+            if id(R) not in noise:
+                factor = cho_factor(R, lower=True)
+                noise[id(R)] = factor, float(2.0 * np.sum(np.log(np.diagonal(factor[0]))))
+            factor, logdet = noise[id(R)]
             try:
                 Z = cho_solve(factor, J)
             except ValueError as exc:  # raised for non-finite entries
@@ -138,7 +145,7 @@ def make_context(
             inc = J.T @ Z
             row_j.append(J)
             row_inc.append(0.5 * (inc + inc.T))
-            row_ld.append(float(2.0 * np.sum(np.log(np.diagonal(factor[0])))))
+            row_ld.append(logdet)
             row_cov.append(R)
         jacobians.append(tuple(row_j))
         increments.append(tuple(row_inc))
@@ -228,7 +235,7 @@ def conditional_entropy_precision_form(ctx: OracleContext, schedule: Schedule) -
     if isinstance(P, BlockTridiagonalMatrix):
         logdet = logdet_block_tridiagonal_blocks(M, P.offdiag_blocks)
     else:
-        logdet = logdet_dense(M)
+        logdet = _logdet_dense(M, overwrite=True)  # M is a fresh copy of P
     return 0.5 * ctx.prior.dim * LOG_TWO_PI_E - 0.5 * logdet
 
 
@@ -262,7 +269,7 @@ def _logdet_measurement_cov(diag, offdiag=None) -> float:
             return logdet_dense(diag)
         return logdet_block_tridiagonal_blocks(diag, offdiag)
     except NotPositiveDefiniteError as exc:
-        pivot = getattr(exc, "pivot", None)
+        pivot = exc.pivot
         if pivot is None or pivot.size == 0:
             raise
         min_eig = float(np.linalg.eigvalsh(pivot)[0])

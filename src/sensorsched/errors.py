@@ -6,7 +6,18 @@ class SensorSchedError(Exception):
 
 
 class NotPositiveDefiniteError(SensorSchedError):
-    """A matrix required to be symmetric positive definite is not."""
+    """A matrix required to be symmetric positive definite is not.
+
+    ``pivot`` is the matrix that failed to factor: a Schur pivot block of
+    the block-tridiagonal recursion, whose index is ``block_index``, or a
+    dense matrix. Each is None where it does not apply (``block_index``
+    for dense failures, both when a log-determinant came out non-finite).
+    """
+
+    def __init__(self, message: str, pivot=None, block_index: int | None = None):
+        super().__init__(message)
+        self.pivot = pivot
+        self.block_index = block_index
 
 
 class DimensionMismatchError(SensorSchedError):

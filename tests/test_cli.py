@@ -10,7 +10,7 @@ import pytest
 
 import sensorsched as ss
 from sensorsched import cli
-from sensorsched.cli import load_scenario, main, run_scaling_benchmark, run_scenario
+from sensorsched.cli import load_scenario, main, run_scenario
 
 
 def write_config(path, **overrides):
@@ -231,30 +231,9 @@ class TestVerbs:
         greedy = next(r for r in rows if r["scheduler"] == "greedy")
         assert float(greedy["bound_ratio"]) <= 0.5 + 1e-9
 
-    def test_bench_verb_schema(self, tmp_path):
-        write_config(
-            tmp_path / "c.json",
-            bench={"K_values": [3, 6], "regimes": ["sparse", "dense"], "repetitions": 2},
-        )
-        code = main(
-            ["bench", "--config", str(tmp_path / "c.json"),
-             "--output-dir", str(tmp_path / "o")]
-        )
-        assert code == 0
-        rows = read_csv(tmp_path / "o" / "timings.csv")
-        assert set(rows[0]) == {"regime", "K", "rep", "wall_ms", "oracle_calls", "ms_per_call"}
-        # 2 regimes x 2 horizons x (2 reps + 1 median row)
-        assert len(rows) == 2 * 2 * 3
-        medians = [r for r in rows if r["rep"] == "median"]
-        assert len(medians) == 4
-
     def test_config_error_exits_nonzero(self, tmp_path):
         (tmp_path / "c.json").write_text("{}")
         with pytest.raises(SystemExit) as exc:
             main(["run", "--config", str(tmp_path / "c.json")])
         assert exc.value.code == 2
 
-    def test_bench_without_bench_section_fails(self, tmp_path):
-        write_config(tmp_path / "c.json")
-        with pytest.raises(SystemExit):
-            main(["bench", "--config", str(tmp_path / "c.json")])

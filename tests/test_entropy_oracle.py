@@ -272,6 +272,17 @@ class TestJitterPolicy:
             _logdet_measurement_cov(*_sigma_y(M, storage))
 
 
+    def test_indefinite_block_sigma_y_reports_its_block(self):
+        from sensorsched.entropy_oracle import _logdet_measurement_cov
+
+        diag = [np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(1)]
+        offdiag = [np.zeros((2, 2)), np.zeros((2, 1))]
+        with pytest.raises(ss.NotPositiveDefiniteError) as info:
+            _logdet_measurement_cov(diag, offdiag)
+        assert info.value.block_index == 1
+        np.testing.assert_array_equal(info.value.pivot, diag[1])
+
+
 class TestFiniteDifferenceEntropy:
     def test_fd_jacobians_barely_move_the_entropy(self):
         rng = np.random.default_rng(61)
@@ -308,6 +319,32 @@ class TestContextCaches:
         prior, suite = random_instance(7)
         ctx = ss.make_context(prior, suite)
         np.testing.assert_array_equal(ctx.linearization, prior.mean)
+
+
+    def test_one_noise_factor_per_distinct_covariance(self, monkeypatch):
+        from sensorsched import entropy_oracle
+
+        prior, suite = random_instance(71, n=2, K=5, m=3, kind="tracking")
+        first = suite.sensors[0]
+        overrides = {1: [[3.0]], 3: [[0.5]]}
+        sensors = (ss.Sensor(1, first.measure, first.jacobian, first.noise_cov,
+                             noise_overrides=overrides),) + suite.sensors[1:]
+        suite = ss.SensorSuite(state_dim=2, sensors=sensors)
+        factored = []
+        real = entropy_oracle.cho_factor
+        monkeypatch.setattr(entropy_oracle, "cho_factor",
+                            lambda R, **kw: factored.append(R) or real(R, **kw))
+        ctx = ss.make_context(prior, suite)
+        assert len(factored) == suite.m + len(overrides)
+        states = prior.mean.reshape(5, 2)
+        for k in range(5):
+            for i, sensor in enumerate(sensors):
+                R = sensor.noise_cov_at(k)
+                J = sensor.jacobian_at(states[k])
+                assert ctx.noise_logdets[k][i] == pytest.approx(np.linalg.slogdet(R)[1], abs=1e-12)
+                np.testing.assert_allclose(ctx.info_increments[k][i], J.T @ np.linalg.solve(R, J),
+                                           rtol=1e-12)
+        assert ctx.noise_logdets[1][0] == pytest.approx(np.log(3.0), abs=1e-12)
 
 
 def nan_jacobian_suite(n):
