@@ -25,8 +25,9 @@ suite = ss.SensorSuite(
     ),
 )
 
-# allow_form_conversion makes both formulas callable on one context
-ctx = ss.make_context(prior, suite, allow_form_conversion=True)
+# both formulas are callable on any context: the form the prior does not
+# store is read from its cached dense conversion
+ctx = ss.make_context(prior, suite)
 schedule = ss.Schedule(sets=((0, 2), (1,), (0,)), budgets=(2, 2, 2))
 
 h_cov = ss.conditional_entropy_covariance_form(ctx, schedule)

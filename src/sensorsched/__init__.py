@@ -36,7 +36,6 @@ from .errors import (
     OracleInconsistencyError,
     SensorSchedError,
     TooLargeError,
-    WrongFormError,
 )
 from .exhaustive import (
     BoundCertificate,
@@ -99,7 +98,6 @@ __all__ = [
     "SensorSuite",
     "StepTrace",
     "TooLargeError",
-    "WrongFormError",
     "add_block_diagonal",
     "builtin_sensor",
     "certify_bound",

@@ -9,15 +9,15 @@ routines run a Schur-complement pivot recursion
 so their cost is linear in the number of blocks; dense fallbacks are
 provided for everything. All values are natural-log (nats).
 
-Every SPD factorization of a prior-, posterior- or Sigma_y-sized matrix
-in the package happens here: in the one pivot recursion or the one dense
-Cholesky. Both call LAPACK directly (``dpotrf``, ``dtrtrs``, ``dpotrs``
-from ``scipy.linalg.lapack``), because at pivot-block sizes the checks
-and dispatch of the higher-level wrappers cost several times the
-factorization itself. Inputs are not checked for finiteness on the way
-in; a log-determinant takes one ``log`` over all factor diagonals and
-checks the sum once, so NaN or infinite input either fails a
-factorization or makes that sum non-finite.
+Every SPD factorization in the package happens here: in the one pivot
+recursion or the one dense Cholesky, which also factors each sensor noise
+covariance once, when the sensor is built. Both call LAPACK directly
+(``dpotrf``, ``dtrtrs``, ``dpotrs`` from ``scipy.linalg.lapack``),
+because at pivot-block sizes the checks and dispatch of the higher-level
+wrappers cost several times the factorization itself. Inputs are not
+checked for finiteness on the way in; a log-determinant takes one ``log``
+over all factor diagonals and checks the sum once, so NaN or infinite
+input either fails a factorization or makes that sum non-finite.
 
 Failure contract: a positive LAPACK ``info`` from ``dpotrf`` means the
 matrix is not positive definite and raises ``NotPositiveDefiniteError``
@@ -219,6 +219,14 @@ def _potrs(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X
 
 
+def _trtrs(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """L^-1 B for a lower-triangular L: whitening by a Cholesky factor."""
+    X, info = dtrtrs(L, B, lower=1)
+    if info:
+        raise _lapack_error("dtrtrs", info)
+    return X
+
+
 def _solve_spd(A: np.ndarray, B: np.ndarray, what: str = "matrix") -> np.ndarray:
     """A^-1 B for a dense SPD matrix A."""
     return _potrs(_cholesky(A, what), B)
@@ -263,16 +271,14 @@ def _pivot_factors(
 ) -> list[np.ndarray]:
     """Lower Cholesky factors of the Schur pivots D_k, one per diagonal block.
 
-    Per block one ``dtrtrs`` gives X = L_{k-1}^-1 C_k and one ``dpotrf``
+    Per block one ``_trtrs`` gives X = L_{k-1}^-1 C_k and one ``dpotrf``
     factors D_k = B_k - X^T X. A 0 x 0 block yields a 0 x 0 factor and
     decouples its neighbours.
     """
     chols: list[np.ndarray] = []
     for k, D in enumerate(diag_blocks):
         if k and chols[-1].shape[0] and D.shape[0]:
-            X, info = dtrtrs(chols[-1], offdiag_blocks[k - 1], lower=1)
-            if info:
-                raise _lapack_error("dtrtrs", info)
+            X = _trtrs(chols[-1], offdiag_blocks[k - 1])
             D = D - X.T @ X
         if D.shape[0]:
             L, info = dpotrf(D, lower=1)

@@ -84,22 +84,56 @@ class Scenario:
         }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(cfg: dict, field: str, types, path: str):
+    """cfg[field], which must be one of ``types``; JSON true/false is not a number."""
     if field not in cfg:
         raise ConfigError(f"{path}{field}: missing required field")
     value = cfg[field]
-    if not isinstance(value, types):
+    types = types if isinstance(types, tuple) else (types,)
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         raise ConfigError(
-            f"{path}{field}: expected {getattr(types, '__name__', types)}, "
+            f"{path}{field}: expected {' or '.join(t.__name__ for t in types)}, "
             f"got {type(value).__name__}"
         )
     return value
 
 
+def _number(cfg: dict, field: str, path: str) -> float:
+    value = float(_require(cfg, field, (int, float), path))
+    if not np.isfinite(value):
+        raise ConfigError(f"{path}{field}: must be finite, got {value}")
+    return value
+
+
+def _numbers(value, path: str) -> np.ndarray:
+    """A finite float array from a number or a rectangular nest of numbers."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise ConfigError(f"{path}: expected a rectangular array of numbers") from exc
+    if arr.dtype.kind not in "iuf":  # strings, booleans, null, ...
+        raise ConfigError(f"{path}: expected numbers, got {value!r}")
+    arr = arr.astype(float)
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{path}: must be finite")
+    return arr
+
+
 def _matrix(value, n_rows: int, n_cols: int, path: str) -> list[list[float]]:
-    arr = np.asarray(value, dtype=float)
+    arr = _numbers(value, path)
     if arr.shape != (n_rows, n_cols):
         raise ConfigError(f"{path}: expected a {n_rows}x{n_cols} matrix, got shape {arr.shape}")
+    return arr.tolist()
+
+
+def _vector(value, length: int, path: str) -> list[float]:
+    arr = _numbers(value, path).reshape(-1)
+    if arr.shape != (length,):
+        raise ConfigError(f"{path}: expected length {length}")
     return arr.tolist()
 
 
@@ -117,29 +151,23 @@ def _validate_prior(cfg: Any, path: str = "prior.") -> dict:
         raise ConfigError(f"{path}K: must be >= 1, got {K}")
     out = {"kind": kind, "n": n, "K": K}
     if kind == "tracking":
-        var = _require(cfg, "marginal_var", (int, float), path)
-        corr = _require(cfg, "neighbor_corr", (int, float), path)
+        var = _number(cfg, "marginal_var", path)
+        corr = _number(cfg, "neighbor_corr", path)
         if var <= 0:
             raise ConfigError(f"{path}marginal_var: must be positive, got {var}")
         if not -1.0 < corr < 1.0:
             raise ConfigError(f"{path}neighbor_corr: must be in (-1, 1), got {corr}")
-        out["marginal_var"] = float(var)
-        out["neighbor_corr"] = float(corr)
+        out["marginal_var"] = var
+        out["neighbor_corr"] = corr
         if "mean" in cfg:
-            out["mean"] = list(np.asarray(cfg["mean"], dtype=float).reshape(-1))
-            if len(out["mean"]) != n * K:
-                raise ConfigError(f"{path}mean: expected length {n * K}")
+            out["mean"] = _vector(cfg["mean"], n * K, path + "mean")
     elif kind == "gauss_markov":
         out["A"] = _matrix(_require(cfg, "A", (list, int, float), path), n, n, path + "A")
         out["Q"] = _matrix(_require(cfg, "Q", (list, int, float), path), n, n, path + "Q")
         out["Sigma0"] = _matrix(
             _require(cfg, "Sigma0", (list, int, float), path), n, n, path + "Sigma0"
         )
-        mu0 = cfg.get("mu0", [0.0] * n)
-        mu0 = np.asarray(mu0, dtype=float).reshape(-1)
-        if mu0.shape != (n,):
-            raise ConfigError(f"{path}mu0: expected length {n}")
-        out["mu0"] = mu0.tolist()
+        out["mu0"] = _vector(cfg.get("mu0", [0.0] * n), n, path + "mu0")
     else:  # dense_custom
         rep = cfg.get("representation", "covariance")
         if rep not in ("covariance", "precision"):
@@ -150,11 +178,7 @@ def _validate_prior(cfg: Any, path: str = "prior.") -> dict:
         out["matrix"] = _matrix(
             _require(cfg, "matrix", list, path), n * K, n * K, path + "matrix"
         )
-        mean = cfg.get("mean", [0.0] * (n * K))
-        mean = np.asarray(mean, dtype=float).reshape(-1)
-        if mean.shape != (n * K,):
-            raise ConfigError(f"{path}mean: expected length {n * K}")
-        out["mean"] = mean.tolist()
+        out["mean"] = _vector(cfg.get("mean", [0.0] * (n * K)), n * K, path + "mean")
     return out
 
 
@@ -167,13 +191,12 @@ def _validate_sensor(cfg: Any, n: int, idx: int) -> dict:
         raise ConfigError(f"{path}kind: unknown sensor kind {kind!r}")
     out = {"kind": kind}
     if "noise_cov" in cfg:
-        arr = np.atleast_2d(np.asarray(cfg["noise_cov"], dtype=float))
-        out["noise_cov"] = arr.tolist()
+        out["noise_cov"] = np.atleast_2d(_numbers(cfg["noise_cov"], path + "noise_cov")).tolist()
     elif "noise_var" in cfg:
-        var = cfg["noise_var"]
-        if not isinstance(var, (int, float)) or var <= 0:
-            raise ConfigError(f"{path}noise_var: must be a positive number, got {var!r}")
-        out["noise_var"] = float(var)
+        var = _number(cfg, "noise_var", path)
+        if var <= 0:
+            raise ConfigError(f"{path}noise_var: must be positive, got {var!r}")
+        out["noise_var"] = var
     else:
         raise ConfigError(f"{path}noise_var: sensor needs noise_var or noise_cov")
     if kind == "linear_coordinate":
@@ -182,7 +205,7 @@ def _validate_sensor(cfg: Any, n: int, idx: int) -> dict:
             raise ConfigError(f"{path}axis: must be in [0, {n}), got {axis}")
         out["axis"] = axis
     elif kind in ("range", "bearing"):
-        anchor = np.asarray(_require(cfg, "anchor", list, path), dtype=float).reshape(-1)
+        anchor = _numbers(_require(cfg, "anchor", list, path), path + "anchor").reshape(-1)
         if kind == "range" and anchor.shape != (n,):
             raise ConfigError(f"{path}anchor: expected length {n}")
         if kind == "bearing" and anchor.size < 2:
@@ -215,7 +238,7 @@ def load_scenario(path: str | Path) -> Scenario:
     if not isinstance(name, str):
         raise ConfigError("name: expected a string")
     seed = cfg.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ConfigError(f"seed: expected an integer, got {type(seed).__name__}")
 
     prior = _validate_prior(_require(cfg, "prior", dict, ""))
@@ -231,14 +254,14 @@ def load_scenario(path: str | Path) -> Scenario:
     sensors = tuple(_validate_sensor(s, n, i) for i, s in enumerate(raw_sensors))
 
     raw_budgets = _require(cfg, "budgets", (int, list), "")
-    if isinstance(raw_budgets, int):
+    if _is_int(raw_budgets):
         budgets = tuple(raw_budgets for _ in range(K))
     else:
         if len(raw_budgets) != K:
             raise ConfigError(f"budgets: expected {K} entries, got {len(raw_budgets)}")
         budgets = tuple(raw_budgets)
     for k, b in enumerate(budgets):
-        if not isinstance(b, int) or b < 0:
+        if not _is_int(b) or b < 0:
             raise ConfigError(f"budgets[{k}]: must be a non-negative integer, got {b!r}")
         if b > len(sensors):
             raise ConfigError(f"budgets[{k}]: {b} exceeds the {len(sensors)} sensors")
@@ -249,7 +272,10 @@ def load_scenario(path: str | Path) -> Scenario:
             f"linearization: must be one of {_LINEARIZATIONS}, got {linearization!r}"
         )
 
-    schedulers = tuple(cfg.get("schedulers", ["greedy"]))
+    schedulers = cfg.get("schedulers", ["greedy"])
+    if not isinstance(schedulers, list):
+        raise ConfigError(f"schedulers: expected a list, got {type(schedulers).__name__}")
+    schedulers = tuple(schedulers)
     if not schedulers:
         raise ConfigError("schedulers: need at least one scheduler")
     for s in schedulers:
@@ -257,7 +283,7 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ConfigError(f"schedulers: unknown scheduler {s!r}")
 
     cap = cfg.get("exhaustive_cap", 10**6)
-    if not isinstance(cap, int) or cap < 1:
+    if not _is_int(cap) or cap < 1:
         raise ConfigError(f"exhaustive_cap: must be a positive integer, got {cap!r}")
 
     return Scenario(
@@ -294,12 +320,6 @@ def _build_suite(sensor_specs: Sequence[dict], n: int) -> SensorSuite:
     sensors = []
     for idx, spec in enumerate(sensor_specs):
         kwargs = {k: v for k, v in spec.items() if k != "kind"}
-        if "anchor" in kwargs:
-            kwargs["anchor"] = np.asarray(kwargs["anchor"], dtype=float)
-        if "weight" in kwargs:
-            kwargs["weight"] = np.asarray(kwargs["weight"], dtype=float)
-        if "noise_cov" in kwargs:
-            kwargs["noise_cov"] = np.asarray(kwargs["noise_cov"], dtype=float)
         try:
             sensors.append(builtin_sensor(spec["kind"], **kwargs))
         except SensorSchedError as exc:
@@ -307,14 +327,30 @@ def _build_suite(sensor_specs: Sequence[dict], n: int) -> SensorSuite:
     return SensorSuite(state_dim=n, sensors=tuple(sensors))
 
 
+def _fresh(path: Path):
+    """Open ``path`` for writing as a new file, unlinking any old one first.
+
+    Truncating a small existing file and rewriting it can cost tens of
+    milliseconds on ext4, whose replace-via-truncate heuristic
+    (``auto_da_alloc``) starts writing the file back when it is closed; a
+    new file is not flushed that way."""
+    path.unlink(missing_ok=True)
+    return open(path, "w", newline="")
+
+
+def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+    with _fresh(path) as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _simulate_measurements(suite, schedule_sets, k, x_true_k, rng):
     parts = []
     for i in schedule_sets:
         sensor = suite.sensors[i]
-        chol = np.linalg.cholesky(sensor.noise_cov_at(k))
-        parts.append(
-            sensor.measure_at(x_true_k) + chol @ rng.standard_normal(sensor.output_dim)
-        )
+        noise = sensor.noise_factor_at(k) @ rng.standard_normal(sensor.output_dim)
+        parts.append(sensor.measure_at(x_true_k) + noise)
     return np.concatenate(parts) if parts else None
 
 
@@ -456,32 +492,23 @@ def run_scenario(
     header = ["scheduler", "entropy_nats", "mutual_info_nats", "oracle_calls"]
     if with_bound:
         header.append("bound_ratio")
-    with open(results_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in rows:
-            out = [row["scheduler"], _fmt(row["entropy_nats"]),
-                   _fmt(row["mutual_info_nats"]), str(row["oracle_calls"])]
-            if with_bound:
-                out.append(_fmt(row["bound_ratio"]))
-            writer.writerow(out)
+    _write_csv(results_path, header, [
+        [row["scheduler"], _fmt(row["entropy_nats"]), _fmt(row["mutual_info_nats"]),
+         str(row["oracle_calls"])] + ([_fmt(row["bound_ratio"])] if with_bound else [])
+        for row in rows
+    ])
 
     trace_path = out_dir / "trace.csv"
-    with open(trace_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["k", "pick_order", "sensor", "gain_nats"])
-        for k, order, sensor, gain in trace_rows:
-            writer.writerow([str(k), str(order), str(sensor), _fmt(gain)])
+    _write_csv(trace_path, ["k", "pick_order", "sensor", "gain_nats"], [
+        [str(k), str(order), str(sensor), _fmt(gain)] for k, order, sensor, gain in trace_rows
+    ])
 
     timings_path = out_dir / "timings.csv"
-    with open(timings_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["scheduler", "wall_ms"])
-        for name, wall_ms in timing_rows:
-            writer.writerow([name, _fmt(wall_ms)])
+    _write_csv(timings_path, ["scheduler", "wall_ms"],
+               [[name, _fmt(wall_ms)] for name, wall_ms in timing_rows])
 
     manifest_path = out_dir / "manifest.json"
-    with open(manifest_path, "w") as f:
+    with _fresh(manifest_path) as f:
         json.dump(scenario.resolved(), f, indent=2, sort_keys=True)
         f.write("\n")
 

@@ -7,18 +7,24 @@ equivalent formulas:
   * precision form: H = -1/2 logdet(Xi + P) + (nK/2) log(2 pi e), where P
     is the prior precision and Xi is the block-diagonal information added
     by the selected measurements (C^T R^-1 C per step);
-  * covariance form: H = 1/2 [sum_k logdet R_k - logdet Sigma_y] + H(x),
-    with Sigma_y = R + C Sigma C^T the marginal measurement covariance.
+  * covariance form: H = H(x) - 1/2 logdet(I + W Sigma W^T), where
+    Sigma is the prior covariance and W = L^-1 C stacks the whitened
+    Jacobians of the selected sensors (R = L L^T per sensor). This is the
+    paper's 1/2 [sum_k logdet R_k - logdet Sigma_y] + H(x), with
+    Sigma_y = R + C Sigma C^T, after cancelling the noise log-dets.
 
 Each formula is linear in the horizon K when its prior matrix is
 block-tridiagonal, because every other matrix involved is block-diagonal.
 All entropies are differential and in nats; negative values are normal.
 
 An OracleContext freezes the linearization point and precomputes every
-per-(step, sensor) Jacobian and information increment, so repeated
-evaluations (the greedy scheduler makes thousands) only gather blocks and
-run one sparse log-determinant. Contexts are immutable and evaluations
-are pure, so they may be called concurrently.
+per-(step, sensor) whitened Jacobian W = L^-1 J and its information W^T W,
+with the noise factor L that each sensor computes once when built, so
+repeated evaluations (the greedy scheduler makes thousands) only gather
+blocks and run one sparse log-determinant. Neither formula adds jitter:
+every eigenvalue of I + W Sigma W^T is at least 1 in exact arithmetic, so
+a failed factorization is reported, never retried. Contexts are immutable
+and evaluations are pure, so they may be called concurrently.
 """
 
 from __future__ import annotations
@@ -26,19 +32,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .blocklinalg import (
     BlockTridiagonalMatrix,
     _inverse_spd,
     _logdet_dense,
     _solve_spd,
+    _trtrs,
     logdet_block_tridiagonal_blocks,
-    logdet_dense,
     solve_block_tridiagonal,
 )
-from .errors import DimensionMismatchError, InvalidParamsError, NotPositiveDefiniteError, WrongFormError
-from .process_models import LOG_TWO_PI_E, GaussianPrior, PriorForm, prior_entropy
+from .errors import DimensionMismatchError, InvalidParamsError
+from .process_models import LOG_TWO_PI_E, GaussianPrior, prior_entropy
 from .sensing import Schedule, SensorSuite
 
 __all__ = [
@@ -53,35 +58,23 @@ __all__ = [
     "MapEstimate",
 ]
 
-# Jitter policy, one for Sigma_y stored block-tridiagonal or dense: retry a
-# failed factorization once with +1e-12 I, but only when the failed pivot is
-# PSD to within 1e-10 (anything worse is a genuinely singular input, which
-# the SPD noise assumption rules out).
-_JITTER = 1e-12
-_JITTER_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class OracleContext:
     """Immutable evaluation context: prior, suite, linearization, caches.
 
-    ``jacobians[k][i]`` and ``info_increments[k][i]`` hold sensor i's
-    Jacobian and its information contribution J^T R^-1 J at step k's
-    linearization point. ``precision``/``covariance`` hold whichever
-    representations of the prior are available (the stored one, plus the
-    densely converted one when conversion was enabled at construction).
+    ``whitened_jacobians[k][i]`` holds sensor i's Jacobian at step k's
+    linearization point, whitened by its noise factor: W = L^-1 J with
+    R = L L^T. ``info_increments[k][i]`` holds its information W^T W =
+    J^T R^-1 J.
     """
 
     prior: GaussianPrior
     suite: SensorSuite
     linearization: np.ndarray
     prior_entropy: float
-    jacobians: tuple[tuple[np.ndarray, ...], ...]
+    whitened_jacobians: tuple[tuple[np.ndarray, ...], ...]
     info_increments: tuple[tuple[np.ndarray, ...], ...]
-    noise_logdets: tuple[tuple[float, ...], ...]
-    noise_covs: tuple[tuple[np.ndarray, ...], ...]
-    precision: BlockTridiagonalMatrix | np.ndarray | None
-    covariance: BlockTridiagonalMatrix | np.ndarray | None
 
     @property
     def n(self) -> int:
@@ -96,8 +89,6 @@ def make_context(
     prior: GaussianPrior,
     suite: SensorSuite,
     linearization: np.ndarray | None = None,
-    *,
-    allow_form_conversion: bool = False,
 ) -> OracleContext:
     """Build an OracleContext, linearizing every sensor at every step.
 
@@ -106,9 +97,9 @@ def make_context(
         suite: available sensors; ``suite.state_dim`` must equal prior.n.
         linearization: length-nK point for the Jacobians; defaults to the
             prior mean (pure planning mode).
-        allow_form_conversion: also compute the dense missing
-            representation (one O(dim^3) inversion) so that both entropy
-            formulas are callable on this context.
+
+    Raises:
+        InvalidParamsError: a Jacobian is not finite; names step and sensor.
     """
     if suite.state_dim != prior.n:
         raise DimensionMismatchError(
@@ -123,55 +114,34 @@ def make_context(
     lin.setflags(write=False)
 
     states = lin.reshape(prior.K, prior.n)
-    # one factor and log-det per distinct noise covariance: noise_cov_at
-    # returns the same array on every step without an override
-    noise: dict[int, tuple] = {}
-    jacobians, increments, logdets, covs = [], [], [], []
+    whitened, increments = [], []
     for k in range(prior.K):
-        row_j, row_inc, row_ld, row_cov = [], [], [], []
+        row_w, row_inc = [], []
         for i, sensor in enumerate(suite.sensors):
-            J = sensor.jacobian_at(states[k])
-            R = sensor.noise_cov_at(k)
-            if id(R) not in noise:
-                factor = cho_factor(R, lower=True)
-                noise[id(R)] = factor, float(2.0 * np.sum(np.log(np.diagonal(factor[0]))))
-            factor, logdet = noise[id(R)]
-            try:
-                Z = cho_solve(factor, J)
-            except ValueError as exc:  # raised for non-finite entries
+            W = _trtrs(sensor.noise_factor_at(k), sensor.jacobian_at(states[k]))
+            if not np.isfinite(W).all():
                 raise InvalidParamsError(
                     f"step {k}, sensor {i} ({sensor.name!r}): Jacobian is not finite"
-                ) from exc
-            inc = J.T @ Z
-            row_j.append(J)
+                )
+            inc = W.T @ W
+            row_w.append(W)
             row_inc.append(0.5 * (inc + inc.T))
-            row_ld.append(logdet)
-            row_cov.append(R)
-        jacobians.append(tuple(row_j))
+        whitened.append(tuple(row_w))
         increments.append(tuple(row_inc))
-        logdets.append(tuple(row_ld))
-        covs.append(tuple(row_cov))
-
-    precision = prior.matrix if prior.form.is_precision else None
-    covariance = prior.matrix if not prior.form.is_precision else None
-    if allow_form_conversion:
-        if precision is None:
-            precision = prior.precision_dense()
-        if covariance is None:
-            covariance = prior.covariance_dense()
 
     return OracleContext(
         prior=prior,
         suite=suite,
         linearization=lin,
         prior_entropy=prior_entropy(prior),
-        jacobians=tuple(jacobians),
+        whitened_jacobians=tuple(whitened),
         info_increments=tuple(increments),
-        noise_logdets=tuple(logdets),
-        noise_covs=tuple(covs),
-        precision=precision,
-        covariance=covariance,
     )
+
+
+def _precision(prior: GaussianPrior):
+    """The stored precision, or the prior's cached dense one (inverted once)."""
+    return prior.matrix if prior.form.is_precision else prior.precision_dense()
 
 
 def _check_schedule(ctx: OracleContext, schedule: Schedule) -> None:
@@ -218,19 +188,15 @@ def conditional_entropy_precision_form(ctx: OracleContext, schedule: Schedule) -
 
     Adds the block-diagonal measurement information Xi to the precision
     and returns -1/2 logdet(Xi + P) + (nK/2) log(2 pi e). Uses the sparse
-    pivot recursion when the precision is block-tridiagonal.
+    pivot recursion when the precision is block-tridiagonal; a covariance
+    prior is read through its cached dense precision.
 
     Raises:
-        WrongFormError: no precision representation on this context.
         NotPositiveDefiniteError: the prior precision is invalid
             (Xi is PSD, so it cannot break positive definiteness).
     """
-    P = ctx.precision
-    if P is None:
-        raise WrongFormError(
-            "prior has no precision representation and conversion is disabled"
-        )
     _check_schedule(ctx, schedule)
+    P = _precision(ctx.prior)
     M = _plus_information(P, _information_blocks(ctx, schedule))
     if isinstance(P, BlockTridiagonalMatrix):
         logdet = logdet_block_tridiagonal_blocks(M, P.offdiag_blocks)
@@ -239,114 +205,66 @@ def conditional_entropy_precision_form(ctx: OracleContext, schedule: Schedule) -
     return 0.5 * ctx.prior.dim * LOG_TWO_PI_E - 0.5 * logdet
 
 
-def _selected_jacobian(ctx: OracleContext, k: int, chosen: tuple[int, ...]) -> np.ndarray:
+def _selected_rows(ctx: OracleContext, k: int, chosen: tuple[int, ...]) -> np.ndarray:
     if not chosen:
         return np.zeros((0, ctx.n))
-    rows = ctx.jacobians[k]
+    rows = ctx.whitened_jacobians[k]
     return np.vstack([rows[i] for i in chosen])
-
-
-def _selected_noise(ctx: OracleContext, k: int, chosen: tuple[int, ...]) -> np.ndarray:
-    covs = [ctx.noise_covs[k][i] for i in chosen]
-    p = sum(c.shape[0] for c in covs)
-    R = np.zeros((p, p))
-    at = 0
-    for c in covs:
-        R[at:at + c.shape[0], at:at + c.shape[0]] = c
-        at += c.shape[0]
-    return R
-
-
-def _logdet_measurement_cov(diag, offdiag=None) -> float:
-    """logdet of Sigma_y with the one-shot jitter retry on near-PSD failures.
-
-    Sigma_y is block-tridiagonal (lists ``diag`` and ``offdiag``) or, with
-    ``offdiag`` None, one dense array ``diag``.
-    """
-    dense = offdiag is None
-    try:
-        if dense:
-            return logdet_dense(diag)
-        return logdet_block_tridiagonal_blocks(diag, offdiag)
-    except NotPositiveDefiniteError as exc:
-        pivot = exc.pivot
-        if pivot is None or pivot.size == 0:
-            raise
-        min_eig = float(np.linalg.eigvalsh(pivot)[0])
-        if min_eig < -_JITTER_TOL:
-            raise
-    if dense:
-        return logdet_dense(diag + _JITTER * np.eye(diag.shape[0]))
-    jittered = [b + _JITTER * np.eye(b.shape[0]) for b in diag]
-    return logdet_block_tridiagonal_blocks(jittered, offdiag)
 
 
 def conditional_entropy_covariance_form(ctx: OracleContext, schedule: Schedule) -> float:
     """H(x_1:K | schedule) evaluated through the prior covariance.
 
-    Computes the per-step measurement entropy minus the joint measurement
-    entropy plus the prior entropy. Both entropy terms carry a
-    (2 pi e)^rows factor with the same total number of selected
-    measurement rows, so those constants cancel exactly and only the
-    log-determinants remain:
+    With W the whitened Jacobians of the selected sensors (block-diagonal
+    over steps), returns
 
-        H = 1/2 [sum_k logdet R_k - logdet Sigma_y] + H(x_1:K).
+        H = H(x_1:K) - 1/2 logdet(I + W Sigma W^T),
 
-    Sigma_y inherits block-tridiagonal structure from a sparse prior
+    which equals the measurement-entropy form 1/2 [sum_k logdet R_k -
+    logdet Sigma_y] + H(x_1:K) with Sigma_y = R + C Sigma C^T. I + W Sigma
+    W^T inherits block-tridiagonal structure from a sparse prior
     covariance and is then evaluated by the pivot recursion; empty steps
-    contribute 0 x 0 blocks with logdet 0.
+    contribute 0 x 0 blocks with logdet 0. No jitter is applied: its
+    eigenvalues are at least 1 in exact arithmetic. A precision prior is
+    read through its cached dense covariance.
 
     Raises:
-        WrongFormError: no covariance representation on this context.
-        NotPositiveDefiniteError: Sigma_y fails to factor by more than
-            the jitter policy tolerates.
+        NotPositiveDefiniteError: I + W Sigma W^T fails to factor, which
+            takes an invalid prior or a rank-deficient W whose rows are
+            so large (tiny noise) that the identity is lost to rounding.
     """
-    S = ctx.covariance
-    if S is None:
-        raise WrongFormError(
-            "prior has no covariance representation and conversion is disabled"
-        )
     _check_schedule(ctx, schedule)
-
-    noise_logdet_total = 0.0
-    for k, chosen in enumerate(schedule.sets):
-        for i in chosen:
-            noise_logdet_total += ctx.noise_logdets[k][i]
-
-    C_blocks = [_selected_jacobian(ctx, k, chosen) for k, chosen in enumerate(schedule.sets)]
-    R_blocks = [_selected_noise(ctx, k, chosen) for k, chosen in enumerate(schedule.sets)]
+    S = ctx.prior.covariance_dense() if ctx.prior.form.is_precision else ctx.prior.matrix
+    W_blocks = [_selected_rows(ctx, k, chosen) for k, chosen in enumerate(schedule.sets)]
 
     if isinstance(S, BlockTridiagonalMatrix):
         diag = [
-            C_blocks[k] @ S.diag_blocks[k] @ C_blocks[k].T + R_blocks[k]
+            W_blocks[k] @ S.diag_blocks[k] @ W_blocks[k].T + np.eye(W_blocks[k].shape[0])
             for k in range(ctx.K)
         ]
         offdiag = [
-            C_blocks[k] @ S.offdiag_blocks[k] @ C_blocks[k + 1].T
+            W_blocks[k] @ S.offdiag_blocks[k] @ W_blocks[k + 1].T
             for k in range(ctx.K - 1)
         ]
+        logdet = logdet_block_tridiagonal_blocks(diag, offdiag)
     else:
         n = ctx.n
-        rows = sum(b.shape[0] for b in C_blocks)
-        CS = np.zeros((rows, ctx.prior.dim))
+        rows = sum(b.shape[0] for b in W_blocks)
+        WS = np.zeros((rows, ctx.prior.dim))
         at = 0
-        for k, Ck in enumerate(C_blocks):
-            if Ck.shape[0]:
-                CS[at:at + Ck.shape[0]] = Ck @ S[k * n:(k + 1) * n, :]
-            at += Ck.shape[0]
+        for k, Wk in enumerate(W_blocks):
+            if Wk.shape[0]:
+                WS[at:at + Wk.shape[0]] = Wk @ S[k * n:(k + 1) * n, :]
+            at += Wk.shape[0]
         Sy = np.zeros((rows, rows))
         at = 0
-        for k, Ck in enumerate(C_blocks):
-            if Ck.shape[0]:
-                Sy[:, at:at + Ck.shape[0]] = CS[:, k * n:(k + 1) * n] @ Ck.T
-            at += Ck.shape[0]
-        at = 0
-        for k, Rk in enumerate(R_blocks):
-            Sy[at:at + Rk.shape[0], at:at + Rk.shape[0]] += Rk
-            at += Rk.shape[0]
-        diag, offdiag = 0.5 * (Sy + Sy.T), None
-    logdet_y = _logdet_measurement_cov(diag, offdiag)
-    return 0.5 * (noise_logdet_total - logdet_y) + ctx.prior_entropy
+        for k, Wk in enumerate(W_blocks):
+            if Wk.shape[0]:
+                Sy[:, at:at + Wk.shape[0]] = WS[:, k * n:(k + 1) * n] @ Wk.T
+            at += Wk.shape[0]
+        Sy[np.diag_indices(rows)] += 1.0
+        logdet = _logdet_dense(0.5 * (Sy + Sy.T), overwrite=True)
+    return ctx.prior_entropy - 0.5 * logdet
 
 
 def conditional_entropy(ctx: OracleContext, schedule: Schedule) -> float:
@@ -368,15 +286,10 @@ def posterior_covariance(ctx: OracleContext, schedule: Schedule) -> np.ndarray:
     Its log-determinant reproduces the conditional entropy:
     H = 1/2 logdet(result) + (nK/2) log(2 pi e).
 
-    Raises:
-        WrongFormError: as the precision form.
+    A covariance prior is read through its cached dense precision.
     """
-    P = ctx.precision
-    if P is None:
-        raise WrongFormError(
-            "prior has no precision representation and conversion is disabled"
-        )
     _check_schedule(ctx, schedule)
+    P = _precision(ctx.prior)
     if isinstance(P, BlockTridiagonalMatrix):
         P = P.assemble()
     M = _plus_information(P, _information_blocks(ctx, schedule))
@@ -415,10 +328,12 @@ def map_linearization(
         delta = solve(Xi(mu~) + P,  C^T R^-1 (y - c(mu~)) - P (mu~ - mu))
 
     starting from the prior mean, until ||delta||_inf <= tol or max_iter.
-    For linear sensors the first step lands exactly on the Gaussian
-    posterior mean. Covariance-form priors use the prior's dense precision,
-    inverted once per prior (the dense fallback is acceptable here because
-    the MAP solve happens once per step, not once per candidate).
+    Each sensor's residual and Jacobian are whitened by its noise factor
+    L (R = L L^T), so C^T R^-1 terms are products of whitened rows. For
+    linear sensors the first step lands exactly on the Gaussian posterior
+    mean. Covariance-form priors use the prior's dense precision, inverted
+    once per prior (the dense fallback is acceptable here because the MAP
+    solve happens once per step, not once per candidate).
 
     Args:
         past_schedule: selections that produced the measurements; steps
@@ -438,9 +353,7 @@ def map_linearization(
         )
 
     n, K = prior.n, prior.K
-    precision = (
-        prior.matrix if prior.form == PriorForm.PRECISION_SPARSE else prior.precision_dense()
-    )
+    precision = _precision(prior)
 
     y_steps: list[np.ndarray | None] = []
     for k, chosen in enumerate(past_schedule.sets):
@@ -454,12 +367,6 @@ def map_linearization(
                 f"step {k} measurement has shape {y.shape}, expected ({rows},)"
             )
         y_steps.append(y)
-
-    noise_factors = {
-        (k, i): cho_factor(suite.sensors[i].noise_cov_at(k), lower=True)
-        for k, chosen in enumerate(past_schedule.sets)
-        for i in chosen
-    }
 
     mu = np.array(prior.mean)
     x = mu.copy()
@@ -478,18 +385,17 @@ def map_linearization(
             y = y_steps[k]
             for i in chosen:
                 sensor = suite.sensors[i]
-                J = sensor.jacobian_at(states[k])
                 r = y[at:at + sensor.output_dim] - sensor.measure_at(states[k])
                 at += sensor.output_dim
-                try:
-                    w_r = cho_solve(noise_factors[(k, i)], r)
-                    w_J = cho_solve(noise_factors[(k, i)], J)
-                except ValueError as exc:  # raised for non-finite entries
+                # one whitening of [r | J]: column 0 is L^-1 r, the rest L^-1 J
+                w = _trtrs(sensor.noise_factor_at(k),
+                           np.column_stack((r, sensor.jacobian_at(states[k]))))
+                if not np.isfinite(w).all():
                     raise InvalidParamsError(
                         f"step {k}, sensor {i} ({sensor.name!r}): non-finite residual or Jacobian"
-                    ) from exc
-                g_k += J.T @ w_r
-                xi += J.T @ w_J
+                    )
+                g_k += w[:, 1:].T @ w[:, 0]
+                xi += w[:, 1:].T @ w[:, 1:]
             xi_blocks[k] = 0.5 * (xi + xi.T)
             grad[k * n:(k + 1) * n] += g_k
 

@@ -24,10 +24,6 @@ class DimensionMismatchError(SensorSchedError):
     """Operands have inconsistent dimensions."""
 
 
-class WrongFormError(SensorSchedError):
-    """The prior is not stored in the representation this operation needs."""
-
-
 class InvalidParamsError(SensorSchedError):
     """Bad sensor parameters, or a sensor evaluated at a singular point."""
 

@@ -7,13 +7,14 @@ selection matrix is realized as row or block gathering instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .blocklinalg import BlockDiagonalMatrix
-from .errors import DimensionMismatchError, InvalidParamsError, NotPositiveDefiniteError
+from .blocklinalg import BlockDiagonalMatrix, _cholesky
+from .errors import DimensionMismatchError, InvalidParamsError
 
 __all__ = [
     "Sensor",
@@ -33,7 +34,12 @@ class Sensor:
     ``measure`` maps a state vector to a length-``output_dim`` vector and
     ``jacobian`` to its (output_dim x n) derivative. ``noise_cov`` is the
     SPD noise covariance, constant over time unless ``noise_overrides``
-    maps specific step indices to replacement covariances.
+    maps specific step indices to replacement covariances. Each of these
+    is factored once, here, as R = L L^T; ``noise_factor_at`` returns L.
+
+    Raises:
+        NotPositiveDefiniteError: a noise covariance is not SPD.
+        InvalidParamsError: a noise covariance holds NaN or infinite values.
     """
 
     output_dim: int
@@ -46,36 +52,39 @@ class Sensor:
     def __post_init__(self):
         if self.output_dim < 1:
             raise InvalidParamsError(f"output_dim must be >= 1, got {self.output_dim}")
-        cov = np.atleast_2d(np.asarray(self.noise_cov, dtype=float))
-        if cov.shape != (self.output_dim, self.output_dim):
-            raise DimensionMismatchError(
-                f"noise_cov has shape {cov.shape}, expected "
-                f"({self.output_dim}, {self.output_dim})"
-            )
-        cov = 0.5 * (cov + cov.T)
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError("sensor noise covariance is not SPD") from exc
-        cov.setflags(write=False)
+        cov, factor = self._factored(self.noise_cov, "noise_cov")
         object.__setattr__(self, "noise_cov", cov)
+        factors = {None: factor}
         if self.noise_overrides is not None:
             frozen = {}
             for k, m in self.noise_overrides.items():
-                m = np.atleast_2d(np.asarray(m, dtype=float))
-                if m.shape != cov.shape:
-                    raise DimensionMismatchError(
-                        f"noise override at step {k} has shape {m.shape}"
-                    )
-                m = 0.5 * (m + m.T)
-                m.setflags(write=False)
-                frozen[int(k)] = m
+                frozen[int(k)], factors[int(k)] = self._factored(m, f"noise override at step {k}")
             object.__setattr__(self, "noise_overrides", frozen)
+        object.__setattr__(self, "_factors", factors)
+
+    def _factored(self, value, what: str) -> tuple[np.ndarray, np.ndarray]:
+        """A read-only symmetrized noise covariance and its lower Cholesky factor."""
+        cov = np.atleast_2d(np.asarray(value, dtype=float))
+        if cov.shape != (self.output_dim, self.output_dim):
+            raise DimensionMismatchError(
+                f"{what} has shape {cov.shape}, expected ({self.output_dim}, {self.output_dim})"
+            )
+        if not np.isfinite(cov).all():
+            raise InvalidParamsError(f"sensor {self.name!r}: {what} is not finite")
+        cov = 0.5 * (cov + cov.T)
+        factor = _cholesky(cov, f"sensor {self.name!r}: {what}")
+        cov.setflags(write=False)
+        factor.setflags(write=False)
+        return cov, factor
 
     def noise_cov_at(self, k: int) -> np.ndarray:
         if self.noise_overrides is not None and k in self.noise_overrides:
             return self.noise_overrides[k]
         return self.noise_cov
+
+    def noise_factor_at(self, k: int) -> np.ndarray:
+        """Lower Cholesky factor L of ``noise_cov_at(k)`` = L L^T."""
+        return self._factors.get(k, self._factors[None])
 
     def measure_at(self, x: np.ndarray) -> np.ndarray:
         z = np.atleast_1d(np.asarray(self.measure(x), dtype=float))
@@ -247,8 +256,8 @@ def _resolve_noise(output_dim, noise_cov, noise_var):
         return np.atleast_2d(np.asarray(noise_cov, dtype=float))
     if noise_var is None:
         raise InvalidParamsError("sensor needs noise_cov or noise_var")
-    if noise_var <= 0:
-        raise InvalidParamsError(f"noise_var must be positive, got {noise_var}")
+    if not 0 < noise_var < math.inf:
+        raise InvalidParamsError(f"noise_var must be positive and finite, got {noise_var}")
     return float(noise_var) * np.eye(output_dim)
 
 

@@ -60,7 +60,7 @@ def cross_formula_instances():
         prior = random_prior(rng, n, K, kind)
         suite = random_suite(rng, n, m)
         budgets = tuple(int(rng.integers(0, m + 1)) for _ in range(K))
-        ctx = ss.make_context(prior, suite, allow_form_conversion=True)
+        ctx = ss.make_context(prior, suite)
         count = ss.num_candidate_schedules(m, budgets)
         if count <= 4096:
             schedules = list(all_schedules(m, budgets))
@@ -94,7 +94,7 @@ def enumerable_instances():
         kind = CROSS_FORMULA_KINDS[i % len(CROSS_FORMULA_KINDS)]
         prior = random_prior(rng, n, K, kind)
         suite = random_suite(rng, n, m)
-        ctx = ss.make_context(prior, suite, allow_form_conversion=True)
+        ctx = ss.make_context(prior, suite)
 
         eager_schedule, eager_trace = ss.greedy_schedule(ctx, budgets)
         lazy_schedule, lazy_trace = ss.greedy_schedule(ctx, budgets, lazy=True)
@@ -174,7 +174,7 @@ def test_criterion_3_supermodularity_and_monotonicity():
         kind = CROSS_FORMULA_KINDS[idx % len(CROSS_FORMULA_KINDS)]
         prior = random_prior(rng, n, K, kind)
         suite = random_suite(rng, n, m)
-        ctx = ss.make_context(prior, suite, allow_form_conversion=True)
+        ctx = ss.make_context(prior, suite)
         budgets = tuple(m for _ in range(K))
 
         cost = {}

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,63 @@ class TestConfigValidation:
             load_scenario(tmp_path / "c.json")
 
 
+def _set_prior(**fields):
+    return lambda cfg: cfg["prior"].update(fields)
+
+
+def _dense_custom(matrix):
+    return lambda cfg: cfg.update(prior={"kind": "dense_custom", "n": 1, "K": 2, "matrix": matrix})
+
+
+def _set_sensor(**fields):
+    return lambda cfg: cfg["sensors"].__setitem__(0, fields)
+
+
+# (config edit, field the error must name): each is malformed input that
+# must stop `run` with a ConfigError, never a bare Python error or a run
+MALFORMED = {
+    "schedulers-not-a-list": (lambda cfg: cfg.update(schedulers=5), r"schedulers"),
+    "mean-string": (_set_prior(mean="0 0"), r"prior\.mean"),
+    "mean-ragged": (_set_prior(mean=[[0.0], [0.0, 1.0]]), r"prior\.mean"),
+    "matrix-strings": (_dense_custom([["1", "0"], ["0", "x"]]), r"prior\.matrix"),
+    "matrix-ragged": (_dense_custom([[1.0, 0.0], [0.0]]), r"prior\.matrix"),
+    "noise_cov-string": (
+        _set_sensor(kind="linear_coordinate", axis=0, noise_cov="x"), r"sensors\[0\]\.noise_cov"
+    ),
+    "anchor-strings": (
+        _set_sensor(kind="range", anchor=["a"], noise_var=1.0), r"sensors\[0\]\.anchor"
+    ),
+    "noise_var-nan": (
+        _set_sensor(kind="linear_coordinate", axis=0, noise_var=float("nan")),
+        r"sensors\[0\]\.noise_var",
+    ),
+    "budgets-true": (lambda cfg: cfg.update(budgets=True), r"budgets"),
+    "budgets-entry-true": (lambda cfg: cfg.update(budgets=[True, 1]), r"budgets\[0\]"),
+    "seed-true": (lambda cfg: cfg.update(seed=True), r"seed"),
+    "n-true": (_set_prior(n=True), r"prior\.n"),
+    "K-true": (_set_prior(K=True), r"prior\.K"),
+    "axis-true": (  # n = 2, so that true read as 1 is a valid axis
+        lambda cfg: (_set_prior(n=2)(cfg), _set_sensor(kind="linear_coordinate", axis=True,
+                                                       noise_var=1.0)(cfg)),
+        r"sensors\[0\]\.axis",
+    ),
+    "exhaustive_cap-true": (lambda cfg: cfg.update(exhaustive_cap=True), r"exhaustive_cap"),
+}
+
+
+@pytest.mark.parametrize("edit, field", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_value_names_its_field_and_exits_2(tmp_path, capsys, edit, field):
+    cfg = write_config(tmp_path / "c.json")
+    edit(cfg)
+    (tmp_path / "c.json").write_text(json.dumps(cfg))  # NaN is written as JSON NaN
+    with pytest.raises(ss.ConfigError, match=field):
+        load_scenario(tmp_path / "c.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(tmp_path / "c.json"), "--output-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert re.search(field, capsys.readouterr().err)
+
+
 class TestRunScenario:
     def test_minimal_run_matches_library_call(self, tmp_path):
         write_config(tmp_path / "c.json")
@@ -145,6 +203,18 @@ class TestRunScenario:
         b = run_scenario(tmp_path / "c.json", tmp_path / "b")
         assert a["results"].read_bytes() == b["results"].read_bytes()
         assert a["trace"].read_bytes() == b["trace"].read_bytes()
+
+        # a rerun into the same directory replaces each report file with a
+        # new one rather than truncating it: a hard link keeps the old file
+        first = {name: path.read_bytes() for name, path in b.items()}
+        for name, path in b.items():
+            (tmp_path / f"old-{name}").hardlink_to(path)
+        again = run_scenario(tmp_path / "c.json", tmp_path / "b")
+        for name, path in again.items():
+            assert not path.samefile(tmp_path / f"old-{name}")
+            assert (tmp_path / f"old-{name}").read_bytes() == first[name]
+            if name != "timings":
+                assert path.read_bytes() == first[name]
 
     def test_manifest_round_trip(self, tmp_path):
         write_config(tmp_path / "c.json", schedulers=["greedy", "random"])

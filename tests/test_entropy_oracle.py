@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sensorsched as ss
-from conftest import all_schedules, random_instance, random_suite
+from conftest import all_schedules, random_instance, random_prior, random_spd, random_suite
 
 LOG_2PIE = math.log(2 * math.pi * math.e)
 
@@ -25,6 +27,17 @@ def rel_close(a, b, tol):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
+def count_inversions(monkeypatch):
+    """Record every dense inversion a prior makes for the form it does not store."""
+    from sensorsched import process_models
+
+    inverted = []
+    real = process_models._inverse_spd
+    monkeypatch.setattr(process_models, "_inverse_spd",
+                        lambda A, *a: inverted.append(A) or real(A, *a))
+    return inverted
+
+
 class TestPrecisionForm:
     def test_empty_schedule_equals_prior_entropy_exactly(self):
         prior, suite = random_instance(4, kind="gauss_markov")
@@ -34,7 +47,7 @@ class TestPrecisionForm:
 
     def test_scalar_conjugate(self):
         prior, suite = scalar_conjugate_instance()
-        ctx = ss.make_context(prior, suite, allow_form_conversion=True)
+        ctx = ss.make_context(prior, suite)
         sched = ss.Schedule(sets=((0,),), budgets=(1,))
         expected = 0.5 * math.log(2 * math.pi * math.e * 0.5)
         assert ss.conditional_entropy_precision_form(ctx, sched) == pytest.approx(
@@ -42,11 +55,16 @@ class TestPrecisionForm:
         )
         assert expected == pytest.approx(1.07236, abs=1e-5)
 
-    def test_wrong_form_raises_without_conversion(self):
+    def test_covariance_prior_inverts_once_per_prior(self, monkeypatch):
         prior, suite = random_instance(8, kind="tracking")
-        ctx = ss.make_context(prior, suite)
-        with pytest.raises(ss.WrongFormError):
-            ss.conditional_entropy_precision_form(ctx, ss.Schedule.empty([1] * prior.K))
+        inverted = count_inversions(monkeypatch)
+        sched = ss.Schedule(sets=tuple((0,) for _ in range(prior.K)),
+                            budgets=tuple(1 for _ in range(prior.K)))
+        for _ in range(2):  # a second context reuses the prior's dense precision
+            ctx = ss.make_context(prior, suite)
+            value = ss.conditional_entropy_precision_form(ctx, sched)
+            assert rel_close(value, ss.conditional_entropy_covariance_form(ctx, sched), 1e-9)
+        assert len(inverted) == 1
 
 
 class TestCovarianceForm:
@@ -58,7 +76,7 @@ class TestCovarianceForm:
 
     def test_scalar_conjugate_agrees_with_precision_form(self):
         prior, suite = scalar_conjugate_instance()
-        ctx = ss.make_context(prior, suite, allow_form_conversion=True)
+        ctx = ss.make_context(prior, suite)
         sched = ss.Schedule(sets=((0,),), budgets=(1,))
         expected = 0.5 * math.log(2 * math.pi * math.e * 0.5)
         cov_form = ss.conditional_entropy_covariance_form(ctx, sched)
@@ -66,11 +84,16 @@ class TestCovarianceForm:
         assert cov_form == pytest.approx(expected, abs=1e-10)
         assert cov_form == pytest.approx(prec_form, abs=1e-10)
 
-    def test_wrong_form_raises_without_conversion(self):
+    def test_precision_prior_inverts_once_per_prior(self, monkeypatch):
         prior, suite = random_instance(4, kind="gauss_markov")
-        ctx = ss.make_context(prior, suite)
-        with pytest.raises(ss.WrongFormError):
-            ss.conditional_entropy_covariance_form(ctx, ss.Schedule.empty([1] * prior.K))
+        inverted = count_inversions(monkeypatch)
+        sched = ss.Schedule(sets=tuple((0,) for _ in range(prior.K)),
+                            budgets=tuple(1 for _ in range(prior.K)))
+        for _ in range(2):
+            ctx = ss.make_context(prior, suite)
+            value = ss.conditional_entropy_covariance_form(ctx, sched)
+            assert rel_close(value, ss.conditional_entropy_precision_form(ctx, sched), 1e-9)
+        assert len(inverted) == 1
 
 
 class TestCrossFormula:
@@ -86,7 +109,7 @@ class TestCrossFormula:
                 ss.builtin_sensor("linear_coordinate", axis=0, noise_var=1.0),
             ),
         )
-        ctx = ss.make_context(prior, suite, allow_form_conversion=True)
+        ctx = ss.make_context(prior, suite)
         for sched in all_schedules(2, [2, 2, 2]):
             a = ss.conditional_entropy_covariance_form(ctx, sched)
             b = ss.conditional_entropy_precision_form(ctx, sched)
@@ -96,7 +119,7 @@ class TestCrossFormula:
         rng = np.random.default_rng(77)
         for seed in range(12):
             prior, suite = random_instance(900 + seed)
-            ctx = ss.make_context(prior, suite, allow_form_conversion=True)
+            ctx = ss.make_context(prior, suite)
             budgets = [suite.m] * prior.K
             if suite.m * prior.K <= 10:
                 schedules = list(all_schedules(suite.m, budgets))
@@ -110,6 +133,46 @@ class TestCrossFormula:
                 a = ss.conditional_entropy_covariance_form(ctx, sched)
                 b = ss.conditional_entropy_precision_form(ctx, sched)
                 assert rel_close(a, b, 1e-8), (seed, sched.sets, a, b)
+
+
+@st.composite
+def cross_formula_instances(draw):
+    """A sparse-covariance or Gauss-Markov prior, linear sensors of 1 to 3
+    rows with per-step noise overrides, and one schedule."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**20)))
+    n, K = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    prior = random_prior(rng, n, K, draw(st.sampled_from(["tracking", "gauss_markov"])))
+    sensors = []
+    for rows in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+        H = rng.standard_normal((rows, n))
+        override_steps = draw(st.sets(st.integers(0, K - 1)))
+        sensors.append(ss.Sensor(
+            rows, lambda x, H=H: H @ x, lambda x, H=H: H, random_spd(rng, rows, 0.3),
+            noise_overrides={k: random_spd(rng, rows, 0.3) for k in sorted(override_steps)},
+        ))
+    m = len(sensors)
+    sets = draw(st.lists(st.sets(st.integers(0, m - 1)), min_size=K, max_size=K))
+    schedule = ss.Schedule(sets=tuple(tuple(c) for c in sets), budgets=(m,) * K)
+    return prior, ss.SensorSuite(state_dim=n, sensors=tuple(sensors)), schedule
+
+
+@settings(max_examples=80)
+@given(cross_formula_instances())
+def test_cross_formula_property(instance):
+    # both forms read the context's whitened rows, so they are also checked
+    # against the paper's 1/2 [logdet R - logdet(R + C Sigma C^T)] + H(x),
+    # assembled here from the raw Jacobians and noise_cov_at
+    prior, suite, schedule = instance
+    ctx = ss.make_context(prior, suite)
+    cov_form = ss.conditional_entropy_covariance_form(ctx, schedule)
+    prec_form = ss.conditional_entropy_precision_form(ctx, schedule)
+    assert rel_close(cov_form, prec_form, 1e-9), (schedule.sets, cov_form, prec_form)
+
+    C = ss.stacked_jacobian(suite, schedule, prior.mean).assemble()
+    R = ss.stacked_noise_cov(suite, schedule).assemble()
+    Sigma_y = R + C @ prior.covariance_dense() @ C.T
+    paper = 0.5 * (np.linalg.slogdet(R)[1] - np.linalg.slogdet(Sigma_y)[1]) + ctx.prior_entropy
+    assert rel_close(cov_form, paper, 1e-9), (schedule.sets, cov_form, paper)
 
 
 class TestMultiOutputSensors:
@@ -129,7 +192,7 @@ class TestMultiOutputSensors:
             2, 3, marginal_var=1.0, neighbor_corr=0.3, mean=rng.normal(0, 0.5, 6)
         )
         suite = ss.SensorSuite(state_dim=2, sensors=(full_state, scalar))
-        ctx = ss.make_context(prior, suite, allow_form_conversion=True)
+        ctx = ss.make_context(prior, suite)
         for sched in all_schedules(2, [2, 2, 2]):
             a = ss.conditional_entropy_covariance_form(ctx, sched)
             b = ss.conditional_entropy_precision_form(ctx, sched)
@@ -179,7 +242,7 @@ class TestPosteriorCovariance:
 
     def test_scalar_conjugate(self):
         prior, suite = scalar_conjugate_instance()
-        ctx = ss.make_context(prior, suite, allow_form_conversion=True)
+        ctx = ss.make_context(prior, suite)
         out = ss.posterior_covariance(ctx, ss.Schedule(sets=((0,),), budgets=(1,)))
         np.testing.assert_allclose(out, [[0.5]], rtol=1e-12)
 
@@ -188,7 +251,7 @@ class TestPosteriorCovariance:
         rng = np.random.default_rng(99)
         for seed in range(8):
             prior, suite = random_instance(300 + seed)
-            ctx = ss.make_context(prior, suite, allow_form_conversion=True)
+            ctx = ss.make_context(prior, suite)
             budgets = [suite.m] * prior.K
             from conftest import random_feasible_schedule
 
@@ -224,7 +287,7 @@ class TestMutualInformation:
 
     def test_scalar_conjugate(self):
         prior, suite = scalar_conjugate_instance()
-        ctx = ss.make_context(prior, suite, allow_form_conversion=True)
+        ctx = ss.make_context(prior, suite)
         got = ss.mutual_information(ctx, ss.Schedule(sets=((0,),), budgets=(1,)))
         assert got == pytest.approx(0.5 * math.log(2), abs=1e-10)
 
@@ -243,44 +306,21 @@ class TestMutualInformation:
                     assert ss.mutual_information(ctx, grown) >= mi - 1e-9
 
 
-def _sigma_y(M, storage):
-    """(diag, offdiag) arguments of the jitter helper for one Sigma_y storage."""
-    return ([M], []) if storage == "block" else (M, None)
-
-
-class TestJitterPolicy:
-    @pytest.mark.parametrize("storage", ["block", "dense"])
-    def test_barely_indefinite_pivot_gets_one_retry(self, storage):
-        # a Sigma_y whose smallest eigenvalue is within the tolerance window
-        # is evaluated after the +1e-12 jitter rather than raising
-        from sensorsched.entropy_oracle import _logdet_measurement_cov
-
-        M = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-12]])
+class TestNoJitter:
+    @pytest.mark.parametrize("storage", ["sparse", "dense"])
+    def test_lost_identity_raises_instead_of_a_wrong_entropy(self, storage):
+        # two copies of one sensor with noise variance 1e-16: W Sigma W^T is
+        # rank one at ~1e16 per step, so I + W Sigma W^T is singular in
+        # floating point; the precision form still has a valid answer
+        prior = ss.build_tracking_prior(2, 3, marginal_var=1.0, neighbor_corr=0.4)
+        if storage == "dense":
+            prior = ss.densify(prior)
+        twin = ss.builtin_sensor("linear_coordinate", axis=0, noise_var=1e-16)
+        ctx = ss.make_context(prior, ss.SensorSuite(state_dim=2, sensors=(twin, twin)))
+        sched = ss.Schedule(sets=((0, 1), (0, 1), (0, 1)), budgets=(2, 2, 2))
+        assert np.isfinite(ss.conditional_entropy_precision_form(ctx, sched))
         with pytest.raises(ss.NotPositiveDefiniteError):
-            ss.logdet_block_tridiagonal_blocks([M], [])
-        with pytest.raises(ss.NotPositiveDefiniteError):
-            ss.logdet_dense(M)
-        value = _logdet_measurement_cov(*_sigma_y(M, storage))
-        assert np.isfinite(value)
-
-    @pytest.mark.parametrize("storage", ["block", "dense"])
-    def test_genuinely_indefinite_still_raises(self, storage):
-        from sensorsched.entropy_oracle import _logdet_measurement_cov
-
-        M = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(ss.NotPositiveDefiniteError):
-            _logdet_measurement_cov(*_sigma_y(M, storage))
-
-
-    def test_indefinite_block_sigma_y_reports_its_block(self):
-        from sensorsched.entropy_oracle import _logdet_measurement_cov
-
-        diag = [np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(1)]
-        offdiag = [np.zeros((2, 2)), np.zeros((2, 1))]
-        with pytest.raises(ss.NotPositiveDefiniteError) as info:
-            _logdet_measurement_cov(diag, offdiag)
-        assert info.value.block_index == 1
-        np.testing.assert_array_equal(info.value.pivot, diag[1])
+            ss.conditional_entropy_covariance_form(ctx, sched)
 
 
 class TestFiniteDifferenceEntropy:
@@ -322,29 +362,35 @@ class TestContextCaches:
 
 
     def test_one_noise_factor_per_distinct_covariance(self, monkeypatch):
-        from sensorsched import entropy_oracle
+        from sensorsched import blocklinalg
 
         prior, suite = random_instance(71, n=2, K=5, m=3, kind="tracking")
-        first = suite.sensors[0]
-        overrides = {1: [[3.0]], 3: [[0.5]]}
-        sensors = (ss.Sensor(1, first.measure, first.jacobian, first.noise_cov,
-                             noise_overrides=overrides),) + suite.sensors[1:]
-        suite = ss.SensorSuite(state_dim=2, sensors=sensors)
         factored = []
-        real = entropy_oracle.cho_factor
-        monkeypatch.setattr(entropy_oracle, "cho_factor",
-                            lambda R, **kw: factored.append(R) or real(R, **kw))
-        ctx = ss.make_context(prior, suite)
+        real = blocklinalg.dpotrf
+        monkeypatch.setattr(blocklinalg, "dpotrf",
+                            lambda A, **kw: factored.append(A) or real(A, **kw))
+        overrides = {1: [[3.0]], 3: [[0.5]]}
+        sensors = tuple(
+            ss.Sensor(1, s.measure, s.jacobian, s.noise_cov,
+                      noise_overrides=overrides if i == 0 else None)
+            for i, s in enumerate(suite.sensors)
+        )
         assert len(factored) == suite.m + len(overrides)
+        ctx = ss.make_context(prior, ss.SensorSuite(state_dim=2, sensors=sensors))
+        assert len(factored) == suite.m + len(overrides)
+
         states = prior.mean.reshape(5, 2)
         for k in range(5):
             for i, sensor in enumerate(sensors):
-                R = sensor.noise_cov_at(k)
+                R, L = sensor.noise_cov_at(k), sensor.noise_factor_at(k)
                 J = sensor.jacobian_at(states[k])
-                assert ctx.noise_logdets[k][i] == pytest.approx(np.linalg.slogdet(R)[1], abs=1e-12)
-                np.testing.assert_allclose(ctx.info_increments[k][i], J.T @ np.linalg.solve(R, J),
-                                           rtol=1e-12)
-        assert ctx.noise_logdets[1][0] == pytest.approx(np.log(3.0), abs=1e-12)
+                W = ctx.whitened_jacobians[k][i]
+                np.testing.assert_allclose(L @ L.T, R, rtol=1e-12)
+                np.testing.assert_allclose(L @ W, J, rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(ctx.info_increments[k][i], W.T @ W, rtol=1e-12)
+                np.testing.assert_allclose(ctx.info_increments[k][i],
+                                           J.T @ np.linalg.solve(R, J), rtol=1e-12)
+        assert sensors[0].noise_factor_at(1)[0, 0] == pytest.approx(np.sqrt(3.0), rel=1e-15)
 
 
 def nan_jacobian_suite(n):

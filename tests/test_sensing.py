@@ -62,6 +62,27 @@ class TestBuiltinSensors:
         with pytest.raises(ss.NotPositiveDefiniteError):
             ss.builtin_sensor("range", anchor=[0.0], noise_cov=[[-1.0]])
 
+    @pytest.mark.parametrize("override, error", [
+        ([[-1.0]], ss.NotPositiveDefiniteError),
+        ([[np.nan]], ss.InvalidParamsError),
+    ], ids=["not-spd", "nan"])
+    def test_bad_noise_override_raises_at_construction_naming_its_step(self, override, error):
+        base = ss.builtin_sensor("linear_coordinate", axis=0, noise_var=1.0)
+        with pytest.raises(error, match="step 1"):
+            ss.Sensor(1, base.measure, base.jacobian, base.noise_cov,
+                      noise_overrides={1: override})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_noise_cov_raises(self, value):
+        with pytest.raises(ss.InvalidParamsError, match="not finite"):
+            ss.builtin_sensor("range", anchor=[0.0], noise_cov=[[value]])
+
+    def test_noise_factor_per_step(self):
+        base = ss.builtin_sensor("linear_coordinate", axis=0, noise_var=4.0)
+        sensor = ss.Sensor(1, base.measure, base.jacobian, base.noise_cov,
+                           noise_overrides={2: [[9.0]]})
+        assert [sensor.noise_factor_at(k)[0, 0] for k in range(3)] == [2.0, 2.0, 3.0]
+
     def test_jacobians_match_finite_differences(self):
         # central differences at 100 random points per sensor kind
         rng = np.random.default_rng(71)
