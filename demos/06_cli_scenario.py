@@ -12,19 +12,19 @@ import tempfile
 from sensorsched.cli import run_scenario
 
 configs = pathlib.Path(__file__).parent / "configs"
-out = pathlib.Path(tempfile.mkdtemp(prefix="sensorsched-demo-"))
+with tempfile.TemporaryDirectory(prefix="sensorsched-demo-") as tmp:
+    out = pathlib.Path(tmp)
+    paths = run_scenario(configs / "small_tracking.json", out / "run")
+    print("run outputs:")
+    for name, path in paths.items():
+        print(f"  {name:8s} {path}")
 
-paths = run_scenario(configs / "small_tracking.json", out / "run")
-print("run outputs:")
-for name, path in paths.items():
-    print(f"  {name:8s} {path}")
+    print("\nresults.csv:")
+    print(paths["results"].read_text())
+    print("trace.csv (greedy picks):")
+    print(paths["trace"].read_text())
 
-print("\nresults.csv:")
-print(paths["results"].read_text())
-print("trace.csv (greedy picks):")
-print(paths["trace"].read_text())
-
-# identical config + seed always reproduces the same bytes
-again = run_scenario(configs / "small_tracking.json", out / "run2")
-print("re-run byte-identical:",
-      paths["results"].read_bytes() == again["results"].read_bytes())
+    # identical config + seed always reproduces the same bytes
+    again = run_scenario(configs / "small_tracking.json", out / "run2")
+    print("re-run byte-identical:",
+          paths["results"].read_bytes() == again["results"].read_bytes())

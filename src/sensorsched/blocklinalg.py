@@ -10,19 +10,23 @@ so their cost is linear in the number of blocks; dense fallbacks are
 provided for everything. All values are natural-log (nats).
 
 Every SPD factorization in the package happens here: in the one pivot
-recursion or the one dense Cholesky, which also factors each sensor noise
-covariance once, when the sensor is built. Both call LAPACK directly
-(``dpotrf``, ``dtrtrs``, ``dpotrs`` from ``scipy.linalg.lapack``),
-because at pivot-block sizes the checks and dispatch of the higher-level
-wrappers cost several times the factorization itself. Inputs are not
+recursion, the one dense Cholesky, which also factors each sensor noise
+covariance once, when the sensor is built, or the stacked Cholesky with
+which exhaustive enumeration factors every candidate pivot of a step at
+once. The first two call LAPACK directly (``dpotrf``, ``dtrtrs``,
+``dpotrs`` from ``scipy.linalg.lapack``), because at pivot-block sizes
+the checks and dispatch of the higher-level wrappers cost several times
+the factorization itself; the stack goes through ``np.linalg.cholesky``,
+which pays that dispatch once for the whole stack. Inputs are not
 checked for finiteness on the way in; a log-determinant takes one ``log``
 over all factor diagonals and checks the sum once, so NaN or infinite
 input either fails a factorization or makes that sum non-finite.
 
 Failure contract: a positive LAPACK ``info`` from ``dpotrf`` means the
 matrix is not positive definite and raises ``NotPositiveDefiniteError``
-whose ``.pivot`` is the unfactored pivot block or dense matrix and whose
-``.block_index`` is the failing pivot's index (None for dense matrices);
+whose ``.pivot`` is the unfactored pivot block or dense matrix (the first
+failing one of a stack) and whose ``.block_index`` is the failing pivot's
+index (None for dense matrices);
 a non-finite log-determinant raises it with both None. Any other nonzero
 ``info`` is an illegal call, an internal error, and raises RuntimeError.
 """
@@ -209,6 +213,25 @@ def _cholesky(A: np.ndarray, what: str = "matrix", *, overwrite: bool = False) -
     if info:
         raise _lapack_error("dpotrf", info)
     return L
+
+
+def _cholesky_stack(A: np.ndarray, block_index: int) -> np.ndarray:
+    """Lower Cholesky factors of a stack of SPD matrices, in one call.
+
+    ``A`` has shape (..., n, n); every matrix in it is a candidate for the
+    pivot block ``block_index``, which a failure reports. Only the lower
+    triangles are read. NaN input is not detected here: it yields NaN
+    factors, so callers check the log-sums they take from them.
+    """
+    try:
+        return np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        for D in A.reshape(-1, *A.shape[-2:]):
+            if dpotrf(D, lower=1)[1] > 0:
+                raise NotPositiveDefiniteError(
+                    f"pivot block {block_index} is not positive definite", D, block_index
+                ) from None
+        raise
 
 
 def _potrs(L: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 from .blocklinalg import _cholesky
 from .entropy_oracle import conditional_entropy, make_context, map_linearization
 from .errors import ConfigError, SensorSchedError
-from .exhaustive import exhaustive_optimum
+from .exhaustive import DEGENERATE_GAP, exhaustive_optimum
 from .process_models import (
     GaussianPrior,
     build_dense_prior,
@@ -481,7 +481,7 @@ def run_scenario(
         for row in rows:
             if row["scheduler"] == "exhaustive":
                 row["bound_ratio"] = 0.0
-            elif gap <= 1e-12:
+            elif gap <= DEGENERATE_GAP:
                 row["bound_ratio"] = 0.0
             else:
                 row["bound_ratio"] = (

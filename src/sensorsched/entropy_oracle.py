@@ -100,6 +100,8 @@ def make_context(
 
     Raises:
         InvalidParamsError: a Jacobian is not finite; names step and sensor.
+        DimensionMismatchError: a sensor overrides its noise at a step
+            beyond the horizon; names the sensor and the step.
     """
     if suite.state_dim != prior.n:
         raise DimensionMismatchError(
@@ -112,6 +114,13 @@ def make_context(
         )
     lin = lin.copy()
     lin.setflags(write=False)
+    for i, sensor in enumerate(suite.sensors):
+        for k in sensor.noise_overrides or ():
+            if k >= prior.K:
+                raise DimensionMismatchError(
+                    f"sensor {i} ({sensor.name!r}): noise override at step {k} "
+                    f"is beyond the horizon K={prior.K}"
+                )
 
     states = lin.reshape(prior.K, prior.n)
     whitened, increments = [], []

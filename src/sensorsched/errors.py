@@ -33,7 +33,8 @@ class TooLargeError(SensorSchedError):
 
 
 class OracleInconsistencyError(SensorSchedError):
-    """The entropy oracle returned a gain pattern that monotonicity forbids."""
+    """The entropy oracle returned a gain pattern that monotonicity forbids,
+    or two evaluations of one schedule's entropy disagree."""
 
 
 class ConfigError(SensorSchedError):

@@ -4,6 +4,24 @@ Provides certified ground truth -- the optimal cost OPT, the worst cost
 MAX, and the resulting approximation ratio of a candidate schedule. This
 module exists to certify the greedy scheduler, not to compete with it;
 enumeration is capped and raises rather than running forever.
+
+Every schedule's cost is -1/2 logdet(P + blockdiag(Xi)) + (nK/2) log(2 pi e)
+with P the prior precision (the stored one assembled, or a covariance
+prior's cached dense inverse). Schedules that share a prefix of steps
+share the leading block-Cholesky factors of that matrix, so enumeration
+is a depth-first walk over steps, in the same lexicographic order as the
+schedules: each node holds the trailing Schur complement its prefix
+leaves (Xi only adds to diagonal blocks, so it enters one step at a
+time), takes that step's pivot base from it once and factors base + Xi_s
+for every candidate set s of the step in one stacked Cholesky. The
+children of a node at step K-2 share their last step's stacks too, up to
+_STACK pivots per stack. A schedule thus costs a fraction of one full
+oracle call instead of one.
+OPT and MAX are the first argmin and argmax of the walk's costs, so ties
+go to the lowest schedule in the order; their reported costs are
+re-evaluated by the reference oracle, ``conditional_entropy``, and a
+walk that disagrees with it by more than EQUAL_TOL relative raises
+``OracleInconsistencyError``.
 """
 
 from __future__ import annotations
@@ -15,8 +33,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, Sequence
 
+import numpy as np
+
+from .blocklinalg import _cholesky_stack
 from .entropy_oracle import OracleContext, conditional_entropy
-from .errors import DimensionMismatchError, TooLargeError
+from .errors import (
+    DimensionMismatchError,
+    NotPositiveDefiniteError,
+    OracleInconsistencyError,
+    TooLargeError,
+)
+from .process_models import LOG_TWO_PI_E
 from .sensing import Schedule
 
 __all__ = [
@@ -34,6 +61,11 @@ Mode = Literal["exact_budget", "up_to_budget"]
 # and the only meaningful certificate is equality within EQUAL_TOL.
 DEGENERATE_GAP = 1e-12
 EQUAL_TOL = 1e-9
+
+# Most candidate pivots in one stacked Cholesky when the children of a node
+# share their last step: enough that the per-call overhead vanishes, few
+# enough that this batching adds stacks of at most a few megabytes.
+_STACK = 4096
 
 
 @dataclass(frozen=True)
@@ -89,6 +121,39 @@ def num_candidate_schedules(m: int, budgets: Sequence[int], mode: Mode = "up_to_
     return total
 
 
+def _information_stack(increments, candidates, n: int) -> np.ndarray:
+    """Xi of every candidate set of one step, summed in the oracle's order."""
+    zero = np.zeros((n, n))
+    return np.array([sum((increments[i] for i in s), zero) for s in candidates])
+
+
+def _walk(S: np.ndarray, logdet: np.ndarray, k: int, xi: list[np.ndarray],
+          out: np.ndarray, at: int) -> int:
+    """Log-dets of P + blockdiag(Xi) below a stack of prefixes, depth first.
+
+    ``S`` stacks the trailing Schur complements left by p prefixes that
+    fix steps 0..k-1, shape (p, r, r), and ``logdet`` their log-dets so
+    far. Writes the log-det of every completion, in lexicographic order,
+    to ``out[at:]`` and returns the next free index.
+    """
+    n = xi[k].shape[-1]
+    L = _cholesky_stack(S[:, None, :n, :n] + xi[k], k)  # (p, c, n, n)
+    logdet = (logdet[:, None] + 2.0 * np.log(np.diagonal(L, 0, 2, 3)).sum(-1)).ravel()
+    if k + 1 == len(xi):
+        out[at:at + logdet.size] = logdet
+        return at + logdet.size
+    # eliminate step k: each child's trailing matrix is S22 - Y^T Y, Y = L^-1 S12
+    Y = np.linalg.solve(L, S[:, None, :n, n:])
+    r = S.shape[-1] - n
+    trailing = (S[:, None, n:, n:] - np.swapaxes(Y, 2, 3) @ Y).reshape(-1, r, r)
+    # children are walked one at a time, except into the last step, which
+    # takes as many as fit in one stack of at most _STACK candidate pivots
+    batch = max(1, _STACK // len(xi[-1])) if k + 2 == len(xi) else 1
+    for i in range(0, logdet.size, batch):
+        at = _walk(trailing[i:i + batch], logdet[i:i + batch], k + 1, xi, out, at)
+    return at
+
+
 def exhaustive_optimum(
     ctx: OracleContext,
     budgets: Sequence[int],
@@ -101,7 +166,9 @@ def exhaustive_optimum(
 
     Enumeration is lexicographic: over steps, then over index sets
     (sizes ascending, then combination order), so the optional full table
-    is stable across runs and safe for regression comparison.
+    is stable across runs and safe for regression comparison. Costs come
+    from the block-Cholesky walk (see the module docstring); OPT and MAX
+    are re-evaluated by ``conditional_entropy``.
 
     Args:
         mode: "up_to_budget" visits every set with |S_k| <= s_k (the
@@ -113,6 +180,10 @@ def exhaustive_optimum(
 
     Raises:
         TooLargeError: the candidate count exceeds ``cap``.
+        NotPositiveDefiniteError: a candidate pivot fails to factor
+            (``exc.block_index`` is its step) or a cost is not finite.
+        OracleInconsistencyError: the walk's OPT or MAX cost differs from
+            the reference oracle's by more than EQUAL_TOL relative.
     """
     budgets = tuple(int(b) for b in budgets)
     if len(budgets) != ctx.K:
@@ -124,30 +195,40 @@ def exhaustive_optimum(
             f"{total} candidate schedules exceed the cap of {cap}; "
             "shrink the instance or sample instead"
         )
+    if total == 0:
+        raise DimensionMismatchError(f"no schedule selects exactly {budgets} of {m} sensors")
 
     per_step = [_step_candidates(m, s_k, mode) for s_k in budgets]
-    opt_cost = math.inf
-    max_cost = -math.inf
-    opt_sets: tuple[tuple[int, ...], ...] | None = None
-    table: list[tuple[tuple[tuple[int, ...], ...], float]] = []
-    count = 0
-    for sets in itertools.product(*per_step):
-        cost = conditional_entropy(ctx, Schedule._unchecked(sets, budgets))
-        count += 1
-        if keep_table:
-            table.append((sets, cost))
-        if cost < opt_cost:
-            opt_cost = cost
-            opt_sets = sets
-        if cost > max_cost:
-            max_cost = cost
+    xi = [
+        _information_stack(ctx.info_increments[k], candidates, ctx.n)
+        for k, candidates in enumerate(per_step)
+    ]
+    logdets = np.empty(total)
+    _walk(ctx.prior.precision_dense()[None], np.zeros(1), 0, xi, logdets, 0)
+    costs = 0.5 * ctx.prior.dim * LOG_TWO_PI_E - 0.5 * logdets
+    if not np.isfinite(costs).all():
+        raise NotPositiveDefiniteError("enumerated log-determinant is not finite")
 
+    def reference(index: int) -> tuple[tuple[tuple[int, ...], ...], float]:
+        at = np.unravel_index(index, [len(c) for c in per_step])
+        sets = tuple(c[i] for c, i in zip(per_step, at))
+        cost = conditional_entropy(ctx, Schedule._unchecked(sets, budgets))
+        if abs(costs[index] - cost) > EQUAL_TOL * max(1.0, abs(cost)):
+            raise OracleInconsistencyError(
+                f"schedule {sets}: enumeration cost {costs[index]!r} differs "
+                f"from the oracle's {cost!r}"
+            )
+        return sets, cost
+
+    opt_sets, opt_cost = reference(int(np.argmin(costs)))
+    _, max_cost = reference(int(np.argmax(costs)))
     return EnumerationResult(
         opt_cost=opt_cost,
         max_cost=max_cost,
         opt_schedule=Schedule(sets=opt_sets, budgets=budgets),
-        num_enumerated=count,
-        full_table=tuple(table) if keep_table else None,
+        num_enumerated=total,
+        full_table=tuple(zip(itertools.product(*per_step), costs.tolist()))
+        if keep_table else None,
     )
 
 

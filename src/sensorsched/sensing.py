@@ -8,6 +8,7 @@ selection matrix is realized as row or block gathering instead.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -34,12 +35,14 @@ class Sensor:
     ``measure`` maps a state vector to a length-``output_dim`` vector and
     ``jacobian`` to its (output_dim x n) derivative. ``noise_cov`` is the
     SPD noise covariance, constant over time unless ``noise_overrides``
-    maps specific step indices to replacement covariances. Each of these
-    is factored once, here, as R = L L^T; ``noise_factor_at`` returns L.
+    maps specific step indices (non-negative integers) to replacement
+    covariances. Each of these is factored once, here, as R = L L^T;
+    ``noise_factor_at`` returns L.
 
     Raises:
         NotPositiveDefiniteError: a noise covariance is not SPD.
-        InvalidParamsError: a noise covariance holds NaN or infinite values.
+        InvalidParamsError: a noise covariance holds NaN or infinite
+            values, or an override key is not a non-negative integer.
     """
 
     output_dim: int
@@ -58,6 +61,10 @@ class Sensor:
         if self.noise_overrides is not None:
             frozen = {}
             for k, m in self.noise_overrides.items():
+                if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+                    raise InvalidParamsError(
+                        f"sensor {self.name!r}: noise override key {k!r} is not a step index"
+                    )
                 frozen[int(k)], factors[int(k)] = self._factored(m, f"noise override at step {k}")
             object.__setattr__(self, "noise_overrides", frozen)
         object.__setattr__(self, "_factors", factors)

@@ -1,34 +1,52 @@
 """Exhaustive enumeration: counts, optima, certificates, CSV export."""
 
 import csv
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sensorsched as ss
-from conftest import random_instance
+from conftest import random_instance, random_prior, random_suite
 
 
-def naive_enumeration(ctx, budgets):
-    """Straightforward independent re-implementation of the enumeration."""
-    best = (math.inf, None)
-    worst = -math.inf
-    count = 0
+def naive_enumeration(ctx, budgets, mode="up_to_budget"):
+    """Straightforward independent re-implementation of the enumeration:
+    every (sets, cost) pair in lexicographic order, each cost one full
+    reference oracle call."""
     step_options = []
     for s_k in budgets:
+        sizes = [s_k] if mode == "exact_budget" else range(s_k + 1)
         opts = []
-        for size in range(s_k + 1):
+        for size in sizes:
             opts.extend(itertools.combinations(range(ctx.suite.m), size))
         step_options.append(opts)
-    for sets in itertools.product(*step_options):
-        cost = ss.conditional_entropy(ctx, ss.Schedule(sets=sets, budgets=budgets))
-        count += 1
-        if cost < best[0]:
-            best = (cost, sets)
-        worst = max(worst, cost)
-    return best, worst, count
+    return [
+        (sets, ss.conditional_entropy(ctx, ss.Schedule(sets=sets, budgets=budgets)))
+        for sets in itertools.product(*step_options)
+    ]
+
+
+@st.composite
+def enumerable_instances(draw):
+    """A sparse-precision or sparse-covariance prior, optionally densified,
+    with mixed sensors and per-step budgets from 0 to 3; K = 1 included.
+
+    Sizes come from the drawn seed rather than from hypothesis, which
+    would shrink most examples to a single schedule.
+    """
+    kind = draw(st.sampled_from(["gauss_markov", "tracking"]))
+    dense = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, K, m = int(rng.integers(1, 3)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    budgets = tuple(int(b) for b in rng.integers(0, min(m, 3) + 1, size=K))
+    prior = random_prior(rng, n, K, kind)
+    ctx = ss.make_context(ss.densify(prior) if dense else prior, random_suite(rng, n, m))
+    return ctx, budgets
 
 
 class TestExhaustiveOptimum:
@@ -64,16 +82,56 @@ class TestExhaustiveOptimum:
 
         exact = ss.exhaustive_optimum(ctx, [2, 1], mode="exact_budget")
         assert exact.num_enumerated == math.comb(4, 2) * math.comb(4, 1)
+        with pytest.raises(ss.DimensionMismatchError, match="no schedule"):
+            ss.exhaustive_optimum(ctx, [5, 1], mode="exact_budget")
 
     def test_matches_independent_reimplementation(self):
         prior, suite = random_instance(93, n=1, K=2, m=4, kind="tracking")
         ctx = ss.make_context(prior, suite)
         res = ss.exhaustive_optimum(ctx, (2, 2))
-        (opt_cost, opt_sets), max_cost, count = naive_enumeration(ctx, (2, 2))
-        assert res.opt_cost == pytest.approx(opt_cost, abs=1e-12)
-        assert res.max_cost == pytest.approx(max_cost, abs=1e-12)
-        assert res.num_enumerated == count
-        assert res.opt_schedule.sets == opt_sets
+        table = naive_enumeration(ctx, (2, 2))
+        costs = [c for _, c in table]
+        assert res.opt_cost == pytest.approx(min(costs), abs=1e-12)
+        assert res.max_cost == pytest.approx(max(costs), abs=1e-12)
+        assert res.num_enumerated == len(table)
+        assert res.opt_schedule.sets == table[costs.index(min(costs))][0]
+
+    @settings(max_examples=60)
+    @given(enumerable_instances(), st.sampled_from(["up_to_budget", "exact_budget"]))
+    def test_walk_matches_naive_enumeration(self, instance, mode):
+        ctx, budgets = instance
+        table = naive_enumeration(ctx, budgets, mode)
+        res = ss.exhaustive_optimum(ctx, budgets, mode, keep_table=True)
+        assert [sets for sets, _ in res.full_table] == [sets for sets, _ in table]
+        for (_, walked), (_, ref) in zip(res.full_table, table):
+            assert walked == pytest.approx(ref, rel=1e-9)
+        costs = [c for _, c in table]
+        walked = [c for _, c in res.full_table]
+        lo, hi = costs.index(min(costs)), costs.index(max(costs))
+        assert res.opt_cost == costs[lo] and res.max_cost == costs[hi]
+        assert res.opt_schedule.sets == table[lo][0]
+        assert walked.index(min(walked)) == lo and walked.index(max(walked)) == hi
+
+    @pytest.mark.parametrize("kind", ["gauss_markov", "tracking", "dense_prec"])
+    def test_planted_non_spd_candidate_pivot_reports_its_step(self, kind):
+        prior, suite = random_instance(102, n=2, K=3, m=3, kind=kind)
+        ctx = ss.make_context(prior, suite)
+        increments = [list(row) for row in ctx.info_increments]
+        increments[1][2] = -1e3 * np.eye(2)
+        planted = dataclasses.replace(ctx, info_increments=tuple(map(tuple, increments)))
+        with pytest.raises(ss.NotPositiveDefiniteError) as err:
+            ss.exhaustive_optimum(planted, [1, 1, 1])
+        assert err.value.block_index == 1
+        assert np.linalg.eigvalsh(err.value.pivot).min() < 0
+
+    def test_walk_disagreeing_with_the_oracle_raises(self, monkeypatch):
+        prior, suite = random_instance(103, n=2, K=2, m=2, kind="gauss_markov")
+        ctx = ss.make_context(prior, suite)
+        real = ss.exhaustive.conditional_entropy
+        monkeypatch.setattr(ss.exhaustive, "conditional_entropy",
+                            lambda c, s: real(c, s) + 1e-6)
+        with pytest.raises(ss.OracleInconsistencyError, match="differs"):
+            ss.exhaustive_optimum(ctx, [1, 1])
 
     def test_opt_attained_at_maximal_size(self):
         # monotonicity sanity property of the oracle itself
@@ -99,6 +157,13 @@ class TestExhaustiveOptimum:
 
 
 class TestCertifyBound:
+    @settings(max_examples=40)
+    @given(enumerable_instances())
+    def test_greedy_is_within_half_the_range(self, instance):
+        ctx, budgets = instance
+        schedule, _ = ss.greedy_schedule(ctx, budgets)
+        assert ss.certify_bound(ctx, budgets, ss.conditional_entropy(ctx, schedule)).holds
+
     def test_greedy_at_opt_gives_zero_ratio(self):
         prior, suite = random_instance(97, n=1, K=2, m=3)
         ctx = ss.make_context(prior, suite)

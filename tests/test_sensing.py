@@ -1,5 +1,7 @@
 """Sensors, schedules, and stacked block matrices."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -82,6 +84,25 @@ class TestBuiltinSensors:
         sensor = ss.Sensor(1, base.measure, base.jacobian, base.noise_cov,
                            noise_overrides={2: [[9.0]]})
         assert [sensor.noise_factor_at(k)[0, 0] for k in range(3)] == [2.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("key", [1.5, -1, "1", True], ids=["float", "negative", "str", "bool"])
+    def test_override_key_that_is_not_a_step_raises_naming_it(self, key):
+        base = ss.builtin_sensor("linear_coordinate", axis=0, noise_var=4.0)
+        with pytest.raises(ss.InvalidParamsError, match=rf"'lc'.*key {re.escape(repr(key))} "):
+            ss.Sensor(1, base.measure, base.jacobian, base.noise_cov, name="lc",
+                      noise_overrides={key: [[9.0]]})
+
+    def test_override_beyond_the_horizon_raises_in_make_context(self):
+        base = ss.builtin_sensor("linear_coordinate", axis=0, noise_var=4.0)
+        sensor = ss.Sensor(1, base.measure, base.jacobian, base.noise_cov, name="lc",
+                           noise_overrides={np.int64(2): [[9.0]], 3: [[9.0]]})
+        suite = ss.SensorSuite(state_dim=1, sensors=(base, sensor))
+        prior = ss.build_tracking_prior(1, 3, marginal_var=1.0, neighbor_corr=0.2)
+        with pytest.raises(ss.DimensionMismatchError, match=r"sensor 1 \('lc'\).*step 3"):
+            ss.make_context(prior, suite)
+        within = ss.build_tracking_prior(1, 4, marginal_var=1.0, neighbor_corr=0.2)
+        increments = ss.make_context(within, suite).info_increments
+        assert [inc[1][0, 0] for inc in increments] == [0.25, 0.25, 1 / 9, 1 / 9]
 
     def test_jacobians_match_finite_differences(self):
         # central differences at 100 random points per sensor kind
