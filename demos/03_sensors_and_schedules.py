@@ -1,9 +1,11 @@
-"""Nonlinear sensors, schedules, and their stacked block matrices.
+"""Nonlinear sensors, schedules, and the rows a schedule selects.
 
 Sensors carry a measurement map, an analytic Jacobian, and SPD Gaussian
-noise. A schedule is a per-step set of selected sensor indices; the
-stacked Jacobian and noise covariance are built by row gathering, never
-by materializing a selection matrix.
+noise, factored once as R = L L^T. A schedule is a per-step set of
+selected sensor indices. An oracle context linearizes every sensor at
+every step and keeps its whitened Jacobian W = L^-1 J; a schedule's
+measurement rows are gathered from those, never by materializing a
+selection matrix.
 """
 
 import numpy as np
@@ -35,13 +37,17 @@ schedule = ss.Schedule(sets=((1, 2), (), (0,)), budgets=(2, 2, 2))
 print("\nschedule sets:", schedule.sets)
 
 linearization = np.array([3.0, 4.0, 1.0, 1.0, -2.0, 0.5])
-C = ss.stacked_jacobian(suite, schedule, linearization)
-R = ss.stacked_noise_cov(suite, schedule)
-print("stacked jacobian block rows:", C.row_dims, "(empty step contributes 0 rows)")
-print("stacked noise covariance:")
-print(np.array_str(R.assemble(), precision=3))
+prior = ss.build_tracking_prior(2, 3, marginal_var=1.0, neighbor_corr=0.3)
+ctx = ss.make_context(prior, suite, linearization)
+print("whitened rows W = L^-1 J per step, gathered from the context:")
+for k, chosen in enumerate(schedule.sets):
+    rows = np.vstack([np.zeros((0, 2))] + [ctx.whitened_jacobians[k][i] for i in chosen])
+    print(f"  step {k}: sensors {chosen}, block shape {rows.shape}")
+    if rows.size:
+        print(np.array_str(rows, precision=3))
+print("(an empty step adds no rows)")
 
-# budget and duplicate violations are rejected at construction
+# budget, duplicate and non-integer violations are rejected at construction
 try:
     ss.Schedule(sets=((0, 1, 2),), budgets=(2,))
 except ss.DimensionMismatchError as exc:
@@ -50,3 +56,7 @@ try:
     ss.Schedule(sets=((1, 1),), budgets=(3,))
 except ss.DimensionMismatchError as exc:
     print("duplicate:  ", exc)
+try:
+    ss.Schedule(sets=((1.9,),), budgets=(2,))
+except ss.DimensionMismatchError as exc:
+    print("non-integer:", exc)

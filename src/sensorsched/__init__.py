@@ -9,9 +9,7 @@ planning horizon.
 """
 
 from .blocklinalg import (
-    BlockDiagonalMatrix,
     BlockTridiagonalMatrix,
-    add_block_diagonal,
     logdet_block_tridiagonal,
     logdet_block_tridiagonal_blocks,
     logdet_dense,
@@ -59,9 +57,7 @@ from .scheduler import (
     GreedyTrace,
     StepTrace,
     greedy_schedule,
-    greedy_step,
     greedy_step_detailed,
-    lazy_greedy_step,
     random_schedule,
 )
 from .sensing import (
@@ -70,14 +66,11 @@ from .sensing import (
     SensorSuite,
     builtin_sensor,
     finite_difference_jacobian,
-    stacked_jacobian,
-    stacked_noise_cov,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockDiagonalMatrix",
     "BlockTridiagonalMatrix",
     "BoundCertificate",
     "ConfigError",
@@ -98,7 +91,6 @@ __all__ = [
     "SensorSuite",
     "StepTrace",
     "TooLargeError",
-    "add_block_diagonal",
     "builtin_sensor",
     "certify_bound",
     "conditional_entropy",
@@ -109,9 +101,7 @@ __all__ = [
     "export_table_csv",
     "finite_difference_jacobian",
     "greedy_schedule",
-    "greedy_step",
     "greedy_step_detailed",
-    "lazy_greedy_step",
     "logdet_block_tridiagonal",
     "logdet_block_tridiagonal_blocks",
     "logdet_dense",
@@ -126,6 +116,4 @@ __all__ = [
     "build_tracking_prior",
     "random_schedule",
     "solve_block_tridiagonal",
-    "stacked_jacobian",
-    "stacked_noise_cov",
 ]

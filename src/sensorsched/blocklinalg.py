@@ -1,8 +1,7 @@
 """Symmetric block-structured linear algebra.
 
-Log-determinants, linear solves and block sums for symmetric
-block-tridiagonal and block-diagonal matrices. The block-tridiagonal
-routines run a Schur-complement pivot recursion
+Log-determinants and linear solves for symmetric block-tridiagonal
+matrices. Both run a Schur-complement pivot recursion
 
     D_1 = B_1,   D_k = B_k - C_k D_{k-1}^{-1} C_k^T,
 
@@ -44,12 +43,10 @@ from .errors import DimensionMismatchError, NotPositiveDefiniteError
 
 __all__ = [
     "BlockTridiagonalMatrix",
-    "BlockDiagonalMatrix",
     "logdet_dense",
     "logdet_block_tridiagonal",
     "logdet_block_tridiagonal_blocks",
     "solve_block_tridiagonal",
-    "add_block_diagonal",
 ]
 
 
@@ -146,43 +143,6 @@ class BlockTridiagonalMatrix:
                 acc = acc + self.offdiag_blocks[k] @ parts[k + 1]
             out[k] = acc
         return out.reshape(-1)
-
-
-@dataclass(frozen=True)
-class BlockDiagonalMatrix:
-    """Block-diagonal matrix; blocks may be rectangular (even 0-row)."""
-
-    blocks: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        blocks = []
-        for k, b in enumerate(self.blocks):
-            arr = np.asarray(b, dtype=float)
-            if arr.ndim != 2:
-                raise DimensionMismatchError(f"block {k} is not a matrix: shape {arr.shape}")
-            blocks.append(_frozen_array(arr))
-        object.__setattr__(self, "blocks", tuple(blocks))
-
-    @property
-    def row_dims(self) -> tuple[int, ...]:
-        return tuple(b.shape[0] for b in self.blocks)
-
-    @property
-    def col_dims(self) -> tuple[int, ...]:
-        return tuple(b.shape[1] for b in self.blocks)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (sum(self.row_dims), sum(self.col_dims))
-
-    def assemble(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        r = c = 0
-        for b in self.blocks:
-            out[r:r + b.shape[0], c:c + b.shape[1]] = b
-            r += b.shape[0]
-            c += b.shape[1]
-        return out
 
 
 def _lapack_error(routine: str, info: int) -> RuntimeError:
@@ -383,24 +343,3 @@ def solve_block_tridiagonal(M: BlockTridiagonalMatrix, b: np.ndarray) -> np.ndar
         xs[k] = _potrs(chols[k], y)
     return xs.reshape(-1)
 
-
-def add_block_diagonal(
-    M: BlockTridiagonalMatrix, D: BlockDiagonalMatrix
-) -> BlockTridiagonalMatrix:
-    """Sum of a block-tridiagonal matrix and a conforming block-diagonal one.
-
-    D must have exactly K square n x n blocks; off-diagonals are unchanged,
-    so the result stays block-tridiagonal.
-    """
-    n, K = M.block_dim, M.num_blocks
-    if len(D.blocks) != K:
-        raise DimensionMismatchError(f"expected {K} blocks, got {len(D.blocks)}")
-    for k, blk in enumerate(D.blocks):
-        if blk.shape != (n, n):
-            raise DimensionMismatchError(
-                f"block {k} has shape {blk.shape}, expected ({n}, {n})"
-            )
-    return BlockTridiagonalMatrix(
-        diag_blocks=tuple(M.diag_blocks[k] + D.blocks[k] for k in range(K)),
-        offdiag_blocks=M.offdiag_blocks,
-    )

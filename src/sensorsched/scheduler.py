@@ -28,14 +28,12 @@ import numpy as np
 
 from .entropy_oracle import OracleContext, conditional_entropy
 from .errors import DimensionMismatchError, OracleInconsistencyError
-from .sensing import Schedule
+from .sensing import Schedule, _step_integer
 
 __all__ = [
     "StepTrace",
     "GreedyTrace",
     "greedy_schedule",
-    "greedy_step",
-    "lazy_greedy_step",
     "greedy_step_detailed",
     "random_schedule",
 ]
@@ -95,11 +93,14 @@ def _clamp_gain(gain: float, k: int, i: int) -> float:
     return max(gain, 0.0)
 
 
-def _check_budget(k: int, s_k: int, m: int) -> None:
+def _check_budget(k: int, s_k: int, m: int) -> int:
+    """Step k's budget as an int; a bool, float or string is rejected."""
+    s_k = _step_integer(k, "budget", s_k)
     if s_k < 0:
         raise DimensionMismatchError(f"budget {s_k} at step {k} is negative")
     if s_k > m:
         raise DimensionMismatchError(f"budget {s_k} at step {k} exceeds the {m} sensors")
+    return s_k
 
 
 def _sets_with(sets, k, new_set):
@@ -177,7 +178,7 @@ def greedy_step_detailed(
     """
     if not 0 <= k < ctx.K:
         raise DimensionMismatchError(f"step {k} outside horizon of {ctx.K}")
-    _check_budget(k, s_k, ctx.suite.m)
+    s_k = _check_budget(k, s_k, ctx.suite.m)
     if fixed_prefix.num_steps < k:
         raise DimensionMismatchError(
             f"prefix covers {fixed_prefix.num_steps} steps, step {k} needs {k}"
@@ -202,39 +203,6 @@ def greedy_step_detailed(
     )
 
 
-def greedy_step(
-    ctx: OracleContext,
-    fixed_prefix: Schedule,
-    k: int,
-    s_k: int,
-    *,
-    allow_zero_gain: bool = False,
-) -> tuple[int, ...]:
-    """Sensor set for step k chosen greedily given the fixed prefix."""
-    return greedy_step_detailed(
-        ctx, fixed_prefix, k, s_k, lazy=False, allow_zero_gain=allow_zero_gain
-    ).chosen
-
-
-def lazy_greedy_step(
-    ctx: OracleContext,
-    fixed_prefix: Schedule,
-    k: int,
-    s_k: int,
-    *,
-    allow_zero_gain: bool = False,
-) -> tuple[int, ...]:
-    """Same set as ``greedy_step`` with fewer oracle evaluations.
-
-    Stale gains are valid upper bounds by supermodularity, so only the
-    top of the priority queue is ever refreshed; ties compare refreshed
-    gains first and the sensor index second, matching the eager order.
-    """
-    return greedy_step_detailed(
-        ctx, fixed_prefix, k, s_k, lazy=True, allow_zero_gain=allow_zero_gain
-    ).chosen
-
-
 def greedy_schedule(
     ctx: OracleContext,
     budgets: Sequence[int],
@@ -257,13 +225,12 @@ def greedy_schedule(
     Returns:
         (schedule, trace) with per-step picks, gains and call counts.
     """
-    budgets = tuple(int(b) for b in budgets)
+    budgets = tuple(budgets)
     if len(budgets) != ctx.K:
         raise DimensionMismatchError(
             f"{len(budgets)} budgets for a horizon of {ctx.K}"
         )
-    for k, b in enumerate(budgets):
-        _check_budget(k, b, ctx.suite.m)
+    budgets = tuple(_check_budget(k, b, ctx.suite.m) for k, b in enumerate(budgets))
 
     sets: tuple[tuple[int, ...], ...] = tuple(() for _ in range(ctx.K))
     base = ctx.prior_entropy
@@ -277,9 +244,7 @@ def greedy_schedule(
 
 def random_schedule(budgets: Sequence[int], m: int, seed: int) -> Schedule:
     """Uniformly random feasible schedule: s_k distinct sensors per step."""
-    budgets = tuple(int(b) for b in budgets)
-    for k, b in enumerate(budgets):
-        _check_budget(k, b, m)
+    budgets = tuple(_check_budget(k, b, m) for k, b in enumerate(budgets))
     rng = np.random.default_rng(seed)
     sets = tuple(
         tuple(sorted(rng.choice(m, size=b, replace=False).tolist())) for b in budgets

@@ -1,8 +1,10 @@
-"""Sensor suites, selection schedules, and their stacked block matrices.
+"""Sensors, sensor suites and selection schedules.
 
 Selection matrices are never materialized: a per-step selection is an
 index set into the suite, and every formula that multiplies by a
-selection matrix is realized as row or block gathering instead.
+selection matrix gathers the selected sensors' rows instead, from the
+per-step whitened Jacobians of an oracle context
+(``entropy_oracle.make_context``).
 """
 
 from __future__ import annotations
@@ -10,11 +12,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .blocklinalg import BlockDiagonalMatrix, _cholesky
+from .blocklinalg import _cholesky
 from .errors import DimensionMismatchError, InvalidParamsError
 
 __all__ = [
@@ -22,10 +24,19 @@ __all__ = [
     "SensorSuite",
     "Schedule",
     "builtin_sensor",
-    "stacked_jacobian",
-    "stacked_noise_cov",
     "finite_difference_jacobian",
 ]
+
+
+def _is_index(value) -> bool:
+    """True for an integer (NumPy integers included) that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _step_integer(k: int, what: str, value) -> int:
+    if not _is_index(value):
+        raise DimensionMismatchError(f"step {k} has {what} {value!r}, not an integer")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -61,7 +72,7 @@ class Sensor:
         if self.noise_overrides is not None:
             frozen = {}
             for k, m in self.noise_overrides.items():
-                if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+                if not _is_index(k) or k < 0:
                     raise InvalidParamsError(
                         f"sensor {self.name!r}: noise override key {k!r} is not a step index"
                     )
@@ -132,19 +143,21 @@ class Schedule:
     """Per-step selected sensor index sets with their budgets.
 
     Sensor indices are 0-based positions in the suite. Each step holds a
-    set (duplicates rejected) of at most ``budgets[k]`` indices.
+    set (duplicates rejected) of at most ``budgets[k]`` indices. Budgets
+    and indices must be integers; a bool, float or string is rejected,
+    never truncated.
     """
 
     sets: tuple[tuple[int, ...], ...]
     budgets: tuple[int, ...]
 
     def __post_init__(self):
-        budgets = tuple(int(s) for s in self.budgets)
+        budgets = tuple(_step_integer(k, "budget", s) for k, s in enumerate(self.budgets))
         if any(s < 0 for s in budgets):
             raise DimensionMismatchError("budgets must be non-negative")
         sets = []
         for k, raw in enumerate(self.sets):
-            indices = [int(i) for i in raw]
+            indices = [_step_integer(k, "sensor index", i) for i in raw]
             if any(i < 0 for i in indices):
                 raise DimensionMismatchError(f"step {k} has a negative sensor index")
             if len(set(indices)) != len(indices):
@@ -182,61 +195,6 @@ class Schedule:
     @property
     def total_selected(self) -> int:
         return sum(len(s) for s in self.sets)
-
-    def with_set(self, k: int, indices: Iterable[int]) -> "Schedule":
-        new_sets = list(self.sets)
-        new_sets[k] = tuple(indices)
-        return Schedule(sets=tuple(new_sets), budgets=self.budgets)
-
-
-def _step_states(linearization: np.ndarray, n: int, K: int) -> np.ndarray:
-    x = np.asarray(linearization, dtype=float)
-    if x.shape != (n * K,):
-        raise DimensionMismatchError(
-            f"linearization has shape {x.shape}, expected ({n * K},)"
-        )
-    return x.reshape(K, n)
-
-
-def stacked_jacobian(
-    suite: SensorSuite, schedule: Schedule, linearization: np.ndarray
-) -> BlockDiagonalMatrix:
-    """Block-diagonal of per-step stacked Jacobians of the selected sensors.
-
-    Block k stacks the Jacobians of the sensors in schedule step k
-    (ascending index), evaluated at the k-th sub-vector of the
-    linearization point; an empty step yields a 0 x n block.
-    """
-    n, K = suite.state_dim, schedule.num_steps
-    states = _step_states(linearization, n, K)
-    blocks = []
-    for k, chosen in enumerate(schedule.sets):
-        if any(i >= suite.m for i in chosen):
-            raise DimensionMismatchError(
-                f"step {k} selects a sensor index >= m={suite.m}"
-            )
-        if chosen:
-            blocks.append(np.vstack([suite.sensors[i].jacobian_at(states[k]) for i in chosen]))
-        else:
-            blocks.append(np.zeros((0, n)))
-    return BlockDiagonalMatrix(blocks=tuple(blocks))
-
-
-def stacked_noise_cov(suite: SensorSuite, schedule: Schedule) -> BlockDiagonalMatrix:
-    """Block-diagonal noise covariance of the selected measurements.
-
-    One SPD block per (step, selected sensor), in schedule order; equals
-    the selection-compressed noise covariance of the full suite.
-    """
-    blocks = []
-    for k, chosen in enumerate(schedule.sets):
-        if any(i >= suite.m for i in chosen):
-            raise DimensionMismatchError(
-                f"step {k} selects a sensor index >= m={suite.m}"
-            )
-        for i in chosen:
-            blocks.append(suite.sensors[i].noise_cov_at(k))
-    return BlockDiagonalMatrix(blocks=tuple(blocks))
 
 
 def finite_difference_jacobian(
@@ -291,8 +249,10 @@ def builtin_sensor(
         InvalidParamsError: for unknown kinds or missing/invalid params.
     """
     if kind == "linear_coordinate":
-        if axis is None or axis < 0:
-            raise InvalidParamsError("linear_coordinate needs a non-negative axis")
+        if not _is_index(axis) or axis < 0:
+            raise InvalidParamsError(
+                f"linear_coordinate needs a non-negative integer axis, got {axis!r}"
+            )
         ax = int(axis)
 
         def measure(x, _ax=ax):
@@ -315,18 +275,22 @@ def builtin_sensor(
             raise InvalidParamsError("range sensor needs an anchor point")
         a = np.asarray(anchor, dtype=float)
 
-        def measure(x, _a=a):
+        def offset(x, _a=a):
+            if x.size != _a.size:
+                raise InvalidParamsError(
+                    f"range anchor has {_a.size} coordinates, state dim {x.size}"
+                )
             d = x - _a
             r = float(np.linalg.norm(d))
             if r == 0.0:
                 raise InvalidParamsError("range sensor evaluated at its anchor")
-            return np.array([r])
+            return d, r
 
-        def jac(x, _a=a):
-            d = x - _a
-            r = float(np.linalg.norm(d))
-            if r == 0.0:
-                raise InvalidParamsError("range sensor evaluated at its anchor")
+        def measure(x):
+            return np.array([offset(x)[1]])
+
+        def jac(x):
+            d, r = offset(x)
             return (d / r).reshape(1, -1)
 
         return Sensor(1, measure, jac, _resolve_noise(1, noise_cov, noise_var),

@@ -3,6 +3,7 @@
 import os
 
 import numpy as np
+import scipy.linalg
 from hypothesis import settings
 
 import sensorsched as ss
@@ -142,6 +143,26 @@ def propagated_batch_covariance(A, Q, Sigma0, K):
             cov[k * n:(k + 1) * n, k2 * n:(k2 + 1) * n] = cross
             cov[k2 * n:(k2 + 1) * n, k * n:(k + 1) * n] = cross.T
     return cov
+
+
+def measurement_model(suite, schedule, linearization):
+    """The paper's stacked Jacobian C and noise covariance R (independent oracle).
+
+    Step k's block of C stacks the Jacobians of its selected sensors
+    (ascending index) at the k-th sub-vector of the linearization point,
+    0 x n for an empty step; R is block-diagonal in the sensors'
+    ``noise_cov_at(k)``. Both are assembled dense from the raw sensors,
+    without any oracle context.
+    """
+    n, K = suite.state_dim, schedule.num_steps
+    states = np.asarray(linearization, dtype=float).reshape(K, n)
+    C_blocks, R_blocks = [], [np.zeros((0, 0))]
+    for k, chosen in enumerate(schedule.sets):
+        sensors = [suite.sensors[i] for i in chosen]
+        rows = [s.jacobian_at(states[k]) for s in sensors]
+        C_blocks.append(np.vstack([np.zeros((0, n))] + rows))
+        R_blocks.extend(s.noise_cov_at(k) for s in sensors)
+    return scipy.linalg.block_diag(*C_blocks), scipy.linalg.block_diag(*R_blocks)
 
 
 def random_feasible_schedule(rng, m, budgets):

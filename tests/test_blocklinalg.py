@@ -113,46 +113,6 @@ class TestLogdetDense:
             ss.logdet_dense(np.zeros((2, 3)))
 
 
-class TestAddBlockDiagonal:
-    def test_identity_plus_identity(self):
-        M = ss.BlockTridiagonalMatrix.identity(1, 2)
-        D = ss.BlockDiagonalMatrix(blocks=(np.eye(1), np.eye(1)))
-        out = ss.add_block_diagonal(M, D)
-        np.testing.assert_allclose(out.diag_blocks[0], [[2.0]])
-        np.testing.assert_allclose(out.diag_blocks[1], [[2.0]])
-        np.testing.assert_allclose(out.offdiag_blocks[0], [[0.0]])
-
-    def test_zero_is_additive_identity(self):
-        rng = np.random.default_rng(5)
-        M, dense = random_spd_block_tridiag(rng, 2, 3)
-        D = ss.BlockDiagonalMatrix(blocks=tuple(np.zeros((2, 2)) for _ in range(3)))
-        out = ss.add_block_diagonal(M, D)
-        np.testing.assert_allclose(out.assemble(), dense)
-
-    def test_matches_dense_assembly_oracle(self):
-        rng = np.random.default_rng(9)
-        M, dense = random_spd_block_tridiag(rng, 3, 4)
-        blocks = tuple(rng.standard_normal((3, 3)) for _ in range(4))
-        blocks = tuple(0.5 * (b + b.T) for b in blocks)
-        D = ss.BlockDiagonalMatrix(blocks=blocks)
-        import scipy.linalg
-
-        oracle = dense + scipy.linalg.block_diag(*blocks)
-        np.testing.assert_allclose(ss.add_block_diagonal(M, D).assemble(), oracle)
-
-    def test_wrong_block_count_raises(self):
-        M = ss.BlockTridiagonalMatrix.identity(2, 3)
-        D = ss.BlockDiagonalMatrix(blocks=(np.eye(2), np.eye(2)))
-        with pytest.raises(ss.DimensionMismatchError):
-            ss.add_block_diagonal(M, D)
-
-    def test_wrong_block_shape_raises(self):
-        M = ss.BlockTridiagonalMatrix.identity(2, 2)
-        D = ss.BlockDiagonalMatrix(blocks=(np.eye(2), np.eye(3)))
-        with pytest.raises(ss.DimensionMismatchError):
-            ss.add_block_diagonal(M, D)
-
-
 class TestSolveBlockTridiagonal:
     def test_identity(self):
         M = ss.BlockTridiagonalMatrix.identity(2, 3)
@@ -394,11 +354,3 @@ class TestConstruction:
         M = ss.BlockTridiagonalMatrix.identity(2, 2)
         with pytest.raises(ValueError):
             M.diag_blocks[0][0, 0] = 5.0
-
-    def test_block_diagonal_rectangular_assembly(self):
-        D = ss.BlockDiagonalMatrix(blocks=(np.ones((2, 3)), np.zeros((0, 2)), np.ones((1, 1))))
-        assert D.shape == (3, 6)
-        out = D.assemble()
-        assert out.shape == (3, 6)
-        np.testing.assert_allclose(out[:2, :3], 1.0)
-        np.testing.assert_allclose(out[2, 5], 1.0)

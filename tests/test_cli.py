@@ -226,7 +226,8 @@ class TestRunScenario:
     def test_timings_live_in_separate_file(self, tmp_path):
         write_config(tmp_path / "c.json")
         paths = run_scenario(tmp_path / "c.json", tmp_path / "out")
-        results_header = open(paths["results"]).readline()
+        with open(paths["results"]) as f:
+            results_header = f.readline()
         assert "wall_ms" not in results_header
         timing_rows = read_csv(paths["timings"])
         assert {r["scheduler"] for r in timing_rows} == {"greedy"}

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sensorsched as ss
-from conftest import all_schedules, random_instance, random_prior, random_spd, random_suite
+from conftest import (
+    all_schedules,
+    measurement_model,
+    random_instance,
+    random_prior,
+    random_spd,
+    random_suite,
+)
 
 LOG_2PIE = math.log(2 * math.pi * math.e)
 
@@ -168,8 +175,7 @@ def test_cross_formula_property(instance):
     prec_form = ss.conditional_entropy_precision_form(ctx, schedule)
     assert rel_close(cov_form, prec_form, 1e-9), (schedule.sets, cov_form, prec_form)
 
-    C = ss.stacked_jacobian(suite, schedule, prior.mean).assemble()
-    R = ss.stacked_noise_cov(suite, schedule).assemble()
+    C, R = measurement_model(suite, schedule, prior.mean)
     Sigma_y = R + C @ prior.covariance_dense() @ C.T
     paper = 0.5 * (np.linalg.slogdet(R)[1] - np.linalg.slogdet(Sigma_y)[1]) + ctx.prior_entropy
     assert rel_close(cov_form, paper, 1e-9), (schedule.sets, cov_form, paper)
@@ -198,9 +204,10 @@ class TestMultiOutputSensors:
             b = ss.conditional_entropy_precision_form(ctx, sched)
             assert rel_close(a, b, 1e-8), (sched.sets, a, b)
 
+        # budgets count sensors, not rows: three picks give 3 + 0 + 2 rows
         sched = ss.Schedule(sets=((0, 1), (), (0,)), budgets=(2, 2, 2))
-        C = ss.stacked_jacobian(suite, sched, ctx.linearization)
-        assert C.row_dims == (3, 0, 2)  # budgets count sensors, not rows
+        C, R = measurement_model(suite, sched, ctx.linearization)
+        assert C.shape == (5, 6) and R.shape == (5, 5)
 
 
 class TestDispatch:
@@ -260,8 +267,7 @@ class TestPosteriorCovariance:
                 got = ss.posterior_covariance(ctx, sched)
 
                 Sigma = prior.covariance_dense()
-                C = ss.stacked_jacobian(suite, sched, ctx.linearization).assemble()
-                R = ss.stacked_noise_cov(suite, sched).assemble()
+                C, R = measurement_model(suite, sched, ctx.linearization)
                 if C.shape[0] == 0:
                     oracle = Sigma
                 else:
@@ -302,7 +308,8 @@ class TestMutualInformation:
                 for i in range(3):
                     if i in sched.sets[k]:
                         continue
-                    grown = sched.with_set(k, sched.sets[k] + (i,))
+                    sets = sched.sets[:k] + (sched.sets[k] + (i,),) + sched.sets[k + 1:]
+                    grown = ss.Schedule(sets=sets, budgets=sched.budgets)
                     assert ss.mutual_information(ctx, grown) >= mi - 1e-9
 
 
@@ -468,8 +475,7 @@ class TestMapLinearization:
 
         # closed-form linear-Gaussian posterior mean oracle
         Sigma = prior.covariance_dense()
-        C = ss.stacked_jacobian(suite, sched, prior.mean).assemble()
-        R = ss.stacked_noise_cov(suite, sched).assemble()
+        C, R = measurement_model(suite, sched, prior.mean)
         y = np.concatenate([m for m in measurements if m is not None])
         gain = Sigma @ C.T @ np.linalg.inv(C @ Sigma @ C.T + R)
         oracle = np.asarray(prior.mean) + gain @ (y - C @ np.asarray(prior.mean))

@@ -11,6 +11,12 @@ import sensorsched as ss
 from conftest import random_instance
 
 
+def single_pick(budgets, k, i):
+    """The schedule that selects only sensor i, at step k."""
+    sets = tuple((i,) if j == k else () for j in range(len(budgets)))
+    return ss.Schedule(sets=sets, budgets=tuple(budgets))
+
+
 def identical_sensor_suite(n, m, noise_var=1.0):
     return ss.SensorSuite(
         state_dim=n,
@@ -45,8 +51,8 @@ class TestGreedySchedule:
         # exhaustive confirmation that the low-noise singleton is optimal
         # at every step
         for k in range(3):
-            sched0 = ss.Schedule.empty([1, 1, 1]).with_set(k, (0,))
-            sched1 = ss.Schedule.empty([1, 1, 1]).with_set(k, (1,))
+            sched0 = single_pick([1, 1, 1], k, 0)
+            sched1 = single_pick([1, 1, 1], k, 1)
             assert ss.conditional_entropy(ctx, sched1) < ss.conditional_entropy(
                 ctx, sched0
             )
@@ -89,16 +95,18 @@ class TestGreedySchedule:
             ss.greedy_schedule(ctx, [1, 1])
 
 
-NEGATIVE_BUDGET_CALLS = {
-    "greedy_step": lambda ctx, prefix: ss.greedy_step(ctx, prefix, 1, -1),
-    "lazy_greedy_step": lambda ctx, prefix: ss.lazy_greedy_step(ctx, prefix, 1, -1),
-    "greedy_step_detailed": lambda ctx, prefix: ss.greedy_step_detailed(ctx, prefix, 1, -1),
-    "greedy_schedule": lambda ctx, prefix: ss.greedy_schedule(ctx, [1, -1]),
-    "random_schedule": lambda ctx, prefix: ss.random_schedule([1, -1], m=3, seed=0),
+# every entry point that takes a budget, called with budget b at step 1
+BUDGET_CALLS = {
+    "greedy_step_detailed": lambda ctx, prefix, b: ss.greedy_step_detailed(ctx, prefix, 1, b),
+    "lazy_greedy_step_detailed": lambda ctx, prefix, b: ss.greedy_step_detailed(
+        ctx, prefix, 1, b, lazy=True
+    ),
+    "greedy_schedule": lambda ctx, prefix, b: ss.greedy_schedule(ctx, [1, b]),
+    "random_schedule": lambda ctx, prefix, b: ss.random_schedule([1, b], m=3, seed=0),
 }
 
 
-@pytest.mark.parametrize("name", list(NEGATIVE_BUDGET_CALLS))
+@pytest.mark.parametrize("name", list(BUDGET_CALLS))
 def test_negative_budget_raises_naming_step_before_any_oracle_call(monkeypatch, name):
     prior, suite = random_instance(65, K=2, m=3)
     ctx = ss.make_context(prior, suite)
@@ -109,32 +117,41 @@ def test_negative_budget_raises_naming_step_before_any_oracle_call(monkeypatch, 
 
     monkeypatch.setattr("sensorsched.scheduler.conditional_entropy", no_oracle)
     with pytest.raises(ss.DimensionMismatchError, match="budget -1 at step 1"):
-        NEGATIVE_BUDGET_CALLS[name](ctx, prefix)
+        BUDGET_CALLS[name](ctx, prefix, -1)
+
+
+@pytest.mark.parametrize("budget", [1.9, True, "1"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("name", list(BUDGET_CALLS))
+def test_non_integer_budget_raises_naming_step(name, budget):
+    # greedy_step_detailed with a budget of 1.9 used to pick two sensors
+    prior, suite = random_instance(65, K=2, m=3)
+    ctx = ss.make_context(prior, suite)
+    prefix = ss.Schedule(sets=((0,), ()), budgets=(1, 1))
+    with pytest.raises(ss.DimensionMismatchError, match=f"step 1 has budget {budget!r}"):
+        BUDGET_CALLS[name](ctx, prefix, budget)
 
 
 class TestGreedyStep:
     def test_zero_budget_returns_empty(self):
         prior, suite = random_instance(71)
         ctx = ss.make_context(prior, suite)
-        out = ss.greedy_step(ctx, ss.Schedule.empty([0] * prior.K), 0, 0)
+        out = ss.greedy_step_detailed(ctx, ss.Schedule.empty([0] * prior.K), 0, 0).chosen
         assert out == ()
 
     def test_identical_sensors_tie_break_by_index(self):
         prior, _ = random_instance(72, n=1, K=2, kind="gauss_markov")
         suite = identical_sensor_suite(1, 4)
         ctx = ss.make_context(prior, suite)
-        out = ss.greedy_step(ctx, ss.Schedule.empty([3, 3]), 0, 3)
+        out = ss.greedy_step_detailed(ctx, ss.Schedule.empty([3, 3]), 0, 3).chosen
         assert out == (0, 1, 2)
 
     def test_first_pick_matches_singleton_table(self):
         prior, suite = random_instance(73, m=4)
         ctx = ss.make_context(prior, suite)
         budgets = [1] * prior.K
-        out = ss.greedy_step(ctx, ss.Schedule.empty(budgets), 0, 1)
+        out = ss.greedy_step_detailed(ctx, ss.Schedule.empty(budgets), 0, 1).chosen
         table = {
-            i: ss.conditional_entropy(
-                ctx, ss.Schedule.empty(budgets).with_set(0, (i,))
-            )
+            i: ss.conditional_entropy(ctx, single_pick(budgets, 0, i))
             for i in range(suite.m)
         }
         best = min(table, key=lambda i: (table[i], i))
@@ -156,13 +173,13 @@ class TestGreedyStep:
         suite = ss.SensorSuite(state_dim=1, sensors=(informative, null))
         ctx = ss.make_context(prior, suite)
 
-        stopped = ss.greedy_step(ctx, ss.Schedule.empty([2]), 0, 2)
-        assert stopped == (0,)
+        stopped = ss.greedy_step_detailed(ctx, ss.Schedule.empty([2]), 0, 2)
+        assert stopped.chosen == (0,)
 
-        filled = ss.greedy_step(
+        filled = ss.greedy_step_detailed(
             ctx, ss.Schedule.empty([2]), 0, 2, allow_zero_gain=True
         )
-        assert filled == (0, 1)
+        assert filled.chosen == (0, 1)
 
     def test_inconsistent_oracle_raises_diagnostic(self, monkeypatch):
         prior, suite = random_instance(75, K=3, m=2)
@@ -220,9 +237,9 @@ class TestLazyGreedy:
         ctx = ss.make_context(prior, suite)
         prefix = ss.Schedule.empty([2] * prior.K)
         for k in range(prior.K):
-            assert ss.greedy_step(ctx, prefix, k, 2) == ss.lazy_greedy_step(
-                ctx, prefix, k, 2
-            )
+            eager = ss.greedy_step_detailed(ctx, prefix, k, 2)
+            lazy = ss.greedy_step_detailed(ctx, prefix, k, 2, lazy=True)
+            assert eager.chosen == lazy.chosen
 
 
 @st.composite

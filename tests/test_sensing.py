@@ -1,28 +1,11 @@
-"""Sensors, schedules, and stacked block matrices."""
+"""Sensors and schedules."""
 
 import re
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import sensorsched as ss
-from conftest import random_suite
-
-
-def selection_matrix(suite, chosen):
-    """Explicit 0/1 selection matrix for one step (oracle use only)."""
-    dims = [s.output_dim for s in suite.sensors]
-    total = sum(dims)
-    rows = sum(dims[i] for i in chosen)
-    S = np.zeros((rows, total))
-    at = 0
-    for i in chosen:
-        start = sum(dims[:i])
-        for r in range(dims[i]):
-            S[at + r, start + r] = 1.0
-        at += dims[i]
-    return S
 
 
 class TestBuiltinSensors:
@@ -42,6 +25,24 @@ class TestBuiltinSensors:
         sensor = ss.builtin_sensor("range", anchor=[1.0, 2.0], noise_var=1.0)
         with pytest.raises(ss.InvalidParamsError):
             sensor.jacobian_at(np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("anchor", [[3.0], [0.0, 0.0, 0.0]], ids=["short", "long"])
+    def test_range_anchor_of_the_wrong_length_raises(self, anchor):
+        # a length-1 anchor used to broadcast against a 2-D state
+        sensor = ss.builtin_sensor("range", anchor=anchor, noise_var=1.0)
+        for evaluate in (sensor.measure_at, sensor.jacobian_at):
+            with pytest.raises(ss.InvalidParamsError, match="anchor has .* state dim 2"):
+                evaluate(np.zeros(2))
+
+    @pytest.mark.parametrize("axis", [1.7, 1.0, True, "1", None, -1],
+                             ids=["float", "integral-float", "bool", "str", "none", "negative"])
+    def test_linear_coordinate_axis_must_be_a_non_negative_integer(self, axis):
+        with pytest.raises(ss.InvalidParamsError, match="axis"):
+            ss.builtin_sensor("linear_coordinate", axis=axis, noise_var=1.0)
+
+    def test_linear_coordinate_accepts_numpy_integer_axis(self):
+        sensor = ss.builtin_sensor("linear_coordinate", axis=np.int64(1), noise_var=1.0)
+        np.testing.assert_allclose(sensor.measure_at(np.array([5.0, 7.0])), [7.0])
 
     def test_bearing_at_anchor_raises(self):
         sensor = ss.builtin_sensor("bearing", anchor=[0.5, -0.5], noise_var=1.0)
@@ -92,6 +93,17 @@ class TestBuiltinSensors:
             ss.Sensor(1, base.measure, base.jacobian, base.noise_cov, name="lc",
                       noise_overrides={key: [[9.0]]})
 
+    def test_per_step_noise_override(self):
+        base = ss.builtin_sensor("linear_coordinate", axis=0, noise_var=1.0)
+        sensor = ss.Sensor(
+            output_dim=1,
+            measure=base.measure,
+            jacobian=base.jacobian,
+            noise_cov=base.noise_cov,
+            noise_overrides={1: np.array([[9.0]])},
+        )
+        assert [sensor.noise_cov_at(k)[0, 0] for k in range(3)] == [1.0, 9.0, 1.0]
+
     def test_override_beyond_the_horizon_raises_in_make_context(self):
         base = ss.builtin_sensor("linear_coordinate", axis=0, noise_var=4.0)
         sensor = ss.Sensor(1, base.measure, base.jacobian, base.noise_cov, name="lc",
@@ -141,124 +153,19 @@ class TestSchedule:
         assert sched.sets == ((), (), ())
         assert sched.num_steps == 3
 
-    def test_with_set(self):
-        sched = ss.Schedule.empty([2, 2]).with_set(1, (1, 0))
-        assert sched.sets == ((), (0, 1))
+    @pytest.mark.parametrize("sets, budgets, message", [
+        (((1.9,),), (1.5,), "step 0 has budget 1.5"),
+        (((1.9,),), (2,), "step 0 has sensor index 1.9"),
+        (((), ("1",)), (1, 1), "step 1 has sensor index '1'"),
+        (((True,),), (1,), "step 0 has sensor index True"),
+        (((0,),), (True,), "step 0 has budget True"),
+        (((0,),), ("2",), "step 0 has budget '2'"),
+    ], ids=["float-budget", "float-index", "str-index", "bool-index", "bool-budget", "str-budget"])
+    def test_rejects_non_integers_naming_the_step(self, sets, budgets, message):
+        with pytest.raises(ss.DimensionMismatchError, match=re.escape(message)):
+            ss.Schedule(sets=sets, budgets=budgets)
 
-
-class TestStackedJacobian:
-    def test_single_linear_sensor_identity(self):
-        suite = ss.SensorSuite(
-            state_dim=1,
-            sensors=(ss.builtin_sensor("linear_coordinate", axis=0, noise_var=1.0),),
-        )
-        sched = ss.Schedule(sets=((0,), (0,)), budgets=(1, 1))
-        out = ss.stacked_jacobian(suite, sched, np.zeros(2))
-        np.testing.assert_allclose(out.assemble(), np.eye(2))
-
-    def test_empty_selection_gives_zero_row_blocks(self):
-        suite = ss.SensorSuite(
-            state_dim=2,
-            sensors=(ss.builtin_sensor("linear_coordinate", axis=0, noise_var=1.0),),
-        )
-        sched = ss.Schedule.empty([1, 1])
-        out = ss.stacked_jacobian(suite, sched, np.zeros(4))
-        assert out.row_dims == (0, 0)
-        assert out.col_dims == (2, 2)
-
-    def test_range_sensor_row(self):
-        suite = ss.SensorSuite(
-            state_dim=2,
-            sensors=(ss.builtin_sensor("range", anchor=[0.0, 0.0], noise_var=1.0),),
-        )
-        sched = ss.Schedule(sets=((0,),), budgets=(1,))
-        out = ss.stacked_jacobian(suite, sched, np.array([3.0, 4.0]))
-        np.testing.assert_allclose(out.blocks[0], [[0.6, 0.8]])
-
-    def test_wrong_linearization_length_raises(self):
-        suite = ss.SensorSuite(
-            state_dim=2,
-            sensors=(ss.builtin_sensor("linear_coordinate", axis=0, noise_var=1.0),),
-        )
-        with pytest.raises(ss.DimensionMismatchError):
-            ss.stacked_jacobian(suite, ss.Schedule.empty([1]), np.zeros(3))
-
-    def test_matches_selection_matrix_oracle(self):
-        rng = np.random.default_rng(37)
-        suite = random_suite(rng, n=2, m=4)
-        sched = ss.Schedule(sets=((1, 3), (), (0,)), budgets=(2, 2, 2))
-        lin = rng.normal(0.0, 0.5, 6)
-        got = ss.stacked_jacobian(suite, sched, lin).assemble()
-
-        # oracle: materialize per-step S_k and the full-suite jacobian stack
-        states = lin.reshape(3, 2)
-        blocks = []
-        for k, chosen in enumerate(sched.sets):
-            full = np.vstack([s.jacobian_at(states[k]) for s in suite.sensors])
-            blocks.append(selection_matrix(suite, chosen) @ full)
-        oracle = scipy.linalg.block_diag(*blocks)
-        np.testing.assert_allclose(got, oracle)
-
-
-class TestStackedNoiseCov:
-    def test_two_sensor_variances(self):
-        suite = ss.SensorSuite(
-            state_dim=1,
-            sensors=(
-                ss.builtin_sensor("linear_coordinate", axis=0, noise_var=1.0),
-                ss.builtin_sensor("linear_coordinate", axis=0, noise_var=4.0),
-            ),
-        )
-        sched = ss.Schedule(sets=((0, 1),), budgets=(2,))
-        np.testing.assert_allclose(
-            ss.stacked_noise_cov(suite, sched).assemble(), np.diag([1.0, 4.0])
-        )
-
-    def test_empty_schedule_is_zero_by_zero(self):
-        suite = ss.SensorSuite(
-            state_dim=1,
-            sensors=(ss.builtin_sensor("linear_coordinate", axis=0, noise_var=1.0),),
-        )
-        out = ss.stacked_noise_cov(suite, ss.Schedule.empty([1, 1]))
-        assert out.shape == (0, 0)
-
-    def test_matches_selection_matrix_oracle(self):
-        rng = np.random.default_rng(41)
-        suite = random_suite(rng, n=2, m=5)
-        sched = ss.Schedule(sets=((0, 2), (4,), ()), budgets=(2, 2, 2))
-        got = ss.stacked_noise_cov(suite, sched).assemble()
-
-        full_noise = scipy.linalg.block_diag(*[s.noise_cov for s in suite.sensors])
-        blocks = [
-            selection_matrix(suite, chosen) @ full_noise @ selection_matrix(suite, chosen).T
-            for chosen in sched.sets
-        ]
-        oracle = scipy.linalg.block_diag(*blocks)
-        assert oracle.shape == got.shape
-        np.testing.assert_allclose(got, oracle)
-
-    def test_inverse_equals_stacked_inverses(self):
-        # block-diagonal inverse identity used by the information form
-        rng = np.random.default_rng(43)
-        suite = random_suite(rng, n=2, m=3)
-        sched = ss.Schedule(sets=((0, 1, 2),), budgets=(3,))
-        stacked = ss.stacked_noise_cov(suite, sched).assemble()
-        inv_blocks = scipy.linalg.block_diag(
-            *[np.linalg.inv(s.noise_cov) for s in suite.sensors]
-        )
-        np.testing.assert_allclose(np.linalg.inv(stacked), inv_blocks, rtol=1e-10)
-
-    def test_per_step_noise_override(self):
-        base = ss.builtin_sensor("linear_coordinate", axis=0, noise_var=1.0)
-        sensor = ss.Sensor(
-            output_dim=1,
-            measure=base.measure,
-            jacobian=base.jacobian,
-            noise_cov=base.noise_cov,
-            noise_overrides={1: np.array([[9.0]])},
-        )
-        suite = ss.SensorSuite(state_dim=1, sensors=(sensor,))
-        sched = ss.Schedule(sets=((0,), (0,)), budgets=(1, 1))
-        np.testing.assert_allclose(
-            ss.stacked_noise_cov(suite, sched).assemble(), np.diag([1.0, 9.0])
-        )
+    def test_accepts_numpy_integers(self):
+        sched = ss.Schedule(sets=((np.int64(2), np.int32(0)),), budgets=(np.int64(2),))
+        assert sched.sets == ((0, 2),) and sched.budgets == (2,)
+        assert all(type(i) is int for i in sched.sets[0] + sched.budgets)
