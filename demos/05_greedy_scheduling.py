@@ -51,6 +51,7 @@ print(f"\nenumerated {result.num_enumerated} schedules: "
       f"OPT = {result.opt_cost:.4f}, MAX = {result.max_cost:.4f}")
 print("optimal sets:", result.opt_schedule.sets)
 
-certificate = ss.certify_bound(ctx, budgets, greedy_cost)
+# the certificate reads OPT and MAX from that one enumeration
+certificate = ss.certify_bound(result, greedy_cost)
 print(f"greedy ratio (cost - OPT)/(MAX - OPT) = {certificate.ratio:.4f}  "
       f"(guarantee: <= 0.5; holds: {certificate.holds})")

@@ -40,7 +40,6 @@ from .exhaustive import (
     EnumerationResult,
     certify_bound,
     exhaustive_optimum,
-    export_table_csv,
     num_candidate_schedules,
 )
 from .process_models import (
@@ -98,7 +97,6 @@ __all__ = [
     "conditional_entropy_precision_form",
     "densify",
     "exhaustive_optimum",
-    "export_table_csv",
     "finite_difference_jacobian",
     "greedy_schedule",
     "greedy_step_detailed",

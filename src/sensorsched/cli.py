@@ -30,7 +30,7 @@ import numpy as np
 from .blocklinalg import _cholesky
 from .entropy_oracle import conditional_entropy, make_context, map_linearization
 from .errors import ConfigError, SensorSchedError
-from .exhaustive import DEGENERATE_GAP, exhaustive_optimum
+from .exhaustive import certify_bound, exhaustive_optimum
 from .process_models import (
     GaussianPrior,
     build_dense_prior,
@@ -71,17 +71,7 @@ class Scenario:
 
     def resolved(self) -> dict:
         """Manifest payload; itself a valid config that re-runs identically."""
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "prior": self.prior,
-            "dense": self.dense,
-            "sensors": list(self.sensors),
-            "budgets": list(self.budgets),
-            "linearization": self.linearization,
-            "schedulers": list(self.schedulers),
-            "exhaustive_cap": self.exhaustive_cap,
-        }
+        return dataclasses.asdict(self)
 
 
 def _is_int(value) -> bool:
@@ -372,7 +362,6 @@ def _receding_greedy(prior, suite, budgets, lazy, seed):
     steps: list[StepTrace] = []
     ctx = None
     for k in range(K):
-        started = time.perf_counter()
         ctx = make_context(prior, suite, linearization=linearization)
         prefix = Schedule(
             sets=tuple(sets[:k]) + tuple(() for _ in range(K - k)),
@@ -395,7 +384,7 @@ def _receding_greedy(prior, suite, budgets, lazy, seed):
                 k, solution.iterations,
             )
         linearization = solution.estimate
-        steps.append(dataclasses.replace(detail, wall_s=time.perf_counter() - started))
+        steps.append(detail)
     schedule = Schedule(sets=tuple(sets), budgets=budgets)
     return schedule, GreedyTrace(steps=tuple(steps)), ctx
 
@@ -477,16 +466,9 @@ def run_scenario(
 
     with_bound = exhaustive_result is not None
     if with_bound:
-        gap = exhaustive_result.max_cost - exhaustive_result.opt_cost
         for row in rows:
-            if row["scheduler"] == "exhaustive":
-                row["bound_ratio"] = 0.0
-            elif gap <= DEGENERATE_GAP:
-                row["bound_ratio"] = 0.0
-            else:
-                row["bound_ratio"] = (
-                    row["entropy_nats"] - exhaustive_result.opt_cost
-                ) / gap
+            ratio = certify_bound(exhaustive_result, row["entropy_nats"]).ratio
+            row["bound_ratio"] = 0.0 if ratio is None else ratio
 
     results_path = out_dir / "results.csv"
     header = ["scheduler", "entropy_nats", "mutual_info_nats", "oracle_calls"]

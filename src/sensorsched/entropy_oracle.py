@@ -313,7 +313,9 @@ def mutual_information(ctx: OracleContext, schedule: Schedule) -> float:
 @dataclass(frozen=True)
 class MapEstimate:
     """Gauss-Newton MAP result; ``converged`` is False when the iteration
-    cap was hit, in which case ``estimate`` is the best iterate found."""
+    cap was hit, in which case ``estimate`` is the last iterate, which is
+    not necessarily the best one: an undamped iteration can end on one
+    side of an oscillation."""
 
     estimate: np.ndarray
     converged: bool

@@ -1,9 +1,10 @@
 """Brute-force enumeration of feasible schedules on small instances.
 
-Provides certified ground truth -- the optimal cost OPT, the worst cost
-MAX, and the resulting approximation ratio of a candidate schedule. This
-module exists to certify the greedy scheduler, not to compete with it;
-enumeration is capped and raises rather than running forever.
+Provides certified ground truth -- the optimal cost OPT and the worst
+cost MAX over every schedule with |S_k| <= s_k -- and the approximation
+ratio of a candidate schedule against them. This module exists to
+certify the greedy scheduler, not to compete with it; enumeration is
+capped and raises rather than running forever.
 
 Every schedule's cost is -1/2 logdet(P + blockdiag(Xi)) + (nK/2) log(2 pi e)
 with P the prior precision (the stored one assembled, or a covariance
@@ -26,12 +27,10 @@ walk that disagrees with it by more than EQUAL_TOL relative raises
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .errors import (
     TooLargeError,
 )
 from .process_models import LOG_TWO_PI_E
-from .sensing import Schedule
+from .sensing import Schedule, _check_budget
 
 __all__ = [
     "EnumerationResult",
@@ -52,10 +51,7 @@ __all__ = [
     "exhaustive_optimum",
     "certify_bound",
     "num_candidate_schedules",
-    "export_table_csv",
 ]
-
-Mode = Literal["exact_budget", "up_to_budget"]
 
 # Gaps below DEGENERATE_GAP mean MAX == OPT: every schedule is equivalent
 # and the only meaningful certificate is equality within EQUAL_TOL.
@@ -76,7 +72,6 @@ class EnumerationResult:
     max_cost: float
     opt_schedule: Schedule
     num_enumerated: int
-    full_table: tuple[tuple[tuple[tuple[int, ...], ...], float], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -102,22 +97,22 @@ class BoundCertificate:
         return self.ratio <= 0.5 + 1e-9
 
 
-def _step_candidates(m: int, s_k: int, mode: Mode) -> list[tuple[int, ...]]:
-    sizes = range(s_k, s_k + 1) if mode == "exact_budget" else range(0, s_k + 1)
+def _step_candidates(m: int, s_k: int) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
-    for size in sizes:
+    for size in range(s_k + 1):
         out.extend(itertools.combinations(range(m), size))
     return out
 
 
-def num_candidate_schedules(m: int, budgets: Sequence[int], mode: Mode = "up_to_budget") -> int:
-    """Number of feasible schedules the enumeration will visit."""
+def num_candidate_schedules(m: int, budgets: Sequence[int]) -> int:
+    """Number of feasible schedules the enumeration will visit.
+
+    Raises:
+        DimensionMismatchError: a budget is not an integer in [0, m].
+    """
     total = 1
-    for s_k in budgets:
-        if mode == "exact_budget":
-            total *= math.comb(m, s_k)
-        else:
-            total *= sum(math.comb(m, j) for j in range(s_k + 1))
+    for k, s_k in enumerate(budgets):
+        total *= sum(math.comb(m, j) for j in range(_check_budget(k, s_k, m) + 1))
     return total
 
 
@@ -154,60 +149,59 @@ def _walk(S: np.ndarray, logdet: np.ndarray, k: int, xi: list[np.ndarray],
     return at
 
 
+def _enumerate(ctx: OracleContext, budgets: tuple[int, ...]):
+    """Every step's candidate sets and the walk's cost of every schedule.
+
+    The costs follow ``itertools.product`` over the candidate lists:
+    lexicographic over steps, then over index sets (sizes ascending, then
+    combination order). ``budgets`` must already be checked.
+    """
+    per_step = [_step_candidates(ctx.suite.m, s_k) for s_k in budgets]
+    xi = [
+        _information_stack(ctx.info_increments[k], candidates, ctx.n)
+        for k, candidates in enumerate(per_step)
+    ]
+    logdets = np.empty(math.prod(len(c) for c in per_step))
+    _walk(ctx.prior.precision_dense()[None], np.zeros(1), 0, xi, logdets, 0)
+    costs = 0.5 * ctx.prior.dim * LOG_TWO_PI_E - 0.5 * logdets
+    if not np.isfinite(costs).all():
+        raise NotPositiveDefiniteError("enumerated log-determinant is not finite")
+    return per_step, costs
+
+
 def exhaustive_optimum(
     ctx: OracleContext,
     budgets: Sequence[int],
-    mode: Mode = "up_to_budget",
     *,
     cap: int = 10**6,
-    keep_table: bool = False,
 ) -> EnumerationResult:
-    """Evaluate the objective on every feasible schedule.
+    """Evaluate the objective on every schedule with |S_k| <= s_k.
 
-    Enumeration is lexicographic: over steps, then over index sets
-    (sizes ascending, then combination order), so the optional full table
-    is stable across runs and safe for regression comparison. Costs come
-    from the block-Cholesky walk (see the module docstring); OPT and MAX
-    are re-evaluated by ``conditional_entropy``.
+    Costs come from the block-Cholesky walk (see the module docstring);
+    OPT and MAX are re-evaluated by ``conditional_entropy``.
 
     Args:
-        mode: "up_to_budget" visits every set with |S_k| <= s_k (the
-            actual feasible region); "exact_budget" only |S_k| == s_k,
-            which is cheaper and loses nothing for minimization because
-            the objective is non-increasing in the selection.
         cap: refuse enumerations beyond this many schedules.
-        keep_table: also return every (schedule sets, cost) pair.
 
     Raises:
+        DimensionMismatchError: the budgets do not cover the horizon, or
+            one is not an integer in [0, m]; the message names the step.
         TooLargeError: the candidate count exceeds ``cap``.
         NotPositiveDefiniteError: a candidate pivot fails to factor
             (``exc.block_index`` is its step) or a cost is not finite.
         OracleInconsistencyError: the walk's OPT or MAX cost differs from
             the reference oracle's by more than EQUAL_TOL relative.
     """
-    budgets = tuple(int(b) for b in budgets)
+    budgets = tuple(_check_budget(k, b, ctx.suite.m) for k, b in enumerate(budgets))
     if len(budgets) != ctx.K:
         raise DimensionMismatchError(f"{len(budgets)} budgets for horizon {ctx.K}")
-    m = ctx.suite.m
-    total = num_candidate_schedules(m, budgets, mode)
+    total = num_candidate_schedules(ctx.suite.m, budgets)
     if total > cap:
         raise TooLargeError(
             f"{total} candidate schedules exceed the cap of {cap}; "
             "shrink the instance or sample instead"
         )
-    if total == 0:
-        raise DimensionMismatchError(f"no schedule selects exactly {budgets} of {m} sensors")
-
-    per_step = [_step_candidates(m, s_k, mode) for s_k in budgets]
-    xi = [
-        _information_stack(ctx.info_increments[k], candidates, ctx.n)
-        for k, candidates in enumerate(per_step)
-    ]
-    logdets = np.empty(total)
-    _walk(ctx.prior.precision_dense()[None], np.zeros(1), 0, xi, logdets, 0)
-    costs = 0.5 * ctx.prior.dim * LOG_TWO_PI_E - 0.5 * logdets
-    if not np.isfinite(costs).all():
-        raise NotPositiveDefiniteError("enumerated log-determinant is not finite")
+    per_step, costs = _enumerate(ctx, budgets)
 
     def reference(index: int) -> tuple[tuple[tuple[int, ...], ...], float]:
         at = np.unravel_index(index, [len(c) for c in per_step])
@@ -227,57 +221,17 @@ def exhaustive_optimum(
         max_cost=max_cost,
         opt_schedule=Schedule(sets=opt_sets, budgets=budgets),
         num_enumerated=total,
-        full_table=tuple(zip(itertools.product(*per_step), costs.tolist()))
-        if keep_table else None,
     )
 
 
-def certify_bound(
-    ctx: OracleContext,
-    budgets: Sequence[int],
-    greedy_cost: float,
-    *,
-    mode: Mode = "up_to_budget",
-    cap: int = 10**6,
-) -> BoundCertificate:
-    """Certify a schedule cost against exhaustively enumerated OPT and MAX.
-
-    Raises:
-        TooLargeError: propagated from the enumeration.
-    """
-    result = exhaustive_optimum(ctx, budgets, mode, cap=cap)
+def certify_bound(result: EnumerationResult, cost: float) -> BoundCertificate:
+    """Certify a schedule cost against an enumeration's OPT and MAX."""
     gap = result.max_cost - result.opt_cost
-    if gap <= DEGENERATE_GAP:
-        return BoundCertificate(
-            greedy_cost=greedy_cost,
-            opt_cost=result.opt_cost,
-            max_cost=result.max_cost,
-            ratio=None,
-            certified_equal=abs(greedy_cost - result.opt_cost) <= EQUAL_TOL,
-        )
+    degenerate = gap <= DEGENERATE_GAP
     return BoundCertificate(
-        greedy_cost=greedy_cost,
+        greedy_cost=cost,
         opt_cost=result.opt_cost,
         max_cost=result.max_cost,
-        ratio=(greedy_cost - result.opt_cost) / gap,
-        certified_equal=False,
+        ratio=None if degenerate else (cost - result.opt_cost) / gap,
+        certified_equal=degenerate and abs(cost - result.opt_cost) <= EQUAL_TOL,
     )
-
-
-def export_table_csv(result: EnumerationResult, path: str | Path) -> None:
-    """Write the full enumeration table as CSV.
-
-    One row per schedule: per-step columns ``set_k`` holding the sorted
-    selected indices joined by ';' (empty for no selection), then the
-    cost in nats with 12 significant digits.
-    """
-    if result.full_table is None:
-        raise ValueError("enumeration was run without keep_table=True")
-    K = result.opt_schedule.num_steps
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([f"set_{k}" for k in range(K)] + ["cost_nats"])
-        for sets, cost in result.full_table:
-            writer.writerow(
-                [";".join(str(i) for i in s) for s in sets] + [f"{cost:.12g}"]
-            )

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .entropy_oracle import OracleContext, conditional_entropy
 from .errors import DimensionMismatchError, OracleInconsistencyError
-from .sensing import Schedule, _step_integer
+from .sensing import Schedule, _check_budget
 
 __all__ = [
     "StepTrace",
@@ -45,13 +44,12 @@ _GAIN_SLACK = 1e-8
 
 @dataclass(frozen=True)
 class StepTrace:
-    """One step of a greedy run: picks in order, their gains, and costs."""
+    """One step of a greedy run: picks in order, their gains, and oracle calls."""
 
     step: int
     chosen: tuple[int, ...]
     gains: tuple[float, ...]
     oracle_calls: int
-    wall_s: float
 
 
 @dataclass(frozen=True)
@@ -71,10 +69,6 @@ class GreedyTrace:
     def total_oracle_calls(self) -> int:
         return sum(s.oracle_calls for s in self.steps)
 
-    @property
-    def total_wall_s(self) -> float:
-        return sum(s.wall_s for s in self.steps)
-
     def picks(self) -> Iterator[tuple[int, int, int, float]]:
         """Yield (step, pick_order, sensor, gain) over all picks."""
         for s in self.steps:
@@ -93,31 +87,21 @@ def _clamp_gain(gain: float, k: int, i: int) -> float:
     return max(gain, 0.0)
 
 
-def _check_budget(k: int, s_k: int, m: int) -> int:
-    """Step k's budget as an int; a bool, float or string is rejected."""
-    s_k = _step_integer(k, "budget", s_k)
-    if s_k < 0:
-        raise DimensionMismatchError(f"budget {s_k} at step {k} is negative")
-    if s_k > m:
-        raise DimensionMismatchError(f"budget {s_k} at step {k} exceeds the {m} sensors")
-    return s_k
-
-
 def _sets_with(sets, k, new_set):
     out = list(sets)
     out[k] = tuple(sorted(new_set))
     return tuple(out)
 
 
-def _select(ctx, sets, budgets, k, s_k, base, lazy, allow_zero_gain):
+def _select(ctx, sets, budgets, k, s_k, base, lazy):
     """Greedy selection at step k; returns (trace, base after the picks).
 
     Candidates sit in a max-heap of (-gain, sensor, entropy). After each
     pick the eager policy re-evaluates every remaining candidate; the lazy
     policy marks them stale and re-evaluates a stale entry only when it
     reaches the top, re-inserting it unless it still beats the next one.
+    The step stops at its first non-positive gain.
     """
-    started = time.perf_counter()
     calls = 0
     chosen: list[int] = []
     gains: list[float] = []
@@ -142,24 +126,17 @@ def _select(ctx, sets, budgets, k, s_k, base, lazy, allow_zero_gain):
                 continue
         neg_gain, i, H = top
         gain = -neg_gain
-        if gain <= 0.0 and not allow_zero_gain:
+        if gain <= 0.0:
             break
         chosen.append(i)
         gains.append(gain)
-        base = min(H, base)  # clamped zero gains keep the base monotone
+        base = H
         if lazy:
             stale = {j for _, j, _ in heap}
         elif len(chosen) < s_k:
             heap = [entry(j) for j in sorted(j for _, j, _ in heap)]
             heapq.heapify(heap)
-    trace = StepTrace(
-        step=k,
-        chosen=tuple(chosen),
-        gains=tuple(gains),
-        oracle_calls=calls,
-        wall_s=time.perf_counter() - started,
-    )
-    return trace, base
+    return StepTrace(step=k, chosen=tuple(chosen), gains=tuple(gains), oracle_calls=calls), base
 
 
 def greedy_step_detailed(
@@ -169,7 +146,6 @@ def greedy_step_detailed(
     s_k: int,
     *,
     lazy: bool = False,
-    allow_zero_gain: bool = False,
 ) -> StepTrace:
     """Run one within-step greedy selection and return its full trace.
 
@@ -192,15 +168,12 @@ def greedy_step_detailed(
     ]
     budgets[k] = max(budgets[k], s_k)
     budgets = tuple(budgets)
-    started = time.perf_counter()
     evaluated = any(sets)
     base = ctx.prior_entropy
     if evaluated:
         base = conditional_entropy(ctx, Schedule._unchecked(sets, budgets))
-    trace, _ = _select(ctx, sets, budgets, k, s_k, base, lazy, allow_zero_gain)
-    return replace(
-        trace, oracle_calls=trace.oracle_calls + int(evaluated), wall_s=time.perf_counter() - started
-    )
+    trace, _ = _select(ctx, sets, budgets, k, s_k, base, lazy)
+    return replace(trace, oracle_calls=trace.oracle_calls + int(evaluated))
 
 
 def greedy_schedule(
@@ -208,7 +181,6 @@ def greedy_schedule(
     budgets: Sequence[int],
     *,
     lazy: bool = False,
-    allow_zero_gain: bool = False,
 ) -> tuple[Schedule, GreedyTrace]:
     """Full-horizon greedy schedule under per-step budgets.
 
@@ -219,8 +191,6 @@ def greedy_schedule(
     Args:
         budgets: K per-step selection budgets, each <= m.
         lazy: use the lazy-evaluation variant (identical output).
-        allow_zero_gain: keep filling a step's budget with zero-gain
-            sensors instead of stopping at the first non-positive gain.
 
     Returns:
         (schedule, trace) with per-step picks, gains and call counts.
@@ -236,7 +206,7 @@ def greedy_schedule(
     base = ctx.prior_entropy
     steps: list[StepTrace] = []
     for k in range(ctx.K):
-        trace, base = _select(ctx, sets, budgets, k, budgets[k], base, lazy, allow_zero_gain)
+        trace, base = _select(ctx, sets, budgets, k, budgets[k], base, lazy)
         sets = _sets_with(sets, k, trace.chosen)
         steps.append(trace)
     return Schedule(sets=sets, budgets=budgets), GreedyTrace(steps=tuple(steps))

@@ -39,6 +39,16 @@ def _step_integer(k: int, what: str, value) -> int:
     return int(value)
 
 
+def _check_budget(k: int, s_k, m: int) -> int:
+    """Step k's budget as an int in [0, m]; a bool, float or string is rejected."""
+    s_k = _step_integer(k, "budget", s_k)
+    if s_k < 0:
+        raise DimensionMismatchError(f"budget {s_k} at step {k} is negative")
+    if s_k > m:
+        raise DimensionMismatchError(f"budget {s_k} at step {k} exceeds the {m} sensors")
+    return s_k
+
+
 @dataclass(frozen=True)
 class Sensor:
     """One nonlinear sensor: measurement map, Jacobian, Gaussian noise.

@@ -99,7 +99,7 @@ def enumerable_instances():
         eager_schedule, eager_trace = ss.greedy_schedule(ctx, budgets)
         lazy_schedule, lazy_trace = ss.greedy_schedule(ctx, budgets, lazy=True)
         cert = ss.certify_bound(
-            ctx, budgets, ss.conditional_entropy(ctx, eager_schedule)
+            ss.exhaustive_optimum(ctx, budgets), ss.conditional_entropy(ctx, eager_schedule)
         )
         instances.append(
             {

@@ -1,5 +1,6 @@
 """The public API: one exported name per job, and nothing removed creeping back."""
 
+import dataclasses
 import importlib
 import inspect
 
@@ -38,7 +39,6 @@ PUBLIC_NAMES = [
     "conditional_entropy_precision_form",
     "densify",
     "exhaustive_optimum",
-    "export_table_csv",
     "finite_difference_jacobian",
     "greedy_schedule",
     "greedy_step_detailed",
@@ -64,8 +64,9 @@ SUBMODULES = [
     "sensing",
 ]
 
-# a block-diagonal stacking path that only tests used, a schedule editor
-# and two per-step greedy wrappers around greedy_step_detailed
+# a block-diagonal stacking path that only tests used, a schedule editor,
+# two per-step greedy wrappers around greedy_step_detailed and the CSV
+# export of a full enumeration table
 REMOVED_NAMES = [
     "BlockDiagonalMatrix",
     "add_block_diagonal",
@@ -73,12 +74,28 @@ REMOVED_NAMES = [
     "stacked_noise_cov",
     "greedy_step",
     "lazy_greedy_step",
+    "export_table_csv",
 ]
+
+# the parameters of each function, all of which a program outside the tests sets
+SIGNATURES = {
+    "certify_bound": ["result", "cost"],
+    "exhaustive_optimum": ["ctx", "budgets", "cap"],
+    "num_candidate_schedules": ["m", "budgets"],
+    "greedy_schedule": ["ctx", "budgets", "lazy"],
+    "greedy_step_detailed": ["ctx", "fixed_prefix", "k", "s_k", "lazy"],
+}
+
+# the fields of each result type: no full enumeration table, no wall time
+FIELDS = {
+    "EnumerationResult": ["opt_cost", "max_cost", "opt_schedule", "num_enumerated"],
+    "StepTrace": ["step", "chosen", "gains", "oracle_calls"],
+}
 
 
 def test_exported_names_are_pinned():
     assert sorted(ss.__all__) == PUBLIC_NAMES
-    assert len(set(ss.__all__)) == len(ss.__all__) == 45
+    assert len(set(ss.__all__)) == len(ss.__all__) == 44
 
 
 def test_every_exported_name_resolves():
@@ -113,3 +130,17 @@ def test_removed_name_is_gone(name):
 
 def test_schedule_has_no_with_set():
     assert not hasattr(ss.Schedule, "with_set")
+
+
+@pytest.mark.parametrize("name", list(SIGNATURES))
+def test_parameters_are_pinned(name):
+    assert list(inspect.signature(getattr(ss, name)).parameters) == SIGNATURES[name]
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_result_fields_are_pinned(name):
+    assert [f.name for f in dataclasses.fields(getattr(ss, name))] == FIELDS[name]
+
+
+def test_greedy_trace_has_no_total_wall_time():
+    assert not hasattr(ss.GreedyTrace, "total_wall_s")

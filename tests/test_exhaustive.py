@@ -1,6 +1,5 @@
-"""Exhaustive enumeration: counts, optima, certificates, CSV export."""
+"""Exhaustive enumeration: counts, optima, certificates."""
 
-import csv
 import dataclasses
 import itertools
 import math
@@ -14,15 +13,14 @@ import sensorsched as ss
 from conftest import random_instance, random_prior, random_suite
 
 
-def naive_enumeration(ctx, budgets, mode="up_to_budget"):
+def naive_enumeration(ctx, budgets):
     """Straightforward independent re-implementation of the enumeration:
     every (sets, cost) pair in lexicographic order, each cost one full
     reference oracle call."""
     step_options = []
     for s_k in budgets:
-        sizes = [s_k] if mode == "exact_budget" else range(s_k + 1)
         opts = []
-        for size in sizes:
+        for size in range(s_k + 1):
             opts.extend(itertools.combinations(range(ctx.suite.m), size))
         step_options.append(opts)
     return [
@@ -80,11 +78,6 @@ class TestExhaustiveOptimum:
         assert up_to.num_enumerated == per_step(2) * per_step(1)
         assert up_to.num_enumerated == ss.num_candidate_schedules(4, [2, 1])
 
-        exact = ss.exhaustive_optimum(ctx, [2, 1], mode="exact_budget")
-        assert exact.num_enumerated == math.comb(4, 2) * math.comb(4, 1)
-        with pytest.raises(ss.DimensionMismatchError, match="no schedule"):
-            ss.exhaustive_optimum(ctx, [5, 1], mode="exact_budget")
-
     def test_matches_independent_reimplementation(self):
         prior, suite = random_instance(93, n=1, K=2, m=4, kind="tracking")
         ctx = ss.make_context(prior, suite)
@@ -97,16 +90,18 @@ class TestExhaustiveOptimum:
         assert res.opt_schedule.sets == table[costs.index(min(costs))][0]
 
     @settings(max_examples=60)
-    @given(enumerable_instances(), st.sampled_from(["up_to_budget", "exact_budget"]))
-    def test_walk_matches_naive_enumeration(self, instance, mode):
+    @given(enumerable_instances())
+    def test_walk_matches_naive_enumeration(self, instance):
         ctx, budgets = instance
-        table = naive_enumeration(ctx, budgets, mode)
-        res = ss.exhaustive_optimum(ctx, budgets, mode, keep_table=True)
-        assert [sets for sets, _ in res.full_table] == [sets for sets, _ in table]
-        for (_, walked), (_, ref) in zip(res.full_table, table):
-            assert walked == pytest.approx(ref, rel=1e-9)
+        table = naive_enumeration(ctx, budgets)
+        res = ss.exhaustive_optimum(ctx, budgets)
+        # the candidate sets and walk costs exhaustive_optimum itself ranks
+        per_step, walked = ss.exhaustive._enumerate(ctx, budgets)
+        walked = walked.tolist()
+        assert list(itertools.product(*per_step)) == [sets for sets, _ in table]
+        for cost, (_, ref) in zip(walked, table):
+            assert cost == pytest.approx(ref, rel=1e-9)
         costs = [c for _, c in table]
-        walked = [c for _, c in res.full_table]
         lo, hi = costs.index(min(costs)), costs.index(max(costs))
         assert res.opt_cost == costs[lo] and res.max_cost == costs[hi]
         assert res.opt_schedule.sets == table[lo][0]
@@ -162,13 +157,14 @@ class TestCertifyBound:
     def test_greedy_is_within_half_the_range(self, instance):
         ctx, budgets = instance
         schedule, _ = ss.greedy_schedule(ctx, budgets)
-        assert ss.certify_bound(ctx, budgets, ss.conditional_entropy(ctx, schedule)).holds
+        result = ss.exhaustive_optimum(ctx, budgets)
+        assert ss.certify_bound(result, ss.conditional_entropy(ctx, schedule)).holds
 
     def test_greedy_at_opt_gives_zero_ratio(self):
         prior, suite = random_instance(97, n=1, K=2, m=3)
         ctx = ss.make_context(prior, suite)
         res = ss.exhaustive_optimum(ctx, [2, 2])
-        cert = ss.certify_bound(ctx, [2, 2], res.opt_cost)
+        cert = ss.certify_bound(res, res.opt_cost)
         assert cert.ratio == pytest.approx(0.0, abs=1e-12)
         assert cert.holds
 
@@ -177,7 +173,7 @@ class TestCertifyBound:
         ctx = ss.make_context(prior, suite)
         res = ss.exhaustive_optimum(ctx, [2, 2])
         assert res.max_cost > res.opt_cost + 1e-9
-        cert = ss.certify_bound(ctx, [2, 2], res.max_cost)
+        cert = ss.certify_bound(res, res.max_cost)
         assert cert.ratio == pytest.approx(1.0, abs=1e-12)
         assert not cert.holds
 
@@ -192,39 +188,13 @@ class TestCertifyBound:
         )
         suite = ss.SensorSuite(state_dim=1, sensors=(null,))
         ctx = ss.make_context(prior, suite)
-        cert = ss.certify_bound(ctx, [1], ctx.prior_entropy)
+        res = ss.exhaustive_optimum(ctx, [1])
+        cert = ss.certify_bound(res, ctx.prior_entropy)
         assert cert.ratio is None
         assert cert.certified_equal
         assert cert.holds
 
-        off = ss.certify_bound(ctx, [1], ctx.prior_entropy + 1.0)
+        off = ss.certify_bound(res, ctx.prior_entropy + 1.0)
         assert not off.certified_equal
         assert not off.holds
 
-
-class TestExportTable:
-    def test_csv_round_trip(self, tmp_path):
-        prior, suite = random_instance(100, n=1, K=2, m=2)
-        ctx = ss.make_context(prior, suite)
-        res = ss.exhaustive_optimum(ctx, [1, 2], keep_table=True)
-        path = tmp_path / "table.csv"
-        ss.export_table_csv(res, path)
-
-        with open(path) as f:
-            rows = list(csv.reader(f))
-        assert rows[0] == ["set_0", "set_1", "cost_nats"]
-        assert len(rows) - 1 == res.num_enumerated
-        # first enumerated schedule is all-empty, its cost is the prior entropy
-        assert rows[1][0] == "" and rows[1][1] == ""
-        assert float(rows[1][2]) == pytest.approx(ctx.prior_entropy, rel=1e-11)
-        # stable lexicographic order: re-export matches byte for byte
-        path2 = tmp_path / "table2.csv"
-        ss.export_table_csv(res, path2)
-        assert path.read_bytes() == path2.read_bytes()
-
-    def test_export_without_table_raises(self):
-        prior, suite = random_instance(101, n=1, K=1, m=1)
-        ctx = ss.make_context(prior, suite)
-        res = ss.exhaustive_optimum(ctx, [1])
-        with pytest.raises(ValueError):
-            ss.export_table_csv(res, "/tmp/nope.csv")

@@ -84,7 +84,8 @@ class TestGreedySchedule:
         prior, suite = random_instance(62, n=1, K=2, m=4, kind="tracking")
         ctx = ss.make_context(prior, suite)
         schedule, _ = ss.greedy_schedule(ctx, [2, 2])
-        cert = ss.certify_bound(ctx, [2, 2], ss.conditional_entropy(ctx, schedule))
+        result = ss.exhaustive_optimum(ctx, [2, 2])
+        cert = ss.certify_bound(result, ss.conditional_entropy(ctx, schedule))
         assert cert.holds
         assert cert.ratio is None or cert.ratio <= 0.5 + 1e-9
 
@@ -95,7 +96,8 @@ class TestGreedySchedule:
             ss.greedy_schedule(ctx, [1, 1])
 
 
-# every entry point that takes a budget, called with budget b at step 1
+# every entry point that takes a budget, called with budget b at step 1 of a
+# three-sensor instance
 BUDGET_CALLS = {
     "greedy_step_detailed": lambda ctx, prefix, b: ss.greedy_step_detailed(ctx, prefix, 1, b),
     "lazy_greedy_step_detailed": lambda ctx, prefix, b: ss.greedy_step_detailed(
@@ -103,6 +105,8 @@ BUDGET_CALLS = {
     ),
     "greedy_schedule": lambda ctx, prefix, b: ss.greedy_schedule(ctx, [1, b]),
     "random_schedule": lambda ctx, prefix, b: ss.random_schedule([1, b], m=3, seed=0),
+    "exhaustive_optimum": lambda ctx, prefix, b: ss.exhaustive_optimum(ctx, [1, b]),
+    "num_candidate_schedules": lambda ctx, prefix, b: ss.num_candidate_schedules(3, [1, b]),
 }
 
 
@@ -116,8 +120,18 @@ def test_negative_budget_raises_naming_step_before_any_oracle_call(monkeypatch, 
         raise AssertionError("oracle called before the budget was checked")
 
     monkeypatch.setattr("sensorsched.scheduler.conditional_entropy", no_oracle)
+    monkeypatch.setattr("sensorsched.exhaustive.conditional_entropy", no_oracle)
     with pytest.raises(ss.DimensionMismatchError, match="budget -1 at step 1"):
         BUDGET_CALLS[name](ctx, prefix, -1)
+
+
+@pytest.mark.parametrize("name", list(BUDGET_CALLS))
+def test_budget_above_m_raises_naming_step(name):
+    prior, suite = random_instance(65, K=2, m=3)
+    ctx = ss.make_context(prior, suite)
+    prefix = ss.Schedule(sets=((0,), ()), budgets=(1, 1))
+    with pytest.raises(ss.DimensionMismatchError, match="budget 4 at step 1 exceeds the 3 sensors"):
+        BUDGET_CALLS[name](ctx, prefix, 4)
 
 
 @pytest.mark.parametrize("budget", [1.9, True, "1"], ids=["float", "bool", "str"])
@@ -157,11 +171,8 @@ class TestGreedyStep:
         best = min(table, key=lambda i: (table[i], i))
         assert out == (best,)
 
-    def test_zero_gain_stops_by_default_and_fills_when_asked(self):
-        # sensor 1 reads a coordinate with no uncertainty contribution:
-        # its gain is zero once sensor 0 is taken... build instead a
-        # duplicate-measurement case where the second copy still helps, so
-        # use a sensor whose jacobian is exactly zero for a true zero gain
+    def test_zero_gain_stops_the_step(self):
+        # a sensor whose jacobian is exactly zero has a true zero gain
         prior, _ = random_instance(74, n=1, K=1, kind="tracking")
         null = ss.Sensor(
             output_dim=1,
@@ -175,11 +186,6 @@ class TestGreedyStep:
 
         stopped = ss.greedy_step_detailed(ctx, ss.Schedule.empty([2]), 0, 2)
         assert stopped.chosen == (0,)
-
-        filled = ss.greedy_step_detailed(
-            ctx, ss.Schedule.empty([2]), 0, 2, allow_zero_gain=True
-        )
-        assert filled.chosen == (0, 1)
 
     def test_inconsistent_oracle_raises_diagnostic(self, monkeypatch):
         prior, suite = random_instance(75, K=3, m=2)
@@ -201,7 +207,7 @@ class TestGreedyStep:
             "sensorsched.scheduler.conditional_entropy", lambda _ctx, _schedule: math.nan
         )
         with pytest.raises(ss.OracleInconsistencyError, match="step 0, sensor 0"):
-            ss.greedy_schedule(ctx, [1] * prior.K, lazy=lazy, allow_zero_gain=True)
+            ss.greedy_schedule(ctx, [1] * prior.K, lazy=lazy)
 
 class TestLazyGreedy:
     def test_identical_output_to_eager(self):
@@ -244,20 +250,17 @@ class TestLazyGreedy:
 
 @st.composite
 def greedy_instances(draw):
-    """A small random instance, per-step budgets and the zero-gain rule."""
+    """A small random instance and per-step budgets."""
     prior, suite = random_instance(draw(st.integers(0, 2**20)))
     budgets = draw(st.lists(st.integers(0, suite.m), min_size=prior.K, max_size=prior.K))
-    return ss.make_context(prior, suite), budgets, draw(st.booleans())
+    return ss.make_context(prior, suite), budgets
 
 
 @settings(max_examples=60)
 @given(greedy_instances())
 def test_lazy_equals_eager(instance):
-    ctx, budgets, allow_zero_gain = instance
-    runs = {
-        lazy: ss.greedy_schedule(ctx, budgets, lazy=lazy, allow_zero_gain=allow_zero_gain)
-        for lazy in (False, True)
-    }
+    ctx, budgets = instance
+    runs = {lazy: ss.greedy_schedule(ctx, budgets, lazy=lazy) for lazy in (False, True)}
     (eager, eager_trace), (lazy, lazy_trace) = runs[False], runs[True]
     assert eager.sets == lazy.sets
     m = ctx.suite.m
@@ -270,8 +273,7 @@ def test_lazy_equals_eager(instance):
     for policy, (schedule, trace) in runs.items():
         for step in trace.steps:
             detail = ss.greedy_step_detailed(
-                ctx, schedule, step.step, budgets[step.step],
-                lazy=policy, allow_zero_gain=allow_zero_gain,
+                ctx, schedule, step.step, budgets[step.step], lazy=policy
             )
             assert (detail.chosen, detail.gains) == (step.chosen, step.gains)
 
