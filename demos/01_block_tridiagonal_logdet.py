@@ -1,7 +1,7 @@
 """Block-tridiagonal log-determinants: exact, and linear in the horizon.
 
 Builds symmetric positive definite block-tridiagonal matrices, compares
-the pivot-recursion log-determinant with a dense factorization, and shows
+the banded log-determinant with a dense factorization, and shows
 the wall-clock growing linearly in the number of blocks while the dense
 route grows much faster.
 """
@@ -28,7 +28,7 @@ def random_spd_block_tridiag(rng, n, K):
 
 rng = np.random.default_rng(0)
 
-# correctness: the sparse recursion reproduces the dense log-determinant
+# correctness: the banded factorization reproduces the dense log-determinant
 M, dense = random_spd_block_tridiag(rng, n=3, K=6)
 sparse_val = ss.logdet_block_tridiagonal(M)
 dense_val = ss.logdet_dense(dense)
@@ -43,7 +43,7 @@ try:
 except ss.NotPositiveDefiniteError as exc:
     print(f"indefinite input raises: {exc}")
 
-# scaling: per-matrix time grows ~linearly in K for the recursion,
+# scaling: per-matrix time grows ~linearly in K for the banded factorization,
 # ~cubically for the dense factorization
 print("\n   K   sparse-ms   dense-ms")
 for K in (50, 100, 200, 400):

@@ -1,43 +1,47 @@
 """Symmetric block-structured linear algebra.
 
 Log-determinants and linear solves for symmetric block-tridiagonal
-matrices. Both run a Schur-complement pivot recursion
+matrices. A block-tridiagonal matrix with p x p blocks is a band matrix
+of half-bandwidth 2p - 1, so both write the blocks into LAPACK band
+storage and factor it with one ``dpbtrf`` call, whose cost is linear in
+the number of blocks. The factor's diagonal blocks are the Cholesky
+factors of the Schur pivots D_1 = B_1, D_k = B_k - C_k D_{k-1}^{-1} C_k^T.
+Blocks of varying size are padded to the largest one. Dense fallbacks
+are provided for everything. All values are natural-log (nats).
 
-    D_1 = B_1,   D_k = B_k - C_k D_{k-1}^{-1} C_k^T,
+Every SPD factorization in the package happens here: in the one banded
+factorization, the one dense Cholesky, which also factors each sensor
+noise covariance once, when the sensor is built, or the stacked Cholesky
+with which exhaustive enumeration factors every candidate pivot of a step
+at once. The first two call LAPACK directly (``dpbtrf``, ``dpbtrs``,
+``dpotrf``, ``dpotrs`` from ``scipy.linalg.lapack``), because at these
+sizes the checks and dispatch of the higher-level wrappers cost several
+times the factorization itself; the stack goes through
+``np.linalg.cholesky``, which pays that dispatch once for the whole
+stack. Inputs are not checked for finiteness on the way in; a
+log-determinant takes one ``log`` over all factor diagonals and checks
+the sum once, so NaN or infinite input either fails a factorization or
+makes that sum non-finite.
 
-so their cost is linear in the number of blocks; dense fallbacks are
-provided for everything. All values are natural-log (nats).
-
-Every SPD factorization in the package happens here: in the one pivot
-recursion, the one dense Cholesky, which also factors each sensor noise
-covariance once, when the sensor is built, or the stacked Cholesky with
-which exhaustive enumeration factors every candidate pivot of a step at
-once. The first two call LAPACK directly (``dpotrf``, ``dtrtrs``,
-``dpotrs`` from ``scipy.linalg.lapack``), because at pivot-block sizes
-the checks and dispatch of the higher-level wrappers cost several times
-the factorization itself; the stack goes through ``np.linalg.cholesky``,
-which pays that dispatch once for the whole stack. Inputs are not
-checked for finiteness on the way in; a log-determinant takes one ``log``
-over all factor diagonals and checks the sum once, so NaN or infinite
-input either fails a factorization or makes that sum non-finite.
-
-Failure contract: a positive LAPACK ``info`` from ``dpotrf`` means the
-matrix is not positive definite and raises ``NotPositiveDefiniteError``
-whose ``.pivot`` is the unfactored pivot block or dense matrix (the first
-failing one of a stack) and whose ``.block_index`` is the failing pivot's
-index (None for dense matrices);
-a non-finite log-determinant raises it with both None. Any other nonzero
-``info`` is an illegal call, an internal error, and raises RuntimeError.
+Failure contract: a positive LAPACK ``info`` from ``dpbtrf`` or
+``dpotrf`` means the matrix is not positive definite and raises
+``NotPositiveDefiniteError`` whose ``.pivot`` is the unfactored Schur
+pivot of the failing block, or the dense matrix (the first failing one
+of a stack), and whose ``.block_index`` is the failing block's index
+(None for dense matrices); a non-finite log-determinant raises it with
+both None. Any other nonzero ``info`` is an illegal call, an internal
+error, and raises RuntimeError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtrtrs
 
 from .errors import DimensionMismatchError, NotPositiveDefiniteError
 
@@ -63,6 +67,8 @@ class BlockTridiagonalMatrix:
     Only the upper off-diagonal blocks are stored: block (k, k+1) is
     ``offdiag_blocks[k]`` and block (k+1, k) is its transpose. Diagonal
     blocks are symmetrized once here and never re-checked by operations.
+    The blocks are read-only views of two stacks, (K, n, n) and
+    (K - 1, n, n), which the kernels read whole.
     """
 
     diag_blocks: tuple[np.ndarray, ...]
@@ -89,10 +95,13 @@ class BlockTridiagonalMatrix:
                 raise DimensionMismatchError(
                     f"off-diagonal block {k} has shape {b.shape}, expected ({n}, {n})"
                 )
-        object.__setattr__(
-            self, "diag_blocks", tuple(_frozen_array(0.5 * (b + b.T)) for b in diag)
-        )
-        object.__setattr__(self, "offdiag_blocks", tuple(_frozen_array(b) for b in off))
+        diag_stack = np.array(diag)
+        diag_stack = _frozen_array(0.5 * (diag_stack + diag_stack.transpose(0, 2, 1)))
+        offdiag_stack = _frozen_array(off).reshape(len(off), n, n)
+        object.__setattr__(self, "diag_blocks", tuple(diag_stack))
+        object.__setattr__(self, "offdiag_blocks", tuple(offdiag_stack))
+        object.__setattr__(self, "_diag_stack", diag_stack)
+        object.__setattr__(self, "_offdiag_stack", offdiag_stack)
 
     @property
     def block_dim(self) -> int:
@@ -249,68 +258,167 @@ def logdet_dense(M: np.ndarray) -> float:
     return _logdet_dense(A)
 
 
-def _pivot_factors(
-    diag_blocks: Sequence[np.ndarray], offdiag_blocks: Sequence[np.ndarray]
-) -> list[np.ndarray]:
-    """Lower Cholesky factors of the Schur pivots D_k, one per diagonal block.
+@functools.lru_cache(maxsize=32)
+def _band_positions(K: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where K diagonal and K - 1 coupling blocks of size p go in band storage.
 
-    Per block one ``_trtrs`` gives X = L_{k-1}^-1 C_k and one ``dpotrf``
-    factors D_k = B_k - X^T X. A 0 x 0 block yields a 0 x 0 factor and
-    decouples its neighbours.
+    The band array is C-ordered (K p, 2p): its row j holds column j of the
+    lower triangle from the diagonal down, which is LAPACK's lower band
+    storage transposed. Entry (r, c), r >= c, of diagonal block k is matrix
+    entry (kp + r, kp + c); entry (r, c) of coupling block k, block
+    (k, k+1), is matrix entry ((k+1)p + c, kp + r) below the diagonal.
+    Returns the flat band positions of the diagonal blocks' lower
+    triangles, their flat positions in the (K, p, p) stack, and the flat
+    band positions of the whole (K - 1, p, p) coupling stack.
     """
-    chols: list[np.ndarray] = []
-    for k, D in enumerate(diag_blocks):
-        if k and chols[-1].shape[0] and D.shape[0]:
-            X = _trtrs(chols[-1], offdiag_blocks[k - 1])
-            D = D - X.T @ X
-        if D.shape[0]:
-            L, info = dpotrf(D, lower=1)
-            if info > 0:
-                raise NotPositiveDefiniteError(
-                    f"pivot block {k} is not positive definite", D, k
-                )
-            if info:
-                raise _lapack_error("dpotrf", info)
-            D = L
-        chols.append(D)
-    return chols
+    k, r, c = np.meshgrid(np.arange(K), np.arange(p), np.arange(p), indexing="ij")
+    lower = (r >= c).reshape(-1)
+    positions = (
+        ((k * p + c) * 2 * p + r - c).reshape(-1)[lower],
+        np.flatnonzero(lower),
+        ((k * p + r) * 2 * p + p + c - r)[:-1].reshape(-1),
+    )
+    for a in positions:
+        a.setflags(write=False)
+    return positions
+
+
+def _schur_pivot(
+    factor: np.ndarray, diag: np.ndarray, coupling: np.ndarray, j: int
+) -> np.ndarray:
+    """The unfactored pivot D_j = B_j - X^T X with X = L_{j-1}^-1 C_{j-1}.
+
+    X^T is the factor's block (j, j-1). It is rebuilt from the diagonal
+    block L_{j-1} of the band factor, whose columns ``dpbtrf`` has
+    completed before it reaches block j. Block (j, j-1) itself is not
+    read: on wide bands ``dpbtrf`` works in panels and leaves the rows
+    below a failing panel unwritten.
+    """
+    if not j:
+        return diag[0]
+    p = diag.shape[1]
+    r, c = np.tril_indices(p)
+    L = np.zeros((p, p))
+    L[r, c] = factor[r - c, (j - 1) * p + c]
+    X = _trtrs(L, coupling[j - 1])
+    return diag[j] - X.T @ X
+
+
+def _band_factor(
+    diag: np.ndarray, coupling: np.ndarray, sizes: Sequence[int] | None = None
+) -> np.ndarray:
+    """Band Cholesky factor of a block-tridiagonal matrix: the one factorization.
+
+    ``diag`` is the (K, p, p) stack of diagonal blocks, of which only the
+    lower triangles are read, and ``coupling`` the (K - 1, p, p) stack of
+    blocks (k, k+1). The matrix is a band matrix of half-bandwidth 2p - 1,
+    factored by one ``dpbtrf`` call. Returns the factor in LAPACK lower
+    band storage, (2p, K p): row 0 is its diagonal. ``sizes`` are the
+    caller's block sizes when ``_padded`` made the stacks; a failing pivot
+    is cut back to its block's size.
+    """
+    K, p = diag.shape[:2]
+    to_diag, from_diag, to_coupling = _band_positions(K, p)
+    band = np.zeros((K * p, 2 * p))
+    flat = band.reshape(-1)
+    flat[to_diag] = diag.reshape(-1)[from_diag]
+    flat[to_coupling] = coupling.reshape(-1)
+    factor, info = dpbtrf(band.T, lower=1, overwrite_ab=1)
+    if info > 0:
+        j = (info - 1) // p
+        size = p if sizes is None else sizes[j]
+        pivot = _schur_pivot(factor, diag, coupling, j)[:size, :size]
+        raise NotPositiveDefiniteError(f"pivot block {j} is not positive definite", pivot, j)
+    if info:
+        raise _lapack_error("dpbtrf", info)
+    return factor
+
+
+def _padded(
+    diag_blocks: Sequence[np.ndarray], offdiag_blocks: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Block lists of varying sizes as stacks padded to the largest size p.
+
+    A padded unknown gets a unit diagonal entry and no coupling, so it
+    factors to exactly 1 and leaves the log-determinant unchanged. Returns
+    the diagonal stack, the coupling stack and the caller's block sizes.
+    """
+    sizes = [np.shape(B)[0] for B in diag_blocks]
+    K, p = len(sizes), max(sizes, default=0)
+    if len(offdiag_blocks) != max(K - 1, 0):
+        raise DimensionMismatchError(
+            f"{K} diagonal blocks need {max(K - 1, 0)} off-diagonal blocks, "
+            f"got {len(offdiag_blocks)}"
+        )
+    diag = np.zeros((K, p, p))
+    diag[:, range(p), range(p)] = 1.0
+    coupling = np.zeros((max(K - 1, 0), p, p))
+    for k, B in enumerate(diag_blocks):
+        diag[k, :sizes[k], :sizes[k]] = B
+    for k, C in enumerate(offdiag_blocks):
+        if np.shape(C) != (sizes[k], sizes[k + 1]):
+            raise DimensionMismatchError(
+                f"off-diagonal block {k} has shape {np.shape(C)}, "
+                f"expected ({sizes[k]}, {sizes[k + 1]})"
+            )
+        coupling[k, :sizes[k], :sizes[k + 1]] = C
+    return diag, coupling, sizes
 
 
 def logdet_block_tridiagonal_blocks(
-    diag_blocks: Sequence[np.ndarray],
-    offdiag_blocks: Sequence[np.ndarray],
+    diag_blocks: Sequence[np.ndarray] | np.ndarray,
+    offdiag_blocks: Sequence[np.ndarray] | np.ndarray,
 ) -> float:
-    """Pivot-recursion log-determinant from explicit block lists.
+    """Log-determinant of a block-tridiagonal SPD matrix from its blocks.
 
-    Block sizes may vary along the diagonal (0 x 0 blocks allowed);
-    ``offdiag_blocks[k]`` is block (k, k+1). Cost is one small Cholesky
-    factorization plus one triangular solve per block, so linear in the
-    number of blocks.
+    ``offdiag_blocks[k]`` is block (k, k+1). Block sizes may vary along the
+    diagonal (0 x 0 blocks allowed): the blocks are padded to the largest
+    size p. A (K, p, p) ndarray of diagonal blocks, with a (K - 1, p, p)
+    ndarray of off-diagonal ones, is used as it is. The cost is one banded
+    Cholesky factorization (``dpbtrf``), linear in the number of blocks.
 
     Raises:
-        NotPositiveDefiniteError: if any pivot block fails to factor (the
-            failing pivot is attached as ``exc.pivot`` and its index as
-            ``exc.block_index``) or the blocks hold non-finite values.
+        NotPositiveDefiniteError: if the matrix is not positive definite
+            (the first failing block's unfactored Schur pivot is attached
+            as ``exc.pivot`` and its index as ``exc.block_index``) or the
+            blocks hold non-finite values.
+        DimensionMismatchError: if the off-diagonal blocks do not fit the
+            diagonal ones.
     """
-    diagonals = [L.diagonal() for L in _pivot_factors(diag_blocks, offdiag_blocks)]
-    return _logdet_of(np.concatenate(diagonals or [np.empty(0)]), "block")
+    if isinstance(diag_blocks, np.ndarray):
+        diag, coupling, sizes = diag_blocks, np.asarray(offdiag_blocks, dtype=float), None
+        if len(diag) <= 1 and not coupling.size:
+            coupling = np.zeros((0,) + diag.shape[1:])
+        if (
+            diag.ndim != 3
+            or diag.shape[1] != diag.shape[2]
+            or coupling.shape != (max(len(diag) - 1, 0),) + diag.shape[1:]
+        ):
+            raise DimensionMismatchError(
+                f"block stacks of shapes {diag.shape} and {coupling.shape} do not fit"
+            )
+    else:
+        diag, coupling, sizes = _padded(diag_blocks, offdiag_blocks)
+    if not diag.size:  # no blocks, or only 0 x 0 ones
+        return 0.0
+    return _logdet_of(_band_factor(diag, coupling, sizes)[0], "block")
 
 
 def logdet_block_tridiagonal(M: BlockTridiagonalMatrix) -> float:
     """Log-determinant of an SPD block-tridiagonal matrix, linear in K.
 
-    Runs the Schur pivot recursion; equals ``logdet_dense(M.assemble())``
-    up to rounding.
+    One banded Cholesky factorization of the block stacks; equals
+    ``logdet_dense(M.assemble())`` up to rounding.
 
     Raises:
-        NotPositiveDefiniteError: if any pivot block fails to factor,
-            which happens exactly when the assembled matrix is not SPD.
+        NotPositiveDefiniteError: exactly when the assembled matrix is not
+            SPD, with the failing block's Schur pivot and index attached.
     """
-    return logdet_block_tridiagonal_blocks(M.diag_blocks, M.offdiag_blocks)
+    return logdet_block_tridiagonal_blocks(M._diag_stack, M._offdiag_stack)
 
 
 def solve_block_tridiagonal(M: BlockTridiagonalMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve M x = b by block forward/backward substitution.
+    """Solve M x = b with the banded Cholesky factor of M (``dpbtrs``).
 
     Args:
         M: SPD block-tridiagonal matrix.
@@ -320,8 +428,8 @@ def solve_block_tridiagonal(M: BlockTridiagonalMatrix, b: np.ndarray) -> np.ndar
         Solution vector x of length nK.
 
     Raises:
-        NotPositiveDefiniteError: on pivot factorization failure, with the
-            failing pivot attached as ``exc.pivot`` and its index as
+        NotPositiveDefiniteError: if M is not SPD, with the failing block's
+            Schur pivot attached as ``exc.pivot`` and its index as
             ``exc.block_index``.
         DimensionMismatchError: if b has the wrong length.
     """
@@ -329,17 +437,9 @@ def solve_block_tridiagonal(M: BlockTridiagonalMatrix, b: np.ndarray) -> np.ndar
     rhs = np.asarray(b, dtype=float)
     if rhs.shape != (n * K,):
         raise DimensionMismatchError(f"rhs has shape {rhs.shape}, expected ({n * K},)")
-    parts = rhs.reshape(K, n)
-    chols = _pivot_factors(M.diag_blocks, M.offdiag_blocks)
-
-    ys = np.empty_like(parts)
-    ys[0] = parts[0]
-    for k in range(1, K):
-        ys[k] = parts[k] - M.offdiag_blocks[k - 1].T @ _potrs(chols[k - 1], ys[k - 1])
-
-    xs = np.empty_like(parts)
-    for k in range(K - 1, -1, -1):
-        y = ys[k] if k == K - 1 else ys[k] - M.offdiag_blocks[k] @ xs[k + 1]
-        xs[k] = _potrs(chols[k], y)
-    return xs.reshape(-1)
-
+    if not rhs.size:
+        return rhs.copy()
+    x, info = dpbtrs(_band_factor(M._diag_stack, M._offdiag_stack), rhs, lower=1)
+    if info:
+        raise _lapack_error("dpbtrs", info)
+    return x

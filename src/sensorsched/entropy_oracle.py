@@ -19,12 +19,15 @@ All entropies are differential and in nats; negative values are normal.
 
 An OracleContext freezes the linearization point and precomputes every
 per-(step, sensor) whitened Jacobian W = L^-1 J and its information W^T W,
-with the noise factor L that each sensor computes once when built, so
-repeated evaluations (the greedy scheduler makes thousands) only gather
-blocks and run one sparse log-determinant. Neither formula adds jitter:
-every eigenvalue of I + W Sigma W^T is at least 1 in exact arithmetic, so
-a failed factorization is reported, never retried. Contexts are immutable
-and evaluations are pure, so they may be called concurrently.
+with the noise factor L that each sensor computes once when built, and
+keeps both as (step, sensor) stacks. So with a block-tridiagonal prior
+one evaluation (the greedy scheduler makes thousands) is a few batched
+array operations over the K steps, which gather the selected sensors'
+stacked blocks, and one banded log-determinant of K blocks. Neither
+formula adds jitter: every eigenvalue of I + W Sigma W^T is at least 1
+in exact arithmetic, so a failed factorization is reported, never
+retried. Contexts are immutable and evaluations are pure, so they may be
+called concurrently.
 """
 
 from __future__ import annotations
@@ -66,7 +69,11 @@ class OracleContext:
     ``whitened_jacobians[k][i]`` holds sensor i's Jacobian at step k's
     linearization point, whitened by its noise factor: W = L^-1 J with
     R = L L^T. ``info_increments[k][i]`` holds its information W^T W =
-    J^T R^-1 J.
+    J^T R^-1 J. Both are also kept as stacks, derived here from these
+    fields: the increments as (K, m + 1, n, n) and the whitened rows as
+    (K, m + 1, d, n), zero-padded to the largest sensor output dimension
+    d. Slot m of each step is all zeros, the filler of a step with fewer
+    picks than another.
     """
 
     prior: GaussianPrior
@@ -75,6 +82,18 @@ class OracleContext:
     prior_entropy: float
     whitened_jacobians: tuple[tuple[np.ndarray, ...], ...]
     info_increments: tuple[tuple[np.ndarray, ...], ...]
+
+    def __post_init__(self):
+        K, n, sensors = self.K, self.n, self.suite.sensors
+        m = len(sensors)
+        rows = np.zeros((K, m + 1, max((s.output_dim for s in sensors), default=0), n))
+        for i, sensor in enumerate(sensors):
+            rows[:, i, :sensor.output_dim] = [step[i] for step in self.whitened_jacobians]
+        increments = np.zeros((K, m + 1, n, n))
+        increments[:, :m] = np.reshape(self.info_increments, (K, m, n, n))
+        for name, stack in (("_rows", rows), ("_increments", increments)):
+            stack.setflags(write=False)
+            object.__setattr__(self, name, stack)
 
     @property
     def n(self) -> int:
@@ -122,29 +141,34 @@ def make_context(
                     f"is beyond the horizon K={prior.K}"
                 )
 
-    states = lin.reshape(prior.K, prior.n)
-    whitened, increments = [], []
-    for k in range(prior.K):
-        row_w, row_inc = [], []
-        for i, sensor in enumerate(suite.sensors):
-            W = _trtrs(sensor.noise_factor_at(k), sensor.jacobian_at(states[k]))
-            if not np.isfinite(W).all():
-                raise InvalidParamsError(
-                    f"step {k}, sensor {i} ({sensor.name!r}): Jacobian is not finite"
-                )
-            inc = W.T @ W
-            row_w.append(W)
-            row_inc.append(0.5 * (inc + inc.T))
-        whitened.append(tuple(row_w))
-        increments.append(tuple(row_inc))
+    sensors = suite.sensors
+    rows = np.zeros((prior.K, suite.m, max((s.output_dim for s in sensors), default=0), prior.n))
+    for k, state in enumerate(lin.reshape(prior.K, prior.n)):
+        for i, sensor in enumerate(sensors):
+            rows[k, i, :sensor.output_dim] = _trtrs(
+                sensor.noise_factor_at(k), sensor.jacobian_at(state)
+            )
+    finite = np.isfinite(rows).all(axis=(2, 3))
+    if not finite.all():
+        k, i = np.argwhere(~finite)[0]
+        raise InvalidParamsError(
+            f"step {k}, sensor {i} ({sensors[i].name!r}): Jacobian is not finite"
+        )
+    # zero-padded rows add exact zeros: each product equals the unpadded W^T W
+    increments = np.swapaxes(rows, 2, 3) @ rows
+    increments = 0.5 * (increments + np.swapaxes(increments, 2, 3))
+    rows.setflags(write=False)
+    increments.setflags(write=False)
 
     return OracleContext(
         prior=prior,
         suite=suite,
         linearization=lin,
         prior_entropy=prior_entropy(prior),
-        whitened_jacobians=tuple(whitened),
-        info_increments=tuple(increments),
+        whitened_jacobians=tuple(
+            tuple(step[i, :s.output_dim] for i, s in enumerate(sensors)) for step in rows
+        ),
+        info_increments=tuple(tuple(step) for step in increments),
     )
 
 
@@ -162,6 +186,18 @@ def _check_schedule(ctx: OracleContext, schedule: Schedule) -> None:
     for k, chosen in enumerate(schedule.sets):
         if chosen and chosen[-1] >= m:
             raise DimensionMismatchError(f"step {k} selects a sensor index >= m={m}")
+
+
+def _gathered(stack: np.ndarray, schedule: Schedule) -> np.ndarray:
+    """(K, q, ...) entries of a context stack for each step's picks, in pick order.
+
+    q is the most picks at any step; a step with fewer is filled up with
+    the stack's zero slot m.
+    """
+    sets = schedule.sets
+    filler = (stack.shape[1] - 1,) * max(map(len, sets), default=0)
+    picks = np.array([chosen + filler[len(chosen):] for chosen in sets], dtype=np.intp)
+    return stack[np.arange(len(sets))[:, None], picks]
 
 
 def _information_blocks(ctx: OracleContext, schedule: Schedule) -> list[np.ndarray | None]:
@@ -196,9 +232,11 @@ def conditional_entropy_precision_form(ctx: OracleContext, schedule: Schedule) -
     """H(x_1:K | schedule) evaluated through the prior precision.
 
     Adds the block-diagonal measurement information Xi to the precision
-    and returns -1/2 logdet(Xi + P) + (nK/2) log(2 pi e). Uses the sparse
-    pivot recursion when the precision is block-tridiagonal; a covariance
-    prior is read through its cached dense precision.
+    and returns -1/2 logdet(Xi + P) + (nK/2) log(2 pi e). When the
+    precision is block-tridiagonal, Xi is summed over the context's
+    increment stack and the K diagonal blocks go to one banded
+    log-determinant; a covariance prior is read through its cached dense
+    precision.
 
     Raises:
         NotPositiveDefiniteError: the prior precision is invalid
@@ -206,10 +244,12 @@ def conditional_entropy_precision_form(ctx: OracleContext, schedule: Schedule) -
     """
     _check_schedule(ctx, schedule)
     P = _precision(ctx.prior)
-    M = _plus_information(P, _information_blocks(ctx, schedule))
     if isinstance(P, BlockTridiagonalMatrix):
-        logdet = logdet_block_tridiagonal_blocks(M, P.offdiag_blocks)
+        # a step's increments are summed in pick order, then added to its prior block
+        xi = _gathered(ctx._increments, schedule).sum(axis=1)
+        logdet = logdet_block_tridiagonal_blocks(P._diag_stack + xi, P._offdiag_stack)
     else:
+        M = _plus_information(P, _information_blocks(ctx, schedule))
         logdet = _logdet_dense(M, overwrite=True)  # M is a fresh copy of P
     return 0.5 * ctx.prior.dim * LOG_TWO_PI_E - 0.5 * logdet
 
@@ -232,10 +272,11 @@ def conditional_entropy_covariance_form(ctx: OracleContext, schedule: Schedule) 
     which equals the measurement-entropy form 1/2 [sum_k logdet R_k -
     logdet Sigma_y] + H(x_1:K) with Sigma_y = R + C Sigma C^T. I + W Sigma
     W^T inherits block-tridiagonal structure from a sparse prior
-    covariance and is then evaluated by the pivot recursion; empty steps
-    contribute 0 x 0 blocks with logdet 0. No jitter is applied: its
-    eigenvalues are at least 1 in exact arithmetic. A precision prior is
-    read through its cached dense covariance.
+    covariance; its K diagonal and K - 1 coupling blocks are then built
+    by batched products over the steps' gathered rows, zero-padded to a
+    common size, and go to one banded log-determinant. No jitter is
+    applied: its eigenvalues are at least 1 in exact arithmetic. A
+    precision prior is read through its cached dense covariance.
 
     Raises:
         NotPositiveDefiniteError: I + W Sigma W^T fails to factor, which
@@ -244,19 +285,16 @@ def conditional_entropy_covariance_form(ctx: OracleContext, schedule: Schedule) 
     """
     _check_schedule(ctx, schedule)
     S = ctx.prior.covariance_dense() if ctx.prior.form.is_precision else ctx.prior.matrix
-    W_blocks = [_selected_rows(ctx, k, chosen) for k, chosen in enumerate(schedule.sets)]
-
     if isinstance(S, BlockTridiagonalMatrix):
-        diag = [
-            W_blocks[k] @ S.diag_blocks[k] @ W_blocks[k].T + np.eye(W_blocks[k].shape[0])
-            for k in range(ctx.K)
-        ]
-        offdiag = [
-            W_blocks[k] @ S.offdiag_blocks[k] @ W_blocks[k + 1].T
-            for k in range(ctx.K - 1)
-        ]
-        logdet = logdet_block_tridiagonal_blocks(diag, offdiag)
+        # each step's picked rows, (K, q d, n); a zero row adds a decoupled
+        # unit diagonal entry to I + W Sigma W^T, which leaves the log-det as it is
+        W = _gathered(ctx._rows, schedule).reshape(ctx.K, -1, ctx.n)
+        Wt = np.swapaxes(W, 1, 2)
+        diag = W @ S._diag_stack @ Wt
+        diag[:, range(W.shape[1]), range(W.shape[1])] += 1.0
+        logdet = logdet_block_tridiagonal_blocks(diag, W[:-1] @ S._offdiag_stack @ Wt[1:])
     else:
+        W_blocks = [_selected_rows(ctx, k, chosen) for k, chosen in enumerate(schedule.sets)]
         n = ctx.n
         rows = sum(b.shape[0] for b in W_blocks)
         WS = np.zeros((rows, ctx.prior.dim))
@@ -379,6 +417,9 @@ def map_linearization(
             )
         y_steps.append(y)
 
+    # one [r | J] buffer per picked sensor, rewritten on every iteration
+    buffers = {i: np.empty((suite.sensors[i].output_dim, n + 1))
+               for chosen in past_schedule.sets for i in chosen}
     mu = np.array(prior.mean)
     x = mu.copy()
     converged = False
@@ -396,11 +437,12 @@ def map_linearization(
             y = y_steps[k]
             for i in chosen:
                 sensor = suite.sensors[i]
-                r = y[at:at + sensor.output_dim] - sensor.measure_at(states[k])
+                r_J = buffers[i]
+                r_J[:, 0] = y[at:at + sensor.output_dim] - sensor.measure_at(states[k])
+                r_J[:, 1:] = sensor.jacobian_at(states[k])
                 at += sensor.output_dim
                 # one whitening of [r | J]: column 0 is L^-1 r, the rest L^-1 J
-                w = _trtrs(sensor.noise_factor_at(k),
-                           np.column_stack((r, sensor.jacobian_at(states[k]))))
+                w = _trtrs(sensor.noise_factor_at(k), r_J)
                 if not np.isfinite(w).all():
                     raise InvalidParamsError(
                         f"step {k}, sensor {i} ({sensor.name!r}): non-finite residual or Jacobian"

@@ -8,9 +8,9 @@ class SensorSchedError(Exception):
 class NotPositiveDefiniteError(SensorSchedError):
     """A matrix required to be symmetric positive definite is not.
 
-    ``pivot`` is the matrix that failed to factor: a Schur pivot block of
-    the block-tridiagonal recursion, whose index is ``block_index``, or a
-    dense matrix. Each is None where it does not apply (``block_index``
+    ``pivot`` is the matrix that failed to factor: the Schur pivot of the
+    failing block of a block-tridiagonal matrix, whose index is
+    ``block_index``, or a dense matrix. Each is None where it does not apply (``block_index``
     for dense failures, both when a log-determinant came out non-finite).
     """
 

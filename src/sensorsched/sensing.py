@@ -291,7 +291,7 @@ def builtin_sensor(
                     f"range anchor has {_a.size} coordinates, state dim {x.size}"
                 )
             d = x - _a
-            r = float(np.linalg.norm(d))
+            r = math.sqrt(float(d @ d))  # what np.linalg.norm computes, bit for bit
             if r == 0.0:
                 raise InvalidParamsError("range sensor evaluated at its anchor")
             return d, r

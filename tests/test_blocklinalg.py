@@ -58,8 +58,8 @@ class TestLogdetBlockTridiagonal:
             ss.logdet_block_tridiagonal(M)
 
     def test_pivot_success_iff_assembled_spd(self):
-        # both directions: recursion succeeds exactly when the assembled
-        # matrix is positive definite
+        # both directions: the factorization succeeds exactly when the
+        # assembled matrix is positive definite
         rng = np.random.default_rng(11)
         for trial in range(30):
             n = int(rng.integers(1, 4))
@@ -212,13 +212,31 @@ class TestFailureContract:
         assert info.value.pivot is None and info.value.block_index is None
 
     def test_illegal_lapack_call_is_not_reported_as_not_spd(self, monkeypatch):
-        monkeypatch.setattr(blocklinalg, "dpotrf", lambda a, **kw: (a, -1))
-        for factor in (
-            lambda: ss.logdet_block_tridiagonal_blocks([np.eye(2)], []),
-            lambda: ss.logdet_dense(np.eye(2)),
+        for routine, factor in (
+            ("dpbtrf", lambda: ss.logdet_block_tridiagonal_blocks([np.eye(2)], [])),
+            ("dpbtrf", lambda: ss.solve_block_tridiagonal(
+                ss.BlockTridiagonalMatrix.identity(2, 2), np.ones(4))),
+            ("dpotrf", lambda: ss.logdet_dense(np.eye(2))),
         ):
-            with pytest.raises(RuntimeError, match="info=-1"):
-                factor()
+            with monkeypatch.context() as patch:
+                patch.setattr(blocklinalg, routine, lambda a, **kw: (a, -1))
+                with pytest.raises(RuntimeError, match="info=-1"):
+                    factor()
+
+    def test_wide_block_pivot_is_the_schur_complement(self):
+        # 40 x 40 blocks give a half-bandwidth of 79, where LAPACK factors
+        # the band in panels; the reported pivot must still be the Schur
+        # complement of the leading blocks
+        p, K = 40, 4
+        diag, off, _ = _spd_blocks(np.random.default_rng(43), [p] * K)
+        diag[-1] = diag[-1] - (np.linalg.eigvalsh(diag[-1])[-1] + 1.0) * np.eye(p)
+        A = ss.BlockTridiagonalMatrix(tuple(diag), tuple(off)).assemble()
+        lead, row = A[:-p, :-p], A[-p:, :-p]
+        schur = A[-p:, -p:] - row @ np.linalg.solve(lead, row.T)
+        with pytest.raises(ss.NotPositiveDefiniteError) as info:
+            ss.logdet_block_tridiagonal_blocks(diag, off)
+        assert info.value.block_index == K - 1
+        np.testing.assert_allclose(info.value.pivot, schur, rtol=1e-9, atol=1e-9)
 
     def test_in_place_dense_factor_matches_and_keeps_the_pivot(self):
         rng = np.random.default_rng(41)
@@ -280,6 +298,14 @@ class TestKernelProperties:
         assert sign == 1
         got = ss.logdet_block_tridiagonal_blocks(diag, off)
         assert abs(got - oracle) <= 1e-9 * max(1.0, abs(oracle))
+
+    @given(n=st.integers(0, 3), K=st.integers(1, 6), seed=SEEDS)
+    def test_stacked_input_matches_block_lists(self, n, K, seed):
+        diag, off, _ = _spd_blocks(np.random.default_rng(seed), [n] * K)
+        stacked = ss.logdet_block_tridiagonal_blocks(
+            np.array(diag), np.array(off).reshape(K - 1, n, n)
+        )
+        assert stacked == ss.logdet_block_tridiagonal_blocks(diag, off)
 
     @given(n=st.integers(1, 3), K=st.integers(1, 6), seed=SEEDS)
     def test_solve_matches_numpy(self, n, K, seed):

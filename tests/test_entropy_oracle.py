@@ -1,5 +1,6 @@
 """The two entropy formulas, posterior covariance, MI, and MAP estimation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import sensorsched as ss
 from conftest import (
+    PRIOR_KINDS,
     all_schedules,
     measurement_model,
     random_instance,
@@ -144,11 +146,14 @@ class TestCrossFormula:
 
 @st.composite
 def cross_formula_instances(draw):
-    """A sparse-covariance or Gauss-Markov prior, linear sensors of 1 to 3
-    rows with per-step noise overrides, and one schedule."""
+    """A sparse-covariance or Gauss-Markov prior, stored sparse or densified,
+    linear sensors of 1 to 3 rows with per-step noise overrides, and one
+    schedule, whose steps may be empty."""
     rng = np.random.default_rng(draw(st.integers(0, 2**20)))
     n, K = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     prior = random_prior(rng, n, K, draw(st.sampled_from(["tracking", "gauss_markov"])))
+    if draw(st.booleans()):
+        prior = ss.densify(prior)
     sensors = []
     for rows in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
         H = rng.standard_normal((rows, n))
@@ -166,9 +171,10 @@ def cross_formula_instances(draw):
 @settings(max_examples=80)
 @given(cross_formula_instances())
 def test_cross_formula_property(instance):
-    # both forms read the context's whitened rows, so they are also checked
-    # against the paper's 1/2 [logdet R - logdet(R + C Sigma C^T)] + H(x),
-    # assembled here from the raw Jacobians and noise_cov_at
+    # both forms read the context's stacks, so they are also checked against
+    # the paper's 1/2 [logdet R - logdet(R + C Sigma C^T)] + H(x), assembled
+    # here from the raw Jacobians and noise_cov_at; sensors of different
+    # output dimensions make the covariance form pad its blocks
     prior, suite, schedule = instance
     ctx = ss.make_context(prior, suite)
     cov_form = ss.conditional_entropy_covariance_form(ctx, schedule)
@@ -178,7 +184,8 @@ def test_cross_formula_property(instance):
     C, R = measurement_model(suite, schedule, prior.mean)
     Sigma_y = R + C @ prior.covariance_dense() @ C.T
     paper = 0.5 * (np.linalg.slogdet(R)[1] - np.linalg.slogdet(Sigma_y)[1]) + ctx.prior_entropy
-    assert rel_close(cov_form, paper, 1e-9), (schedule.sets, cov_form, paper)
+    for value in (cov_form, prec_form):
+        assert rel_close(value, paper, 1e-9), (schedule.sets, value, paper)
 
 
 class TestMultiOutputSensors:
@@ -311,6 +318,67 @@ class TestMutualInformation:
                     sets = sched.sets[:k] + (sched.sets[k] + (i,),) + sched.sets[k + 1:]
                     grown = ss.Schedule(sets=sets, budgets=sched.budgets)
                     assert ss.mutual_information(ctx, grown) >= mi - 1e-9
+
+
+@st.composite
+def nested_picks(draw):
+    """A context, a schedule of background picks, a step k, sets A within B
+    of sensors at step k, and a sensor e outside B."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**20)))
+    n, K, m = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    prior = random_prior(rng, n, K, draw(st.sampled_from(PRIOR_KINDS)))
+    ctx = ss.make_context(prior, random_suite(rng, n, m))
+    background = draw(st.lists(st.sets(st.integers(0, m - 1)), min_size=K, max_size=K))
+    k = draw(st.integers(0, K - 1))
+    e = draw(st.integers(0, m - 1))
+    B = draw(st.sets(st.integers(0, m - 1).filter(lambda i: i != e)))
+    A = draw(st.sets(st.sampled_from(sorted(B)))) if B else set()
+    return ctx, background, k, A, B, e
+
+
+def _gain(ctx, background, k, chosen, e):
+    """H(S) - H(S + e), S the background with step k's set replaced by ``chosen``."""
+    def entropy(at_k):
+        sets = tuple(tuple(c) for c in background[:k]) + (tuple(at_k),) + tuple(
+            tuple(c) for c in background[k + 1:])
+        return ss.conditional_entropy(ctx, ss.Schedule(sets=sets, budgets=(ctx.suite.m,) * ctx.K))
+    return entropy(chosen) - entropy(set(chosen) | {e})
+
+
+@settings(max_examples=60)
+@given(nested_picks())
+def test_gains_are_nonnegative_and_diminishing(instance):
+    # the objective is monotone (every gain >= 0) and supermodular: a sensor
+    # gains at least as much on top of A as on top of any B containing A
+    ctx, background, k, A, B, e = instance
+    small, large = _gain(ctx, background, k, A, e), _gain(ctx, background, k, B, e)
+    assert small >= -1e-9 and large >= -1e-9
+    assert small >= large - 1e-9, (k, A, B, e, small, large)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**20), n=st.integers(1, 3), K=st.integers(1, 5), data=st.data())
+def test_planted_non_spd_increment_names_its_step(seed, n, K, data):
+    # the precision form of a Gauss-Markov prior adds the increments to the
+    # diagonal blocks; one made negative definite fails exactly at its step
+    rng = np.random.default_rng(seed)
+    prior = random_prior(rng, n, K, "gauss_markov")
+    ctx = ss.make_context(prior, random_suite(rng, n, 3))
+    k, i = data.draw(st.integers(0, K - 1)), data.draw(st.integers(0, 2))
+    sets = [tuple(sorted(c)) for c in data.draw(
+        st.lists(st.sets(st.integers(0, 2)), min_size=K, max_size=K))]
+    sets[k] = (i,)
+    # the pivot at step k is at most P_kk plus the planted increment
+    bad = -(np.linalg.eigvalsh(prior.matrix.diag_blocks[k])[-1] + 1.0) * np.eye(n)
+    increments = [list(step) for step in ctx.info_increments]
+    increments[k][i] = bad
+    planted = dataclasses.replace(ctx, info_increments=tuple(map(tuple, increments)))
+    schedule = ss.Schedule(sets=tuple(sets), budgets=(3,) * K)
+    assert np.isfinite(ss.conditional_entropy(ctx, schedule))
+    with pytest.raises(ss.NotPositiveDefiniteError) as info:
+        ss.conditional_entropy(planted, schedule)
+    assert info.value.block_index == k
+    assert np.linalg.eigvalsh(info.value.pivot)[0] < 0
 
 
 class TestNoJitter:
