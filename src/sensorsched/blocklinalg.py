@@ -211,9 +211,19 @@ def _potrs(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X
 
 
-def _trtrs(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """L^-1 B for a lower-triangular L: whitening by a Cholesky factor."""
-    X, info = dtrtrs(L, B, lower=1)
+def _trtrs(L: np.ndarray, B: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
+    """L^-1 B for a lower-triangular L: whitening by a Cholesky factor.
+
+    With ``overwrite``, B must be Fortran-ordered and is solved in place.
+    Columns are solved independently, so whitening several blocks side by
+    side gives each the bits it gets alone.
+    """
+    if not overwrite:  # an extra keyword costs the wrapper about 1 us per call
+        X, info = dtrtrs(L, B, lower=1)
+    elif B.flags.f_contiguous:
+        X, info = dtrtrs(L, B, lower=1, overwrite_b=1)
+    else:  # LAPACK would solve a copy
+        raise ValueError("an in-place solve needs a Fortran-ordered right-hand side")
     if info:
         raise _lapack_error("dtrtrs", info)
     return X
@@ -439,7 +449,13 @@ def solve_block_tridiagonal(M: BlockTridiagonalMatrix, b: np.ndarray) -> np.ndar
         raise DimensionMismatchError(f"rhs has shape {rhs.shape}, expected ({n * K},)")
     if not rhs.size:
         return rhs.copy()
-    x, info = dpbtrs(_band_factor(M._diag_stack, M._offdiag_stack), rhs, lower=1)
+    return _band_solve(M._diag_stack, M._offdiag_stack, rhs)
+
+
+def _band_solve(diag: np.ndarray, coupling: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``solve_block_tridiagonal`` of the (K, n, n) and (K - 1, n, n) block
+    stacks, of which only the diagonal blocks' lower triangles are read."""
+    x, info = dpbtrs(_band_factor(diag, coupling), rhs, lower=1)
     if info:
         raise _lapack_error("dpbtrs", info)
     return x

@@ -32,6 +32,9 @@ called concurrently.
 
 from __future__ import annotations
 
+import itertools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,15 +42,15 @@ import numpy as np
 from .blocklinalg import (
     BlockTridiagonalMatrix,
     _inverse_spd,
+    _band_solve,
     _logdet_dense,
     _solve_spd,
     _trtrs,
     logdet_block_tridiagonal_blocks,
-    solve_block_tridiagonal,
 )
 from .errors import DimensionMismatchError, InvalidParamsError
 from .process_models import LOG_TWO_PI_E, GaussianPrior, prior_entropy
-from .sensing import Schedule, SensorSuite
+from .sensing import Schedule, SensorSuite, _is_index
 
 __all__ = [
     "OracleContext",
@@ -215,11 +218,8 @@ def _information_blocks(ctx: OracleContext, schedule: Schedule) -> list[np.ndarr
     return out
 
 
-def _plus_information(P, xi: list[np.ndarray | None]):
-    """P + blockdiag(xi) without None blocks: the diagonal blocks of a
-    block-tridiagonal P (off-diagonals unchanged), or a fresh dense array."""
-    if isinstance(P, BlockTridiagonalMatrix):
-        return [B if x is None else B + x for B, x in zip(P.diag_blocks, xi)]
+def _plus_information(P: np.ndarray, xi: list[np.ndarray | None]) -> np.ndarray:
+    """P + blockdiag(xi), skipping None blocks, as a fresh dense array."""
     M = np.array(P)
     n = M.shape[0] // len(xi)
     for k, x in enumerate(xi):
@@ -384,13 +384,36 @@ def map_linearization(
     once per prior (the dense fallback is acceptable here because the MAP
     solve happens once per step, not once per candidate).
 
+    An iteration is batched over the picks. Each pick's sensor is
+    evaluated, and its [r | J] block written into one stack; then one
+    triangular solve per noise factor whitens every block that shares it,
+    one finiteness check covers the stack, and one batched product per
+    output dimension gives every pick's information and gradient. A step
+    sums these in pick order, and its sum goes into the diagonal blocks
+    of the prior precision. The schedule and measurements are checked
+    before the first iteration.
+
     Args:
         past_schedule: selections that produced the measurements; steps
             with no measurements must have empty sets.
         measurements: per-step stacked measurement vectors aligned with
             ``past_schedule`` (None for empty steps).
+        tol: convergence threshold on ||delta||_inf, a finite number >= 0.
+        max_iter: iteration cap, an integer >= 1.
+
+    Raises:
+        InvalidParamsError: ``tol`` or ``max_iter`` is out of range, or a
+            residual or Jacobian is not finite (names the first such pick
+            by step and sensor).
+        DimensionMismatchError: the schedule or measurements do not fit
+            the prior, the suite or each other, e.g. a step with picks and
+            no measurement, or a measurement at a step with no picks.
     """
-    if past_schedule is None or measurements is None or past_schedule.total_selected == 0:
+    if not _is_index(max_iter) or max_iter < 1:
+        raise InvalidParamsError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    if not isinstance(tol, numbers.Real) or isinstance(tol, bool) or not 0 <= tol < math.inf:
+        raise InvalidParamsError(f"tol must be a finite number >= 0, got {tol!r}")
+    if past_schedule is None or measurements is None:
         return MapEstimate(estimate=np.array(prior.mean), converged=True, iterations=0)
     if past_schedule.num_steps != prior.K:
         raise DimensionMismatchError(
@@ -401,65 +424,104 @@ def map_linearization(
             f"got {len(measurements)} measurement entries, expected {prior.K}"
         )
 
-    n, K = prior.n, prior.K
-    precision = _precision(prior)
-
-    y_steps: list[np.ndarray | None] = []
-    for k, chosen in enumerate(past_schedule.sets):
+    n, K, sensors = prior.n, prior.K, suite.sensors
+    sets = past_schedule.sets
+    picks: list[tuple[int, int, np.ndarray]] = []  # (step, sensor, measured values)
+    for k, chosen in enumerate(sets):
         if not chosen:
-            y_steps.append(None)
+            if measurements[k] is not None:
+                raise DimensionMismatchError(f"step {k} has a measurement but selects no sensor")
             continue
-        rows = sum(suite.sensors[i].output_dim for i in chosen)
+        if measurements[k] is None:
+            raise DimensionMismatchError(f"step {k} selects sensors {chosen} but has no measurement")
+        if chosen[-1] >= len(sensors):
+            raise DimensionMismatchError(f"step {k} selects a sensor index >= m={len(sensors)}")
+        dims = [sensors[i].output_dim for i in chosen]
         y = np.asarray(measurements[k], dtype=float).reshape(-1)
-        if y.shape != (rows,):
+        if y.shape != (sum(dims),):
             raise DimensionMismatchError(
-                f"step {k} measurement has shape {y.shape}, expected ({rows},)"
+                f"step {k} measurement has shape {y.shape}, expected ({sum(dims)},)"
             )
-        y_steps.append(y)
+        ends = np.cumsum(dims)
+        picks.extend((k, i, y[end - d:end]) for i, d, end in zip(chosen, dims, ends))
+    if not picks:
+        return MapEstimate(estimate=np.array(prior.mean), converged=True, iterations=0)
 
-    # one [r | J] buffer per picked sensor, rewritten on every iteration
-    buffers = {i: np.empty((suite.sensors[i].output_dim, n + 1))
-               for chosen in past_schedule.sets for i in chosen}
+    # Picks sharing a noise factor are adjacent in one flat buffer, and so
+    # are those of one output dimension d: a factor's picks are whitened by
+    # one triangular solve, a dimension's by one batched product. A pick's
+    # [r | J] block is stored transposed, (n + 1) x d, so a factor's blocks
+    # make one Fortran-ordered d x (n + 1)P array, which is solved in place.
+    factors = [sensors[i].noise_factor_at(k) for k, i, _ in picks]
+    first: dict[int, int] = {}
+    for p, L in enumerate(factors):
+        first.setdefault(id(L), p)
+    order = sorted(range(len(picks)), key=lambda p: (len(factors[p]), first[id(factors[p])]))
+    starts = np.cumsum([0] + [(n + 1) * len(factors[p]) for p in order])
+    buffer = np.empty(starts[-1])
+
+    def runs(key):
+        """(c0, c1, blocks) for each run of buffer positions c0..c1 - 1 sharing a key."""
+        c0 = 0
+        for _, run in itertools.groupby(order, key=key):
+            c1 = c0 + len(list(run))
+            yield c0, c1, buffer[starts[c0]:starts[c1]].reshape(c1 - c0, n + 1, -1)
+            c0 = c1
+
+    whitening = [(factors[order[c0]], W.reshape(-1, W.shape[2]).T)
+                 for c0, _, W in runs(lambda p: id(factors[p]))]
+    products = [(c0, c1, W, np.array([picks[p][2] for p in order[c0:c1]]))
+                for c0, c1, W in runs(lambda p: len(factors[p]))]
+    position = np.argsort(order)
+    blocks = [buffer[starts[c]:starts[c + 1]].reshape(n + 1, -1) for c in position]
+    calls = [(sensors[i], k, block[0], block[1:].T) for (k, i, _), block in zip(picks, blocks)]
+    # slots[j, k]: the buffer position of step k's j-th pick, or the zero row
+    slots = np.full((max(map(len, sets)), K), len(picks))
+    slots[[j for chosen in sets for j in range(len(chosen))], [k for k, _, _ in picks]] = position
+    infos = np.zeros((len(picks) + 1, n, n))
+    grads = np.zeros((len(picks) + 1, n))
+
+    steps = np.arange(K)
     mu = np.array(prior.mean)
     x = mu.copy()
+    precision = _precision(prior)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         states = x.reshape(K, n)
-        grad = np.zeros(n * K)
-        xi_blocks: list[np.ndarray | None] = [None] * K
-        for k, chosen in enumerate(past_schedule.sets):
-            if not chosen:
-                continue
-            at = 0
-            xi = np.zeros((n, n))
-            g_k = np.zeros(n)
-            y = y_steps[k]
-            for i in chosen:
-                sensor = suite.sensors[i]
-                r_J = buffers[i]
-                r_J[:, 0] = y[at:at + sensor.output_dim] - sensor.measure_at(states[k])
-                r_J[:, 1:] = sensor.jacobian_at(states[k])
-                at += sensor.output_dim
-                # one whitening of [r | J]: column 0 is L^-1 r, the rest L^-1 J
-                w = _trtrs(sensor.noise_factor_at(k), r_J)
-                if not np.isfinite(w).all():
-                    raise InvalidParamsError(
-                        f"step {k}, sensor {i} ({sensor.name!r}): non-finite residual or Jacobian"
-                    )
-                g_k += w[:, 1:].T @ w[:, 0]
-                xi += w[:, 1:].T @ w[:, 1:]
-            xi_blocks[k] = 0.5 * (xi + xi.T)
-            grad[k * n:(k + 1) * n] += g_k
+        for sensor, k, r, J in calls:
+            state = states[k]
+            r[...] = sensor.measure_at(state)
+            J[...] = sensor.jacobian_at(state)
+        for _, _, W, y in products:
+            np.subtract(y, W[:, 0], out=W[:, 0])
+        for L, B in whitening:  # column 0 of a block becomes L^-1 r, the rest L^-1 J
+            _trtrs(L, B, overwrite=True)
+        if not np.isfinite(buffer).all():
+            k, i, _ = next(pick for pick, block in zip(picks, blocks)
+                           if not np.isfinite(block).all())
+            raise InvalidParamsError(
+                f"step {k}, sensor {i} ({sensors[i].name!r}): non-finite residual or Jacobian"
+            )
+        for c0, c1, W, _ in products:
+            np.matmul(W[:, 1:], W[:, 1:].swapaxes(1, 2), out=infos[c0:c1])
+            np.matmul(W[:, 1:], W[:, :1].swapaxes(1, 2), out=grads[c0:c1, :, None])
+        xi = np.zeros((K, n, n))
+        g = np.zeros((K, n))
+        for column in slots:  # each step's picks in pick order
+            xi += infos[column]
+            g += grads[column]
+        xi = 0.5 * (xi + xi.transpose(0, 2, 1))
 
+        grad = g.reshape(-1)
         dev = x - mu
-        system = _plus_information(precision, xi_blocks)
         if isinstance(precision, BlockTridiagonalMatrix):
             grad -= precision.matvec(dev)
-            system = BlockTridiagonalMatrix(tuple(system), precision.offdiag_blocks)
-            delta = solve_block_tridiagonal(system, grad)
+            delta = _band_solve(precision._diag_stack + xi, precision._offdiag_stack, grad)
         else:
             grad -= precision @ dev
+            system = np.array(precision)
+            system.reshape(K, n, K, n)[steps, :, steps, :] += xi
             delta = _solve_spd(system, grad, "Gauss-Newton system")
 
         x = x + delta

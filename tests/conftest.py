@@ -165,6 +165,38 @@ def measurement_model(suite, schedule, linearization):
     return scipy.linalg.block_diag(*C_blocks), scipy.linalg.block_diag(*R_blocks)
 
 
+def gauss_newton_reference(prior, suite, schedule, measurements, max_iter, tol=1e-8):
+    """Per-pick dense Gauss-Newton MAP iteration (independent oracle).
+
+    Each iteration assembles C and R by ``measurement_model`` at the
+    current iterate, stacks the picked sensors' predictions in the same
+    order as the measurements, and solves
+
+        (P + C^T R^-1 C) delta = C^T R^-1 (y - h(x)) - P (x - mu)
+
+    with the prior's dense precision P, until ||delta||_inf <= tol or
+    max_iter. Returns (estimate, converged, iterations).
+    """
+    n, K = suite.state_dim, schedule.num_steps
+    P = prior.precision_dense()
+    mu = np.asarray(prior.mean, dtype=float)
+    y = np.concatenate([np.zeros(0)] + [m for m in measurements if m is not None])
+    x = mu.copy()
+    for iteration in range(1, max_iter + 1):
+        states = x.reshape(K, n)
+        C, R = measurement_model(suite, schedule, x)
+        h = np.concatenate([np.zeros(0)] + [
+            suite.sensors[i].measure_at(states[k])
+            for k, chosen in enumerate(schedule.sets) for i in chosen
+        ])
+        CtRinv = np.linalg.solve(R, C).T
+        delta = np.linalg.solve(P + CtRinv @ C, CtRinv @ (y - h) - P @ (x - mu))
+        x = x + delta
+        if np.max(np.abs(delta)) <= tol:
+            return x, True, iteration
+    return x, False, max_iter
+
+
 def random_feasible_schedule(rng, m, budgets):
     sets = []
     for s_k in budgets:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import sensorsched as ss
 from conftest import (
     PRIOR_KINDS,
     all_schedules,
+    gauss_newton_reference,
     measurement_model,
     random_instance,
     random_prior,
@@ -494,6 +496,133 @@ class TestNonFiniteJacobian:
             ss.map_linearization(
                 prior, nan_jacobian_suite(2), sched, [None, np.array([0.1, 0.2])]
             )
+
+    @pytest.mark.parametrize("sets, named", [
+        (((0, 1), (2,)), "step 0, sensor 1 ('broken pair')"),
+        (((0,), (1, 2)), "step 1, sensor 1 ('broken pair')"),
+        (((0, 2), (1,)), "step 0, sensor 2 ('broken')"),
+    ])
+    def test_map_linearization_names_first_bad_pick_in_pick_order(self, sets, named):
+        # a two-output and a one-output sensor both return NaN Jacobians; the
+        # error names whichever comes first by step, then by sensor index
+        prior, _ = random_instance(59, n=2, K=2, kind="tracking")
+        valid, broken = nan_jacobian_suite(2).sensors
+        pair = ss.Sensor(
+            output_dim=2,
+            measure=lambda x: np.array([x[0], x[1]]),
+            jacobian=lambda x: np.full((2, x.size), np.nan),
+            noise_cov=np.eye(2),
+            name="broken pair",
+        )
+        suite = ss.SensorSuite(state_dim=2, sensors=(valid, pair, broken))
+        sched = ss.Schedule(sets=sets, budgets=(2, 2))
+        measurements = [
+            np.zeros(sum(suite.sensors[i].output_dim for i in chosen)) for chosen in sets
+        ]
+        with pytest.raises(ss.InvalidParamsError, match=re.escape(named)):
+            ss.map_linearization(prior, suite, sched, measurements)
+
+
+def one_pick_problem():
+    """A tracking prior, K=2, and one linear sensor picked at step 1 only."""
+    prior, _ = random_instance(61, n=2, K=2, kind="tracking")
+    suite = ss.SensorSuite(
+        state_dim=2, sensors=(ss.builtin_sensor("linear_coordinate", axis=0, noise_var=1.0),)
+    )
+    return prior, suite, ss.Schedule(sets=((), (0,)), budgets=(1, 1))
+
+
+class TestMapInputChecks:
+    def test_missing_measurement_at_a_step_with_picks(self):
+        # np.asarray(None, float) is [nan], which fits a one-row step
+        prior, suite, sched = one_pick_problem()
+        with pytest.raises(ss.DimensionMismatchError, match="step 1 .*no measurement"):
+            ss.map_linearization(prior, suite, sched, [None, None])
+
+    def test_measurement_at_a_step_without_picks(self):
+        prior, suite, sched = one_pick_problem()
+        with pytest.raises(ss.DimensionMismatchError, match="step 0 has a measurement"):
+            ss.map_linearization(prior, suite, sched, [np.array([0.3]), np.array([0.1])])
+
+    def test_sensor_index_outside_the_suite(self):
+        prior, suite, _ = one_pick_problem()
+        sched = ss.Schedule(sets=((), (1,)), budgets=(1, 1))
+        with pytest.raises(ss.DimensionMismatchError, match="step 1 selects a sensor index"):
+            ss.map_linearization(prior, suite, sched, [None, np.array([0.1])])
+
+    @pytest.mark.parametrize("max_iter", [0, -1, 2.0, True, "3", None])
+    def test_max_iter_must_be_a_positive_integer(self, max_iter):
+        prior, suite, sched = one_pick_problem()
+        with pytest.raises(ss.InvalidParamsError, match="max_iter"):
+            ss.map_linearization(prior, suite, sched, [None, np.array([0.1])], max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf, "0", None, False])
+    def test_tol_must_be_finite_and_non_negative(self, tol):
+        prior, suite, sched = one_pick_problem()
+        with pytest.raises(ss.InvalidParamsError, match="tol"):
+            ss.map_linearization(prior, suite, sched, [None, np.array([0.1])], tol=tol)
+
+    def test_boundary_options_are_accepted(self):
+        prior, suite, sched = one_pick_problem()
+        out = ss.map_linearization(
+            prior, suite, sched, [None, np.array([0.1])], tol=0, max_iter=np.int64(1)
+        )
+        assert out.iterations == 1
+
+
+@st.composite
+def map_problems(draw):
+    """A prior of any kind, smooth nonlinear sensors of 1 to 3 outputs with
+    per-step noise overrides, 0 to 3 picks per step, and noisy measurements
+    of a state drawn near the prior mean."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**20)))
+    n, K = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    prior = random_prior(rng, n, K, draw(st.sampled_from(PRIOR_KINDS)))
+    sensors = []
+    for rows in draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)):
+        A, B = rng.standard_normal((rows, n)), rng.standard_normal((rows, n))
+        override_steps = draw(st.sets(st.integers(0, K - 1)))
+        sensors.append(ss.Sensor(
+            rows,
+            lambda x, A=A, B=B: A @ x + 0.3 * np.sin(B @ x),
+            lambda x, A=A, B=B: A + 0.3 * np.cos(B @ x)[:, None] * B,
+            random_spd(rng, rows, 0.3),
+            noise_overrides={k: random_spd(rng, rows, 0.3) for k in sorted(override_steps)},
+        ))
+    m = len(sensors)
+    sets = tuple(
+        tuple(sorted(draw(st.sets(st.integers(0, m - 1), max_size=min(m, 3)))))
+        for _ in range(K)
+    )
+    schedule = ss.Schedule(sets=sets, budgets=(m,) * K)
+    x_true = (np.asarray(prior.mean) + 0.5 * rng.standard_normal(prior.dim)).reshape(K, n)
+    measurements = [
+        np.concatenate([
+            sensors[i].measure_at(x_true[k]) + 0.1 * rng.standard_normal(sensors[i].output_dim)
+            for i in chosen
+        ]) if chosen else None
+        for k, chosen in enumerate(sets)
+    ]
+    suite = ss.SensorSuite(state_dim=n, sensors=tuple(sensors))
+    return prior, suite, schedule, measurements
+
+
+@settings(max_examples=80)
+@given(map_problems(), st.sampled_from([1, 3]))
+def test_batched_map_matches_per_pick_reference(problem, max_iter):
+    # the batched iteration against a per-pick dense Gauss-Newton built from
+    # the paper's stacked C and R; empty schedules return the prior mean
+    prior, suite, schedule, measurements = problem
+    out = ss.map_linearization(prior, suite, schedule, measurements, max_iter=max_iter)
+    if not schedule.total_selected:
+        assert (out.converged, out.iterations) == (True, 0)
+        np.testing.assert_array_equal(out.estimate, prior.mean)
+        return
+    estimate, converged, iterations = gauss_newton_reference(
+        prior, suite, schedule, measurements, max_iter
+    )
+    assert (out.converged, out.iterations) == (converged, iterations)
+    np.testing.assert_allclose(out.estimate, estimate, rtol=1e-10, atol=1e-10)
 
 
 class TestMapLinearization:
