@@ -142,15 +142,12 @@ class BlockTridiagonalMatrix:
         v = np.asarray(v, dtype=float)
         if v.shape != (n * K,):
             raise DimensionMismatchError(f"vector has shape {v.shape}, expected ({n * K},)")
-        parts = v.reshape(K, n)
-        out = np.empty_like(parts)
-        for k in range(K):
-            acc = self.diag_blocks[k] @ parts[k]
-            if k > 0:
-                acc = acc + self.offdiag_blocks[k - 1].T @ parts[k - 1]
-            if k < K - 1:
-                acc = acc + self.offdiag_blocks[k] @ parts[k + 1]
-            out[k] = acc
+        # per step: the diagonal block's product, then the lower and the
+        # upper neighbour's, added in that order
+        parts = v.reshape(K, n, 1)
+        out = self._diag_stack @ parts
+        out[1:] += self._offdiag_stack.transpose(0, 2, 1) @ parts[:-1]
+        out[:-1] += self._offdiag_stack @ parts[1:]
         return out.reshape(-1)
 
 

@@ -114,6 +114,10 @@ def make_context(
 ) -> OracleContext:
     """Build an OracleContext, linearizing every sensor at every step.
 
+    Each sensor's Jacobians at all K states come from one ``jacobian_at``
+    call on the (K, n) stack of states, and are whitened by one triangular
+    solve per distinct noise factor.
+
     Args:
         prior: batch-state Gaussian prior.
         suite: available sensors; ``suite.state_dim`` must equal prior.n.
@@ -144,13 +148,23 @@ def make_context(
                     f"is beyond the horizon K={prior.K}"
                 )
 
-    sensors = suite.sensors
-    rows = np.zeros((prior.K, suite.m, max((s.output_dim for s in sensors), default=0), prior.n))
-    for k, state in enumerate(lin.reshape(prior.K, prior.n)):
-        for i, sensor in enumerate(sensors):
-            rows[k, i, :sensor.output_dim] = _trtrs(
-                sensor.noise_factor_at(k), sensor.jacobian_at(state)
-            )
+    K, n, sensors = prior.K, prior.n, suite.sensors
+    rows = np.zeros((K, suite.m, max((s.output_dim for s in sensors), default=0), n))
+    states = lin.reshape(K, n)
+    for i, sensor in enumerate(sensors):
+        # one Jacobian call over all K states, then one solve per noise
+        # factor over the side-by-side columns of the steps that share it.
+        # LAPACK solves a single column by another kernel, which divides
+        # where the many-column one multiplies by a reciprocal, so with
+        # n = 1 each step keeps a solve of its own, and its bits.
+        J = sensor.jacobian_at(states)
+        d = sensor.output_dim
+        shared: dict[int, list[int]] = {}
+        for k in range(K):
+            shared.setdefault(id(sensor.noise_factor_at(k)) if n > 1 else k, []).append(k)
+        for ks in shared.values():
+            B = _trtrs(sensor.noise_factor_at(ks[0]), J[ks].transpose(1, 0, 2).reshape(d, -1))
+            rows[ks, i, :d] = B.reshape(d, len(ks), n).transpose(1, 0, 2)
     finite = np.isfinite(rows).all(axis=(2, 3))
     if not finite.all():
         k, i = np.argwhere(~finite)[0]
@@ -384,10 +398,11 @@ def map_linearization(
     once per prior (the dense fallback is acceptable here because the MAP
     solve happens once per step, not once per candidate).
 
-    An iteration is batched over the picks. Each pick's sensor is
-    evaluated, and its [r | J] block written into one stack; then one
-    triangular solve per noise factor whitens every block that shares it,
-    one finiteness check covers the stack, and one batched product per
+    An iteration is batched over the picks. The picks that share a noise
+    factor are one sensor's: it measures and differentiates all of their
+    states in one call each (see ``Sensor.measure_at``), written as [r | J]
+    blocks into one stack, and one triangular solve whitens them. One
+    finiteness check covers the stack, and one batched product per
     output dimension gives every pick's information and gradient. A step
     sums these in pick order, and its sum goes into the diagonal blocks
     of the prior precision. The schedule and measurements are checked
@@ -448,10 +463,12 @@ def map_linearization(
         return MapEstimate(estimate=np.array(prior.mean), converged=True, iterations=0)
 
     # Picks sharing a noise factor are adjacent in one flat buffer, and so
-    # are those of one output dimension d: a factor's picks are whitened by
-    # one triangular solve, a dimension's by one batched product. A pick's
-    # [r | J] block is stored transposed, (n + 1) x d, so a factor's blocks
-    # make one Fortran-ordered d x (n + 1)P array, which is solved in place.
+    # are those of one output dimension d. A factor's picks are one sensor's
+    # (each Sensor factors its own noise), which measures and differentiates
+    # all of their states in one call each; one triangular solve then
+    # whitens them, and a dimension's picks take one batched product. A
+    # pick's [r | J] block is stored transposed, (n + 1) x d, so a factor's
+    # blocks make one Fortran-ordered d x (n + 1)P array, solved in place.
     factors = [sensors[i].noise_factor_at(k) for k, i, _ in picks]
     first: dict[int, int] = {}
     for p, L in enumerate(factors):
@@ -468,13 +485,17 @@ def map_linearization(
             yield c0, c1, buffer[starts[c0]:starts[c1]].reshape(c1 - c0, n + 1, -1)
             c0 = c1
 
-    whitening = [(factors[order[c0]], W.reshape(-1, W.shape[2]).T)
-                 for c0, _, W in runs(lambda p: id(factors[p]))]
-    products = [(c0, c1, W, np.array([picks[p][2] for p in order[c0:c1]]))
-                for c0, c1, W in runs(lambda p: len(factors[p]))]
+    # per factor: its sensor, the factor, its picks' steps and measured
+    # values, and its blocks, also as the one d x (n + 1)P array solved
+    factor_runs = []
+    for c0, c1, W in runs(lambda p: id(factors[p])):
+        run = [picks[p] for p in order[c0:c1]]
+        run_steps, y = np.array([k for k, _, _ in run]), np.array([y for _, _, y in run])
+        factor_runs.append((sensors[run[0][1]], factors[order[c0]], run_steps, y,
+                            W, W.reshape(-1, W.shape[2]).T))
+    products = list(runs(lambda p: len(factors[p])))
     position = np.argsort(order)
-    blocks = [buffer[starts[c]:starts[c + 1]].reshape(n + 1, -1) for c in position]
-    calls = [(sensors[i], k, block[0], block[1:].T) for (k, i, _), block in zip(picks, blocks)]
+    blocks = [buffer[starts[c]:starts[c + 1]] for c in position]
     # slots[j, k]: the buffer position of step k's j-th pick, or the zero row
     slots = np.full((max(map(len, sets)), K), len(picks))
     slots[[j for chosen in sets for j in range(len(chosen))], [k for k, _, _ in picks]] = position
@@ -489,13 +510,11 @@ def map_linearization(
     iterations = 0
     for iterations in range(1, max_iter + 1):
         states = x.reshape(K, n)
-        for sensor, k, r, J in calls:
-            state = states[k]
-            r[...] = sensor.measure_at(state)
-            J[...] = sensor.jacobian_at(state)
-        for _, _, W, y in products:
-            np.subtract(y, W[:, 0], out=W[:, 0])
-        for L, B in whitening:  # column 0 of a block becomes L^-1 r, the rest L^-1 J
+        # column 0 of a block becomes L^-1 (y - h), the rest L^-1 J
+        for sensor, L, run_steps, y, W, B in factor_runs:
+            at = states[run_steps]
+            np.subtract(y, sensor.measure_at(at), out=W[:, 0])
+            W[:, 1:] = sensor.jacobian_at(at).swapaxes(1, 2)
             _trtrs(L, B, overwrite=True)
         if not np.isfinite(buffer).all():
             k, i, _ = next(pick for pick, block in zip(picks, blocks)
@@ -503,7 +522,7 @@ def map_linearization(
             raise InvalidParamsError(
                 f"step {k}, sensor {i} ({sensors[i].name!r}): non-finite residual or Jacobian"
             )
-        for c0, c1, W, _ in products:
+        for c0, c1, W in products:
             np.matmul(W[:, 1:], W[:, 1:].swapaxes(1, 2), out=infos[c0:c1])
             np.matmul(W[:, 1:], W[:, :1].swapaxes(1, 2), out=grads[c0:c1, :, None])
         xi = np.zeros((K, n, n))

@@ -54,7 +54,11 @@ class Sensor:
     """One nonlinear sensor: measurement map, Jacobian, Gaussian noise.
 
     ``measure`` maps a state vector to a length-``output_dim`` vector and
-    ``jacobian`` to its (output_dim x n) derivative. ``noise_cov`` is the
+    ``jacobian`` to its (output_dim x n) derivative. ``measure_at`` and
+    ``jacobian_at`` evaluate them, checking the shape, at one state or at
+    each row of a (P, n) stack of states; a built-in sensor's maps
+    (``builtin_sensor``) take the whole stack in one call, and any other
+    sensor's are applied row by row. ``noise_cov`` is the
     SPD noise covariance, constant over time unless ``noise_overrides``
     maps specific step indices (non-negative integers) to replacement
     covariances. Each of these is factored once, here, as R = L L^T;
@@ -115,7 +119,14 @@ class Sensor:
         return self._factors.get(k, self._factors[None])
 
     def measure_at(self, x: np.ndarray) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(self.measure(x), dtype=float))
+        """The measurement at one state, (output_dim,), or at each row of a
+        (P, n) stack of states, (P, output_dim)."""
+        x = np.asarray(x)
+        if x.ndim == 2:
+            return self._on_stack(self.measure, self.measure_at, x, (self.output_dim,))
+        z = np.asarray(self.measure(x), dtype=float)
+        if z.ndim == 0:
+            z = z.reshape(1)
         if z.shape != (self.output_dim,):
             raise DimensionMismatchError(
                 f"sensor {self.name!r} returned shape {z.shape}, "
@@ -124,13 +135,35 @@ class Sensor:
         return z
 
     def jacobian_at(self, x: np.ndarray) -> np.ndarray:
-        J = np.atleast_2d(np.asarray(self.jacobian(x), dtype=float))
+        """The Jacobian at one state, (output_dim, n), or at each row of a
+        (P, n) stack of states, (P, output_dim, n)."""
+        x = np.asarray(x)
+        if x.ndim == 2:
+            return self._on_stack(self.jacobian, self.jacobian_at, x, (self.output_dim, x.shape[1]))
+        J = np.asarray(self.jacobian(x), dtype=float)
+        if J.ndim < 2:
+            J = J.reshape(1, -1)
         if J.shape != (self.output_dim, x.size):
             raise DimensionMismatchError(
                 f"sensor {self.name!r} jacobian has shape {J.shape}, "
                 f"expected ({self.output_dim}, {x.size})"
             )
         return J
+
+    def _on_stack(self, f, at_state, X: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        """The map f at each row of X: one call for a built-in map, else row by row."""
+        shape = (len(X),) + shape
+        if isinstance(f, _StackedMap):
+            out = f.stacked(X.astype(float, copy=False))
+            if out.shape != shape:
+                raise DimensionMismatchError(
+                    f"sensor {self.name!r} returned shape {out.shape} on a stack, expected {shape}"
+                )
+            return out
+        out = np.empty(shape)
+        for p, x in enumerate(X):
+            out[p] = at_state(x)
+        return out
 
 
 @dataclass(frozen=True)
@@ -236,6 +269,28 @@ def _resolve_noise(output_dim, noise_cov, noise_var):
     return float(noise_var) * np.eye(output_dim)
 
 
+class _StackedMap:
+    """A built-in sensor map, written once for a (P, n) stack of states.
+
+    Called on one state, it evaluates row 0 of a one-row stack, so the
+    one-state and stacked forms cannot drift. ``Sensor.measure_at`` and
+    ``Sensor.jacobian_at`` call ``stacked`` on a whole stack at once.
+    """
+
+    __slots__ = ("stacked",)
+
+    def __init__(self, stacked: Callable[[np.ndarray], np.ndarray]):
+        self.stacked = stacked
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.stacked(np.asarray(x, dtype=float).reshape(1, -1))[0]
+
+
+def _stacked_sensor(measure, jacobian, noise_cov, noise_var, name) -> Sensor:
+    return Sensor(1, _StackedMap(measure), _StackedMap(jacobian),
+                  _resolve_noise(1, noise_cov, noise_var), name=name)
+
+
 def builtin_sensor(
     kind: str,
     *,
@@ -247,6 +302,13 @@ def builtin_sensor(
     name: str | None = None,
 ) -> Sensor:
     """Library of concrete sensors with analytically coded Jacobians.
+
+    Each kind is written once, for a (P, n) stack of states, so
+    ``measure_at`` and ``jacobian_at`` evaluate a whole stack in one call;
+    the returned sensor's one-state ``measure`` and ``jacobian`` read row 0
+    of a one-row stack. A stack is checked as a whole: one row at an
+    anchor, or a stack of the wrong width, raises the error a one-state
+    call raises.
 
     Kinds:
         linear_coordinate: reads state coordinate ``axis``.
@@ -265,46 +327,49 @@ def builtin_sensor(
             )
         ax = int(axis)
 
-        def measure(x, _ax=ax):
-            if _ax >= x.size:
-                raise InvalidParamsError(f"axis {_ax} out of range for state dim {x.size}")
-            return np.array([x[_ax]])
+        def check(X):
+            if ax >= X.shape[1]:
+                raise InvalidParamsError(f"axis {ax} out of range for state dim {X.shape[1]}")
 
-        def jac(x, _ax=ax):
-            if _ax >= x.size:
-                raise InvalidParamsError(f"axis {_ax} out of range for state dim {x.size}")
-            row = np.zeros((1, x.size))
-            row[0, _ax] = 1.0
-            return row
+        def measure(X):
+            check(X)
+            return X[:, [ax]]
 
-        return Sensor(1, measure, jac, _resolve_noise(1, noise_cov, noise_var),
-                      name=name or f"linear_coordinate[{ax}]")
+        def jacobian(X):
+            check(X)
+            J = np.zeros((len(X), 1, X.shape[1]))
+            J[:, 0, ax] = 1.0
+            return J
+
+        return _stacked_sensor(measure, jacobian, noise_cov, noise_var,
+                               name or f"linear_coordinate[{ax}]")
 
     if kind == "range":
         if anchor is None:
             raise InvalidParamsError("range sensor needs an anchor point")
         a = np.asarray(anchor, dtype=float)
 
-        def offset(x, _a=a):
-            if x.size != _a.size:
+        def offset(X):
+            if X.shape[1] != a.size:
                 raise InvalidParamsError(
-                    f"range anchor has {_a.size} coordinates, state dim {x.size}"
+                    f"range anchor has {a.size} coordinates, state dim {X.shape[1]}"
                 )
-            d = x - _a
-            r = math.sqrt(float(d @ d))  # what np.linalg.norm computes, bit for bit
-            if r == 0.0:
+            D = X - a
+            # the per-row product is the one-state d @ d, bit for bit; its
+            # square root is what np.linalg.norm computes
+            r = np.sqrt(D[:, None, :] @ D[:, :, None])[:, 0]
+            if (r == 0.0).any():
                 raise InvalidParamsError("range sensor evaluated at its anchor")
-            return d, r
+            return D, r
 
-        def measure(x):
-            return np.array([offset(x)[1]])
+        def measure(X):
+            return offset(X)[1]
 
-        def jac(x):
-            d, r = offset(x)
-            return (d / r).reshape(1, -1)
+        def jacobian(X):
+            D, r = offset(X)
+            return (D / r)[:, None, :]
 
-        return Sensor(1, measure, jac, _resolve_noise(1, noise_cov, noise_var),
-                      name=name or "range")
+        return _stacked_sensor(measure, jacobian, noise_cov, noise_var, name or "range")
 
     if kind == "bearing":
         if anchor is None:
@@ -313,28 +378,28 @@ def builtin_sensor(
         if a.size < 2:
             raise InvalidParamsError("bearing anchor needs at least two coordinates")
 
-        def measure(x, _a=a):
-            if x.size < 2:
+        def offset(X):
+            if X.shape[1] < 2:
                 raise InvalidParamsError("bearing sensor needs state dim >= 2")
-            dx, dy = x[0] - _a[0], x[1] - _a[1]
-            if dx == 0.0 and dy == 0.0:
-                raise InvalidParamsError("bearing sensor evaluated at its anchor")
-            return np.array([np.arctan2(dy, dx)])
+            return X[:, 0] - a[0], X[:, 1] - a[1]
 
-        def jac(x, _a=a):
-            if x.size < 2:
-                raise InvalidParamsError("bearing sensor needs state dim >= 2")
-            dx, dy = x[0] - _a[0], x[1] - _a[1]
+        def measure(X):
+            dx, dy = offset(X)
+            if ((dx == 0.0) & (dy == 0.0)).any():
+                raise InvalidParamsError("bearing sensor evaluated at its anchor")
+            return np.arctan2(dy, dx)[:, None]
+
+        def jacobian(X):
+            dx, dy = offset(X)
             r2 = dx * dx + dy * dy
-            if r2 == 0.0:
+            if (r2 == 0.0).any():
                 raise InvalidParamsError("bearing sensor evaluated at its anchor")
-            row = np.zeros((1, x.size))
-            row[0, 0] = -dy / r2
-            row[0, 1] = dx / r2
-            return row
+            J = np.zeros((len(X), 1, X.shape[1]))
+            J[:, 0, 0] = -dy / r2
+            J[:, 0, 1] = dx / r2
+            return J
 
-        return Sensor(1, measure, jac, _resolve_noise(1, noise_cov, noise_var),
-                      name=name or "bearing")
+        return _stacked_sensor(measure, jacobian, noise_cov, noise_var, name or "bearing")
 
     if kind == "quadratic":
         if weight is None:
@@ -344,21 +409,21 @@ def builtin_sensor(
             raise InvalidParamsError(f"weight must be square, got shape {W.shape}")
         W = 0.5 * (W + W.T)
 
-        def measure(x, _W=W):
-            if x.size != _W.shape[0]:
+        def check(X):
+            if X.shape[1] != W.shape[0]:
                 raise InvalidParamsError(
-                    f"quadratic weight is {_W.shape[0]} x {_W.shape[0]}, state dim {x.size}"
+                    f"quadratic weight is {W.shape[0]} x {W.shape[0]}, state dim {X.shape[1]}"
                 )
-            return np.array([0.5 * float(x @ _W @ x)])
 
-        def jac(x, _W=W):
-            if x.size != _W.shape[0]:
-                raise InvalidParamsError(
-                    f"quadratic weight is {_W.shape[0]} x {_W.shape[0]}, state dim {x.size}"
-                )
-            return (_W @ x).reshape(1, -1)
+        # per row, these products are the one-state x @ W @ x and W @ x, bit for bit
+        def measure(X):
+            check(X)
+            return 0.5 * ((X[:, None, :] @ W) @ X[:, :, None])[:, 0]
 
-        return Sensor(1, measure, jac, _resolve_noise(1, noise_cov, noise_var),
-                      name=name or "quadratic")
+        def jacobian(X):
+            check(X)
+            return (W @ X[:, :, None]).transpose(0, 2, 1)
+
+        return _stacked_sensor(measure, jacobian, noise_cov, noise_var, name or "quadratic")
 
     raise InvalidParamsError(f"unknown sensor kind {kind!r}")

@@ -86,8 +86,10 @@ SIGNATURES = {
     "greedy_step_detailed": ["ctx", "fixed_prefix", "k", "s_k", "lazy"],
 }
 
-# the fields of each result type: no full enumeration table, no wall time
+# the fields of each result type (no full enumeration table, no wall time)
+# and of Sensor, whose stacked evaluation needs no field of its own
 FIELDS = {
+    "Sensor": ["output_dim", "measure", "jacobian", "noise_cov", "name", "noise_overrides"],
     "EnumerationResult": ["opt_cost", "max_cost", "opt_schedule", "num_enumerated"],
     "StepTrace": ["step", "chosen", "gains", "oracle_calls"],
 }

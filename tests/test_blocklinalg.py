@@ -370,6 +370,33 @@ class TestConstruction:
         v = rng.standard_normal(12)
         np.testing.assert_allclose(M.matvec(v), dense @ v, rtol=1e-12)
 
+    @given(n=st.integers(1, 5), K=st.integers(1, 39), seed=SEEDS)
+    def test_matvec_matches_the_assembled_product(self, n, K, seed):
+        # and, bit for bit, a loop over the steps that adds each step's
+        # diagonal, lower and upper products in that order
+        rng = np.random.default_rng(seed)
+        M = ss.BlockTridiagonalMatrix(diag_blocks=tuple(rng.standard_normal((K, n, n))),
+                                      offdiag_blocks=tuple(rng.standard_normal((K - 1, n, n))))
+        v = rng.standard_normal(n * K)
+        parts = v.reshape(K, n)
+        loop = np.empty_like(parts)
+        for k in range(K):
+            acc = M.diag_blocks[k] @ parts[k]
+            if k > 0:
+                acc = acc + M.offdiag_blocks[k - 1].T @ parts[k - 1]
+            if k < K - 1:
+                acc = acc + M.offdiag_blocks[k] @ parts[k + 1]
+            loop[k] = acc
+        assert np.array_equal(M.matvec(v), loop.reshape(-1))
+        np.testing.assert_allclose(M.matvec(v), M.assemble() @ v, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("v", [np.zeros(5), np.zeros((2, 3)), np.zeros(7)],
+                             ids=["short", "2-d", "long"])
+    def test_matvec_of_the_wrong_shape_raises(self, v):
+        M = ss.BlockTridiagonalMatrix.identity(3, 2)
+        with pytest.raises(ss.DimensionMismatchError, match=r"expected \(6,\)"):
+            M.matvec(v)
+
     def test_block_count_mismatch_raises(self):
         with pytest.raises(ss.DimensionMismatchError):
             ss.BlockTridiagonalMatrix(

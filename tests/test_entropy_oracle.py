@@ -17,6 +17,7 @@ from conftest import (
     measurement_model,
     random_instance,
     random_prior,
+    random_sensor,
     random_spd,
     random_suite,
 )
@@ -469,6 +470,33 @@ class TestContextCaches:
                                            J.T @ np.linalg.solve(R, J), rtol=1e-12)
         assert sensors[0].noise_factor_at(1)[0, 0] == pytest.approx(np.sqrt(3.0), rel=1e-15)
 
+    @pytest.mark.parametrize("seed", range(45))
+    def test_arrays_equal_a_per_step_and_sensor_formation(self, seed):
+        # one Jacobian call per sensor and one solve per noise factor give
+        # the bits of one jacobian_at and one _trtrs per (step, sensor);
+        # every third instance has per-step overrides, so a sensor has
+        # several noise factors
+        from sensorsched.blocklinalg import _trtrs
+
+        prior, suite = random_instance(seed, n=1 + seed // 3 % 3, K=1 + seed // 2 % 6)
+        rng = np.random.default_rng(seed + 1000)
+        if seed % 3 == 0:
+            suite = ss.SensorSuite(state_dim=suite.state_dim, sensors=tuple(
+                ss.Sensor(s.output_dim, s.measure, s.jacobian, s.noise_cov, name=s.name,
+                          noise_overrides={int(k): [[0.3 + rng.random()]]
+                                           for k in rng.choice(prior.K, (prior.K + 1) // 2)})
+                for s in suite.sensors))
+        lin = prior.mean + 0.5 * rng.standard_normal(prior.dim)
+        ctx = ss.make_context(prior, suite, lin)
+
+        states = lin.reshape(prior.K, prior.n)
+        rows = np.array([[_trtrs(s.noise_factor_at(k), s.jacobian_at(states[k]))
+                          for s in suite.sensors] for k in range(prior.K)])
+        increments = np.swapaxes(rows, 2, 3) @ rows
+        increments = 0.5 * (increments + np.swapaxes(increments, 2, 3))
+        assert np.array_equal(ctx._rows[:, :suite.m], rows)
+        assert np.array_equal(ctx._increments[:, :suite.m], increments)
+
 
 def nan_jacobian_suite(n):
     """One valid sensor and, at index 1, a sensor whose Jacobian is NaN."""
@@ -571,14 +599,23 @@ class TestMapInputChecks:
 
 
 @st.composite
-def map_problems(draw):
+def map_problems(draw, builtins=False):
     """A prior of any kind, smooth nonlinear sensors of 1 to 3 outputs with
     per-step noise overrides, 0 to 3 picks per step, and noisy measurements
-    of a state drawn near the prior mean."""
+    of a state drawn near the prior mean. With ``builtins``, built-in
+    sensors of every kind, some with overrides, come first in the suite."""
     rng = np.random.default_rng(draw(st.integers(0, 2**20)))
     n, K = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     prior = random_prior(rng, n, K, draw(st.sampled_from(PRIOR_KINDS)))
     sensors = []
+    if builtins:
+        kinds = ["linear_coordinate", "range", "quadratic"] + ["bearing"] * (n >= 2)
+        for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+            s = random_sensor(rng, n, kind)
+            override_steps = draw(st.sets(st.integers(0, K - 1)))
+            sensors.append(ss.Sensor(1, s.measure, s.jacobian, s.noise_cov, name=s.name,
+                                     noise_overrides={k: random_spd(rng, 1, 0.3)
+                                                      for k in sorted(override_steps)}))
     for rows in draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)):
         A, B = rng.standard_normal((rows, n)), rng.standard_normal((rows, n))
         override_steps = draw(st.sets(st.integers(0, K - 1)))
@@ -607,9 +644,7 @@ def map_problems(draw):
     return prior, suite, schedule, measurements
 
 
-@settings(max_examples=80)
-@given(map_problems(), st.sampled_from([1, 3]))
-def test_batched_map_matches_per_pick_reference(problem, max_iter):
+def _matches_per_pick_reference(problem, max_iter):
     # the batched iteration against a per-pick dense Gauss-Newton built from
     # the paper's stacked C and R; empty schedules return the prior mean
     prior, suite, schedule, measurements = problem
@@ -623,6 +658,20 @@ def test_batched_map_matches_per_pick_reference(problem, max_iter):
     )
     assert (out.converged, out.iterations) == (converged, iterations)
     np.testing.assert_allclose(out.estimate, estimate, rtol=1e-10, atol=1e-10)
+
+
+@settings(max_examples=80)
+@given(map_problems(), st.sampled_from([1, 3]))
+def test_batched_map_matches_per_pick_reference(problem, max_iter):
+    _matches_per_pick_reference(problem, max_iter)
+
+
+@settings(max_examples=80)
+@given(map_problems(builtins=True), st.sampled_from([1, 3]))
+def test_map_with_builtin_and_custom_sensors_matches_per_pick_reference(problem, max_iter):
+    # built-in sensors evaluate each noise factor's picks as one stack,
+    # custom multi-output ones row by row
+    _matches_per_pick_reference(problem, max_iter)
 
 
 class TestMapLinearization:

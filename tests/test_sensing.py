@@ -4,8 +4,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import sensorsched as ss
+from conftest import random_sensor
+
+KINDS = ("linear_coordinate", "range", "bearing", "quadratic")
 
 
 class TestBuiltinSensors:
@@ -132,6 +137,138 @@ class TestBuiltinSensors:
                 analytic = sensor.jacobian_at(x)
                 numeric = ss.finite_difference_jacobian(sensor.measure, x, step=1e-6)
                 np.testing.assert_allclose(analytic, numeric, atol=1e-5)
+
+
+def _user_sensor(output_dim, measured, jacobian, name="u"):
+    """A user Sensor whose maps return fixed values of any type or shape."""
+    return ss.Sensor(output_dim, lambda x: measured, lambda x: jacobian,
+                     np.eye(output_dim), name=name)
+
+
+class TestSensorWrappers:
+    """What ``measure_at``/``jacobian_at`` accept from a sensor's maps, and what they reject."""
+
+    @pytest.mark.parametrize("measured, expected", [
+        (2.5, [2.5]),
+        (np.array(2.5), [2.5]),
+        (np.array([2.5]), [2.5]),
+        ([2.5], [2.5]),
+        (3, [3.0]),
+    ], ids=["float", "0-d", "(1,)", "list", "int"])
+    def test_one_output_measurement_forms_are_accepted(self, measured, expected):
+        z = _user_sensor(1, measured, np.zeros((1, 2))).measure_at(np.zeros(2))
+        assert z.shape == (1,) and z.dtype == float and z.tolist() == expected
+
+    def test_a_list_of_outputs_is_accepted(self):
+        z = _user_sensor(2, [1.0, 2.0], np.zeros((2, 3))).measure_at(np.zeros(3))
+        assert z.shape == (2,) and z.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("jacobian, n", [
+        (np.array([1.0, 2.0]), 2),
+        ([1.0, 2.0], 2),
+        ([[1.0, 2.0]], 2),
+        (4.0, 1),
+        (np.array([4.0]), 1),
+    ], ids=["row", "list-row", "nested-list", "float-n1", "(1,)-n1"])
+    def test_one_output_jacobian_rows_are_accepted(self, jacobian, n):
+        J = _user_sensor(1, 0.0, jacobian).jacobian_at(np.zeros(n))
+        assert J.shape == (1, n) and J.dtype == float
+        assert J.tolist() == np.reshape(jacobian, (1, n)).tolist()
+
+    def test_a_full_jacobian_is_accepted(self):
+        J = _user_sensor(2, [0.0, 0.0], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]).jacobian_at(np.zeros(3))
+        assert J.shape == (2, 3) and J.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
+    @pytest.mark.parametrize("output_dim, measured, message", [
+        (1, np.zeros((1, 1)), "sensor 'u' returned shape (1, 1), expected (1,)"),
+        (1, [1.0, 2.0], "sensor 'u' returned shape (2,), expected (1,)"),
+        (2, 1.0, "sensor 'u' returned shape (1,), expected (2,)"),
+        (2, np.zeros(3), "sensor 'u' returned shape (3,), expected (2,)"),
+    ], ids=["(1,1)", "two-for-one", "scalar-for-two", "three-for-two"])
+    def test_wrong_measurement_shapes_raise_naming_the_sensor(self, output_dim, measured, message):
+        sensor = _user_sensor(output_dim, measured, np.zeros((output_dim, 2)))
+        with pytest.raises(ss.DimensionMismatchError, match=re.escape(message)):
+            sensor.measure_at(np.zeros(2))
+
+    @pytest.mark.parametrize("output_dim, jacobian, n, message", [
+        (1, np.zeros(3), 2, "sensor 'u' jacobian has shape (1, 3), expected (1, 2)"),
+        (2, np.zeros(2), 2, "sensor 'u' jacobian has shape (1, 2), expected (2, 2)"),
+        (2, np.zeros(2), 1, "sensor 'u' jacobian has shape (1, 2), expected (2, 1)"),
+        (1, np.zeros((2, 1)), 2, "sensor 'u' jacobian has shape (2, 1), expected (1, 2)"),
+        (1, np.zeros((1, 1, 2)), 2, "sensor 'u' jacobian has shape (1, 1, 2), expected (1, 2)"),
+        (2, 1.0, 1, "sensor 'u' jacobian has shape (1, 1), expected (2, 1)"),
+    ], ids=["long-row", "row-for-two", "row-for-column", "column", "3-d", "scalar-for-two"])
+    def test_wrong_jacobian_shapes_raise_naming_the_sensor(self, output_dim, jacobian, n, message):
+        sensor = _user_sensor(output_dim, np.zeros(output_dim), jacobian)
+        with pytest.raises(ss.DimensionMismatchError, match=re.escape(message)):
+            sensor.jacobian_at(np.zeros(n))
+
+
+class TestStackedEvaluation:
+    """A (P, n) stack of states: every row's one-state result, in one call."""
+
+    @given(kind=st.sampled_from(KINDS), n=st.sampled_from([2, 3, 4]),
+           P=st.integers(1, 25), seed=st.integers(0, 2**32 - 1))
+    def test_builtin_stack_equals_its_rows_exactly(self, kind, n, P, seed):
+        rng = np.random.default_rng(seed)
+        sensor = random_sensor(rng, n, kind)
+        X = rng.normal(0.0, 2.0, (P, n))
+        Z, J = sensor.measure_at(X), sensor.jacobian_at(X)
+        assert Z.shape == (P, 1) and J.shape == (P, 1, n)
+        assert np.array_equal(Z, [sensor.measure_at(x) for x in X])
+        assert np.array_equal(J, [sensor.jacobian_at(x) for x in X])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_an_empty_stack_gives_empty_results(self, kind):
+        sensor = random_sensor(np.random.default_rng(3), 3, kind)
+        X = np.zeros((0, 3))
+        assert sensor.measure_at(X).shape == (0, 1)
+        assert sensor.jacobian_at(X).shape == (0, 1, 3)
+
+    @pytest.mark.parametrize("sensor, state", [
+        (ss.builtin_sensor("range", anchor=[1.0, 2.0], noise_var=1.0), [1.0, 2.0]),
+        (ss.builtin_sensor("bearing", anchor=[0.5, -0.5], noise_var=1.0), [0.5, -0.5]),
+        (ss.builtin_sensor("range", anchor=[1.0, 2.0], noise_var=1.0), [1.0, 2.0, 3.0]),
+        (ss.builtin_sensor("bearing", anchor=[0.5, -0.5], noise_var=1.0), [0.5]),
+        (ss.builtin_sensor("linear_coordinate", axis=2, noise_var=1.0), [1.0, 2.0]),
+        (ss.builtin_sensor("quadratic", weight=np.eye(2), noise_var=1.0), [1.0, 2.0, 3.0]),
+    ], ids=["range-anchor", "bearing-anchor", "range-width", "bearing-width",
+            "axis-width", "quadratic-width"])
+    def test_one_bad_row_raises_what_a_one_state_call_raises(self, sensor, state):
+        state = np.array(state)
+        X = np.array([state + 1.0, state, state - 1.0])
+        for evaluate in (sensor.measure_at, sensor.jacobian_at):
+            with pytest.raises(ss.InvalidParamsError) as one:
+                evaluate(state)
+            with pytest.raises(ss.InvalidParamsError, match=f"^{re.escape(str(one.value))}$"):
+                evaluate(X)
+
+    def test_user_sensor_is_applied_row_by_row(self):
+        seen = []
+        sensor = ss.Sensor(2, lambda x: seen.append(x) or [x.sum(), x[0]],
+                           lambda x: [[1.0, 1.0], [1.0, 0.0]], np.eye(2), name="u")
+        X = np.array([[1.0, 2.0], [3.0, 5.0]])
+        assert sensor.measure_at(X).tolist() == [[3.0, 1.0], [8.0, 3.0]]
+        assert [x.tolist() for x in seen] == X.tolist()
+        assert sensor.jacobian_at(X).tolist() == [[[1.0, 1.0], [1.0, 0.0]]] * 2
+
+    def test_user_sensor_of_the_wrong_shape_raises_naming_itself_on_a_stack(self):
+        sensor = _user_sensor(2, 1.0, np.zeros(2))
+        X = np.zeros((3, 2))
+        with pytest.raises(ss.DimensionMismatchError,
+                           match=re.escape("sensor 'u' returned shape (1,), expected (2,)")):
+            sensor.measure_at(X)
+        with pytest.raises(ss.DimensionMismatchError,
+                           match=re.escape("sensor 'u' jacobian has shape (1, 2), expected (2, 2)")):
+            sensor.jacobian_at(X)
+
+    def test_builtin_map_under_a_wrong_output_dim_raises_on_a_stack(self):
+        base = ss.builtin_sensor("range", anchor=[0.0, 0.0], noise_var=1.0)
+        sensor = ss.Sensor(2, base.measure, base.jacobian, np.eye(2), name="two")
+        with pytest.raises(ss.DimensionMismatchError,
+                           match=re.escape("sensor 'two' returned shape (3, 1) on a stack, "
+                                           "expected (3, 2)")):
+            sensor.measure_at(np.ones((3, 2)))
 
 
 class TestSchedule:
