@@ -335,13 +335,16 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
         writer.writerows(rows)
 
 
-def _simulate_measurements(suite, schedule_sets, k, x_true_k, rng):
-    parts = []
-    for i in schedule_sets:
+def _simulate_measurements(suite, chosen, k, x_true_k, rng):
+    """Noisy readings at step k of the sensors ``chosen``, their noise drawn
+    in pick order and their readings stacked in ascending sensor order,
+    the order of ``Schedule`` sets and so of ``map_linearization``."""
+    parts = {}
+    for i in chosen:
         sensor = suite.sensors[i]
         noise = sensor.noise_factor_at(k) @ rng.standard_normal(sensor.output_dim)
-        parts.append(sensor.measure_at(x_true_k) + noise)
-    return np.concatenate(parts) if parts else None
+        parts[i] = sensor.measure_at(x_true_k) + noise
+    return np.concatenate([parts[i] for i in sorted(parts)]) if parts else None
 
 
 def _receding_greedy(prior, suite, budgets, lazy, seed):
@@ -349,7 +352,12 @@ def _receding_greedy(prior, suite, budgets, lazy, seed):
 
     Ground truth is simulated from the prior; after each step the chosen
     sensors are sampled and the MAP estimate refreshed, so later steps
-    linearize where the data points.
+    linearize where the data points. A step's readings are stacked in
+    ascending sensor order, as its sorted ``Schedule`` set lists them,
+    whatever order greedy picked them in. Each MAP solve starts from the
+    previous step's estimate (the prior mean at step 0), which is also
+    where that step's context was linearized; a new step adds one step's
+    readings, so the solve starts near its answer.
     """
     rng = np.random.default_rng(seed)
     cov = prior.covariance_dense()
@@ -377,6 +385,7 @@ def _receding_greedy(prior, suite, budgets, lazy, seed):
             suite,
             Schedule(sets=tuple(sets), budgets=budgets),
             measurements,
+            initial=linearization,
         )
         if not solution.converged:
             logger.warning(

@@ -43,8 +43,9 @@ from .blocklinalg import (
     BlockTridiagonalMatrix,
     _inverse_spd,
     _band_solve,
+    _cholesky,
     _logdet_dense,
-    _solve_spd,
+    _potrs,
     _trtrs,
     logdet_block_tridiagonal_blocks,
 )
@@ -382,6 +383,7 @@ def map_linearization(
     *,
     tol: float = 1e-8,
     max_iter: int = 50,
+    initial: np.ndarray | None = None,
 ) -> MapEstimate:
     """MAP estimate of the batch state given realized past measurements.
 
@@ -390,22 +392,26 @@ def map_linearization(
 
         delta = solve(Xi(mu~) + P,  C^T R^-1 (y - c(mu~)) - P (mu~ - mu))
 
-    starting from the prior mean, until ||delta||_inf <= tol or max_iter.
-    Each sensor's residual and Jacobian are whitened by its noise factor
-    L (R = L L^T), so C^T R^-1 terms are products of whitened rows. For
-    linear sensors the first step lands exactly on the Gaussian posterior
-    mean. Covariance-form priors use the prior's dense precision, inverted
-    once per prior (the dense fallback is acceptable here because the MAP
-    solve happens once per step, not once per candidate).
+    starting from ``initial`` (the prior mean when None), until
+    ||delta||_inf <= tol or max_iter. Each sensor's residual and Jacobian
+    are whitened by its noise factor L (R = L L^T), so C^T R^-1 terms are
+    products of whitened rows. For linear sensors the first step lands
+    exactly on the Gaussian posterior mean. Covariance-form priors use the
+    prior's dense precision, inverted once per prior (the dense fallback
+    is acceptable here because the MAP solve happens once per step, not
+    once per candidate); that dense system is factored in place.
 
     An iteration is batched over the picks. The picks that share a noise
-    factor are one sensor's: it measures and differentiates all of their
-    states in one call each (see ``Sensor.measure_at``), written as [r | J]
-    blocks into one stack, and one triangular solve whitens them. One
-    finiteness check covers the stack, and one batched product per
-    output dimension gives every pick's information and gradient. A step
-    sums these in pick order, and its sum goes into the diagonal blocks
-    of the prior precision. The schedule and measurements are checked
+    factor are one sensor's: their states are gathered once per iteration,
+    and the sensor measures and differentiates all of them in one fused
+    call (``Sensor._measure_and_jacobian``: one call sharing the offset
+    and norm for a built-in sensor, ``measure_at`` and ``jacobian_at`` for
+    any other), written as [r | J] blocks into one stack, and one
+    triangular solve whitens them. One finiteness check covers the stack,
+    and one batched product per output dimension gives every pick's
+    information and gradient. One reduction sums these per step in pick
+    order, and a step's sum goes into the diagonal blocks of the prior
+    precision. The arguments, schedule and measurements are checked
     before the first iteration.
 
     Args:
@@ -415,19 +421,31 @@ def map_linearization(
             ``past_schedule`` (None for empty steps).
         tol: convergence threshold on ||delta||_inf, a finite number >= 0.
         max_iter: iteration cap, an integer >= 1.
+        initial: the first iterate, a finite vector of length
+            ``prior.dim``; e.g. an earlier estimate, when new measurements
+            refine it. With no measurements it is checked, then unused.
 
     Raises:
-        InvalidParamsError: ``tol`` or ``max_iter`` is out of range, or a
-            residual or Jacobian is not finite (names the first such pick
-            by step and sensor).
-        DimensionMismatchError: the schedule or measurements do not fit
-            the prior, the suite or each other, e.g. a step with picks and
-            no measurement, or a measurement at a step with no picks.
+        InvalidParamsError: ``tol`` or ``max_iter`` is out of range,
+            ``initial`` is not finite, or a residual or Jacobian is not
+            finite (names the first such pick by step and sensor).
+        DimensionMismatchError: ``initial``, the schedule or the
+            measurements do not fit the prior, the suite or each other,
+            e.g. a step with picks and no measurement, or a measurement at
+            a step with no picks.
     """
     if not _is_index(max_iter) or max_iter < 1:
         raise InvalidParamsError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if not isinstance(tol, numbers.Real) or isinstance(tol, bool) or not 0 <= tol < math.inf:
         raise InvalidParamsError(f"tol must be a finite number >= 0, got {tol!r}")
+    if initial is not None:
+        initial = np.asarray(initial, dtype=float)
+        if initial.shape != (prior.dim,):
+            raise DimensionMismatchError(
+                f"initial has shape {initial.shape}, expected ({prior.dim},)"
+            )
+        if not np.isfinite(initial).all():
+            raise InvalidParamsError("initial is not finite")
     if past_schedule is None or measurements is None:
         return MapEstimate(estimate=np.array(prior.mean), converged=True, iterations=0)
     if past_schedule.num_steps != prior.K:
@@ -465,7 +483,7 @@ def map_linearization(
     # Picks sharing a noise factor are adjacent in one flat buffer, and so
     # are those of one output dimension d. A factor's picks are one sensor's
     # (each Sensor factors its own noise), which measures and differentiates
-    # all of their states in one call each; one triangular solve then
+    # all of their states in one fused call; one triangular solve then
     # whitens them, and a dimension's picks take one batched product. A
     # pick's [r | J] block is stored transposed, (n + 1) x d, so a factor's
     # blocks make one Fortran-ordered d x (n + 1)P array, solved in place.
@@ -485,14 +503,15 @@ def map_linearization(
             yield c0, c1, buffer[starts[c0]:starts[c1]].reshape(c1 - c0, n + 1, -1)
             c0 = c1
 
-    # per factor: its sensor, the factor, its picks' steps and measured
-    # values, and its blocks, also as the one d x (n + 1)P array solved
+    # per factor: its sensor, the factor, its buffer positions c0..c1 - 1,
+    # its picks' measured values, and its blocks, also as the one
+    # d x (n + 1)P array solved; gather lists every position's step
     factor_runs = []
     for c0, c1, W in runs(lambda p: id(factors[p])):
         run = [picks[p] for p in order[c0:c1]]
-        run_steps, y = np.array([k for k, _, _ in run]), np.array([y for _, _, y in run])
-        factor_runs.append((sensors[run[0][1]], factors[order[c0]], run_steps, y,
-                            W, W.reshape(-1, W.shape[2]).T))
+        factor_runs.append((sensors[run[0][1]], factors[order[c0]], c0, c1,
+                            np.array([y for _, _, y in run]), W, W.reshape(-1, W.shape[2]).T))
+    gather = np.array([picks[p][0] for p in order])
     products = list(runs(lambda p: len(factors[p])))
     position = np.argsort(order)
     blocks = [buffer[starts[c]:starts[c + 1]] for c in position]
@@ -502,19 +521,21 @@ def map_linearization(
     infos = np.zeros((len(picks) + 1, n, n))
     grads = np.zeros((len(picks) + 1, n))
 
-    steps = np.arange(K)
+    # flat positions of the diagonal blocks' entries in a dense nK x nK system
+    diagonal = (np.arange(K)[:, None, None] * (n * K + 1) * n
+                + np.arange(n)[:, None] * n * K + np.arange(n)).reshape(-1)
     mu = np.array(prior.mean)
-    x = mu.copy()
+    x = mu.copy() if initial is None else initial.copy()
     precision = _precision(prior)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        states = x.reshape(K, n)
+        states = x.reshape(K, n)[gather]
         # column 0 of a block becomes L^-1 (y - h), the rest L^-1 J
-        for sensor, L, run_steps, y, W, B in factor_runs:
-            at = states[run_steps]
-            np.subtract(y, sensor.measure_at(at), out=W[:, 0])
-            W[:, 1:] = sensor.jacobian_at(at).swapaxes(1, 2)
+        for sensor, L, c0, c1, y, W, B in factor_runs:
+            h, J = sensor._measure_and_jacobian(states[c0:c1])
+            np.subtract(y, h, out=W[:, 0])
+            W[:, 1:] = J.swapaxes(1, 2)
             _trtrs(L, B, overwrite=True)
         if not np.isfinite(buffer).all():
             k, i, _ = next(pick for pick, block in zip(picks, blocks)
@@ -525,14 +546,10 @@ def map_linearization(
         for c0, c1, W in products:
             np.matmul(W[:, 1:], W[:, 1:].swapaxes(1, 2), out=infos[c0:c1])
             np.matmul(W[:, 1:], W[:, :1].swapaxes(1, 2), out=grads[c0:c1, :, None])
-        xi = np.zeros((K, n, n))
-        g = np.zeros((K, n))
-        for column in slots:  # each step's picks in pick order
-            xi += infos[column]
-            g += grads[column]
+        # each step's picks summed in pick order, one step per column of slots
+        xi = infos[slots].sum(axis=0)
         xi = 0.5 * (xi + xi.transpose(0, 2, 1))
-
-        grad = g.reshape(-1)
+        grad = grads[slots].sum(axis=0).reshape(-1)
         dev = x - mu
         if isinstance(precision, BlockTridiagonalMatrix):
             grad -= precision.matvec(dev)
@@ -540,11 +557,11 @@ def map_linearization(
         else:
             grad -= precision @ dev
             system = np.array(precision)
-            system.reshape(K, n, K, n)[steps, :, steps, :] += xi
-            delta = _solve_spd(system, grad, "Gauss-Newton system")
+            system.ravel()[diagonal] += xi.reshape(-1)
+            delta = _potrs(_cholesky(system, "Gauss-Newton system", overwrite=True), grad)
 
         x = x + delta
-        if float(np.max(np.abs(delta))) <= tol:
+        if np.abs(delta).max() <= tol:
             converged = True
             break
 

@@ -154,16 +154,29 @@ class Sensor:
         """The map f at each row of X: one call for a built-in map, else row by row."""
         shape = (len(X),) + shape
         if isinstance(f, _StackedMap):
-            out = f.stacked(X.astype(float, copy=False))
-            if out.shape != shape:
-                raise DimensionMismatchError(
-                    f"sensor {self.name!r} returned shape {out.shape} on a stack, expected {shape}"
-                )
-            return out
+            return self._stack_shaped(f.stacked(X.astype(float, copy=False)), shape)
         out = np.empty(shape)
         for p, x in enumerate(X):
             out[p] = at_state(x)
         return out
+
+    def _stack_shaped(self, out: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        if out.shape != shape:
+            raise DimensionMismatchError(
+                f"sensor {self.name!r} returned shape {out.shape} on a stack, expected {shape}"
+            )
+        return out
+
+    def _measure_and_jacobian(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``measure_at`` and ``jacobian_at`` of a (P, n) float stack, equal to
+        theirs bit for bit. A built-in sensor's two maps make one call, which
+        shares their offset and norm; any other sensor makes both calls."""
+        fused = getattr(self.measure, "fused", None)
+        if fused is None or fused is not getattr(self.jacobian, "fused", None):
+            return self.measure_at(X), self.jacobian_at(X)
+        Z, J = fused(X)
+        P, d = len(X), self.output_dim
+        return self._stack_shaped(Z, (P, d)), self._stack_shaped(J, (P, d, X.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -275,19 +288,36 @@ class _StackedMap:
     Called on one state, it evaluates row 0 of a one-row stack, so the
     one-state and stacked forms cannot drift. ``Sensor.measure_at`` and
     ``Sensor.jacobian_at`` call ``stacked`` on a whole stack at once.
+    ``fused`` is shared by a kind's measure and Jacobian maps: it returns
+    both for a stack, with the same bits (``Sensor._measure_and_jacobian``).
     """
 
-    __slots__ = ("stacked",)
+    __slots__ = ("stacked", "fused")
 
-    def __init__(self, stacked: Callable[[np.ndarray], np.ndarray]):
+    def __init__(self, stacked: Callable[[np.ndarray], np.ndarray], fused):
         self.stacked = stacked
+        self.fused = fused
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.stacked(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
 
-def _stacked_sensor(measure, jacobian, noise_cov, noise_var, name) -> Sensor:
-    return Sensor(1, _StackedMap(measure), _StackedMap(jacobian),
+def _stacked_sensor(prepare, value, derivative, noise_cov, noise_var, name) -> Sensor:
+    """A one-output sensor from a kind's three stack functions: ``prepare``
+    checks a stack and returns what its value and derivative share (an
+    offset, a norm), which ``value`` and ``derivative`` then take."""
+
+    def measure(X):
+        return value(X, prepare(X))
+
+    def jacobian(X):
+        return derivative(X, prepare(X))
+
+    def fused(X):
+        shared = prepare(X)
+        return value(X, shared), derivative(X, shared)
+
+    return Sensor(1, _StackedMap(measure, fused), _StackedMap(jacobian, fused),
                   _resolve_noise(1, noise_cov, noise_var), name=name)
 
 
@@ -331,17 +361,15 @@ def builtin_sensor(
             if ax >= X.shape[1]:
                 raise InvalidParamsError(f"axis {ax} out of range for state dim {X.shape[1]}")
 
-        def measure(X):
-            check(X)
+        def coordinate(X, _):
             return X[:, [ax]]
 
-        def jacobian(X):
-            check(X)
+        def unit_row(X, _):
             J = np.zeros((len(X), 1, X.shape[1]))
             J[:, 0, ax] = 1.0
             return J
 
-        return _stacked_sensor(measure, jacobian, noise_cov, noise_var,
+        return _stacked_sensor(check, coordinate, unit_row, noise_cov, noise_var,
                                name or f"linear_coordinate[{ax}]")
 
     if kind == "range":
@@ -362,14 +390,15 @@ def builtin_sensor(
                 raise InvalidParamsError("range sensor evaluated at its anchor")
             return D, r
 
-        def measure(X):
-            return offset(X)[1]
+        def distance(X, shared):
+            return shared[1]
 
-        def jacobian(X):
-            D, r = offset(X)
+        def direction(X, shared):
+            D, r = shared
             return (D / r)[:, None, :]
 
-        return _stacked_sensor(measure, jacobian, noise_cov, noise_var, name or "range")
+        return _stacked_sensor(offset, distance, direction, noise_cov, noise_var,
+                               name or "range")
 
     if kind == "bearing":
         if anchor is None:
@@ -383,14 +412,15 @@ def builtin_sensor(
                 raise InvalidParamsError("bearing sensor needs state dim >= 2")
             return X[:, 0] - a[0], X[:, 1] - a[1]
 
-        def measure(X):
-            dx, dy = offset(X)
+        def angle(X, shared):
+            dx, dy = shared
             if ((dx == 0.0) & (dy == 0.0)).any():
                 raise InvalidParamsError("bearing sensor evaluated at its anchor")
             return np.arctan2(dy, dx)[:, None]
 
-        def jacobian(X):
-            dx, dy = offset(X)
+        # also singular where the offset is not zero but its square underflows
+        def turn(X, shared):
+            dx, dy = shared
             r2 = dx * dx + dy * dy
             if (r2 == 0.0).any():
                 raise InvalidParamsError("bearing sensor evaluated at its anchor")
@@ -399,7 +429,7 @@ def builtin_sensor(
             J[:, 0, 1] = dx / r2
             return J
 
-        return _stacked_sensor(measure, jacobian, noise_cov, noise_var, name or "bearing")
+        return _stacked_sensor(offset, angle, turn, noise_cov, noise_var, name or "bearing")
 
     if kind == "quadratic":
         if weight is None:
@@ -416,14 +446,12 @@ def builtin_sensor(
                 )
 
         # per row, these products are the one-state x @ W @ x and W @ x, bit for bit
-        def measure(X):
-            check(X)
+        def form(X, _):
             return 0.5 * ((X[:, None, :] @ W) @ X[:, :, None])[:, 0]
 
-        def jacobian(X):
-            check(X)
+        def gradient(X, _):
             return (W @ X[:, :, None]).transpose(0, 2, 1)
 
-        return _stacked_sensor(measure, jacobian, noise_cov, noise_var, name or "quadratic")
+        return _stacked_sensor(check, form, gradient, noise_cov, noise_var, name or "quadratic")
 
     raise InvalidParamsError(f"unknown sensor kind {kind!r}")

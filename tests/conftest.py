@@ -165,12 +165,14 @@ def measurement_model(suite, schedule, linearization):
     return scipy.linalg.block_diag(*C_blocks), scipy.linalg.block_diag(*R_blocks)
 
 
-def gauss_newton_reference(prior, suite, schedule, measurements, max_iter, tol=1e-8):
+def gauss_newton_reference(prior, suite, schedule, measurements, max_iter, tol=1e-8,
+                           start=None):
     """Per-pick dense Gauss-Newton MAP iteration (independent oracle).
 
-    Each iteration assembles C and R by ``measurement_model`` at the
-    current iterate, stacks the picked sensors' predictions in the same
-    order as the measurements, and solves
+    Starting from ``start`` (the prior mean when None), each iteration
+    assembles C and R by ``measurement_model`` at the current iterate,
+    stacks the picked sensors' predictions in the same order as the
+    measurements, and solves
 
         (P + C^T R^-1 C) delta = C^T R^-1 (y - h(x)) - P (x - mu)
 
@@ -181,7 +183,7 @@ def gauss_newton_reference(prior, suite, schedule, measurements, max_iter, tol=1
     P = prior.precision_dense()
     mu = np.asarray(prior.mean, dtype=float)
     y = np.concatenate([np.zeros(0)] + [m for m in measurements if m is not None])
-    x = mu.copy()
+    x = mu.copy() if start is None else np.array(start, dtype=float)
     for iteration in range(1, max_iter + 1):
         states = x.reshape(K, n)
         C, R = measurement_model(suite, schedule, x)

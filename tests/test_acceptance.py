@@ -410,30 +410,32 @@ def test_criterion_8_gauss_markov_construction():
     report(8, f"100 (A, Q, Sigma0) triples, worst relative error {worst:.3e}")
 
 
+CRITERION_9_CONFIG = {
+    "name": "determinism-check",
+    "seed": 20260810,
+    "prior": {
+        "kind": "gauss_markov",
+        "n": 2,
+        "K": 3,
+        "A": [[0.7, 0.1], [0.0, 0.6]],
+        "Q": [[0.4, 0.0], [0.0, 0.3]],
+        "Sigma0": [[1.0, 0.2], [0.2, 0.8]],
+        "mu0": [0.5, -0.5],
+    },
+    "sensors": [
+        {"kind": "range", "anchor": [2.0, 2.0], "noise_var": 0.5},
+        {"kind": "linear_coordinate", "axis": 0, "noise_var": 1.0},
+        {"kind": "bearing", "anchor": [-2.0, 1.0], "noise_var": 0.2},
+        {"kind": "quadratic", "weight": [[1.0, 0.0], [0.0, 2.0]], "noise_var": 1.5},
+    ],
+    "budgets": 2,
+    "schedulers": ["greedy", "lazy", "random", "exhaustive"],
+}
+
+
 def test_criterion_9_cli_determinism(tmp_path):
-    config = {
-        "name": "determinism-check",
-        "seed": 20260810,
-        "prior": {
-            "kind": "gauss_markov",
-            "n": 2,
-            "K": 3,
-            "A": [[0.7, 0.1], [0.0, 0.6]],
-            "Q": [[0.4, 0.0], [0.0, 0.3]],
-            "Sigma0": [[1.0, 0.2], [0.2, 0.8]],
-            "mu0": [0.5, -0.5],
-        },
-        "sensors": [
-            {"kind": "range", "anchor": [2.0, 2.0], "noise_var": 0.5},
-            {"kind": "linear_coordinate", "axis": 0, "noise_var": 1.0},
-            {"kind": "bearing", "anchor": [-2.0, 1.0], "noise_var": 0.2},
-            {"kind": "quadratic", "weight": [[1.0, 0.0], [0.0, 2.0]], "noise_var": 1.5},
-        ],
-        "budgets": 2,
-        "schedulers": ["greedy", "lazy", "random", "exhaustive"],
-    }
     cfg_path = tmp_path / "scenario.json"
-    cfg_path.write_text(json.dumps(config))
+    cfg_path.write_text(json.dumps(CRITERION_9_CONFIG))
 
     a = run_scenario(cfg_path, tmp_path / "run_a")
     b = run_scenario(cfg_path, tmp_path / "run_b")
@@ -443,3 +445,35 @@ def test_criterion_9_cli_determinism(tmp_path):
     c = run_scenario(a["manifest"], tmp_path / "run_c")
     assert a["results"].read_bytes() == c["results"].read_bytes()
     report(9, "results.csv and trace.csv byte-identical across reruns + manifest round trip")
+
+
+# The criterion-9 config with receding linearization, as written by the
+# code that stacks each step's readings in ascending sensor order and warm
+# starts each MAP solve. Any change to the receding path (the simulated
+# readings, the MAP iteration, the contexts built at its estimates) that
+# moves a printed digit shows here.
+RECEDING_RESULTS = (
+    "scheduler,entropy_nats,mutual_info_nats,oracle_calls,bound_ratio\r\n"
+    "greedy,4.39635969619,1.85978954399,23,-0.00624683236497\r\n"
+    "lazy,4.39635969619,1.85978954399,17,-0.00624683236497\r\n"
+    "random,4.73010380141,1.52604543876,1,0.174326797479\r\n"
+    "exhaustive,4.40790536584,1.84824387434,1331,0\r\n"
+)
+RECEDING_TRACE = (
+    "k,pick_order,sensor,gain_nats\r\n"
+    "0,0,0,0.559015187263\r\n"
+    "0,1,1,0.263046547948\r\n"
+    "1,0,0,0.336257018392\r\n"
+    "1,1,1,0.190737289166\r\n"
+    "2,0,0,0.314678809124\r\n"
+    "2,1,1,0.18713020074\r\n"
+)
+
+
+def test_criterion_9_receding_outputs_are_pinned(tmp_path):
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(dict(CRITERION_9_CONFIG, linearization="receding")))
+    paths = run_scenario(cfg_path, tmp_path / "run")
+    assert paths["results"].read_bytes() == RECEDING_RESULTS.encode()
+    assert paths["trace"].read_bytes() == RECEDING_TRACE.encode()
+    report(9, "receding results.csv and trace.csv equal their pinned bytes")

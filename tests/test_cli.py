@@ -241,6 +241,36 @@ class TestRunScenario:
         rows = read_csv(a["results"])
         assert rows[0]["scheduler"] == "greedy"
 
+    def test_receding_readings_reach_the_map_in_ascending_sensor_order(self, tmp_path,
+                                                                       monkeypatch):
+        # sensor 1 is far more informative, so greedy picks it before sensor 0;
+        # sensor 0 reads about 1000 and sensor 1 about 0, so a swap shows
+        write_config(
+            tmp_path / "c.json",
+            linearization="receding",
+            prior={"kind": "tracking", "n": 1, "K": 2, "marginal_var": 1.0,
+                   "neighbor_corr": 0.4},
+            sensors=[
+                {"kind": "range", "anchor": [1000.0], "noise_var": 4.0},
+                {"kind": "linear_coordinate", "axis": 0, "noise_var": 0.01},
+            ],
+            budgets=2,
+        )
+        solve, handed = cli.map_linearization, []
+
+        def recording(prior, suite, schedule, measurements, **kwargs):
+            handed.append((schedule.sets, list(measurements)))
+            return solve(prior, suite, schedule, measurements, **kwargs)
+
+        monkeypatch.setattr(cli, "map_linearization", recording)
+        paths = run_scenario(tmp_path / "c.json", tmp_path / "out")
+        picked = [(int(r["k"]), int(r["sensor"])) for r in read_csv(paths["trace"])]
+        assert picked == [(0, 1), (0, 0), (1, 1), (1, 0)]
+        sets, measurements = handed[-1]
+        assert sets == ((0, 1), (0, 1))
+        for reading in measurements:
+            assert abs(reading[0] - 1000.0) < 20.0 and abs(reading[1]) < 20.0
+
     def test_dense_custom_prior_config(self, tmp_path):
         write_config(
             tmp_path / "c.json",

@@ -590,6 +590,20 @@ class TestMapInputChecks:
         with pytest.raises(ss.InvalidParamsError, match="tol"):
             ss.map_linearization(prior, suite, sched, [None, np.array([0.1])], tol=tol)
 
+    @pytest.mark.parametrize("initial", [np.zeros(3), np.zeros(5), np.zeros((2, 2)), 0.0],
+                             ids=["short", "long", "matrix", "scalar"])
+    def test_initial_of_the_wrong_shape(self, initial):
+        prior, suite, sched = one_pick_problem()
+        with pytest.raises(ss.DimensionMismatchError, match=re.escape("expected (4,)")):
+            ss.map_linearization(prior, suite, sched, [None, np.array([0.1])], initial=initial)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_initial_must_be_finite(self, bad):
+        prior, suite, sched = one_pick_problem()
+        initial = np.array([0.0, 1.0, bad, 2.0])
+        with pytest.raises(ss.InvalidParamsError, match="initial is not finite"):
+            ss.map_linearization(prior, suite, sched, [None, np.array([0.1])], initial=initial)
+
     def test_boundary_options_are_accepted(self):
         prior, suite, sched = one_pick_problem()
         out = ss.map_linearization(
@@ -644,34 +658,47 @@ def map_problems(draw, builtins=False):
     return prior, suite, schedule, measurements
 
 
-def _matches_per_pick_reference(problem, max_iter):
+@st.composite
+def starts(draw, prior):
+    """None (the prior mean) or the prior mean plus seeded noise."""
+    seed = draw(st.none() | st.integers(0, 2**20))
+    if seed is None:
+        return None
+    noise = np.random.default_rng(seed).standard_normal(prior.dim)
+    return np.asarray(prior.mean) + 0.3 * noise
+
+
+def _matches_per_pick_reference(data, problem, max_iter):
     # the batched iteration against a per-pick dense Gauss-Newton built from
-    # the paper's stacked C and R; empty schedules return the prior mean
+    # the paper's stacked C and R, both from the same start; empty schedules
+    # return the prior mean wherever they start
     prior, suite, schedule, measurements = problem
-    out = ss.map_linearization(prior, suite, schedule, measurements, max_iter=max_iter)
+    initial = data.draw(starts(prior))
+    out = ss.map_linearization(prior, suite, schedule, measurements, max_iter=max_iter,
+                               initial=initial)
     if not schedule.total_selected:
         assert (out.converged, out.iterations) == (True, 0)
         np.testing.assert_array_equal(out.estimate, prior.mean)
         return
     estimate, converged, iterations = gauss_newton_reference(
-        prior, suite, schedule, measurements, max_iter
+        prior, suite, schedule, measurements, max_iter, start=initial
     )
     assert (out.converged, out.iterations) == (converged, iterations)
     np.testing.assert_allclose(out.estimate, estimate, rtol=1e-10, atol=1e-10)
 
 
 @settings(max_examples=80)
-@given(map_problems(), st.sampled_from([1, 3]))
-def test_batched_map_matches_per_pick_reference(problem, max_iter):
-    _matches_per_pick_reference(problem, max_iter)
+@given(st.data(), map_problems(), st.sampled_from([1, 3]))
+def test_batched_map_matches_per_pick_reference(data, problem, max_iter):
+    _matches_per_pick_reference(data, problem, max_iter)
 
 
 @settings(max_examples=80)
-@given(map_problems(builtins=True), st.sampled_from([1, 3]))
-def test_map_with_builtin_and_custom_sensors_matches_per_pick_reference(problem, max_iter):
+@given(st.data(), map_problems(builtins=True), st.sampled_from([1, 3]))
+def test_map_with_builtin_and_custom_sensors_matches_per_pick_reference(data, problem, max_iter):
     # built-in sensors evaluate each noise factor's picks as one stack,
     # custom multi-output ones row by row
-    _matches_per_pick_reference(problem, max_iter)
+    _matches_per_pick_reference(data, problem, max_iter)
 
 
 class TestMapLinearization:
@@ -680,6 +707,27 @@ class TestMapLinearization:
         out = ss.map_linearization(prior, suite)
         assert out.converged
         np.testing.assert_allclose(out.estimate, prior.mean)
+
+    @pytest.mark.parametrize("empty", ["no schedule", "no picks"])
+    def test_no_measurements_return_prior_mean_from_any_start(self, empty):
+        prior, suite, sched = one_pick_problem()
+        initial = np.asarray(prior.mean) + np.array([1.0, -2.0, 3.0, 0.5])
+        if empty == "no schedule":
+            out = ss.map_linearization(prior, suite, initial=initial)
+        else:
+            out = ss.map_linearization(prior, suite, ss.Schedule.empty((1, 1)), [None, None],
+                                       initial=initial)
+        assert (out.converged, out.iterations) == (True, 0)
+        np.testing.assert_array_equal(out.estimate, prior.mean)
+
+    def test_start_at_the_answer_converges_in_one_iteration(self):
+        # a linear sensor: the first step from anywhere lands on the answer
+        prior, suite, sched = one_pick_problem()
+        answer = ss.map_linearization(prior, suite, sched, [None, np.array([0.1])])
+        again = ss.map_linearization(prior, suite, sched, [None, np.array([0.1])],
+                                     initial=answer.estimate)
+        assert (again.converged, again.iterations) == (True, 1)
+        np.testing.assert_allclose(again.estimate, answer.estimate, rtol=0, atol=1e-12)
 
     def test_iteration_cap_sets_flag_instead_of_raising(self):
         prior, suite = random_instance(42, n=2, K=2, m=3, kind="tracking")

@@ -271,6 +271,71 @@ class TestStackedEvaluation:
             sensor.measure_at(np.ones((3, 2)))
 
 
+class TestFusedEvaluation:
+    """``Sensor._measure_and_jacobian``, the MAP iteration's one call per
+    stack, against the public ``measure_at`` and ``jacobian_at``."""
+
+    @given(kind=st.sampled_from(KINDS), n=st.sampled_from([2, 3, 4]),
+           P=st.integers(0, 25), seed=st.integers(0, 2**32 - 1))
+    def test_builtin_fused_call_equals_the_two_public_calls(self, kind, n, P, seed):
+        rng = np.random.default_rng(seed)
+        sensor = random_sensor(rng, n, kind)
+        X = rng.normal(0.0, 2.0, (P, n))
+        Z, J = sensor._measure_and_jacobian(X)
+        assert Z.shape == (P, 1) and J.shape == (P, 1, n)
+        assert np.array_equal(Z, sensor.measure_at(X))
+        assert np.array_equal(J, sensor.jacobian_at(X))
+
+    @pytest.mark.parametrize("sensor, state", [
+        (ss.builtin_sensor("range", anchor=[1.0, 2.0], noise_var=1.0), [1.0, 2.0]),
+        (ss.builtin_sensor("bearing", anchor=[0.5, -0.5], noise_var=1.0), [0.5, -0.5]),
+        (ss.builtin_sensor("bearing", anchor=[0.0, 0.0], noise_var=1.0), [1e-200, 0.0]),
+        (ss.builtin_sensor("range", anchor=[1.0, 2.0], noise_var=1.0), [1.0, 2.0, 3.0]),
+        (ss.builtin_sensor("bearing", anchor=[0.5, -0.5], noise_var=1.0), [0.5]),
+        (ss.builtin_sensor("linear_coordinate", axis=2, noise_var=1.0), [1.0, 2.0]),
+        (ss.builtin_sensor("quadratic", weight=np.eye(2), noise_var=1.0), [1.0, 2.0, 3.0]),
+    ], ids=["range-anchor", "bearing-anchor", "bearing-underflow", "range-width",
+            "bearing-width", "axis-width", "quadratic-width"])
+    def test_one_bad_row_raises_what_the_jacobian_raises(self, sensor, state):
+        # at 1e-200 from its anchor a bearing has a value but no Jacobian:
+        # the fused call needs both, so it raises what jacobian_at raises
+        state = np.array(state)
+        X = np.array([state + 1.0, state, state - 1.0])
+        with pytest.raises(ss.InvalidParamsError) as public:
+            sensor.jacobian_at(X)
+        with pytest.raises(ss.InvalidParamsError, match=f"^{re.escape(str(public.value))}$"):
+            sensor._measure_and_jacobian(X)
+
+    def test_user_sensor_makes_the_two_public_calls(self):
+        calls = []
+        sensor = ss.Sensor(2, lambda x: calls.append("h") or [x.sum(), x[0]],
+                           lambda x: calls.append("J") or [[1.0, 1.0], [1.0, 0.0]],
+                           np.eye(2), name="u")
+        X = np.array([[1.0, 2.0], [3.0, 5.0]])
+        Z, J = sensor._measure_and_jacobian(X)
+        assert Z.tolist() == [[3.0, 1.0], [8.0, 3.0]]
+        assert J.tolist() == [[[1.0, 1.0], [1.0, 0.0]]] * 2
+        assert calls == ["h", "h", "J", "J"]
+
+    def test_maps_of_two_builtin_sensors_are_not_fused(self):
+        # a measure and a Jacobian from different sensors keep their own maps
+        near = ss.builtin_sensor("range", anchor=[0.0, 0.0], noise_var=1.0)
+        far = ss.builtin_sensor("range", anchor=[3.0, 4.0], noise_var=1.0)
+        sensor = ss.Sensor(1, near.measure, far.jacobian, np.eye(1), name="mixed")
+        X = np.array([[0.0, 1.0], [6.0, 8.0]])
+        Z, J = sensor._measure_and_jacobian(X)
+        assert Z.tolist() == [[1.0], [10.0]]
+        assert np.array_equal(J, far.jacobian_at(X))
+
+    def test_builtin_maps_under_a_wrong_output_dim_raise(self):
+        base = ss.builtin_sensor("range", anchor=[0.0, 0.0], noise_var=1.0)
+        sensor = ss.Sensor(2, base.measure, base.jacobian, np.eye(2), name="two")
+        with pytest.raises(ss.DimensionMismatchError,
+                           match=re.escape("sensor 'two' returned shape (3, 1) on a stack, "
+                                           "expected (3, 2)")):
+            sensor._measure_and_jacobian(np.ones((3, 2)))
+
+
 class TestSchedule:
     def test_rejects_over_budget(self):
         with pytest.raises(ss.DimensionMismatchError):
