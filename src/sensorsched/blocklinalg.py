@@ -6,8 +6,10 @@ of half-bandwidth 2p - 1, so both write the blocks into LAPACK band
 storage and factor it with one ``dpbtrf`` call, whose cost is linear in
 the number of blocks. The factor's diagonal blocks are the Cholesky
 factors of the Schur pivots D_1 = B_1, D_k = B_k - C_k D_{k-1}^{-1} C_k^T.
-Blocks of varying size are padded to the largest one. Dense fallbacks
-are provided for everything. All values are natural-log (nats).
+A ``BlockTridiagonalMatrix`` holds its blocks as two read-only stacks,
+the form the kernels take whole; blocks of varying size are padded to
+the largest one. Dense fallbacks are provided for everything. All values
+are natural-log (nats).
 
 Every SPD factorization in the package happens here: in the one banded
 factorization, the one dense Cholesky, which also factors each sensor
@@ -54,58 +56,52 @@ __all__ = [
 ]
 
 
-def _frozen_array(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
+def _square_stack(blocks, n: int, what: str) -> np.ndarray:
+    """n x n ``blocks`` as one (len(blocks), n, n) float stack; a misfit names its block."""
+    for k, b in enumerate(blocks):
+        if np.shape(b) != (n, n):
+            raise DimensionMismatchError(
+                f"{what} block {k} has shape {np.shape(b)}, expected ({n}, {n})"
+            )
+    return np.array(blocks, dtype=float).reshape(len(blocks), n, n)
 
 
 @dataclass(frozen=True)
 class BlockTridiagonalMatrix:
     """Symmetric block-tridiagonal matrix with K square blocks of size n.
 
-    Only the upper off-diagonal blocks are stored: block (k, k+1) is
-    ``offdiag_blocks[k]`` and block (k+1, k) is its transpose. Diagonal
-    blocks are symmetrized once here and never re-checked by operations.
-    The blocks are read-only views of two stacks, (K, n, n) and
-    (K - 1, n, n), which the kernels read whole.
+    ``diag_blocks`` is the (K, n, n) stack of diagonal blocks and
+    ``offdiag_blocks`` the (K - 1, n, n) stack of upper off-diagonal
+    blocks: block (k, k+1) is ``offdiag_blocks[k]`` and block (k+1, k) its
+    transpose. Any sequence of n x n blocks is accepted and stored as a
+    read-only float stack, which the kernels read whole. Diagonal blocks
+    are symmetrized once here and never re-checked by operations.
     """
 
-    diag_blocks: tuple[np.ndarray, ...]
-    offdiag_blocks: tuple[np.ndarray, ...] = ()
+    diag_blocks: np.ndarray
+    offdiag_blocks: np.ndarray = ()
 
     def __post_init__(self):
-        diag = tuple(np.asarray(b, dtype=float) for b in self.diag_blocks)
-        off = tuple(np.asarray(b, dtype=float) for b in self.offdiag_blocks)
-        if not diag:
+        K = len(self.diag_blocks)
+        if not K:
             raise DimensionMismatchError("need at least one diagonal block")
-        n = diag[0].shape[0] if diag[0].ndim == 2 else -1
-        for k, b in enumerate(diag):
-            if b.shape != (n, n):
-                raise DimensionMismatchError(
-                    f"diagonal block {k} has shape {b.shape}, expected ({n}, {n})"
-                )
-        if len(off) != len(diag) - 1:
+        first = np.shape(self.diag_blocks[0])
+        n = first[0] if len(first) == 2 else -1
+        diag = _square_stack(self.diag_blocks, n, "diagonal")
+        if len(self.offdiag_blocks) != K - 1:
             raise DimensionMismatchError(
-                f"{len(diag)} diagonal blocks need {len(diag) - 1} "
-                f"off-diagonal blocks, got {len(off)}"
+                f"{K} diagonal blocks need {K - 1} off-diagonal blocks, "
+                f"got {len(self.offdiag_blocks)}"
             )
-        for k, b in enumerate(off):
-            if b.shape != (n, n):
-                raise DimensionMismatchError(
-                    f"off-diagonal block {k} has shape {b.shape}, expected ({n}, {n})"
-                )
-        diag_stack = np.array(diag)
-        diag_stack = _frozen_array(0.5 * (diag_stack + diag_stack.transpose(0, 2, 1)))
-        offdiag_stack = _frozen_array(off).reshape(len(off), n, n)
-        object.__setattr__(self, "diag_blocks", tuple(diag_stack))
-        object.__setattr__(self, "offdiag_blocks", tuple(offdiag_stack))
-        object.__setattr__(self, "_diag_stack", diag_stack)
-        object.__setattr__(self, "_offdiag_stack", offdiag_stack)
+        off = _square_stack(self.offdiag_blocks, n, "off-diagonal")
+        for name, stack in (("diag_blocks", 0.5 * (diag + diag.transpose(0, 2, 1))),
+                            ("offdiag_blocks", off)):
+            stack.setflags(write=False)
+            object.__setattr__(self, name, stack)
 
     @property
     def block_dim(self) -> int:
-        return self.diag_blocks[0].shape[0]
+        return self.diag_blocks.shape[1]
 
     @property
     def num_blocks(self) -> int:
@@ -118,23 +114,20 @@ class BlockTridiagonalMatrix:
 
     @classmethod
     def identity(cls, block_dim: int, num_blocks: int) -> "BlockTridiagonalMatrix":
-        eye = np.eye(block_dim)
-        zero = np.zeros((block_dim, block_dim))
         return cls(
-            diag_blocks=tuple(eye for _ in range(num_blocks)),
-            offdiag_blocks=tuple(zero for _ in range(num_blocks - 1)),
+            diag_blocks=np.tile(np.eye(block_dim), (num_blocks, 1, 1)),
+            offdiag_blocks=np.zeros((max(num_blocks - 1, 0), block_dim, block_dim)),
         )
 
     def assemble(self) -> np.ndarray:
         """Dense nK x nK array with the full symmetric fill-in."""
         n, K = self.block_dim, self.num_blocks
-        out = np.zeros((n * K, n * K))
-        for k, b in enumerate(self.diag_blocks):
-            out[k * n:(k + 1) * n, k * n:(k + 1) * n] = b
-        for k, b in enumerate(self.offdiag_blocks):
-            out[k * n:(k + 1) * n, (k + 1) * n:(k + 2) * n] = b
-            out[(k + 1) * n:(k + 2) * n, k * n:(k + 1) * n] = b.T
-        return out
+        out = np.zeros((K, n, K, n))
+        k = np.arange(K)
+        out[k, :, k] = self.diag_blocks
+        out[k[:-1], :, k[1:]] = self.offdiag_blocks
+        out[k[1:], :, k[:-1]] = self.offdiag_blocks.transpose(0, 2, 1)
+        return out.reshape(n * K, n * K)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Product of the assembled matrix with a length-nK vector."""
@@ -145,9 +138,9 @@ class BlockTridiagonalMatrix:
         # per step: the diagonal block's product, then the lower and the
         # upper neighbour's, added in that order
         parts = v.reshape(K, n, 1)
-        out = self._diag_stack @ parts
-        out[1:] += self._offdiag_stack.transpose(0, 2, 1) @ parts[:-1]
-        out[:-1] += self._offdiag_stack @ parts[1:]
+        out = self.diag_blocks @ parts
+        out[1:] += self.offdiag_blocks.transpose(0, 2, 1) @ parts[:-1]
+        out[:-1] += self.offdiag_blocks @ parts[1:]
         return out.reshape(-1)
 
 
@@ -421,7 +414,7 @@ def logdet_block_tridiagonal(M: BlockTridiagonalMatrix) -> float:
         NotPositiveDefiniteError: exactly when the assembled matrix is not
             SPD, with the failing block's Schur pivot and index attached.
     """
-    return logdet_block_tridiagonal_blocks(M._diag_stack, M._offdiag_stack)
+    return logdet_block_tridiagonal_blocks(M.diag_blocks, M.offdiag_blocks)
 
 
 def solve_block_tridiagonal(M: BlockTridiagonalMatrix, b: np.ndarray) -> np.ndarray:
@@ -446,7 +439,7 @@ def solve_block_tridiagonal(M: BlockTridiagonalMatrix, b: np.ndarray) -> np.ndar
         raise DimensionMismatchError(f"rhs has shape {rhs.shape}, expected ({n * K},)")
     if not rhs.size:
         return rhs.copy()
-    return _band_solve(M._diag_stack, M._offdiag_stack, rhs)
+    return _band_solve(M.diag_blocks, M.offdiag_blocks, rhs)
 
 
 def _band_solve(diag: np.ndarray, coupling: np.ndarray, rhs: np.ndarray) -> np.ndarray:

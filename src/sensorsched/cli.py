@@ -47,8 +47,19 @@ logger = logging.getLogger(__name__)
 
 _SCHEDULERS = ("greedy", "lazy", "random", "exhaustive")
 _LINEARIZATIONS = ("prior_mean", "receding")
-_PRIOR_KINDS = ("tracking", "gauss_markov", "dense_custom")
-_SENSOR_KINDS = ("linear_coordinate", "range", "bearing", "quadratic")
+# the fields a config may hold: at its root, and per prior and sensor kind
+_ROOT_FIELDS = ("name", "seed", "prior", "dense", "sensors", "budgets", "linearization",
+                "schedulers", "exhaustive_cap")
+_PRIOR_FIELDS = {
+    "tracking": ("kind", "n", "K", "marginal_var", "neighbor_corr", "mean"),
+    "gauss_markov": ("kind", "n", "K", "A", "Q", "Sigma0", "mu0"),
+    "dense_custom": ("kind", "n", "K", "representation", "matrix", "mean"),
+}
+_SENSOR_FIELDS = {
+    kind: ("kind", "noise_var", "noise_cov") + extra
+    for kind, extra in (("linear_coordinate", ("axis",)), ("range", ("anchor",)),
+                        ("bearing", ("anchor",)), ("quadratic", ("weight",)))
+}
 
 
 def _fmt(x: float) -> str:
@@ -92,6 +103,14 @@ def _require(cfg: dict, field: str, types, path: str):
     return value
 
 
+def _known_fields(cfg: dict, fields: tuple[str, ...], path: str, what: str) -> None:
+    """Reject the first field of ``cfg`` that is not in ``fields``, naming its path."""
+    for field in cfg:
+        if field not in fields:
+            raise ConfigError(f"{path}{field}: unknown field for {what}; "
+                              f"expected one of {', '.join(fields)}")
+
+
 def _number(cfg: dict, field: str, path: str) -> float:
     value = float(_require(cfg, field, (int, float), path))
     if not np.isfinite(value):
@@ -131,8 +150,9 @@ def _validate_prior(cfg: Any, path: str = "prior.") -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("prior: expected an object")
     kind = _require(cfg, "kind", str, path)
-    if kind not in _PRIOR_KINDS:
+    if kind not in _PRIOR_FIELDS:
         raise ConfigError(f"{path}kind: unknown prior kind {kind!r}")
+    _known_fields(cfg, _PRIOR_FIELDS[kind], path, f"a {kind} prior")
     n = _require(cfg, "n", int, path)
     K = _require(cfg, "K", int, path)
     if n < 1:
@@ -177,9 +197,12 @@ def _validate_sensor(cfg: Any, n: int, idx: int) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError(f"sensors[{idx}]: expected an object")
     kind = _require(cfg, "kind", str, path)
-    if kind not in _SENSOR_KINDS:
+    if kind not in _SENSOR_FIELDS:
         raise ConfigError(f"{path}kind: unknown sensor kind {kind!r}")
+    _known_fields(cfg, _SENSOR_FIELDS[kind], path, f"a {kind} sensor")
     out = {"kind": kind}
+    if "noise_cov" in cfg and "noise_var" in cfg:
+        raise ConfigError(f"{path}noise_var: give noise_cov or noise_var, not both")
     if "noise_cov" in cfg:
         out["noise_cov"] = np.atleast_2d(_numbers(cfg["noise_cov"], path + "noise_cov")).tolist()
     elif "noise_var" in cfg:
@@ -223,6 +246,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root: expected an object")
+    _known_fields(cfg, _ROOT_FIELDS, "", "a config")
 
     name = cfg.get("name", Path(path).stem)
     if not isinstance(name, str):

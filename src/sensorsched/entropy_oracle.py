@@ -19,15 +19,17 @@ All entropies are differential and in nats; negative values are normal.
 
 An OracleContext freezes the linearization point and precomputes every
 per-(step, sensor) whitened Jacobian W = L^-1 J and its information W^T W,
-with the noise factor L that each sensor computes once when built, and
-keeps both as (step, sensor) stacks. So with a block-tridiagonal prior
-one evaluation (the greedy scheduler makes thousands) is a few batched
-array operations over the K steps, which gather the selected sensors'
-stacked blocks, and one banded log-determinant of K blocks. Neither
-formula adds jitter: every eigenvalue of I + W Sigma W^T is at least 1
-in exact arithmetic, so a failed factorization is reported, never
-retried. Contexts are immutable and evaluations are pure, so they may be
-called concurrently.
+with the noise factor L that each sensor computes once when built, as two
+(step, sensor) stacks; they are the only copy. Every evaluation gathers
+the selected sensors' blocks from them: the information form adds each
+step's sum to the prior precision's diagonal blocks, and the covariance
+form multiplies the gathered rows into the prior covariance. So with a
+block-tridiagonal prior one evaluation (the greedy scheduler makes
+thousands) is a few batched array operations over the K steps and one
+banded log-determinant of K blocks. Neither formula adds jitter: every
+eigenvalue of I + W Sigma W^T is at least 1 in exact arithmetic, so a
+failed factorization is reported, never retried. Contexts are immutable
+and evaluations are pure, so they may be called concurrently.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -70,34 +73,43 @@ __all__ = [
 class OracleContext:
     """Immutable evaluation context: prior, suite, linearization, caches.
 
-    ``whitened_jacobians[k][i]`` holds sensor i's Jacobian at step k's
-    linearization point, whitened by its noise factor: W = L^-1 J with
-    R = L L^T. ``info_increments[k][i]`` holds its information W^T W =
-    J^T R^-1 J. Both are also kept as stacks, derived here from these
-    fields: the increments as (K, m + 1, n, n) and the whitened rows as
-    (K, m + 1, d, n), zero-padded to the largest sensor output dimension
-    d. Slot m of each step is all zeros, the filler of a step with fewer
-    picks than another.
+    ``whitened_jacobians`` is the (K, m, d, n) stack of every sensor's
+    Jacobian at every step's linearization point, whitened by its noise
+    factor: ``whitened_jacobians[k, i]`` is W = L^-1 J with R = L L^T,
+    zero-padded to the largest sensor output dimension d, so sensor i's
+    rows beyond its ``output_dim`` are zero. ``info_increments`` is the
+    (K, m, n, n) stack of their information W^T W = J^T R^-1 J. Both are
+    read-only views of stacks with one more sensor slot, m, that is all
+    zeros: the filler of a step with fewer picks than another.
+
+    Raises:
+        DimensionMismatchError: a stack does not have its shape; names
+            the field and the expected shape.
     """
 
     prior: GaussianPrior
     suite: SensorSuite
     linearization: np.ndarray
     prior_entropy: float
-    whitened_jacobians: tuple[tuple[np.ndarray, ...], ...]
-    info_increments: tuple[tuple[np.ndarray, ...], ...]
+    whitened_jacobians: np.ndarray
+    info_increments: np.ndarray
 
     def __post_init__(self):
         K, n, sensors = self.K, self.n, self.suite.sensors
-        m = len(sensors)
-        rows = np.zeros((K, m + 1, max((s.output_dim for s in sensors), default=0), n))
-        for i, sensor in enumerate(sensors):
-            rows[:, i, :sensor.output_dim] = [step[i] for step in self.whitened_jacobians]
-        increments = np.zeros((K, m + 1, n, n))
-        increments[:, :m] = np.reshape(self.info_increments, (K, m, n, n))
-        for name, stack in (("_rows", rows), ("_increments", increments)):
+        d = max((s.output_dim for s in sensors), default=0)
+        for name, padded, shape in (("whitened_jacobians", "_rows", (K, len(sensors), d, n)),
+                                    ("info_increments", "_increments", (K, len(sensors), n, n))):
+            try:
+                stack = np.asarray(getattr(self, name), dtype=float)
+                got = stack.shape
+            except ValueError:
+                got = "a ragged nesting"
+            if got != shape:
+                raise DimensionMismatchError(f"{name}: expected shape {shape}, got {got}")
+            stack = np.concatenate([stack, np.zeros((K, 1) + shape[2:])], axis=1)
             stack.setflags(write=False)
-            object.__setattr__(self, name, stack)
+            object.__setattr__(self, padded, stack)
+            object.__setattr__(self, name, stack[:, :-1])
 
     @property
     def n(self) -> int:
@@ -174,19 +186,13 @@ def make_context(
         )
     # zero-padded rows add exact zeros: each product equals the unpadded W^T W
     increments = np.swapaxes(rows, 2, 3) @ rows
-    increments = 0.5 * (increments + np.swapaxes(increments, 2, 3))
-    rows.setflags(write=False)
-    increments.setflags(write=False)
-
     return OracleContext(
         prior=prior,
         suite=suite,
         linearization=lin,
         prior_entropy=prior_entropy(prior),
-        whitened_jacobians=tuple(
-            tuple(step[i, :s.output_dim] for i, s in enumerate(sensors)) for step in rows
-        ),
-        info_increments=tuple(tuple(step) for step in increments),
+        whitened_jacobians=rows,
+        info_increments=0.5 * (increments + np.swapaxes(increments, 2, 3)),
     )
 
 
@@ -206,40 +212,24 @@ def _check_schedule(ctx: OracleContext, schedule: Schedule) -> None:
             raise DimensionMismatchError(f"step {k} selects a sensor index >= m={m}")
 
 
-def _gathered(stack: np.ndarray, schedule: Schedule) -> np.ndarray:
-    """(K, q, ...) entries of a context stack for each step's picks, in pick order.
+def _gathered(stack: np.ndarray, sets: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """(len(sets), q, ...) entries of a padded stack for each row's picks, in pick order.
 
-    q is the most picks at any step; a step with fewer is filled up with
-    the stack's zero slot m.
+    Row j of ``stack``, shape (len(sets), m + 1, ...), is gathered at the
+    indices ``sets[j]``; q is the most picks in any set, and a set with
+    fewer is filled up with the stack's zero slot m.
     """
-    sets = schedule.sets
     filler = (stack.shape[1] - 1,) * max(map(len, sets), default=0)
     picks = np.array([chosen + filler[len(chosen):] for chosen in sets], dtype=np.intp)
     return stack[np.arange(len(sets))[:, None], picks]
 
 
-def _information_blocks(ctx: OracleContext, schedule: Schedule) -> list[np.ndarray | None]:
-    """Per-step Xi blocks (sum of selected increments); None when empty."""
-    out: list[np.ndarray | None] = []
-    for k, chosen in enumerate(schedule.sets):
-        if not chosen:
-            out.append(None)
-            continue
-        inc = ctx.info_increments[k]
-        acc = inc[chosen[0]]
-        for i in chosen[1:]:
-            acc = acc + inc[i]
-        out.append(acc)
-    return out
-
-
-def _plus_information(P: np.ndarray, xi: list[np.ndarray | None]) -> np.ndarray:
-    """P + blockdiag(xi), skipping None blocks, as a fresh dense array."""
-    M = np.array(P)
-    n = M.shape[0] // len(xi)
-    for k, x in enumerate(xi):
-        if x is not None:
-            M[k * n:(k + 1) * n, k * n:(k + 1) * n] += x
+def _plus_blockdiag(P: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """P + blockdiag(blocks) as a fresh C-ordered array, for a (K, a, b) stack."""
+    K, a, b = blocks.shape
+    M = np.array(P, order="C")
+    diagonal = np.einsum("kakb->kab", M.reshape(K, a, K, b))  # a view of M's K blocks
+    diagonal += blocks
     return M
 
 
@@ -247,11 +237,11 @@ def conditional_entropy_precision_form(ctx: OracleContext, schedule: Schedule) -
     """H(x_1:K | schedule) evaluated through the prior precision.
 
     Adds the block-diagonal measurement information Xi to the precision
-    and returns -1/2 logdet(Xi + P) + (nK/2) log(2 pi e). When the
-    precision is block-tridiagonal, Xi is summed over the context's
-    increment stack and the K diagonal blocks go to one banded
-    log-determinant; a covariance prior is read through its cached dense
-    precision.
+    and returns -1/2 logdet(Xi + P) + (nK/2) log(2 pi e). Xi's blocks are
+    summed over the picks gathered from the context's increment stack.
+    When the precision is block-tridiagonal, the K diagonal blocks go to
+    one banded log-determinant, else P + Xi to one dense one; a
+    covariance prior is read through its cached dense precision.
 
     Raises:
         NotPositiveDefiniteError: the prior precision is invalid
@@ -259,21 +249,13 @@ def conditional_entropy_precision_form(ctx: OracleContext, schedule: Schedule) -
     """
     _check_schedule(ctx, schedule)
     P = _precision(ctx.prior)
+    # a step's increments are summed in pick order, then added to its prior block
+    xi = _gathered(ctx._increments, schedule.sets).sum(axis=1)
     if isinstance(P, BlockTridiagonalMatrix):
-        # a step's increments are summed in pick order, then added to its prior block
-        xi = _gathered(ctx._increments, schedule).sum(axis=1)
-        logdet = logdet_block_tridiagonal_blocks(P._diag_stack + xi, P._offdiag_stack)
+        logdet = logdet_block_tridiagonal_blocks(P.diag_blocks + xi, P.offdiag_blocks)
     else:
-        M = _plus_information(P, _information_blocks(ctx, schedule))
-        logdet = _logdet_dense(M, overwrite=True)  # M is a fresh copy of P
+        logdet = _logdet_dense(_plus_blockdiag(P, xi), overwrite=True)
     return 0.5 * ctx.prior.dim * LOG_TWO_PI_E - 0.5 * logdet
-
-
-def _selected_rows(ctx: OracleContext, k: int, chosen: tuple[int, ...]) -> np.ndarray:
-    if not chosen:
-        return np.zeros((0, ctx.n))
-    rows = ctx.whitened_jacobians[k]
-    return np.vstack([rows[i] for i in chosen])
 
 
 def conditional_entropy_covariance_form(ctx: OracleContext, schedule: Schedule) -> float:
@@ -289,9 +271,11 @@ def conditional_entropy_covariance_form(ctx: OracleContext, schedule: Schedule) 
     W^T inherits block-tridiagonal structure from a sparse prior
     covariance; its K diagonal and K - 1 coupling blocks are then built
     by batched products over the steps' gathered rows, zero-padded to a
-    common size, and go to one banded log-determinant. No jitter is
-    applied: its eigenvalues are at least 1 in exact arithmetic. A
-    precision prior is read through its cached dense covariance.
+    common size, and go to one banded log-determinant. A dense prior
+    covariance takes W block-diagonal with one row per picked output, the
+    padding dropped. No jitter is applied: its eigenvalues are at least 1
+    in exact arithmetic. A precision prior is read through its cached
+    dense covariance.
 
     Raises:
         NotPositiveDefiniteError: I + W Sigma W^T fails to factor, which
@@ -300,31 +284,27 @@ def conditional_entropy_covariance_form(ctx: OracleContext, schedule: Schedule) 
     """
     _check_schedule(ctx, schedule)
     S = ctx.prior.covariance_dense() if ctx.prior.form.is_precision else ctx.prior.matrix
+    # each step's picked rows, (K, q d, n), zero-padded
+    W = _gathered(ctx._rows, schedule.sets).reshape(ctx.K, -1, ctx.n)
     if isinstance(S, BlockTridiagonalMatrix):
-        # each step's picked rows, (K, q d, n); a zero row adds a decoupled
-        # unit diagonal entry to I + W Sigma W^T, which leaves the log-det as it is
-        W = _gathered(ctx._rows, schedule).reshape(ctx.K, -1, ctx.n)
+        # a zero row adds a decoupled unit diagonal entry to I + W Sigma W^T,
+        # which leaves the log-det as it is
         Wt = np.swapaxes(W, 1, 2)
-        diag = W @ S._diag_stack @ Wt
+        diag = W @ S.diag_blocks @ Wt
         diag[:, range(W.shape[1]), range(W.shape[1])] += 1.0
-        logdet = logdet_block_tridiagonal_blocks(diag, W[:-1] @ S._offdiag_stack @ Wt[1:])
+        logdet = logdet_block_tridiagonal_blocks(diag, W[:-1] @ S.offdiag_blocks @ Wt[1:])
     else:
-        W_blocks = [_selected_rows(ctx, k, chosen) for k, chosen in enumerate(schedule.sets)]
-        n = ctx.n
-        rows = sum(b.shape[0] for b in W_blocks)
-        WS = np.zeros((rows, ctx.prior.dim))
-        at = 0
-        for k, Wk in enumerate(W_blocks):
-            if Wk.shape[0]:
-                WS[at:at + Wk.shape[0]] = Wk @ S[k * n:(k + 1) * n, :]
-            at += Wk.shape[0]
-        Sy = np.zeros((rows, rows))
-        at = 0
-        for k, Wk in enumerate(W_blocks):
-            if Wk.shape[0]:
-                Sy[:, at:at + Wk.shape[0]] = WS[:, k * n:(k + 1) * n] @ Wk.T
-            at += Wk.shape[0]
-        Sy[np.diag_indices(rows)] += 1.0
+        # only the real rows: those below each pick's output dimension,
+        # none of the filler slot's (a real row may be all zeros)
+        K, m1, d = ctx._rows.shape[:3]
+        dims = np.broadcast_to([s.output_dim for s in ctx.suite.sensors] + [0], (K, m1))
+        real = (np.arange(d) < _gathered(dims, schedule.sets)[..., None]).ravel()
+        # W Sigma, one step's rows times Sigma's row block at a time; then
+        # its column block k times step k's rows, for each step
+        WS = (W @ S.reshape(K, ctx.n, -1)).reshape(-1, ctx.prior.dim)[real]
+        Sy = WS.reshape(len(WS), K, ctx.n).swapaxes(0, 1) @ np.swapaxes(W, 1, 2)
+        Sy = Sy.swapaxes(0, 1).reshape(len(WS), real.size)[:, real]
+        Sy[np.diag_indices_from(Sy)] += 1.0
         logdet = _logdet_dense(0.5 * (Sy + Sy.T), overwrite=True)
     return ctx.prior_entropy - 0.5 * logdet
 
@@ -354,8 +334,8 @@ def posterior_covariance(ctx: OracleContext, schedule: Schedule) -> np.ndarray:
     P = _precision(ctx.prior)
     if isinstance(P, BlockTridiagonalMatrix):
         P = P.assemble()
-    M = _plus_information(P, _information_blocks(ctx, schedule))
-    return _inverse_spd(M, "posterior information matrix")
+    xi = _gathered(ctx._increments, schedule.sets).sum(axis=1)
+    return _inverse_spd(_plus_blockdiag(P, xi), "posterior information matrix")
 
 
 def mutual_information(ctx: OracleContext, schedule: Schedule) -> float:
@@ -521,9 +501,6 @@ def map_linearization(
     infos = np.zeros((len(picks) + 1, n, n))
     grads = np.zeros((len(picks) + 1, n))
 
-    # flat positions of the diagonal blocks' entries in a dense nK x nK system
-    diagonal = (np.arange(K)[:, None, None] * (n * K + 1) * n
-                + np.arange(n)[:, None] * n * K + np.arange(n)).reshape(-1)
     mu = np.array(prior.mean)
     x = mu.copy() if initial is None else initial.copy()
     precision = _precision(prior)
@@ -553,11 +530,10 @@ def map_linearization(
         dev = x - mu
         if isinstance(precision, BlockTridiagonalMatrix):
             grad -= precision.matvec(dev)
-            delta = _band_solve(precision._diag_stack + xi, precision._offdiag_stack, grad)
+            delta = _band_solve(precision.diag_blocks + xi, precision.offdiag_blocks, grad)
         else:
             grad -= precision @ dev
-            system = np.array(precision)
-            system.ravel()[diagonal] += xi.reshape(-1)
+            system = _plus_blockdiag(precision, xi)
             delta = _potrs(_cholesky(system, "Gauss-Newton system", overwrite=True), grad)
 
         x = x + delta

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .blocklinalg import _cholesky_stack
-from .entropy_oracle import OracleContext, conditional_entropy
+from .entropy_oracle import OracleContext, _gathered, conditional_entropy
 from .errors import (
     DimensionMismatchError,
     NotPositiveDefiniteError,
@@ -116,12 +116,6 @@ def num_candidate_schedules(m: int, budgets: Sequence[int]) -> int:
     return total
 
 
-def _information_stack(increments, candidates, n: int) -> np.ndarray:
-    """Xi of every candidate set of one step, summed in the oracle's order."""
-    zero = np.zeros((n, n))
-    return np.array([sum((increments[i] for i in s), zero) for s in candidates])
-
-
 def _walk(S: np.ndarray, logdet: np.ndarray, k: int, xi: list[np.ndarray],
           out: np.ndarray, at: int) -> int:
     """Log-dets of P + blockdiag(Xi) below a stack of prefixes, depth first.
@@ -157,10 +151,8 @@ def _enumerate(ctx: OracleContext, budgets: tuple[int, ...]):
     combination order). ``budgets`` must already be checked.
     """
     per_step = [_step_candidates(ctx.suite.m, s_k) for s_k in budgets]
-    xi = [
-        _information_stack(ctx.info_increments[k], candidates, ctx.n)
-        for k, candidates in enumerate(per_step)
-    ]
+    # Xi of every candidate set of a step, summed in the oracle's order
+    xi = [_gathered(ctx._increments[[k] * len(c)], c).sum(axis=1) for k, c in enumerate(per_step)]
     logdets = np.empty(math.prod(len(c) for c in per_step))
     _walk(ctx.prior.precision_dense()[None], np.zeros(1), 0, xi, logdets, 0)
     costs = 0.5 * ctx.prior.dim * LOG_TWO_PI_E - 0.5 * logdets

@@ -3,8 +3,9 @@
 Selection matrices are never materialized: a per-step selection is an
 index set into the suite, and every formula that multiplies by a
 selection matrix gathers the selected sensors' rows instead, from the
-per-step whitened Jacobians of an oracle context
-(``entropy_oracle.make_context``).
+(K, m, d, n) stack of whitened Jacobians of an oracle context
+(``entropy_oracle.make_context``). d is the largest ``output_dim`` in the
+suite, and a sensor's rows beyond its own ``output_dim`` are zero.
 """
 
 from __future__ import annotations

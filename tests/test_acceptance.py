@@ -27,7 +27,7 @@ from conftest import (
     random_stable_system,
     random_suite,
 )
-from sensorsched.cli import run_scenario
+from sensorsched.cli import main, run_scenario
 
 LOG_2PIE = math.log(2 * math.pi * math.e)
 
@@ -477,3 +477,41 @@ def test_criterion_9_receding_outputs_are_pinned(tmp_path):
     assert paths["results"].read_bytes() == RECEDING_RESULTS.encode()
     assert paths["trace"].read_bytes() == RECEDING_TRACE.encode()
     report(9, "receding results.csv and trace.csv equal their pinned bytes")
+
+
+# demos/configs/small_tracking.json with "dense": true: a densified tracking
+# prior, so every entropy goes through the dense covariance form. `run`
+# keeps the config's scheduler order; `certify` puts greedy and exhaustive
+# first.
+DENSE_TRACKING_TRACE = (
+    "k,pick_order,sensor,gain_nats\r\n"
+    "0,0,0,0.626381484248\r\n"
+    "0,1,2,0.269498250366\r\n"
+    "1,0,0,0.582153773967\r\n"
+    "1,1,2,0.25771962105\r\n"
+    "2,0,0,0.577489180763\r\n"
+    "2,1,2,0.257047697299\r\n"
+)
+DENSE_TRACKING_ROWS = {
+    "greedy": "greedy,5.55767871072,2.57029000769,21,0\r\n",
+    "lazy": "lazy,5.55767871072,2.57029000769,18,0\r\n",
+    "random": "random,6.558148619,1.56982009941,1,0.389243978417\r\n",
+    "exhaustive": "exhaustive,5.55767871072,2.57029000769,1331,0\r\n",
+}
+
+
+@pytest.mark.parametrize("verb, order", [
+    ("run", ("greedy", "lazy", "random", "exhaustive")),
+    ("certify", ("greedy", "exhaustive", "lazy", "random")),
+])
+def test_dense_covariance_outputs_are_pinned(tmp_path, capsys, verb, order):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "configs" / "small_tracking.json"
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(dict(json.loads(demo.read_text()), dense=True)))
+    assert main([verb, "--config", str(cfg_path), "--output-dir", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    results = "scheduler,entropy_nats,mutual_info_nats,oracle_calls,bound_ratio\r\n" + "".join(
+        DENSE_TRACKING_ROWS[name] for name in order)
+    assert (tmp_path / "run" / "results.csv").read_bytes() == results.encode()
+    assert (tmp_path / "run" / "trace.csv").read_bytes() == DENSE_TRACKING_TRACE.encode()
+    report(9, f"dense covariance {verb}: results.csv and trace.csv equal their pinned bytes")

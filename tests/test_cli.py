@@ -5,6 +5,7 @@ import dataclasses
 import json
 import logging
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +95,14 @@ class TestConfigValidation:
         with pytest.raises(ss.ConfigError, match="scheduler"):
             load_scenario(tmp_path / "c.json")
 
+    @pytest.mark.parametrize("name", ["small_tracking", "scaling_bench"])
+    def test_committed_config_and_its_manifest_load(self, tmp_path, name):
+        demo = Path(__file__).resolve().parents[1] / "demos" / "configs" / f"{name}.json"
+        scenario = load_scenario(demo)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(scenario.resolved()))
+        assert load_scenario(manifest) == scenario
+
     def test_invalid_json_is_diagnosed(self, tmp_path):
         (tmp_path / "c.json").write_text("{not json")
         with pytest.raises(ss.ConfigError, match="JSON"):
@@ -141,6 +150,38 @@ MALFORMED = {
         r"sensors\[0\]\.axis",
     ),
     "exhaustive_cap-true": (lambda cfg: cfg.update(exhaustive_cap=True), r"exhaustive_cap"),
+    # a field no kind reads is a typo or a misplaced value, not a no-op
+    "root-unknown": (lambda cfg: cfg.update(linearisation="receding"),
+                     r"(^|error: )linearisation: unknown field for a config"),
+    "tracking-mu0": (_set_prior(mu0=[0.0]), r"prior\.mu0: unknown field for a tracking prior"),
+    "gauss_markov-mean": (
+        lambda cfg: cfg.update(prior={"kind": "gauss_markov", "n": 1, "K": 2, "A": [[0.5]],
+                                      "Q": [[1.0]], "Sigma0": [[1.0]], "mean": [0.0, 0.0]}),
+        r"prior\.mean: unknown field for a gauss_markov prior",
+    ),
+    "dense_custom-mu0": (
+        lambda cfg: (_dense_custom([[1.0, 0.0], [0.0, 1.0]])(cfg), _set_prior(mu0=[0.0])(cfg)),
+        r"prior\.mu0: unknown field for a dense_custom prior",
+    ),
+    "linear_coordinate-anchor": (
+        _set_sensor(kind="linear_coordinate", axis=0, anchor=[1.0], noise_var=1.0),
+        r"sensors\[0\]\.anchor: unknown field for a linear_coordinate sensor",
+    ),
+    "range-axis": (_set_sensor(kind="range", anchor=[1.0], axis=0, noise_var=1.0),
+                   r"sensors\[0\]\.axis: unknown field for a range sensor"),
+    "bearing-weight": (
+        lambda cfg: (_set_prior(n=2)(cfg), _set_sensor(kind="bearing", anchor=[1.0, 0.0],
+                                                       weight=[[1.0]], noise_var=1.0)(cfg)),
+        r"sensors\[0\]\.weight: unknown field for a bearing sensor",
+    ),
+    "quadratic-noise_variance": (
+        _set_sensor(kind="quadratic", weight=[[1.0]], noise_variance=1.0, noise_var=1.0),
+        r"sensors\[0\]\.noise_variance: unknown field for a quadratic sensor",
+    ),
+    "noise_var-and-noise_cov": (
+        _set_sensor(kind="linear_coordinate", axis=0, noise_var=1.0, noise_cov=[[1.0]]),
+        r"sensors\[0\]\.noise_var: give noise_cov or noise_var, not both",
+    ),
 }
 
 

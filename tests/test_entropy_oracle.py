@@ -373,15 +373,56 @@ def test_planted_non_spd_increment_names_its_step(seed, n, K, data):
     sets[k] = (i,)
     # the pivot at step k is at most P_kk plus the planted increment
     bad = -(np.linalg.eigvalsh(prior.matrix.diag_blocks[k])[-1] + 1.0) * np.eye(n)
-    increments = [list(step) for step in ctx.info_increments]
-    increments[k][i] = bad
-    planted = dataclasses.replace(ctx, info_increments=tuple(map(tuple, increments)))
+    increments = ctx.info_increments.copy()
+    increments[k, i] = bad
+    planted = dataclasses.replace(ctx, info_increments=increments)
     schedule = ss.Schedule(sets=tuple(sets), budgets=(3,) * K)
     assert np.isfinite(ss.conditional_entropy(ctx, schedule))
     with pytest.raises(ss.NotPositiveDefiniteError) as info:
         ss.conditional_entropy(planted, schedule)
     assert info.value.block_index == k
     assert np.linalg.eigvalsh(info.value.pivot)[0] < 0
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_plus_blockdiag_equals_a_loop_over_the_blocks(order):
+    # the one P + blockdiag(stack) of the dense branches, posterior_covariance
+    # and the dense Gauss-Newton system; a fresh C-ordered result from any P
+    from sensorsched.entropy_oracle import _plus_blockdiag
+
+    rng = np.random.default_rng(3)
+    K, a, b = 4, 2, 3
+    P = np.asarray(rng.standard_normal((K * a, K * b)), order=order)
+    blocks = rng.standard_normal((K, a, b))
+    loop = P.copy()
+    for k in range(K):
+        loop[k * a:(k + 1) * a, k * b:(k + 1) * b] += blocks[k]
+    got = _plus_blockdiag(P, blocks)
+    assert np.array_equal(got, loop)
+    assert got.flags.c_contiguous and not np.shares_memory(got, P)
+
+
+def test_dense_covariance_form_factors_one_row_per_picked_output(monkeypatch):
+    # I + W Sigma W^T keeps a row for every output of a picked sensor, and
+    # no padding row: a quadratic sensor at its stationary point (the prior
+    # mean, zero) has an all-zero real row, which stays; the 1-output
+    # sensors' padding rows up to the 2-output sensor's d = 2 go
+    from sensorsched import entropy_oracle
+
+    prior = ss.densify(ss.build_tracking_prior(2, 3, marginal_var=1.0, neighbor_corr=0.4))
+    sensors = (ss.builtin_sensor("quadratic", weight=np.eye(2), noise_var=0.5),
+               ss.Sensor(2, lambda x: x[:2], lambda x: np.eye(2, x.size), np.eye(2)),
+               ss.builtin_sensor("range", anchor=[2.0, 1.0], noise_var=0.5))
+    ctx = ss.make_context(prior, ss.SensorSuite(state_dim=2, sensors=sensors))
+    assert not ctx.whitened_jacobians[:, 0].any()
+    sizes = []
+    real = entropy_oracle._logdet_dense
+    monkeypatch.setattr(entropy_oracle, "_logdet_dense",
+                        lambda A, **kw: sizes.append(A.shape) or real(A, **kw))
+    schedule = ss.Schedule(sets=((0, 1), (0,), (2,)), budgets=(2, 2, 2))
+    h = ss.conditional_entropy_covariance_form(ctx, schedule)
+    assert sizes == [(5, 5)]
+    assert h == pytest.approx(ss.conditional_entropy_precision_form(ctx, schedule), rel=1e-12)
 
 
 class TestNoJitter:
@@ -439,6 +480,50 @@ class TestContextCaches:
         np.testing.assert_array_equal(ctx.linearization, prior.mean)
 
 
+    @staticmethod
+    def _two_output_context():
+        # K = 3, n = 2, m = 2: a 1-output sensor and a 2-output one, so d = 2
+        prior = ss.build_tracking_prior(2, 3, marginal_var=1.0, neighbor_corr=0.4)
+        sensors = (ss.builtin_sensor("range", anchor=[2.0, 1.0], noise_var=0.5),
+                   ss.Sensor(2, lambda x: x[:2], lambda x: np.eye(2, x.size),
+                             [[1.0, 0.2], [0.2, 0.5]], name="position"))
+        return ss.make_context(prior, ss.SensorSuite(state_dim=2, sensors=sensors))
+
+    def test_fields_are_read_only_stacks_of_their_documented_shapes(self):
+        ctx = self._two_output_context()
+        assert type(ctx.whitened_jacobians) is np.ndarray
+        assert type(ctx.info_increments) is np.ndarray
+        assert ctx.whitened_jacobians.shape == (3, 2, 2, 2)
+        assert ctx.info_increments.shape == (3, 2, 2, 2)
+        for stack in (ctx.whitened_jacobians, ctx.info_increments):
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0, 0, 0, 0] = 1.0
+        # a sensor's rows beyond its output dimension are zero
+        assert not ctx.whitened_jacobians[:, 0, 1:].any()
+        assert ctx.whitened_jacobians[:, 1, 1].all()
+        W = ctx.whitened_jacobians
+        WtW = W.swapaxes(2, 3) @ W
+        assert np.array_equal(ctx.info_increments, 0.5 * (WtW + WtW.swapaxes(2, 3)))
+        # a replace that keeps the fields keeps them equal
+        same = dataclasses.replace(ctx)
+        assert np.array_equal(same.whitened_jacobians, W)
+        assert np.array_equal(same.info_increments, ctx.info_increments)
+
+    @pytest.mark.parametrize("field, edit, got", [
+        ("info_increments", lambda a: a[:-1], r"\(2, 2, 2, 2\)"),
+        ("info_increments", lambda a: a[:, :1], r"\(3, 1, 2, 2\)"),
+        ("whitened_jacobians", lambda a: a[:2], r"\(2, 2, 2, 2\)"),
+        ("whitened_jacobians", lambda a: a[:, :, :1], r"\(3, 2, 1, 2\)"),
+        ("whitened_jacobians", lambda a: [[W[:1], W] for W in a[:, 1]], "a ragged nesting"),
+    ], ids=["increments-short-K", "increments-short-m", "rows-short-K", "rows-unpadded",
+            "rows-ragged"])
+    def test_misshaped_field_raises_naming_it_and_its_shape(self, field, edit, got):
+        ctx = self._two_output_context()
+        with pytest.raises(ss.DimensionMismatchError,
+                           match=rf"{field}: expected shape \(3, 2, 2, 2\), got {got}"):
+            dataclasses.replace(ctx, **{field: edit(getattr(ctx, field))})
+
     def test_one_noise_factor_per_distinct_covariance(self, monkeypatch):
         from sensorsched import blocklinalg
 
@@ -494,8 +579,8 @@ class TestContextCaches:
                           for s in suite.sensors] for k in range(prior.K)])
         increments = np.swapaxes(rows, 2, 3) @ rows
         increments = 0.5 * (increments + np.swapaxes(increments, 2, 3))
-        assert np.array_equal(ctx._rows[:, :suite.m], rows)
-        assert np.array_equal(ctx._increments[:, :suite.m], increments)
+        assert np.array_equal(ctx.whitened_jacobians, rows)
+        assert np.array_equal(ctx.info_increments, increments)
 
 
 def nan_jacobian_suite(n):
