@@ -14,8 +14,8 @@ are natural-log (nats).
 Every SPD factorization in the package happens here: in the one banded
 factorization, the one dense Cholesky, which also factors each sensor
 noise covariance once, when the sensor is built, or the stacked Cholesky
-with which exhaustive enumeration factors every candidate pivot of a step
-at once. The first two call LAPACK directly (``dpbtrf``, ``dpbtrs``,
+with which exhaustive enumeration, and the greedy scheduler's dense gain
+source, factor every candidate of a step at once. The first two call LAPACK directly (``dpbtrf``, ``dpbtrs``,
 ``dpotrf``, ``dpotrs`` from ``scipy.linalg.lapack``), because at these
 sizes the checks and dispatch of the higher-level wrappers cost several
 times the factorization itself; the stack goes through
@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtrtrs
@@ -66,7 +66,7 @@ def _square_stack(blocks, n: int, what: str) -> np.ndarray:
     return np.array(blocks, dtype=float).reshape(len(blocks), n, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockTridiagonalMatrix:
     """Symmetric block-tridiagonal matrix with K square blocks of size n.
 
@@ -174,21 +174,26 @@ def _cholesky(A: np.ndarray, what: str = "matrix", *, overwrite: bool = False) -
     return L
 
 
-def _cholesky_stack(A: np.ndarray, block_index: int) -> np.ndarray:
+def _cholesky_stack(
+    A: np.ndarray, block_index: int, describe: Callable[[int], str] | None = None
+) -> np.ndarray:
     """Lower Cholesky factors of a stack of SPD matrices, in one call.
 
     ``A`` has shape (..., n, n); every matrix in it is a candidate for the
-    pivot block ``block_index``, which a failure reports. Only the lower
-    triangles are read. NaN input is not detected here: it yields NaN
-    factors, so callers check the log-sums they take from them.
+    pivot block ``block_index``, which a failure reports. ``describe``, if
+    given, names the failing matrix by its position j in the flattened
+    stack instead. Only the lower triangles are read. NaN input is not
+    detected here: it yields NaN factors, so callers check the log-sums
+    they take from them.
     """
     try:
         return np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
-        for D in A.reshape(-1, *A.shape[-2:]):
+        for j, D in enumerate(A.reshape(-1, *A.shape[-2:])):
             if dpotrf(D, lower=1)[1] > 0:
+                what = describe(j) if describe else f"pivot block {block_index}"
                 raise NotPositiveDefiniteError(
-                    f"pivot block {block_index} is not positive definite", D, block_index
+                    f"{what} is not positive definite", D, block_index
                 ) from None
         raise
 

@@ -69,7 +69,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleContext:
     """Immutable evaluation context: prior, suite, linearization, caches.
 
@@ -376,10 +376,13 @@ def map_linearization(
     ||delta||_inf <= tol or max_iter. Each sensor's residual and Jacobian
     are whitened by its noise factor L (R = L L^T), so C^T R^-1 terms are
     products of whitened rows. For linear sensors the first step lands
-    exactly on the Gaussian posterior mean. Covariance-form priors use the
-    prior's dense precision, inverted once per prior (the dense fallback
-    is acceptable here because the MAP solve happens once per step, not
-    once per candidate); that dense system is factored in place.
+    exactly on the Gaussian posterior mean. An angle's residual y - h that
+    falls outside (-pi, pi] (a bearing read across the cut at +-pi) is
+    shifted by 2 pi; every other residual is the plain difference.
+    Covariance-form priors use the prior's dense precision, inverted once
+    per prior (the dense fallback is acceptable here because the MAP
+    solve happens once per step, not once per candidate); that dense
+    system is factored in place.
 
     An iteration is batched over the picks. The picks that share a noise
     factor are one sensor's: their states are gathered once per iteration,
@@ -511,7 +514,7 @@ def map_linearization(
         # column 0 of a block becomes L^-1 (y - h), the rest L^-1 J
         for sensor, L, c0, c1, y, W, B in factor_runs:
             h, J = sensor._measure_and_jacobian(states[c0:c1])
-            np.subtract(y, h, out=W[:, 0])
+            sensor._residual(y, h, out=W[:, 0])
             W[:, 1:] = J.swapaxes(1, 2)
             _trtrs(L, B, overwrite=True)
         if not np.isfinite(buffer).all():

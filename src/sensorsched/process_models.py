@@ -51,7 +51,7 @@ class PriorForm(str, enum.Enum):
         return self in (PriorForm.PRECISION_SPARSE, PriorForm.PRECISION_DENSE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianPrior:
     """Gaussian over the stacked state of K steps of dimension n each.
 

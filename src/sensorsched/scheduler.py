@@ -8,12 +8,23 @@ non-increasing and supermodular in the selection.
 
 Eager and lazy evaluation are two refresh policies of one selection
 loop over a max-heap of candidate gains. After each pick the eager policy
-re-evaluates every remaining candidate, at most s_k * m oracle calls per
-step (the running base value is cached, never re-evaluated); the lazy
-policy keeps the stale gains as upper bounds -- valid by supermodularity
--- and refreshes only the top. Ties are broken toward the lowest sensor
-index (a deterministic refinement of the arbitrary tie-break) so that
-runs are reproducible and both policies return the same schedule.
+re-evaluates every remaining candidate, at most s_k * m gain evaluations
+per step; the lazy policy keeps the stale gains as upper bounds -- valid
+by supermodularity -- and refreshes only the top. Ties are broken toward
+the lowest sensor index (a deterministic refinement of the arbitrary
+tie-break) so that runs are reproducible and both policies return the
+same schedule.
+
+The loop reads its gains from one gain source per run, picked by the
+stored prior form as ``conditional_entropy`` dispatches. With a sparse
+prior a gain evaluation is one full oracle call, and the gain its drop
+from the running base value, which is cached, never re-evaluated. With a dense
+prior, where one oracle call is a cubic dense Cholesky, the source keeps
+the covariance of the steps not yet fixed, given the picks so far: a
+step's m candidate gains 1/2 logdet(I + W_i S_kk W_i^T) take one stacked
+d x d Cholesky, and each pick conditions it by a rank-d downdate, so a
+greedy run costs one order of K less. A gain evaluation reads one of
+those gains; what the trace counts keeps its meaning either way.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .blocklinalg import _cholesky, _cholesky_stack, _trtrs
 from .entropy_oracle import OracleContext, conditional_entropy
 from .errors import DimensionMismatchError, OracleInconsistencyError
 from .sensing import Schedule, _check_budget
@@ -44,7 +56,7 @@ _GAIN_SLACK = 1e-8
 
 @dataclass(frozen=True)
 class StepTrace:
-    """One step of a greedy run: picks in order, their gains, and oracle calls."""
+    """One step of a greedy run: picks in order, their gains, and gain evaluations."""
 
     step: int
     chosen: tuple[int, ...]
@@ -57,10 +69,14 @@ class GreedyTrace:
     """Full record of a greedy run.
 
     Within each step the realized gains are non-increasing in pick order.
-    The eager call count is at most s_k * m per step; the paper-level
-    guarantee quotes a tighter per-step count, but a ground set of size m
-    scanned once per pick costs m - t + 1 evaluations at pick t, which is
-    what this trace reports.
+    ``oracle_calls`` counts gain evaluations: the eager count is at most
+    s_k * m per step; the paper-level guarantee quotes a tighter per-step
+    count, but a ground set of size m scanned once per pick costs m - t + 1
+    evaluations at pick t, which is what this trace reports. With a sparse
+    prior each evaluation is one full oracle call; with a dense prior it
+    reads the candidate's gain from the covariance that the dense backend
+    downdates after each pick, and all m of a refresh come from one
+    stacked factorization.
     """
 
     steps: tuple[StepTrace, ...]
@@ -87,20 +103,119 @@ def _clamp_gain(gain: float, k: int, i: int) -> float:
     return max(gain, 0.0)
 
 
-def _sets_with(sets, k, new_set):
-    out = list(sets)
-    out[k] = tuple(sorted(new_set))
-    return tuple(out)
+class _OracleGains:
+    """Sparse priors: a gain is the drop between two full oracle calls.
+
+    ``base`` is the entropy of the picks so far, and ``after[i]`` the
+    entropy with candidate i added, as last evaluated; a pick's becomes
+    the next base, so no value is evaluated twice.
+    """
+
+    def __init__(self, ctx, sets, budgets, k):
+        self.ctx, self.sets, self.budgets, self.k = ctx, list(sets), budgets, k
+        self.base = ctx.prior_entropy
+        if any(sets):
+            self.base = conditional_entropy(ctx, Schedule._unchecked(tuple(sets), budgets))
+        self.chosen: list[int] = []
+        self.after: dict[int, float] = {}
+
+    def gain(self, i: int) -> float:
+        sets = list(self.sets)
+        sets[self.k] = tuple(sorted(self.chosen + [i]))
+        self.after[i] = conditional_entropy(self.ctx, Schedule._unchecked(tuple(sets), self.budgets))
+        return self.base - self.after[i]
+
+    def pick(self, i: int) -> None:
+        self.chosen.append(i)
+        self.base = self.after[i]
+
+    def advance(self) -> None:
+        self.sets[self.k] = tuple(sorted(self.chosen))
+        self.k += 1
+        self.chosen = []
 
 
-def _select(ctx, sets, budgets, k, s_k, base, lazy):
-    """Greedy selection at step k; returns (trace, base after the picks).
+class _DowndateGains:
+    """Dense priors: gains read from S, the covariance of the steps not yet fixed.
 
-    Candidates sit in a max-heap of (-gain, sensor, entropy). After each
-    pick the eager policy re-evaluates every remaining candidate; the lazy
-    policy marks them stale and re-evaluates a stale entry only when it
-    reaches the top, re-inserting it unless it still beats the next one.
-    The step stops at its first non-positive gain.
+    S starts as a copy of the prior covariance (a precision prior's cached
+    dense inverse) and covers steps k..K-1 given the picks before k; C is
+    its step-k block given step k's picks so far. Candidate i's gain is
+    1/2 logdet(I + W_i C W_i^T), with W_i its whitened rows as the
+    context stores them (a zero-padded row adds a unit diagonal entry);
+    one stacked Cholesky factors all m of them. A pick conditions C on
+    W_i by a rank-d update. When the step ends, its picks, in ascending
+    order, condition the trailing block in one rank update,
+    S_tt <- S_tt - G (I + W S_kk W^T)^-1 G^T with G = S_tk W^T, and its
+    rows and columns are dropped; a prefix is conditioned on step by step
+    the same way, so a step's gains do not depend on how its prefix was
+    reached.
+    """
+
+    def __init__(self, ctx, sets, k):
+        prior = ctx.prior
+        self.ctx, self.k, self.chosen = ctx, 0, []
+        self.S = np.array(prior.covariance_dense() if prior.form.is_precision else prior.matrix)
+        for chosen in sets[:k]:
+            self.chosen = list(chosen)
+            self.advance()
+        self._begin()
+
+    def _begin(self) -> None:
+        n = self.ctx.n
+        self.C = self.S[:n, :n].copy()
+        self.factors = self.gains = None
+
+    def gain(self, i: int) -> float:
+        if self.gains is None:
+            k, sensors = self.k, self.ctx.suite.sensors
+            W = self.ctx.whitened_jacobians[k]
+            A = W @ self.C @ W.swapaxes(1, 2)
+            d = A.shape[1]
+            A.reshape(len(A), -1)[:, ::d + 1] += 1.0
+            if self.chosen:  # never scored again: rounding may leave them indefinite
+                A[self.chosen] = np.eye(d)
+            self.factors = _cholesky_stack(A, k, lambda j: (
+                f"step {k}, sensor {j} ({sensors[j].name!r}): I + W S W^T"))
+            self.gains = np.log(np.diagonal(self.factors, 0, 1, 2)).sum(axis=1).tolist()
+        return self.gains[i]
+
+    def pick(self, i: int) -> None:
+        V = _trtrs(self.factors[i], self.ctx.whitened_jacobians[self.k, i] @ self.C)
+        self.C -= V.T @ V
+        self.chosen.append(i)
+        self.gains = None
+
+    def advance(self) -> None:
+        n, S = self.ctx.n, self.S
+        self.S = S[n:, n:]
+        if self.chosen:
+            W = self.ctx.whitened_jacobians[self.k, sorted(self.chosen)].reshape(-1, n)
+            M = W @ S[:n, :n] @ W.T
+            M.flat[::len(M) + 1] += 1.0
+            L = _cholesky(M, f"step {self.k}, sensors {sorted(self.chosen)}: I + W S W^T")
+            V = _trtrs(L, W @ S[:n, n:])
+            self.S -= V.T @ V
+        self.k += 1
+        self.chosen = []
+        self._begin()
+
+
+def _gain_source(ctx, sets, budgets, k):
+    """Gains at step k given the picks ``sets`` fixes before it, by the stored prior form."""
+    if ctx.prior.form.is_sparse:
+        return _OracleGains(ctx, sets, budgets, k)
+    return _DowndateGains(ctx, sets, k)
+
+
+def _select(source, k, s_k, lazy):
+    """Greedy selection at step k from a gain source; returns its trace.
+
+    Candidates sit in a max-heap of (-gain, sensor). After each pick the
+    eager policy re-evaluates every remaining candidate; the lazy policy
+    marks them stale and re-evaluates a stale entry only when it reaches
+    the top, re-inserting it unless it still beats the next one. The step
+    stops at its first non-positive gain.
     """
     calls = 0
     chosen: list[int] = []
@@ -109,11 +224,9 @@ def _select(ctx, sets, budgets, k, s_k, base, lazy):
     def entry(i):
         nonlocal calls
         calls += 1
-        variant = Schedule._unchecked(_sets_with(sets, k, chosen + [i]), budgets)
-        H = conditional_entropy(ctx, variant)
-        return (-_clamp_gain(base - H, k, i), i, H)
+        return (-_clamp_gain(source.gain(i), k, i), i)
 
-    heap = [entry(i) for i in range(ctx.suite.m)] if s_k else []
+    heap = [entry(i) for i in range(source.ctx.suite.m)] if s_k else []
     heapq.heapify(heap)
     stale: set[int] = set()
     while heap and len(chosen) < s_k:
@@ -124,19 +237,19 @@ def _select(ctx, sets, budgets, k, s_k, base, lazy):
             if heap and top > heap[0]:
                 heapq.heappush(heap, top)
                 continue
-        neg_gain, i, H = top
+        neg_gain, i = top
         gain = -neg_gain
         if gain <= 0.0:
             break
         chosen.append(i)
         gains.append(gain)
-        base = H
+        source.pick(i)
         if lazy:
-            stale = {j for _, j, _ in heap}
+            stale = {j for _, j in heap}
         elif len(chosen) < s_k:
-            heap = [entry(j) for j in sorted(j for _, j, _ in heap)]
+            heap = [entry(j) for j in sorted(j for _, j in heap)]
             heapq.heapify(heap)
-    return StepTrace(step=k, chosen=tuple(chosen), gains=tuple(gains), oracle_calls=calls), base
+    return StepTrace(step=k, chosen=tuple(chosen), gains=tuple(gains), oracle_calls=calls)
 
 
 def greedy_step_detailed(
@@ -150,7 +263,9 @@ def greedy_step_detailed(
     """Run one within-step greedy selection and return its full trace.
 
     ``fixed_prefix`` must cover steps 0..k-1; its sets at step k and
-    beyond are ignored. One extra oracle call establishes the base value.
+    beyond are ignored. A non-empty prefix adds one evaluation to the
+    count: the oracle call that gives the base value with a sparse prior,
+    the downdates by the prefix's picks, step by step, with a dense one.
     """
     if not 0 <= k < ctx.K:
         raise DimensionMismatchError(f"step {k} outside horizon of {ctx.K}")
@@ -162,18 +277,17 @@ def greedy_step_detailed(
     sets = tuple(
         fixed_prefix.sets[j] if j < k else () for j in range(ctx.K)
     )
+    for j, chosen in enumerate(sets):
+        if chosen and chosen[-1] >= ctx.suite.m:
+            raise DimensionMismatchError(f"step {j} selects a sensor index >= m={ctx.suite.m}")
     budgets = [
         fixed_prefix.budgets[j] if j < fixed_prefix.num_steps else 0
         for j in range(ctx.K)
     ]
     budgets[k] = max(budgets[k], s_k)
     budgets = tuple(budgets)
-    evaluated = any(sets)
-    base = ctx.prior_entropy
-    if evaluated:
-        base = conditional_entropy(ctx, Schedule._unchecked(sets, budgets))
-    trace, _ = _select(ctx, sets, budgets, k, s_k, base, lazy)
-    return replace(trace, oracle_calls=trace.oracle_calls + int(evaluated))
+    trace = _select(_gain_source(ctx, sets, budgets, k), k, s_k, lazy)
+    return replace(trace, oracle_calls=trace.oracle_calls + int(any(sets)))
 
 
 def greedy_schedule(
@@ -202,13 +316,13 @@ def greedy_schedule(
         )
     budgets = tuple(_check_budget(k, b, ctx.suite.m) for k, b in enumerate(budgets))
 
-    sets: tuple[tuple[int, ...], ...] = tuple(() for _ in range(ctx.K))
-    base = ctx.prior_entropy
+    source = _gain_source(ctx, [()] * ctx.K, budgets, 0)
     steps: list[StepTrace] = []
     for k in range(ctx.K):
-        trace, base = _select(ctx, sets, budgets, k, budgets[k], base, lazy)
-        sets = _sets_with(sets, k, trace.chosen)
-        steps.append(trace)
+        if k:
+            source.advance()
+        steps.append(_select(source, k, budgets[k], lazy))
+    sets = tuple(tuple(sorted(step.chosen)) for step in steps)
     return Schedule(sets=sets, budgets=budgets), GreedyTrace(steps=tuple(steps))
 
 

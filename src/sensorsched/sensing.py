@@ -168,6 +168,16 @@ class Sensor:
             )
         return out
 
+    def _residual(self, Y: np.ndarray, Z: np.ndarray, out: np.ndarray) -> None:
+        """Readings Y less predictions Z, written to ``out``. An angle's
+        residual outside (-pi, pi] is shifted by 2 pi, so a reading just
+        across the cut at +-pi lies near its prediction, not a turn away;
+        every other residual keeps the bits of the plain difference."""
+        np.subtract(Y, Z, out=out)
+        if getattr(self.measure, "angular", False) and np.abs(out).max() >= math.pi:
+            out[out > math.pi] -= 2.0 * math.pi
+            out[out <= -math.pi] += 2.0 * math.pi
+
     def _measure_and_jacobian(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``measure_at`` and ``jacobian_at`` of a (P, n) float stack, equal to
         theirs bit for bit. A built-in sensor's two maps make one call, which
@@ -291,19 +301,22 @@ class _StackedMap:
     ``Sensor.jacobian_at`` call ``stacked`` on a whole stack at once.
     ``fused`` is shared by a kind's measure and Jacobian maps: it returns
     both for a stack, with the same bits (``Sensor._measure_and_jacobian``).
+    ``angular`` marks a measure map whose values are angles in (-pi, pi].
     """
 
-    __slots__ = ("stacked", "fused")
+    __slots__ = ("stacked", "fused", "angular")
 
-    def __init__(self, stacked: Callable[[np.ndarray], np.ndarray], fused):
+    def __init__(self, stacked: Callable[[np.ndarray], np.ndarray], fused, angular=False):
         self.stacked = stacked
         self.fused = fused
+        self.angular = angular
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.stacked(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
 
-def _stacked_sensor(prepare, value, derivative, noise_cov, noise_var, name) -> Sensor:
+def _stacked_sensor(prepare, value, derivative, noise_cov, noise_var, name,
+                    angular=False) -> Sensor:
     """A one-output sensor from a kind's three stack functions: ``prepare``
     checks a stack and returns what its value and derivative share (an
     offset, a norm), which ``value`` and ``derivative`` then take."""
@@ -318,7 +331,7 @@ def _stacked_sensor(prepare, value, derivative, noise_cov, noise_var, name) -> S
         shared = prepare(X)
         return value(X, shared), derivative(X, shared)
 
-    return Sensor(1, _StackedMap(measure, fused), _StackedMap(jacobian, fused),
+    return Sensor(1, _StackedMap(measure, fused, angular), _StackedMap(jacobian, fused),
                   _resolve_noise(1, noise_cov, noise_var), name=name)
 
 
@@ -430,7 +443,8 @@ def builtin_sensor(
             J[:, 0, 1] = dx / r2
             return J
 
-        return _stacked_sensor(offset, angle, turn, noise_cov, noise_var, name or "bearing")
+        return _stacked_sensor(offset, angle, turn, noise_cov, noise_var, name or "bearing",
+                               angular=True)
 
     if kind == "quadratic":
         if weight is None:

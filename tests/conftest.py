@@ -177,12 +177,17 @@ def gauss_newton_reference(prior, suite, schedule, measurements, max_iter, tol=1
         (P + C^T R^-1 C) delta = C^T R^-1 (y - h(x)) - P (x - mu)
 
     with the prior's dense precision P, until ||delta||_inf <= tol or
-    max_iter. Returns (estimate, converged, iterations).
+    max_iter. A bearing's residual is an angle difference, taken into
+    [-pi, pi). Returns (estimate, converged, iterations).
     """
     n, K = suite.state_dim, schedule.num_steps
     P = prior.precision_dense()
     mu = np.asarray(prior.mean, dtype=float)
     y = np.concatenate([np.zeros(0)] + [m for m in measurements if m is not None])
+    angular = np.concatenate([np.zeros(0, bool)] + [
+        np.full(suite.sensors[i].output_dim, getattr(suite.sensors[i].measure, "angular", False))
+        for chosen in schedule.sets for i in chosen
+    ])
     x = mu.copy() if start is None else np.array(start, dtype=float)
     for iteration in range(1, max_iter + 1):
         states = x.reshape(K, n)
@@ -191,8 +196,10 @@ def gauss_newton_reference(prior, suite, schedule, measurements, max_iter, tol=1
             suite.sensors[i].measure_at(states[k])
             for k, chosen in enumerate(schedule.sets) for i in chosen
         ])
+        r = y - h
+        r[angular] = (r[angular] + np.pi) % (2.0 * np.pi) - np.pi
         CtRinv = np.linalg.solve(R, C).T
-        delta = np.linalg.solve(P + CtRinv @ C, CtRinv @ (y - h) - P @ (x - mu))
+        delta = np.linalg.solve(P + CtRinv @ C, CtRinv @ r - P @ (x - mu))
         x = x + delta
         if np.max(np.abs(delta)) <= tol:
             return x, True, iteration

@@ -146,3 +146,23 @@ def test_result_fields_are_pinned(name):
 
 def test_greedy_trace_has_no_total_wall_time():
     assert not hasattr(ss.GreedyTrace, "total_wall_s")
+
+
+# types holding ndarray fields, each with a builder of equal but distinct instances
+ARRAY_HOLDERS = {
+    "BlockTridiagonalMatrix": lambda: ss.BlockTridiagonalMatrix.identity(2, 3),
+    "GaussianPrior": lambda: ss.build_tracking_prior(2, 3, 1.0, 0.4),
+    "OracleContext": lambda: ss.make_context(
+        ss.build_tracking_prior(2, 3, 1.0, 0.4),
+        ss.SensorSuite(2, (ss.builtin_sensor("range", anchor=[2.0, 2.0], noise_var=0.4),)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_HOLDERS))
+def test_array_holders_compare_and_hash_by_identity(name):
+    # a generated __eq__ would compare the ndarray fields and raise
+    a, b = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b}) == 2

@@ -860,6 +860,21 @@ class TestMapLinearization:
         oracle = np.asarray(prior.mean) + gain @ (y - C @ np.asarray(prior.mean))
         np.testing.assert_allclose(out.estimate, oracle, rtol=1e-8, atol=1e-10)
 
+    def test_bearing_reading_across_the_cut_converges(self):
+        # the prior mean sees the anchor at -pi + 0.01 and the reading is
+        # pi - 0.01: 0.02 rad apart, not 2 pi - 0.02
+        prior = ss.build_dense_prior(2, 1, 0.01 * np.eye(2), "covariance",
+                                     mean=np.array([-1.0, -0.01]))
+        bearing = ss.builtin_sensor("bearing", anchor=[0.0, 0.0], noise_var=1e-4)
+        suite = ss.SensorSuite(state_dim=2, sensors=(bearing,))
+        reading = np.array([math.pi - 0.01])
+        out = ss.map_linearization(prior, suite, ss.Schedule(sets=((0,),), budgets=(1,)),
+                                   [reading])
+        assert out.converged and out.iterations < 10
+        assert np.linalg.norm(out.estimate - prior.mean) < 0.05
+        seen = bearing.measure_at(out.estimate)[0]
+        assert abs(seen - reading[0]) < 0.01
+
     def test_nonlinear_map_reduces_objective(self):
         rng = np.random.default_rng(53)
         prior, suite = random_instance(49, n=2, K=2, m=3, kind="tracking")

@@ -1,5 +1,6 @@
 """Greedy scheduling, lazy acceleration, and the random baseline."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sensorsched as ss
-from conftest import random_instance
+from conftest import random_feasible_schedule, random_instance
 
 
 def single_pick(budgets, k, i):
@@ -152,6 +153,14 @@ class TestGreedyStep:
         out = ss.greedy_step_detailed(ctx, ss.Schedule.empty([0] * prior.K), 0, 0).chosen
         assert out == ()
 
+    @pytest.mark.parametrize("kind", ["gauss_markov", "dense_cov"])
+    def test_prefix_index_beyond_the_suite_raises(self, kind):
+        prior, suite = random_instance(71, n=2, K=3, m=2, kind=kind)
+        ctx = ss.make_context(prior, suite)
+        prefix = ss.Schedule(sets=((0,), (2,), ()), budgets=(1, 1, 1))
+        with pytest.raises(ss.DimensionMismatchError, match="step 1 selects a sensor index >= m=2"):
+            ss.greedy_step_detailed(ctx, prefix, 2, 1)
+
     def test_identical_sensors_tie_break_by_index(self):
         prior, _ = random_instance(72, n=1, K=2, kind="gauss_markov")
         suite = identical_sensor_suite(1, 4)
@@ -188,7 +197,8 @@ class TestGreedyStep:
         assert stopped.chosen == (0,)
 
     def test_inconsistent_oracle_raises_diagnostic(self, monkeypatch):
-        prior, suite = random_instance(75, K=3, m=2)
+        # a sparse prior: its gains are differences of oracle calls
+        prior, suite = random_instance(75, K=3, m=2, kind="gauss_markov")
         ctx = ss.make_context(prior, suite)
 
         def rigged(_ctx, schedule):
@@ -198,6 +208,33 @@ class TestGreedyStep:
         with pytest.raises(ss.OracleInconsistencyError):
             ss.greedy_schedule(ctx, [1] * prior.K)
 
+    @pytest.mark.parametrize("kind", ["dense_cov", "dense_prec"])
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    def test_dense_nan_row_raises_naming_step_and_sensor(self, kind, lazy):
+        # a dense prior's gains come from covariance downdates, not the
+        # oracle; a NaN whitened row must still be caught at its candidate
+        prior, suite = random_instance(75, n=2, K=3, m=3, kind=kind)
+        ctx = ss.make_context(prior, suite)
+        rows = np.array(ctx.whitened_jacobians)
+        rows[1, 2, 0, 0] = math.nan
+        planted = dataclasses.replace(ctx, whitened_jacobians=rows)
+        with pytest.raises(ss.SensorSchedError, match="step 1, sensor 2"):
+            ss.greedy_schedule(planted, [1] * prior.K, lazy=lazy)
+        with pytest.raises(ss.SensorSchedError, match="step 1, sensor 2"):
+            ss.greedy_step_detailed(planted, ss.Schedule.empty([1] * prior.K), 1, 1, lazy=lazy)
+
+    def test_dense_failing_factorization_raises_naming_step_and_sensor(self):
+        # an indefinite covariance, planted past the prior's own SPD check:
+        # I + W S W^T is 1 - 1/4 for sensor 0 and 1 - 4 for sensor 1
+        prior = ss.build_dense_prior(1, 2, np.eye(2), "covariance")
+        object.__setattr__(prior, "matrix", -np.eye(2))
+        suite = ss.SensorSuite(state_dim=1, sensors=(
+            ss.builtin_sensor("linear_coordinate", axis=0, noise_var=4.0),
+            ss.builtin_sensor("linear_coordinate", axis=0, noise_var=0.25, name="sharp"),
+        ))
+        ctx = ss.make_context(prior, suite)
+        with pytest.raises(ss.NotPositiveDefiniteError, match="step 0, sensor 1 \\('sharp'\\)"):
+            ss.greedy_schedule(ctx, [1, 1])
 
     @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
     def test_nan_gain_raises_naming_step_and_sensor(self, monkeypatch, lazy):
@@ -276,6 +313,54 @@ def test_lazy_equals_eager(instance):
                 ctx, schedule, step.step, budgets[step.step], lazy=policy
             )
             assert (detail.chosen, detail.gains) == (step.chosen, step.gains)
+
+
+@st.composite
+def dense_instances(draw):
+    """A small dense-prior instance, its budgets, and a random prefix and step."""
+    kind = draw(st.sampled_from(["dense_cov", "dense_prec"]))
+    prior, suite = random_instance(draw(st.integers(0, 2**20)), kind=kind)
+    budgets = draw(st.lists(st.integers(0, suite.m), min_size=prior.K, max_size=prior.K))
+    rng = np.random.default_rng(draw(st.integers(0, 2**20)))
+    prefix = random_feasible_schedule(rng, suite.m, [suite.m] * prior.K)
+    return ss.make_context(prior, suite), budgets, prefix, draw(st.integers(0, prior.K - 1))
+
+
+def assert_picks_match_the_oracle(ctx, sets, step):
+    """Each of ``step``'s picks, given ``sets`` before it, is the reference
+    oracle's argmax (ties to the lowest index), and its gain the oracle's
+    entropy drop."""
+    k, m = step.step, ctx.suite.m
+    budgets = (m,) * ctx.K
+    sets = [tuple(chosen) if j < k else () for j, chosen in enumerate(sets)]
+
+    def entropy(chosen):
+        trial = list(sets)
+        trial[k] = tuple(sorted(chosen))
+        return ss.conditional_entropy(ctx, ss.Schedule(sets=tuple(trial), budgets=budgets))
+
+    chosen: list[int] = []
+    base = entropy(chosen)
+    for i, gain in zip(step.chosen, step.gains):
+        after = {j: entropy(chosen + [j]) for j in range(m) if j not in chosen}
+        drops = {j: base - h for j, h in after.items()}
+        assert gain == pytest.approx(drops[i], rel=0, abs=1e-9)
+        best = max(drops.values())
+        assert i == min(j for j, drop in drops.items() if drop >= best - 1e-9)
+        chosen.append(i)
+        base = after[i]
+
+
+@settings(max_examples=60)
+@given(dense_instances())
+def test_dense_downdate_gains_match_the_reference_oracle(instance):
+    ctx, budgets, prefix, k = instance
+    for lazy in (False, True):
+        schedule, trace = ss.greedy_schedule(ctx, budgets, lazy=lazy)
+        for step in trace.steps:
+            assert_picks_match_the_oracle(ctx, schedule.sets, step)
+        step = ss.greedy_step_detailed(ctx, prefix, k, budgets[k], lazy=lazy)
+        assert_picks_match_the_oracle(ctx, prefix.sets, step)
 
 
 class TestRandomSchedule:
