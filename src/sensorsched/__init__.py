@@ -13,7 +13,6 @@ from .blocklinalg import (
     logdet_block_tridiagonal,
     logdet_block_tridiagonal_blocks,
     logdet_dense,
-    solve_block_tridiagonal,
 )
 from .entropy_oracle import (
     MapEstimate,
@@ -113,5 +112,4 @@ __all__ = [
     "build_gauss_markov_prior",
     "build_tracking_prior",
     "random_schedule",
-    "solve_block_tridiagonal",
 ]

@@ -1,15 +1,14 @@
 """Symmetric block-structured linear algebra.
 
 Log-determinants and linear solves for symmetric block-tridiagonal
-matrices. A block-tridiagonal matrix with p x p blocks is a band matrix
-of half-bandwidth 2p - 1, so both write the blocks into LAPACK band
-storage and factor it with one ``dpbtrf`` call, whose cost is linear in
-the number of blocks. The factor's diagonal blocks are the Cholesky
-factors of the Schur pivots D_1 = B_1, D_k = B_k - C_k D_{k-1}^{-1} C_k^T.
-A ``BlockTridiagonalMatrix`` holds its blocks as two read-only stacks,
-the form the kernels take whole; blocks of varying size are padded to
-the largest one. Dense fallbacks are provided for everything. All values
-are natural-log (nats).
+matrices. A block-tridiagonal matrix with K blocks of size p x p is a
+band matrix of half-bandwidth 2p - 1, so both write the blocks into
+LAPACK band storage and factor it with one ``dpbtrf`` call, whose cost
+is linear in K. The factor's diagonal blocks are the Cholesky factors
+of the Schur pivots D_1 = B_1, D_k = B_k - C_k D_{k-1}^{-1} C_k^T. A
+``BlockTridiagonalMatrix`` holds its blocks as two read-only stacks, the
+form the kernels take whole. Dense fallbacks are provided for
+everything. All values are natural-log (nats).
 
 Every SPD factorization in the package happens here: in the one banded
 factorization, the one dense Cholesky, which also factors each sensor
@@ -40,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtrtrs
@@ -52,7 +51,6 @@ __all__ = [
     "logdet_dense",
     "logdet_block_tridiagonal",
     "logdet_block_tridiagonal_blocks",
-    "solve_block_tridiagonal",
 ]
 
 
@@ -86,14 +84,17 @@ class BlockTridiagonalMatrix:
         if not K:
             raise DimensionMismatchError("need at least one diagonal block")
         first = np.shape(self.diag_blocks[0])
-        n = first[0] if len(first) == 2 else -1
-        diag = _square_stack(self.diag_blocks, n, "diagonal")
+        if len(first) != 2 or first[0] != first[1]:
+            raise DimensionMismatchError(
+                f"diagonal block 0 has shape {first}, expected a square 2-D block"
+            )
+        diag = _square_stack(self.diag_blocks, first[0], "diagonal")
         if len(self.offdiag_blocks) != K - 1:
             raise DimensionMismatchError(
                 f"{K} diagonal blocks need {K - 1} off-diagonal blocks, "
                 f"got {len(self.offdiag_blocks)}"
             )
-        off = _square_stack(self.offdiag_blocks, n, "off-diagonal")
+        off = _square_stack(self.offdiag_blocks, first[0], "off-diagonal")
         for name, stack in (("diag_blocks", 0.5 * (diag + diag.transpose(0, 2, 1))),
                             ("offdiag_blocks", off)):
             stack.setflags(write=False)
@@ -309,18 +310,14 @@ def _schur_pivot(
     return diag[j] - X.T @ X
 
 
-def _band_factor(
-    diag: np.ndarray, coupling: np.ndarray, sizes: Sequence[int] | None = None
-) -> np.ndarray:
+def _band_factor(diag: np.ndarray, coupling: np.ndarray) -> np.ndarray:
     """Band Cholesky factor of a block-tridiagonal matrix: the one factorization.
 
     ``diag`` is the (K, p, p) stack of diagonal blocks, of which only the
     lower triangles are read, and ``coupling`` the (K - 1, p, p) stack of
     blocks (k, k+1). The matrix is a band matrix of half-bandwidth 2p - 1,
     factored by one ``dpbtrf`` call. Returns the factor in LAPACK lower
-    band storage, (2p, K p): row 0 is its diagonal. ``sizes`` are the
-    caller's block sizes when ``_padded`` made the stacks; a failing pivot
-    is cut back to its block's size.
+    band storage, (2p, K p): row 0 is its diagonal.
     """
     K, p = diag.shape[:2]
     to_diag, from_diag, to_coupling = _band_positions(K, p)
@@ -331,82 +328,48 @@ def _band_factor(
     factor, info = dpbtrf(band.T, lower=1, overwrite_ab=1)
     if info > 0:
         j = (info - 1) // p
-        size = p if sizes is None else sizes[j]
-        pivot = _schur_pivot(factor, diag, coupling, j)[:size, :size]
+        pivot = _schur_pivot(factor, diag, coupling, j)
         raise NotPositiveDefiniteError(f"pivot block {j} is not positive definite", pivot, j)
     if info:
         raise _lapack_error("dpbtrf", info)
     return factor
 
 
-def _padded(
-    diag_blocks: Sequence[np.ndarray], offdiag_blocks: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Block lists of varying sizes as stacks padded to the largest size p.
-
-    A padded unknown gets a unit diagonal entry and no coupling, so it
-    factors to exactly 1 and leaves the log-determinant unchanged. Returns
-    the diagonal stack, the coupling stack and the caller's block sizes.
-    """
-    sizes = [np.shape(B)[0] for B in diag_blocks]
-    K, p = len(sizes), max(sizes, default=0)
-    if len(offdiag_blocks) != max(K - 1, 0):
-        raise DimensionMismatchError(
-            f"{K} diagonal blocks need {max(K - 1, 0)} off-diagonal blocks, "
-            f"got {len(offdiag_blocks)}"
-        )
-    diag = np.zeros((K, p, p))
-    diag[:, range(p), range(p)] = 1.0
-    coupling = np.zeros((max(K - 1, 0), p, p))
-    for k, B in enumerate(diag_blocks):
-        diag[k, :sizes[k], :sizes[k]] = B
-    for k, C in enumerate(offdiag_blocks):
-        if np.shape(C) != (sizes[k], sizes[k + 1]):
-            raise DimensionMismatchError(
-                f"off-diagonal block {k} has shape {np.shape(C)}, "
-                f"expected ({sizes[k]}, {sizes[k + 1]})"
-            )
-        coupling[k, :sizes[k], :sizes[k + 1]] = C
-    return diag, coupling, sizes
-
-
 def logdet_block_tridiagonal_blocks(
-    diag_blocks: Sequence[np.ndarray] | np.ndarray,
-    offdiag_blocks: Sequence[np.ndarray] | np.ndarray,
+    diag_blocks: np.ndarray, offdiag_blocks: np.ndarray
 ) -> float:
     """Log-determinant of a block-tridiagonal SPD matrix from its blocks.
 
-    ``offdiag_blocks[k]`` is block (k, k+1). Block sizes may vary along the
-    diagonal (0 x 0 blocks allowed): the blocks are padded to the largest
-    size p. A (K, p, p) ndarray of diagonal blocks, with a (K - 1, p, p)
-    ndarray of off-diagonal ones, is used as it is. The cost is one banded
-    Cholesky factorization (``dpbtrf``), linear in the number of blocks.
+    ``diag_blocks`` is the (K, p, p) stack of diagonal blocks and
+    ``offdiag_blocks`` the (K - 1, p, p) stack of blocks (k, k+1); anything
+    ``np.asarray`` turns into those stacks will do. With p = 0 the matrix
+    is empty and its log-determinant 0.0. The cost is one banded Cholesky
+    factorization (``dpbtrf``), linear in K.
 
     Raises:
         NotPositiveDefiniteError: if the matrix is not positive definite
             (the first failing block's unfactored Schur pivot is attached
             as ``exc.pivot`` and its index as ``exc.block_index``) or the
             blocks hold non-finite values.
-        DimensionMismatchError: if the off-diagonal blocks do not fit the
-            diagonal ones.
+        DimensionMismatchError: if the blocks do not form a (K, p, p) and
+            a (K - 1, p, p) stack.
     """
-    if isinstance(diag_blocks, np.ndarray):
-        diag, coupling, sizes = diag_blocks, np.asarray(offdiag_blocks, dtype=float), None
-        if len(diag) <= 1 and not coupling.size:
-            coupling = np.zeros((0,) + diag.shape[1:])
-        if (
-            diag.ndim != 3
-            or diag.shape[1] != diag.shape[2]
-            or coupling.shape != (max(len(diag) - 1, 0),) + diag.shape[1:]
-        ):
-            raise DimensionMismatchError(
-                f"block stacks of shapes {diag.shape} and {coupling.shape} do not fit"
-            )
-    else:
-        diag, coupling, sizes = _padded(diag_blocks, offdiag_blocks)
-    if not diag.size:  # no blocks, or only 0 x 0 ones
+    try:
+        diag = np.asarray(diag_blocks, dtype=float)
+        coupling = np.asarray(offdiag_blocks, dtype=float)
+    except ValueError as exc:  # blocks of different shapes
+        raise DimensionMismatchError(f"blocks do not form a stack: {exc}") from None
+    if (
+        diag.ndim != 3
+        or diag.shape[1] != diag.shape[2]
+        or coupling.shape != (len(diag) - 1,) + diag.shape[1:]
+    ):
+        raise DimensionMismatchError(
+            f"block stacks of shapes {diag.shape} and {coupling.shape} do not fit"
+        )
+    if not diag.size:
         return 0.0
-    return _logdet_of(_band_factor(diag, coupling, sizes)[0], "block")
+    return _logdet_of(_band_factor(diag, coupling)[0], "block")
 
 
 def logdet_block_tridiagonal(M: BlockTridiagonalMatrix) -> float:
@@ -422,34 +385,10 @@ def logdet_block_tridiagonal(M: BlockTridiagonalMatrix) -> float:
     return logdet_block_tridiagonal_blocks(M.diag_blocks, M.offdiag_blocks)
 
 
-def solve_block_tridiagonal(M: BlockTridiagonalMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve M x = b with the banded Cholesky factor of M (``dpbtrs``).
-
-    Args:
-        M: SPD block-tridiagonal matrix.
-        b: right-hand side of length nK.
-
-    Returns:
-        Solution vector x of length nK.
-
-    Raises:
-        NotPositiveDefiniteError: if M is not SPD, with the failing block's
-            Schur pivot attached as ``exc.pivot`` and its index as
-            ``exc.block_index``.
-        DimensionMismatchError: if b has the wrong length.
-    """
-    n, K = M.block_dim, M.num_blocks
-    rhs = np.asarray(b, dtype=float)
-    if rhs.shape != (n * K,):
-        raise DimensionMismatchError(f"rhs has shape {rhs.shape}, expected ({n * K},)")
-    if not rhs.size:
-        return rhs.copy()
-    return _band_solve(M.diag_blocks, M.offdiag_blocks, rhs)
-
-
 def _band_solve(diag: np.ndarray, coupling: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``solve_block_tridiagonal`` of the (K, n, n) and (K - 1, n, n) block
-    stacks, of which only the diagonal blocks' lower triangles are read."""
+    """Solve M x = rhs, M given by its (K, n, n) and (K - 1, n, n) block stacks,
+    with the banded Cholesky factor of M (``dpbtrs``); only the diagonal
+    blocks' lower triangles are read. Fails as ``_band_factor`` does."""
     x, info = dpbtrs(_band_factor(diag, coupling), rhs, lower=1)
     if info:
         raise _lapack_error("dpbtrs", info)

@@ -252,8 +252,8 @@ def load_scenario(path: str | Path) -> Scenario:
     if not isinstance(name, str):
         raise ConfigError("name: expected a string")
     seed = cfg.get("seed", 0)
-    if not _is_int(seed):
-        raise ConfigError(f"seed: expected an integer, got {type(seed).__name__}")
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"seed: must be a non-negative integer, got {seed!r}")
 
     prior = _validate_prior(_require(cfg, "prior", dict, ""))
     n, K = prior["n"], prior["K"]

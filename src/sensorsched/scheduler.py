@@ -38,8 +38,8 @@ import numpy as np
 
 from .blocklinalg import _cholesky, _cholesky_stack, _trtrs
 from .entropy_oracle import OracleContext, conditional_entropy
-from .errors import DimensionMismatchError, OracleInconsistencyError
-from .sensing import Schedule, _check_budget
+from .errors import DimensionMismatchError, InvalidParamsError, OracleInconsistencyError
+from .sensing import Schedule, _check_budget, _is_index
 
 __all__ = [
     "StepTrace",
@@ -327,7 +327,14 @@ def greedy_schedule(
 
 
 def random_schedule(budgets: Sequence[int], m: int, seed: int) -> Schedule:
-    """Uniformly random feasible schedule: s_k distinct sensors per step."""
+    """Uniformly random feasible schedule: s_k distinct sensors per step.
+
+    Raises:
+        InvalidParamsError: if ``seed`` is not a non-negative integer (a
+            bool is not one).
+    """
+    if not _is_index(seed) or seed < 0:
+        raise InvalidParamsError(f"seed: must be a non-negative integer, got {seed!r}")
     budgets = tuple(_check_budget(k, b, m) for k, b in enumerate(budgets))
     rng = np.random.default_rng(seed)
     sets = tuple(

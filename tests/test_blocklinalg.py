@@ -1,6 +1,7 @@
 """Block-tridiagonal linear algebra against dense factorization oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,17 +80,15 @@ class TestLogdetBlockTridiagonal:
                 with pytest.raises(ss.NotPositiveDefiniteError):
                     ss.logdet_block_tridiagonal(M)
 
-    def test_variable_block_sizes_with_empty_blocks(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((2, 2))
-        b = rng.standard_normal((1, 1))
-        diag = [a @ a.T + 2 * np.eye(2), np.zeros((0, 0)), b @ b.T + np.eye(1)]
-        off = [np.zeros((2, 0)), np.zeros((0, 1))]
-        got = ss.logdet_block_tridiagonal_blocks(diag, off)
-        oracle = np.linalg.slogdet(diag[0])[1] + np.linalg.slogdet(diag[2])[1]
-        assert got == pytest.approx(oracle, rel=1e-12)
-        assert ss.logdet_block_tridiagonal_blocks([np.zeros((0, 0))], []) == 0.0
-        assert ss.logdet_block_tridiagonal_blocks([], []) == 0.0
+    def test_empty_blocks_give_zero_and_ragged_blocks_raise(self):
+        # the covariance form of an empty schedule hands over (K, 0, 0) stacks
+        for K in (1, 3):
+            diag, off = np.zeros((K, 0, 0)), np.zeros((K - 1, 0, 0))
+            assert ss.logdet_block_tridiagonal_blocks(diag, off) == 0.0
+        with pytest.raises(ss.DimensionMismatchError, match="do not form a stack"):
+            ss.logdet_block_tridiagonal_blocks([np.eye(2), np.eye(1)], [np.zeros((2, 1))])
+        with pytest.raises(ss.DimensionMismatchError, match="do not fit"):
+            ss.logdet_block_tridiagonal_blocks(np.ones((3, 2, 2)), np.zeros((3, 2, 2)))
 
 
 class TestLogdetDense:
@@ -113,18 +112,23 @@ class TestLogdetDense:
             ss.logdet_dense(np.zeros((2, 3)))
 
 
+def _band_solve(M, b):
+    """The MAP's solve, on the block stacks of M."""
+    return blocklinalg._band_solve(M.diag_blocks, M.offdiag_blocks, b)
+
+
 class TestSolveBlockTridiagonal:
     def test_identity(self):
         M = ss.BlockTridiagonalMatrix.identity(2, 3)
         b = np.arange(6.0)
-        np.testing.assert_allclose(ss.solve_block_tridiagonal(M, b), b)
+        np.testing.assert_allclose(_band_solve(M, b), b)
 
     def test_scalar_diagonal(self):
         M = ss.BlockTridiagonalMatrix(
             diag_blocks=([[2.0]], [[2.0]]), offdiag_blocks=([[0.0]],)
         )
         np.testing.assert_allclose(
-            ss.solve_block_tridiagonal(M, np.array([2.0, 4.0])), [1.0, 2.0]
+            _band_solve(M, np.array([2.0, 4.0])), [1.0, 2.0]
         )
 
     def test_matches_dense_solve(self):
@@ -134,31 +138,26 @@ class TestSolveBlockTridiagonal:
             K = int(rng.integers(1, 7))
             M, dense = random_spd_block_tridiag(rng, n, K)
             b = rng.standard_normal(n * K)
-            x = ss.solve_block_tridiagonal(M, b)
+            x = _band_solve(M, b)
             np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-8, atol=1e-10)
 
     def test_residual_bound(self):
         rng = np.random.default_rng(17)
         M, dense = random_spd_block_tridiag(rng, 3, 6)
         b = rng.standard_normal(18)
-        x = ss.solve_block_tridiagonal(M, b)
+        x = _band_solve(M, b)
         residual = np.linalg.norm(dense @ x - b)
         bound = 1e-10 * (
             np.linalg.norm(dense) * np.linalg.norm(x) + np.linalg.norm(b)
         )
         assert residual <= bound
 
-    def test_wrong_length_raises(self):
-        M = ss.BlockTridiagonalMatrix.identity(2, 2)
-        with pytest.raises(ss.DimensionMismatchError):
-            ss.solve_block_tridiagonal(M, np.zeros(5))
-
     def test_indefinite_raises(self):
         M = ss.BlockTridiagonalMatrix(
             diag_blocks=([[1.0]], [[1.0]]), offdiag_blocks=([[2.0]],)
         )
         with pytest.raises(ss.NotPositiveDefiniteError):
-            ss.solve_block_tridiagonal(M, np.ones(2))
+            _band_solve(M, np.ones(2))
 
 
 # [[1, 2], [2, 1]] is indefinite; as blocks it fails at the second pivot
@@ -175,7 +174,7 @@ class TestFailureContract:
             lambda: ss.logdet_block_tridiagonal_blocks(
                 INDEFINITE_BLOCKS.diag_blocks, INDEFINITE_BLOCKS.offdiag_blocks
             ),
-            lambda: ss.solve_block_tridiagonal(INDEFINITE_BLOCKS, np.ones(2)),
+            lambda: _band_solve(INDEFINITE_BLOCKS, np.ones(2)),
             lambda: ss.logdet_dense(INDEFINITE),
         ],
         ids=["logdet_blocks", "solve", "logdet_dense"],
@@ -191,7 +190,7 @@ class TestFailureContract:
         "factor, index",
         [
             (lambda M: ss.logdet_block_tridiagonal_blocks(M.diag_blocks, M.offdiag_blocks), 2),
-            (lambda M: ss.solve_block_tridiagonal(M, np.ones(M.shape[0])), 2),
+            (lambda M: _band_solve(M, np.ones(M.shape[0])), 2),
             (lambda M: ss.logdet_dense(M.assemble()), None),
         ],
         ids=["logdet_blocks", "solve", "logdet_dense"],
@@ -213,9 +212,9 @@ class TestFailureContract:
 
     def test_illegal_lapack_call_is_not_reported_as_not_spd(self, monkeypatch):
         for routine, factor in (
-            ("dpbtrf", lambda: ss.logdet_block_tridiagonal_blocks([np.eye(2)], [])),
-            ("dpbtrf", lambda: ss.solve_block_tridiagonal(
-                ss.BlockTridiagonalMatrix.identity(2, 2), np.ones(4))),
+            ("dpbtrf", lambda: ss.logdet_block_tridiagonal_blocks(
+                [np.eye(2)], np.zeros((0, 2, 2)))),
+            ("dpbtrf", lambda: _band_solve(ss.BlockTridiagonalMatrix.identity(2, 2), np.ones(4))),
             ("dpotrf", lambda: ss.logdet_dense(np.eye(2))),
         ):
             with monkeypatch.context() as patch:
@@ -228,7 +227,7 @@ class TestFailureContract:
         # the band in panels; the reported pivot must still be the Schur
         # complement of the leading blocks
         p, K = 40, 4
-        diag, off, _ = _spd_blocks(np.random.default_rng(43), [p] * K)
+        diag, off, _ = _spd_blocks(np.random.default_rng(43), p, K)
         diag[-1] = diag[-1] - (np.linalg.eigvalsh(diag[-1])[-1] + 1.0) * np.eye(p)
         A = ss.BlockTridiagonalMatrix(tuple(diag), tuple(off)).assemble()
         lead, row = A[:-p, :-p], A[-p:, :-p]
@@ -264,86 +263,65 @@ class TestFailureContract:
             ss.logdet_block_tridiagonal_blocks(M.diag_blocks, off)
 
 
-def _spd_blocks(rng, sizes):
-    """SPD block-tridiagonal matrix with the given block sizes (0 allowed).
-
-    Built as L L^T with L block lower-bidiagonal, so off-diagonal blocks are
-    rectangular where neighbouring sizes differ. Returns the diagonal
-    blocks, the off-diagonal blocks and the dense assembly.
-    """
-    at = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    span = [slice(at[k], at[k + 1]) for k in range(len(sizes))]
-    L = np.zeros((at[-1], at[-1]))
-    for k, p in enumerate(sizes):
-        if p:
-            q, _ = np.linalg.qr(rng.standard_normal((p, p)))
-            L[span[k], span[k]] = q @ np.diag(0.6 + rng.random(p))
-        if k:
-            L[span[k], span[k - 1]] = 0.5 * rng.standard_normal((p, sizes[k - 1]))
-    A = L @ L.T
-    diag = [A[span[k], span[k]] for k in range(len(sizes))]
-    off = [A[span[k], span[k + 1]] for k in range(len(sizes) - 1)]
-    return diag, off, A
+def _spd_blocks(rng, n, K):
+    """``random_spd_block_tridiag`` as fresh, writable block stacks, plus
+    the dense assembly; n = 0 allowed."""
+    M, A = random_spd_block_tridiag(rng, n, K)
+    return M.diag_blocks.copy(), M.offdiag_blocks.copy(), A
 
 
-SIZES = st.lists(st.integers(0, 3), min_size=1, max_size=6)
 SEEDS = st.integers(0, 2**32 - 1)
 
 
 class TestKernelProperties:
-    @given(sizes=SIZES, seed=SEEDS)
-    def test_logdet_matches_slogdet(self, sizes, seed):
-        diag, off, A = _spd_blocks(np.random.default_rng(seed), sizes)
+    @given(n=st.integers(0, 3), K=st.integers(1, 6), seed=SEEDS)
+    def test_logdet_matches_slogdet(self, n, K, seed):
+        diag, off, A = _spd_blocks(np.random.default_rng(seed), n, K)
         sign, oracle = np.linalg.slogdet(A)
         assert sign == 1
         got = ss.logdet_block_tridiagonal_blocks(diag, off)
         assert abs(got - oracle) <= 1e-9 * max(1.0, abs(oracle))
 
-    @given(n=st.integers(0, 3), K=st.integers(1, 6), seed=SEEDS)
+    @given(n=st.integers(0, 3), K=st.integers(2, 6), seed=SEEDS)
     def test_stacked_input_matches_block_lists(self, n, K, seed):
-        diag, off, _ = _spd_blocks(np.random.default_rng(seed), [n] * K)
-        stacked = ss.logdet_block_tridiagonal_blocks(
-            np.array(diag), np.array(off).reshape(K - 1, n, n)
-        )
-        assert stacked == ss.logdet_block_tridiagonal_blocks(diag, off)
+        # lists of equal blocks are the stacks np.asarray makes of them
+        diag, off, _ = _spd_blocks(np.random.default_rng(seed), n, K)
+        stacked = ss.logdet_block_tridiagonal_blocks(diag, off)
+        assert stacked == ss.logdet_block_tridiagonal_blocks(list(diag), list(off))
 
     @given(n=st.integers(1, 3), K=st.integers(1, 6), seed=SEEDS)
     def test_solve_matches_numpy(self, n, K, seed):
-        # solve_block_tridiagonal takes a BlockTridiagonalMatrix: one size
         rng = np.random.default_rng(seed)
-        diag, off, A = _spd_blocks(rng, [n] * K)
+        diag, off, A = _spd_blocks(rng, n, K)
         b = rng.standard_normal(n * K)
-        got = ss.solve_block_tridiagonal(ss.BlockTridiagonalMatrix(diag, off), b)
+        got = _band_solve(ss.BlockTridiagonalMatrix(diag, off), b)
         oracle = np.linalg.solve(A, b)
         assert np.linalg.norm(got - oracle) <= 1e-9 * np.linalg.norm(oracle)
 
-    @given(sizes=SIZES, seed=SEEDS, data=st.data())
-    def test_indefinite_block_raises_with_its_index(self, sizes, seed, data):
-        nonempty = [k for k, p in enumerate(sizes) if p]
-        if not nonempty:
+    @given(n=st.integers(0, 3), K=st.integers(1, 6), seed=SEEDS, data=st.data())
+    def test_indefinite_block_raises_with_its_index(self, n, K, seed, data):
+        if not n:
             return
-        j = data.draw(st.sampled_from(nonempty))
-        diag, off, _ = _spd_blocks(np.random.default_rng(seed), sizes)
+        j = data.draw(st.integers(0, K - 1))
+        diag, off, _ = _spd_blocks(np.random.default_rng(seed), n, K)
         # the pivot D_j is at most the diagonal block B_j, so this shift
         # makes D_j negative definite while every earlier pivot is untouched
-        diag[j] = diag[j] - (np.linalg.eigvalsh(diag[j])[-1] + 1.0) * np.eye(sizes[j])
+        diag[j] = diag[j] - (np.linalg.eigvalsh(diag[j])[-1] + 1.0) * np.eye(n)
         with pytest.raises(ss.NotPositiveDefiniteError) as info:
             ss.logdet_block_tridiagonal_blocks(diag, off)
         assert info.value.block_index == j
         assert np.linalg.eigvalsh(info.value.pivot)[0] < 0
 
-    @given(sizes=SIZES, seed=SEEDS, data=st.data())
-    def test_nan_anywhere_raises(self, sizes, seed, data):
-        diag, off, _ = _spd_blocks(np.random.default_rng(seed), sizes)
-        blocks = [("diag", k) for k, b in enumerate(diag) if b.size]
-        blocks += [("off", k) for k, b in enumerate(off) if b.size]
-        if not blocks:
+    @given(n=st.integers(0, 3), K=st.integers(1, 6), seed=SEEDS, data=st.data())
+    def test_nan_anywhere_raises(self, n, K, seed, data):
+        if not n:
             return
+        diag, off, _ = _spd_blocks(np.random.default_rng(seed), n, K)
+        blocks = [("diag", k) for k in range(K)] + [("off", k) for k in range(K - 1)]
         kind, k = data.draw(st.sampled_from(blocks))
-        owner = diag if kind == "diag" else off
-        target = owner[k] = owner[k].copy()
-        r = data.draw(st.integers(0, target.shape[0] - 1))
-        c = data.draw(st.integers(0, target.shape[1] - 1))
+        target = (diag if kind == "diag" else off)[k]  # a view into the fresh stack
+        r = data.draw(st.integers(0, n - 1))
+        c = data.draw(st.integers(0, n - 1))
         target[r, c] = np.nan
         if kind == "diag":
             target[c, r] = np.nan  # a diagonal block stands for both triangles
@@ -402,6 +380,11 @@ class TestConstruction:
             ss.BlockTridiagonalMatrix(
                 diag_blocks=(np.eye(2), np.eye(2)), offdiag_blocks=()
             )
+
+    def test_scalar_blocks_raise_naming_their_shape(self):
+        with pytest.raises(ss.DimensionMismatchError,
+                           match=re.escape("block 0 has shape (), expected a square 2-D block")):
+            ss.BlockTridiagonalMatrix(diag_blocks=[1.0, 2.0], offdiag_blocks=[0.5])
 
     def test_blocks_are_immutable(self):
         M = ss.BlockTridiagonalMatrix.identity(2, 2)

@@ -142,6 +142,8 @@ MALFORMED = {
     "budgets-true": (lambda cfg: cfg.update(budgets=True), r"budgets"),
     "budgets-entry-true": (lambda cfg: cfg.update(budgets=[True, 1]), r"budgets\[0\]"),
     "seed-true": (lambda cfg: cfg.update(seed=True), r"seed"),
+    "seed-negative": (lambda cfg: cfg.update(seed=-1),
+                      r"seed: must be a non-negative integer, got -1"),
     "n-true": (_set_prior(n=True), r"prior\.n"),
     "K-true": (_set_prior(K=True), r"prior\.K"),
     "axis-true": (  # n = 2, so that true read as 1 is a valid axis

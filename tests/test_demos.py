@@ -1,6 +1,7 @@
 """Every narrative demo runs to completion against this checkout."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +20,15 @@ def test_demo_exits_0(demo, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert not list(tmp_path.glob("sensorsched-demo-*")), "the demo left its temp dir behind"
+
+
+def test_readme_tour_runs():
+    # the README's one python block, run as it stands
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                        re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", blocks[0]], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -325,18 +325,24 @@ class TestMutualInformation:
 
 @st.composite
 def nested_picks(draw):
-    """A context, a schedule of background picks, a step k, sets A within B
-    of sensors at step k, and a sensor e outside B."""
+    """A context, a step k, the background picks of two schedules, a set A
+    within a set B of sensors at step k, and a sensor e outside B.
+
+    The first schedule picks A at step k, the second B; at every other
+    step the second picks what the first does and maybe more, so the
+    first schedule is within the second."""
     rng = np.random.default_rng(draw(st.integers(0, 2**20)))
     n, K, m = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(2, 5))
     prior = random_prior(rng, n, K, draw(st.sampled_from(PRIOR_KINDS)))
     ctx = ss.make_context(prior, random_suite(rng, n, m))
-    background = draw(st.lists(st.sets(st.integers(0, m - 1)), min_size=K, max_size=K))
+    picks = st.lists(st.sets(st.integers(0, m - 1)), min_size=K, max_size=K)
+    background = draw(picks)
+    more = [a | b for a, b in zip(background, draw(picks))]
     k = draw(st.integers(0, K - 1))
     e = draw(st.integers(0, m - 1))
     B = draw(st.sets(st.integers(0, m - 1).filter(lambda i: i != e)))
     A = draw(st.sets(st.sampled_from(sorted(B)))) if B else set()
-    return ctx, background, k, A, B, e
+    return ctx, k, (background, A), (more, B), e
 
 
 def _gain(ctx, background, k, chosen, e):
@@ -352,9 +358,10 @@ def _gain(ctx, background, k, chosen, e):
 @given(nested_picks())
 def test_gains_are_nonnegative_and_diminishing(instance):
     # the objective is monotone (every gain >= 0) and supermodular: a sensor
-    # gains at least as much on top of A as on top of any B containing A
-    ctx, background, k, A, B, e = instance
-    small, large = _gain(ctx, background, k, A, e), _gain(ctx, background, k, B, e)
+    # gains at least as much on top of a schedule as on top of any schedule
+    # containing it, whose extra picks may lie at step k or at other steps
+    ctx, k, (background, A), (more, B), e = instance
+    small, large = _gain(ctx, background, k, A, e), _gain(ctx, more, k, B, e)
     assert small >= -1e-9 and large >= -1e-9
     assert small >= large - 1e-9, (k, A, B, e, small, large)
 

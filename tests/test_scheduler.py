@@ -391,6 +391,11 @@ class TestRandomSchedule:
         with pytest.raises(ss.DimensionMismatchError):
             ss.random_schedule([4], m=3, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
+    def test_seed_that_is_not_a_non_negative_integer_raises(self, seed):
+        with pytest.raises(ss.InvalidParamsError, match="seed: must be a non-negative integer"):
+            ss.random_schedule([1], m=3, seed=seed)
+
 
 class TestTrace:
     def test_picks_iteration_matches_steps(self):
