@@ -225,14 +225,9 @@ def _trtrs(L: np.ndarray, B: np.ndarray, *, overwrite: bool = False) -> np.ndarr
     return X
 
 
-def _solve_spd(A: np.ndarray, B: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """A^-1 B for a dense SPD matrix A."""
-    return _potrs(_cholesky(A, what), B)
-
-
 def _inverse_spd(A: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Symmetric inverse of a dense SPD matrix."""
-    inv = _solve_spd(A, np.eye(A.shape[0]), what)
+    inv = _potrs(_cholesky(A, what), np.eye(A.shape[0]))
     return 0.5 * (inv + inv.T)
 
 

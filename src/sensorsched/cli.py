@@ -39,7 +39,7 @@ from .process_models import (
     densify,
 )
 from .scheduler import GreedyTrace, StepTrace, greedy_schedule, greedy_step_detailed, random_schedule
-from .sensing import Schedule, SensorSuite, builtin_sensor
+from .sensing import Schedule, SensorSuite, _is_index, builtin_sensor
 
 __all__ = ["Scenario", "load_scenario", "run_scenario", "main"]
 
@@ -85,10 +85,6 @@ class Scenario:
         return dataclasses.asdict(self)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _require(cfg: dict, field: str, types, path: str):
     """cfg[field], which must be one of ``types``; JSON true/false is not a number."""
     if field not in cfg:
@@ -100,6 +96,14 @@ def _require(cfg: dict, field: str, types, path: str):
             f"{path}{field}: expected {' or '.join(t.__name__ for t in types)}, "
             f"got {type(value).__name__}"
         )
+    return value
+
+
+def _optional(cfg: dict, field: str, default, valid, expected: str):
+    """cfg[field], or ``default`` when it is absent; ``valid`` tells a good value."""
+    value = cfg.get(field, default)
+    if not valid(value):
+        raise ConfigError(f"{field}: {expected}, got {value!r}")
     return value
 
 
@@ -132,10 +136,12 @@ def _numbers(value, path: str) -> np.ndarray:
     return arr
 
 
-def _matrix(value, n_rows: int, n_cols: int, path: str) -> list[list[float]]:
-    arr = _numbers(value, path)
+def _matrix(cfg: dict, field: str, n_rows: int, n_cols: int, path: str) -> list[list[float]]:
+    arr = _numbers(_require(cfg, field, list, path), path + field)
     if arr.shape != (n_rows, n_cols):
-        raise ConfigError(f"{path}: expected a {n_rows}x{n_cols} matrix, got shape {arr.shape}")
+        raise ConfigError(
+            f"{path}{field}: expected a {n_rows}x{n_cols} matrix, got shape {arr.shape}"
+        )
     return arr.tolist()
 
 
@@ -153,12 +159,10 @@ def _validate_prior(cfg: Any, path: str = "prior.") -> dict:
     if kind not in _PRIOR_FIELDS:
         raise ConfigError(f"{path}kind: unknown prior kind {kind!r}")
     _known_fields(cfg, _PRIOR_FIELDS[kind], path, f"a {kind} prior")
-    n = _require(cfg, "n", int, path)
-    K = _require(cfg, "K", int, path)
-    if n < 1:
-        raise ConfigError(f"{path}n: must be >= 1, got {n}")
-    if K < 1:
-        raise ConfigError(f"{path}K: must be >= 1, got {K}")
+    for field in ("n", "K"):
+        if _require(cfg, field, int, path) < 1:
+            raise ConfigError(f"{path}{field}: must be >= 1, got {cfg[field]}")
+    n, K = cfg["n"], cfg["K"]
     out = {"kind": kind, "n": n, "K": K}
     if kind == "tracking":
         var = _number(cfg, "marginal_var", path)
@@ -172,11 +176,8 @@ def _validate_prior(cfg: Any, path: str = "prior.") -> dict:
         if "mean" in cfg:
             out["mean"] = _vector(cfg["mean"], n * K, path + "mean")
     elif kind == "gauss_markov":
-        out["A"] = _matrix(_require(cfg, "A", (list, int, float), path), n, n, path + "A")
-        out["Q"] = _matrix(_require(cfg, "Q", (list, int, float), path), n, n, path + "Q")
-        out["Sigma0"] = _matrix(
-            _require(cfg, "Sigma0", (list, int, float), path), n, n, path + "Sigma0"
-        )
+        for field in ("A", "Q", "Sigma0"):
+            out[field] = _matrix(cfg, field, n, n, path)
         out["mu0"] = _vector(cfg.get("mu0", [0.0] * n), n, path + "mu0")
     else:  # dense_custom
         rep = cfg.get("representation", "covariance")
@@ -185,9 +186,7 @@ def _validate_prior(cfg: Any, path: str = "prior.") -> dict:
                 f"{path}representation: must be 'covariance' or 'precision', got {rep!r}"
             )
         out["representation"] = rep
-        out["matrix"] = _matrix(
-            _require(cfg, "matrix", list, path), n * K, n * K, path + "matrix"
-        )
+        out["matrix"] = _matrix(cfg, "matrix", n * K, n * K, path)
         out["mean"] = _vector(cfg.get("mean", [0.0] * (n * K)), n * K, path + "mean")
     return out
 
@@ -200,6 +199,8 @@ def _validate_sensor(cfg: Any, n: int, idx: int) -> dict:
     if kind not in _SENSOR_FIELDS:
         raise ConfigError(f"{path}kind: unknown sensor kind {kind!r}")
     _known_fields(cfg, _SENSOR_FIELDS[kind], path, f"a {kind} sensor")
+    if kind == "bearing" and n < 2:
+        raise ConfigError(f"{path}kind: a bearing sensor needs state dim n >= 2, got n={n}")
     out = {"kind": kind}
     if "noise_cov" in cfg and "noise_var" in cfg:
         raise ConfigError(f"{path}noise_var: give noise_cov or noise_var, not both")
@@ -225,9 +226,7 @@ def _validate_sensor(cfg: Any, n: int, idx: int) -> dict:
             raise ConfigError(f"{path}anchor: bearing anchor needs >= 2 coordinates")
         out["anchor"] = anchor.tolist()
     else:  # quadratic
-        out["weight"] = _matrix(
-            _require(cfg, "weight", list, path), n, n, path + "weight"
-        )
+        out["weight"] = _matrix(cfg, "weight", n, n, path)
     return out
 
 
@@ -248,19 +247,13 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ConfigError("config root: expected an object")
     _known_fields(cfg, _ROOT_FIELDS, "", "a config")
 
-    name = cfg.get("name", Path(path).stem)
-    if not isinstance(name, str):
-        raise ConfigError("name: expected a string")
-    seed = cfg.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
-        raise ConfigError(f"seed: must be a non-negative integer, got {seed!r}")
-
+    name = _optional(cfg, "name", Path(path).stem, lambda v: isinstance(v, str),
+                     "expected a string")
+    seed = _optional(cfg, "seed", 0, lambda v: _is_index(v) and v >= 0,
+                     "must be a non-negative integer")
     prior = _validate_prior(_require(cfg, "prior", dict, ""))
     n, K = prior["n"], prior["K"]
-
-    dense = cfg.get("dense", False)
-    if not isinstance(dense, bool):
-        raise ConfigError("dense: expected a boolean")
+    dense = _optional(cfg, "dense", False, lambda v: isinstance(v, bool), "expected a boolean")
 
     raw_sensors = _require(cfg, "sensors", list, "")
     if not raw_sensors:
@@ -268,23 +261,20 @@ def load_scenario(path: str | Path) -> Scenario:
     sensors = tuple(_validate_sensor(s, n, i) for i, s in enumerate(raw_sensors))
 
     raw_budgets = _require(cfg, "budgets", (int, list), "")
-    if _is_int(raw_budgets):
+    if _is_index(raw_budgets):
         budgets = tuple(raw_budgets for _ in range(K))
     else:
         if len(raw_budgets) != K:
             raise ConfigError(f"budgets: expected {K} entries, got {len(raw_budgets)}")
         budgets = tuple(raw_budgets)
     for k, b in enumerate(budgets):
-        if not _is_int(b) or b < 0:
+        if not _is_index(b) or b < 0:
             raise ConfigError(f"budgets[{k}]: must be a non-negative integer, got {b!r}")
         if b > len(sensors):
             raise ConfigError(f"budgets[{k}]: {b} exceeds the {len(sensors)} sensors")
 
-    linearization = cfg.get("linearization", "prior_mean")
-    if linearization not in _LINEARIZATIONS:
-        raise ConfigError(
-            f"linearization: must be one of {_LINEARIZATIONS}, got {linearization!r}"
-        )
+    linearization = _optional(cfg, "linearization", "prior_mean",
+                              lambda v: v in _LINEARIZATIONS, f"must be one of {_LINEARIZATIONS}")
 
     schedulers = cfg.get("schedulers", ["greedy"])
     if not isinstance(schedulers, list):
@@ -296,9 +286,8 @@ def load_scenario(path: str | Path) -> Scenario:
         if s not in _SCHEDULERS:
             raise ConfigError(f"schedulers: unknown scheduler {s!r}")
 
-    cap = cfg.get("exhaustive_cap", 10**6)
-    if not _is_int(cap) or cap < 1:
-        raise ConfigError(f"exhaustive_cap: must be a positive integer, got {cap!r}")
+    cap = _optional(cfg, "exhaustive_cap", 10**6, lambda v: _is_index(v) and v >= 1,
+                    "must be a positive integer")
 
     return Scenario(
         name=name,
@@ -314,20 +303,14 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def _build_prior(spec: dict) -> GaussianPrior:
-    kind, K = spec["kind"], spec["K"]
+    """The prior a validated spec describes: its fields are the builder's keywords."""
+    kind, kwargs = spec["kind"], {k: v for k, v in spec.items() if k != "kind"}
     if kind == "tracking":
-        return build_tracking_prior(
-            spec["n"], K, spec["marginal_var"], spec["neighbor_corr"], mean=spec.get("mean")
-        )
+        return build_tracking_prior(**kwargs)
     if kind == "gauss_markov":
-        return build_gauss_markov_prior(
-            np.asarray(spec["A"]), np.asarray(spec["Q"]), np.asarray(spec["Sigma0"]),
-            mu0=np.asarray(spec["mu0"]), K=K,
-        )
-    return build_dense_prior(
-        spec["n"], K, np.asarray(spec["matrix"]), spec["representation"],
-        mean=np.asarray(spec["mean"]),
-    )
+        del kwargs["n"]  # the builder reads n from A
+        return build_gauss_markov_prior(**kwargs)
+    return build_dense_prior(**kwargs)
 
 
 def _build_suite(sensor_specs: Sequence[dict], n: int) -> SensorSuite:
@@ -395,22 +378,15 @@ def _receding_greedy(prior, suite, budgets, lazy, seed):
     ctx = None
     for k in range(K):
         ctx = make_context(prior, suite, linearization=linearization)
-        prefix = Schedule(
-            sets=tuple(sets[:k]) + tuple(() for _ in range(K - k)),
-            budgets=budgets,
-        )
+        # steps k and beyond are still empty, so the picks so far are the prefix
+        prefix = Schedule(sets=tuple(sets), budgets=budgets)
         detail = greedy_step_detailed(ctx, prefix, k, budgets[k], lazy=lazy)
         sets[k] = detail.chosen
         measurements[k] = _simulate_measurements(
             suite, detail.chosen, k, x_true.reshape(K, prior.n)[k], rng
         )
-        solution = map_linearization(
-            prior,
-            suite,
-            Schedule(sets=tuple(sets), budgets=budgets),
-            measurements,
-            initial=linearization,
-        )
+        schedule = Schedule(sets=tuple(sets), budgets=budgets)
+        solution = map_linearization(prior, suite, schedule, measurements, initial=linearization)
         if not solution.converged:
             logger.warning(
                 "receding step %d: MAP linearization did not converge in %d iterations",
@@ -418,7 +394,6 @@ def _receding_greedy(prior, suite, budgets, lazy, seed):
             )
         linearization = solution.estimate
         steps.append(detail)
-    schedule = Schedule(sets=tuple(sets), budgets=budgets)
     return schedule, GreedyTrace(steps=tuple(steps)), ctx
 
 
@@ -458,7 +433,6 @@ def run_scenario(
 
     rows = []
     trace_rows: list[tuple[int, int, int, float]] = []
-    trace_written_for: str | None = None
     timing_rows = []
     exhaustive_result = None
 
@@ -467,34 +441,32 @@ def run_scenario(
         if scheduler_name in ("greedy", "lazy"):
             lazy = scheduler_name == "lazy"
             if scenario.linearization == "receding":
-                schedule, trace, final_ctx = _receding_greedy(
+                schedule, trace, report_ctx = _receding_greedy(
                     prior, suite, budgets, lazy, receding_seed
                 )
-                report_ctx = final_ctx
             else:
                 schedule, trace = greedy_schedule(plan_ctx, budgets, lazy=lazy)
                 report_ctx = plan_ctx
             entropy = conditional_entropy(report_ctx, schedule)
-            mi = report_ctx.prior_entropy - entropy
             calls = trace.total_oracle_calls
-            if trace_written_for is None:
+            # the first greedy run's picks; greedy and lazy pick alike
+            if not trace_rows:
                 trace_rows = list(trace.picks())
-                trace_written_for = scheduler_name
         elif scheduler_name == "random":
             schedule = random_schedule(budgets, suite.m, random_seed)
             entropy = conditional_entropy(plan_ctx, schedule)
-            mi = plan_ctx.prior_entropy - entropy
             calls = 1
         else:  # exhaustive
             exhaustive_result = exhaustive_optimum(
                 plan_ctx, budgets, cap=scenario.exhaustive_cap
             )
             entropy = exhaustive_result.opt_cost
-            mi = plan_ctx.prior_entropy - entropy
             calls = exhaustive_result.num_enumerated
         wall_ms = (time.perf_counter() - started) * 1e3
+        # every context of a run has the same prior, and so the same H(x)
         rows.append({"scheduler": scheduler_name, "entropy_nats": entropy,
-                     "mutual_info_nats": mi, "oracle_calls": calls})
+                     "mutual_info_nats": plan_ctx.prior_entropy - entropy,
+                     "oracle_calls": calls})
         timing_rows.append((scheduler_name, wall_ms))
 
     with_bound = exhaustive_result is not None

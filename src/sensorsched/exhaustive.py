@@ -18,11 +18,11 @@ for every candidate set s of the step in one stacked Cholesky. The
 children of a node at step K-2 share their last step's stacks too, up to
 _STACK pivots per stack. A schedule thus costs a fraction of one full
 oracle call instead of one.
-OPT and MAX are the first argmin and argmax of the walk's costs, so ties
-go to the lowest schedule in the order; their reported costs are
-re-evaluated by the reference oracle, ``conditional_entropy``, and a
-walk that disagrees with it by more than EQUAL_TOL relative raises
-``OracleInconsistencyError``.
+OPT, the first argmin of the walk's costs (ties go to the lowest schedule
+in the order), is re-evaluated by the reference oracle,
+``conditional_entropy``; MAX is H(x), as the objective is monotone. A walk
+cost off OPT's reference, or above H(x), by more than EQUAL_TOL relative
+raises ``OracleInconsistencyError``.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def exhaustive_optimum(
     """Evaluate the objective on every schedule with |S_k| <= s_k.
 
     Costs come from the block-Cholesky walk (see the module docstring);
-    OPT and MAX are re-evaluated by ``conditional_entropy``.
+    OPT is re-evaluated by ``conditional_entropy``, and MAX is H(x).
 
     Args:
         cap: refuse enumerations beyond this many schedules.
@@ -181,8 +181,9 @@ def exhaustive_optimum(
         TooLargeError: the candidate count exceeds ``cap``.
         NotPositiveDefiniteError: a candidate pivot fails to factor
             (``exc.block_index`` is its step) or a cost is not finite.
-        OracleInconsistencyError: the walk's OPT or MAX cost differs from
-            the reference oracle's by more than EQUAL_TOL relative.
+        OracleInconsistencyError: the walk's OPT cost differs from the
+            reference oracle's, or a walk cost exceeds H(x), by more than
+            EQUAL_TOL relative.
     """
     budgets = tuple(_check_budget(k, b, ctx.suite.m) for k, b in enumerate(budgets))
     if len(budgets) != ctx.K:
@@ -194,20 +195,20 @@ def exhaustive_optimum(
             "shrink the instance or sample instead"
         )
     per_step, costs = _enumerate(ctx, budgets)
-
-    def reference(index: int) -> tuple[tuple[tuple[int, ...], ...], float]:
-        at = np.unravel_index(index, [len(c) for c in per_step])
-        sets = tuple(c[i] for c, i in zip(per_step, at))
-        cost = conditional_entropy(ctx, Schedule._unchecked(sets, budgets))
-        if abs(costs[index] - cost) > EQUAL_TOL * max(1.0, abs(cost)):
-            raise OracleInconsistencyError(
-                f"schedule {sets}: enumeration cost {costs[index]!r} differs "
-                f"from the oracle's {cost!r}"
-            )
-        return sets, cost
-
-    opt_sets, opt_cost = reference(int(np.argmin(costs)))
-    _, max_cost = reference(int(np.argmax(costs)))
+    max_cost = ctx.prior_entropy
+    if costs.max() - max_cost > EQUAL_TOL * max(1.0, abs(max_cost)):
+        raise OracleInconsistencyError(
+            f"enumeration cost {costs.max()!r} exceeds the prior entropy {max_cost!r}"
+        )
+    best = int(np.argmin(costs))
+    at = np.unravel_index(best, [len(c) for c in per_step])
+    opt_sets = tuple(c[i] for c, i in zip(per_step, at))
+    opt_cost = conditional_entropy(ctx, Schedule._unchecked(opt_sets, budgets))
+    if abs(costs[best] - opt_cost) > EQUAL_TOL * max(1.0, abs(opt_cost)):
+        raise OracleInconsistencyError(
+            f"schedule {opt_sets}: enumeration cost {costs[best]!r} differs "
+            f"from the oracle's {opt_cost!r}"
+        )
     return EnumerationResult(
         opt_cost=opt_cost,
         max_cost=max_cost,

@@ -108,14 +108,17 @@ class _OracleGains:
 
     ``base`` is the entropy of the picks so far, and ``after[i]`` the
     entropy with candidate i added, as last evaluated; a pick's becomes
-    the next base, so no value is evaluated twice.
+    the next base, so no value is evaluated twice. The oracle reads only
+    a schedule's sets, so each is scored under budgets of m, which admit
+    any set.
     """
 
-    def __init__(self, ctx, sets, budgets, k):
-        self.ctx, self.sets, self.budgets, self.k = ctx, list(sets), budgets, k
+    def __init__(self, ctx, sets, k):
+        self.ctx, self.sets, self.k = ctx, list(sets), k
+        self.budgets = (ctx.suite.m,) * ctx.K
         self.base = ctx.prior_entropy
         if any(sets):
-            self.base = conditional_entropy(ctx, Schedule._unchecked(tuple(sets), budgets))
+            self.base = conditional_entropy(ctx, Schedule._unchecked(tuple(sets), self.budgets))
         self.chosen: list[int] = []
         self.after: dict[int, float] = {}
 
@@ -201,10 +204,10 @@ class _DowndateGains:
         self._begin()
 
 
-def _gain_source(ctx, sets, budgets, k):
+def _gain_source(ctx, sets, k):
     """Gains at step k given the picks ``sets`` fixes before it, by the stored prior form."""
     if ctx.prior.form.is_sparse:
-        return _OracleGains(ctx, sets, budgets, k)
+        return _OracleGains(ctx, sets, k)
     return _DowndateGains(ctx, sets, k)
 
 
@@ -280,13 +283,7 @@ def greedy_step_detailed(
     for j, chosen in enumerate(sets):
         if chosen and chosen[-1] >= ctx.suite.m:
             raise DimensionMismatchError(f"step {j} selects a sensor index >= m={ctx.suite.m}")
-    budgets = [
-        fixed_prefix.budgets[j] if j < fixed_prefix.num_steps else 0
-        for j in range(ctx.K)
-    ]
-    budgets[k] = max(budgets[k], s_k)
-    budgets = tuple(budgets)
-    trace = _select(_gain_source(ctx, sets, budgets, k), k, s_k, lazy)
+    trace = _select(_gain_source(ctx, sets, k), k, s_k, lazy)
     return replace(trace, oracle_calls=trace.oracle_calls + int(any(sets)))
 
 
@@ -316,7 +313,7 @@ def greedy_schedule(
         )
     budgets = tuple(_check_budget(k, b, ctx.suite.m) for k, b in enumerate(budgets))
 
-    source = _gain_source(ctx, [()] * ctx.K, budgets, 0)
+    source = _gain_source(ctx, [()] * ctx.K, 0)
     steps: list[StepTrace] = []
     for k in range(ctx.K):
         if k:

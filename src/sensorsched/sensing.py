@@ -67,8 +67,9 @@ class Sensor:
 
     Raises:
         NotPositiveDefiniteError: a noise covariance is not SPD.
-        InvalidParamsError: a noise covariance holds NaN or infinite
-            values, or an override key is not a non-negative integer.
+        InvalidParamsError: ``output_dim`` is not an integer >= 1 (a bool
+            is not one), a noise covariance holds NaN or infinite values,
+            or an override key is not a non-negative integer.
     """
 
     output_dim: int
@@ -79,8 +80,9 @@ class Sensor:
     noise_overrides: Mapping[int, np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.output_dim < 1:
-            raise InvalidParamsError(f"output_dim must be >= 1, got {self.output_dim}")
+        if not _is_index(self.output_dim) or self.output_dim < 1:
+            raise InvalidParamsError(f"sensor {self.name!r}: output_dim must be an integer >= 1, "
+                                     f"got {self.output_dim!r}")
         cov, factor = self._factored(self.noise_cov, "noise_cov")
         object.__setattr__(self, "noise_cov", cov)
         factors = {None: factor}

@@ -103,6 +103,29 @@ class TestConfigValidation:
         manifest.write_text(json.dumps(scenario.resolved()))
         assert load_scenario(manifest) == scenario
 
+    @pytest.mark.parametrize("prior, resolved, mean", [
+        ({"kind": "dense_custom", "n": 1, "K": 2, "matrix": [[1.0, 0.4], [0.4, 1.0]]},
+         {"representation": "covariance", "mean": [0.0, 0.0]}, [0.0, 0.0]),
+        ({"kind": "gauss_markov", "n": 1, "K": 2, "A": [[0.8]], "Q": [[0.5]], "Sigma0": [[1.0]]},
+         {"mu0": [0.0]}, [0.0, 0.0]),
+        ({"kind": "tracking", "n": 1, "K": 2, "marginal_var": 1.0, "neighbor_corr": 0.4,
+          "mean": [0.5, -0.5]}, {"mean": [0.5, -0.5]}, [0.5, -0.5]),
+    ], ids=["dense_custom-defaults", "gauss_markov-defaults", "tracking-mean"])
+    def test_prior_defaults_and_noise_cov_survive_the_manifest(self, tmp_path, prior, resolved,
+                                                               mean):
+        write_config(tmp_path / "c.json", prior=prior, schedulers=["greedy", "random", "exhaustive"],
+                     sensors=[{"kind": "linear_coordinate", "axis": 0, "noise_cov": [[1.0]]},
+                              {"kind": "range", "anchor": [2.0], "noise_var": 0.25}])
+        scenario = load_scenario(tmp_path / "c.json")
+        assert scenario.prior == dict(prior, **resolved)
+        assert scenario.sensors[0]["noise_cov"] == [[1.0]]
+        assert cli._build_prior(scenario.prior).mean.tolist() == mean
+        first = run_scenario(tmp_path / "c.json", tmp_path / "a")
+        assert load_scenario(first["manifest"]) == scenario
+        second = run_scenario(first["manifest"], tmp_path / "b")
+        assert first["results"].read_bytes() == second["results"].read_bytes()
+        assert first["trace"].read_bytes() == second["trace"].read_bytes()
+
     def test_invalid_json_is_diagnosed(self, tmp_path):
         (tmp_path / "c.json").write_text("{not json")
         with pytest.raises(ss.ConfigError, match="JSON"):
@@ -180,6 +203,8 @@ MALFORMED = {
         _set_sensor(kind="quadratic", weight=[[1.0]], noise_variance=1.0, noise_var=1.0),
         r"sensors\[0\]\.noise_variance: unknown field for a quadratic sensor",
     ),
+    "bearing-n-1": (_set_sensor(kind="bearing", anchor=[1.0, 0.0], noise_var=1.0),
+                    r"sensors\[0\]\.kind: a bearing sensor needs state dim n >= 2"),
     "noise_var-and-noise_cov": (
         _set_sensor(kind="linear_coordinate", axis=0, noise_var=1.0, noise_cov=[[1.0]]),
         r"sensors\[0\]\.noise_var: give noise_cov or noise_var, not both",

@@ -86,6 +86,7 @@ class TestExhaustiveOptimum:
         costs = [c for _, c in table]
         assert res.opt_cost == pytest.approx(min(costs), abs=1e-12)
         assert res.max_cost == pytest.approx(max(costs), abs=1e-12)
+        assert res.max_cost == ctx.prior_entropy
         assert res.num_enumerated == len(table)
         assert res.opt_schedule.sets == table[costs.index(min(costs))][0]
 
@@ -104,6 +105,7 @@ class TestExhaustiveOptimum:
         costs = [c for _, c in table]
         lo, hi = costs.index(min(costs)), costs.index(max(costs))
         assert res.opt_cost == costs[lo] and res.max_cost == costs[hi]
+        assert res.max_cost == ctx.prior_entropy
         assert res.opt_schedule.sets == table[lo][0]
         assert walked.index(min(walked)) == lo and walked.index(max(walked)) == hi
 
@@ -126,6 +128,21 @@ class TestExhaustiveOptimum:
         monkeypatch.setattr(ss.exhaustive, "conditional_entropy",
                             lambda c, s: real(c, s) + 1e-6)
         with pytest.raises(ss.OracleInconsistencyError, match="differs"):
+            ss.exhaustive_optimum(ctx, [1, 1])
+
+    def test_walk_cost_above_the_prior_entropy_raises(self, monkeypatch):
+        # MAX is H(x) by monotonicity, so a walk cost above it is an oracle bug
+        prior, suite = random_instance(104, n=2, K=2, m=2, kind="tracking")
+        ctx = ss.make_context(prior, suite)
+        real = ss.exhaustive._enumerate
+
+        def one_cost_above(c, budgets):
+            per_step, costs = real(c, budgets)
+            costs[-1] = c.prior_entropy + 1e-6
+            return per_step, costs
+
+        monkeypatch.setattr(ss.exhaustive, "_enumerate", one_cost_above)
+        with pytest.raises(ss.OracleInconsistencyError, match="exceeds the prior entropy"):
             ss.exhaustive_optimum(ctx, [1, 1])
 
     def test_opt_attained_at_maximal_size(self):
@@ -172,6 +189,7 @@ class TestCertifyBound:
         prior, suite = random_instance(98, n=1, K=2, m=3)
         ctx = ss.make_context(prior, suite)
         res = ss.exhaustive_optimum(ctx, [2, 2])
+        assert res.max_cost == ctx.prior_entropy
         assert res.max_cost > res.opt_cost + 1e-9
         cert = ss.certify_bound(res, res.max_cost)
         assert cert.ratio == pytest.approx(1.0, abs=1e-12)
@@ -189,6 +207,7 @@ class TestCertifyBound:
         suite = ss.SensorSuite(state_dim=1, sensors=(null,))
         ctx = ss.make_context(prior, suite)
         res = ss.exhaustive_optimum(ctx, [1])
+        assert res.max_cost == ctx.prior_entropy
         cert = ss.certify_bound(res, ctx.prior_entropy)
         assert cert.ratio is None
         assert cert.certified_equal

@@ -159,6 +159,15 @@ class TestSensorWrappers:
         z = _user_sensor(1, measured, np.zeros((1, 2))).measure_at(np.zeros(2))
         assert z.shape == (1,) and z.dtype == float and z.tolist() == expected
 
+    @pytest.mark.parametrize("output_dim", [1.0, True, "1", 0], ids=["float", "bool", "str", "zero"])
+    def test_output_dim_that_is_not_a_positive_integer_raises(self, output_dim):
+        with pytest.raises(ss.InvalidParamsError, match=r"sensor 'u': output_dim must be"):
+            ss.Sensor(output_dim, lambda x: 0.0, lambda x: np.zeros((1, 2)), np.eye(1), name="u")
+
+    def test_numpy_integer_output_dim_is_accepted(self):
+        sensor = ss.Sensor(np.int64(2), lambda x: [0.0, 1.0], lambda x: np.eye(2), np.eye(2))
+        assert sensor.measure_at(np.zeros(2)).tolist() == [0.0, 1.0]
+
     def test_a_list_of_outputs_is_accepted(self):
         z = _user_sensor(2, [1.0, 2.0], np.zeros((2, 3))).measure_at(np.zeros(3))
         assert z.shape == (2,) and z.tolist() == [1.0, 2.0]
