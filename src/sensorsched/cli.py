@@ -173,8 +173,7 @@ def _validate_prior(cfg: Any, path: str = "prior.") -> dict:
             raise ConfigError(f"{path}neighbor_corr: must be in (-1, 1), got {corr}")
         out["marginal_var"] = var
         out["neighbor_corr"] = corr
-        if "mean" in cfg:
-            out["mean"] = _vector(cfg["mean"], n * K, path + "mean")
+        out["mean"] = _vector(cfg.get("mean", [0.0] * (n * K)), n * K, path + "mean")
     elif kind == "gauss_markov":
         for field in ("A", "Q", "Sigma0"):
             out[field] = _matrix(cfg, field, n, n, path)
@@ -282,9 +281,11 @@ def load_scenario(path: str | Path) -> Scenario:
     schedulers = tuple(schedulers)
     if not schedulers:
         raise ConfigError("schedulers: need at least one scheduler")
-    for s in schedulers:
+    for j, s in enumerate(schedulers):
         if s not in _SCHEDULERS:
             raise ConfigError(f"schedulers: unknown scheduler {s!r}")
+        if s in schedulers[:j]:
+            raise ConfigError(f"schedulers: {s!r} is named more than once")
 
     cap = _optional(cfg, "exhaustive_cap", 10**6, lambda v: _is_index(v) and v >= 1,
                     "must be a positive integer")
@@ -375,16 +376,17 @@ def _receding_greedy(prior, suite, budgets, lazy, seed):
     measurements: list[np.ndarray | None] = [None] * K
     linearization = np.asarray(prior.mean)
     steps: list[StepTrace] = []
+    # steps k and beyond are still empty, so the picks so far are the prefix
+    schedule = Schedule.empty(budgets)
     ctx = None
     for k in range(K):
         ctx = make_context(prior, suite, linearization=linearization)
-        # steps k and beyond are still empty, so the picks so far are the prefix
-        prefix = Schedule(sets=tuple(sets), budgets=budgets)
-        detail = greedy_step_detailed(ctx, prefix, k, budgets[k], lazy=lazy)
+        detail = greedy_step_detailed(ctx, schedule, k, budgets[k], lazy=lazy)
         sets[k] = detail.chosen
         measurements[k] = _simulate_measurements(
             suite, detail.chosen, k, x_true.reshape(K, prior.n)[k], rng
         )
+        # the schedule this step's MAP solve reads is the next step's prefix
         schedule = Schedule(sets=tuple(sets), budgets=budgets)
         solution = map_linearization(prior, suite, schedule, measurements, initial=linearization)
         if not solution.converged:

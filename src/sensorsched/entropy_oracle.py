@@ -34,7 +34,6 @@ and evaluations are pure, so they may be called concurrently.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -138,7 +137,9 @@ def make_context(
             prior mean (pure planning mode).
 
     Raises:
-        InvalidParamsError: a Jacobian is not finite; names step and sensor.
+        InvalidParamsError: a sensor cannot be evaluated at a step's state
+            (a built-in one at its anchor), or a Jacobian is not finite;
+            names the step and the sensor.
         DimensionMismatchError: a sensor overrides its noise at a step
             beyond the horizon; names the sensor and the step.
     """
@@ -170,12 +171,13 @@ def make_context(
         # LAPACK solves a single column by another kernel, which divides
         # where the many-column one multiplies by a reciprocal, so with
         # n = 1 each step keeps a solve of its own, and its bits.
-        J = sensor.jacobian_at(states)
+        J = _naming_step(sensor.jacobian_at, states, range(K), i, sensor)
         d = sensor.output_dim
-        shared: dict[int, list[int]] = {}
-        for k in range(K):
-            shared.setdefault(id(sensor.noise_factor_at(k)) if n > 1 else k, []).append(k)
-        for ks in shared.values():
+        # the steps that no override replaces share the sensor's own factor
+        overrides = sensor.noise_overrides or {}
+        shared = ([[k for k in range(K) if k not in overrides]] + [[k] for k in overrides]
+                  if n > 1 else [[k] for k in range(K)])
+        for ks in filter(None, shared):
             B = _trtrs(sensor.noise_factor_at(ks[0]), J[ks].transpose(1, 0, 2).reshape(d, -1))
             rows[ks, i, :d] = B.reshape(d, len(ks), n).transpose(1, 0, 2)
     finite = np.isfinite(rows).all(axis=(2, 3))
@@ -194,6 +196,21 @@ def make_context(
         whitened_jacobians=rows,
         info_increments=0.5 * (increments + np.swapaxes(increments, 2, 3)),
     )
+
+
+def _naming_step(evaluate, X: np.ndarray, steps, i: int, sensor):
+    """``evaluate(X)`` for sensor i's (P, n) stack of states at ``steps``.
+    A sensor error on the stack is re-raised as that of its first failing
+    state, evaluated alone, naming the state's step and the sensor."""
+    try:
+        return evaluate(X)
+    except InvalidParamsError:
+        for k, x in zip(steps, X):
+            try:
+                evaluate(x[None])
+            except InvalidParamsError as exc:
+                raise InvalidParamsError(f"step {k}, sensor {i} ({sensor.name!r}): {exc}") from exc
+        raise
 
 
 def _precision(prior: GaussianPrior):
@@ -384,18 +401,16 @@ def map_linearization(
     solve happens once per step, not once per candidate); that dense
     system is factored in place.
 
-    An iteration is batched over the picks. The picks that share a noise
-    factor are one sensor's: their states are gathered once per iteration,
-    and the sensor measures and differentiates all of them in one fused
-    call (``Sensor._measure_and_jacobian``: one call sharing the offset
-    and norm for a built-in sensor, ``measure_at`` and ``jacobian_at`` for
-    any other), written as [r | J] blocks into one stack, and one
-    triangular solve whitens them. One finiteness check covers the stack,
-    and one batched product per output dimension gives every pick's
-    information and gradient. One reduction sums these per step in pick
-    order, and a step's sum goes into the diagonal blocks of the prior
-    precision. The arguments, schedule and measurements are checked
-    before the first iteration.
+    An iteration is batched over the picks. Each pick's whitened [r | J]
+    is one transposed (n + 1) x d slot of a stack, zero-padded to the
+    suite's largest output dimension d as ``make_context`` pads its rows.
+    The picks that share a noise factor (one sensor's) take adjacent
+    slots, and each such group makes one value-and-Jacobian call
+    (``Sensor._measure_and_jacobian``) and one in-place triangular solve.
+    One batched product each gives every pick's information and gradient,
+    one reduction sums them per step in pick order, and a step's sum goes
+    into the diagonal blocks of the prior precision. The arguments,
+    schedule and measurements are checked before the first iteration.
 
     Args:
         past_schedule: selections that produced the measurements; steps
@@ -410,8 +425,10 @@ def map_linearization(
 
     Raises:
         InvalidParamsError: ``tol`` or ``max_iter`` is out of range,
-            ``initial`` is not finite, or a residual or Jacobian is not
-            finite (names the first such pick by step and sensor).
+            ``initial`` is not finite, a sensor cannot be evaluated at an
+            iterate (a built-in one at its anchor; names the step and the
+            sensor), or a residual or Jacobian is not finite (names the
+            first such pick by step and sensor).
         DimensionMismatchError: ``initial``, the schedule or the
             measurements do not fit the prior, the suite or each other,
             e.g. a step with picks and no measurement, or a measurement at
@@ -463,46 +480,29 @@ def map_linearization(
     if not picks:
         return MapEstimate(estimate=np.array(prior.mean), converged=True, iterations=0)
 
-    # Picks sharing a noise factor are adjacent in one flat buffer, and so
-    # are those of one output dimension d. A factor's picks are one sensor's
-    # (each Sensor factors its own noise), which measures and differentiates
-    # all of their states in one fused call; one triangular solve then
-    # whitens them, and a dimension's picks take one batched product. A
-    # pick's [r | J] block is stored transposed, (n + 1) x d, so a factor's
-    # blocks make one Fortran-ordered d x (n + 1)P array, solved in place.
-    factors = [sensors[i].noise_factor_at(k) for k, i, _ in picks]
-    first: dict[int, int] = {}
-    for p, L in enumerate(factors):
-        first.setdefault(id(L), p)
-    order = sorted(range(len(picks)), key=lambda p: (len(factors[p]), first[id(factors[p])]))
-    starts = np.cumsum([0] + [(n + 1) * len(factors[p]) for p in order])
-    buffer = np.empty(starts[-1])
-
-    def runs(key):
-        """(c0, c1, blocks) for each run of buffer positions c0..c1 - 1 sharing a key."""
-        c0 = 0
-        for _, run in itertools.groupby(order, key=key):
-            c1 = c0 + len(list(run))
-            yield c0, c1, buffer[starts[c0]:starts[c1]].reshape(c1 - c0, n + 1, -1)
-            c0 = c1
-
-    # per factor: its sensor, the factor, its buffer positions c0..c1 - 1,
-    # its picks' measured values, and its blocks, also as the one
-    # d x (n + 1)P array solved; gather lists every position's step
-    factor_runs = []
-    for c0, c1, W in runs(lambda p: id(factors[p])):
-        run = [picks[p] for p in order[c0:c1]]
-        factor_runs.append((sensors[run[0][1]], factors[order[c0]], c0, c1,
-                            np.array([y for _, _, y in run]), W, W.reshape(-1, W.shape[2]).T))
-    gather = np.array([picks[p][0] for p in order])
-    products = list(runs(lambda p: len(factors[p])))
+    # rows[p] is slot p's [r | J], transposed; the last slot stays zero, the
+    # filler of a step with fewer picks. A group's factor is padded to
+    # d x d with a unit diagonal, which keeps the padding zero.
+    d = max(s.output_dim for s in sensors)
+    groups: dict[int, list[int]] = {}
+    for p, (k, i, _) in enumerate(picks):
+        groups.setdefault(id(sensors[i].noise_factor_at(k)), []).append(p)
+    order = [p for members in groups.values() for p in members]
     position = np.argsort(order)
-    blocks = [buffer[starts[c]:starts[c + 1]] for c in position]
-    # slots[j, k]: the buffer position of step k's j-th pick, or the zero row
+    gather = np.array([picks[p][0] for p in order])
+    factors = []  # (sensor index, padded factor, its slots, its picks' measured values)
+    c0 = 0
+    for members in groups.values():
+        k, i, _ = picks[members[0]]
+        L = np.eye(d)
+        L[:sensors[i].output_dim, :sensors[i].output_dim] = sensors[i].noise_factor_at(k)
+        group = slice(c0, c0 + len(members))
+        factors.append((i, L, group, np.array([picks[p][2] for p in members])))
+        c0 = group.stop
+    rows = np.zeros((len(picks) + 1, n + 1, d))
+    # slots[j, k]: the slot of step k's j-th pick, or the zero slot
     slots = np.full((max(map(len, sets)), K), len(picks))
     slots[[j for chosen in sets for j in range(len(chosen))], [k for k, _, _ in picks]] = position
-    infos = np.zeros((len(picks) + 1, n, n))
-    grads = np.zeros((len(picks) + 1, n))
 
     mu = np.array(prior.mean)
     x = mu.copy() if initial is None else initial.copy()
@@ -511,21 +511,23 @@ def map_linearization(
     iterations = 0
     for iterations in range(1, max_iter + 1):
         states = x.reshape(K, n)[gather]
-        # column 0 of a block becomes L^-1 (y - h), the rest L^-1 J
-        for sensor, L, c0, c1, y, W, B in factor_runs:
-            h, J = sensor._measure_and_jacobian(states[c0:c1])
-            sensor._residual(y, h, out=W[:, 0])
-            W[:, 1:] = J.swapaxes(1, 2)
-            _trtrs(L, B, overwrite=True)
-        if not np.isfinite(buffer).all():
-            k, i, _ = next(pick for pick, block in zip(picks, blocks)
-                           if not np.isfinite(block).all())
+        # column 0 of a slot becomes L^-1 (y - h), the rest L^-1 J
+        for i, L, group, y in factors:
+            sensor = sensors[i]
+            h, J = _naming_step(sensor._measure_and_jacobian, states[group], gather[group],
+                                i, sensor)
+            e = sensor.output_dim
+            sensor._residual(y, h, out=rows[group, 0, :e])
+            rows[group, 1:, :e] = J.swapaxes(1, 2)
+            _trtrs(L, rows[group].reshape(-1, d).T, overwrite=True)
+        if not np.isfinite(rows).all():
+            k, i, _ = next(pick for pick, slot in zip(picks, position)
+                           if not np.isfinite(rows[slot]).all())
             raise InvalidParamsError(
                 f"step {k}, sensor {i} ({sensors[i].name!r}): non-finite residual or Jacobian"
             )
-        for c0, c1, W in products:
-            np.matmul(W[:, 1:], W[:, 1:].swapaxes(1, 2), out=infos[c0:c1])
-            np.matmul(W[:, 1:], W[:, :1].swapaxes(1, 2), out=grads[c0:c1, :, None])
+        infos = rows[:, 1:] @ rows[:, 1:].swapaxes(1, 2)
+        grads = rows[:, 1:] @ rows[:, :1].swapaxes(1, 2)
         # each step's picks summed in pick order, one step per column of slots
         xi = infos[slots].sum(axis=0)
         xi = 0.5 * (xi + xi.transpose(0, 2, 1))

@@ -182,14 +182,16 @@ class Sensor:
 
     def _measure_and_jacobian(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``measure_at`` and ``jacobian_at`` of a (P, n) float stack, equal to
-        theirs bit for bit. A built-in sensor's two maps make one call, which
-        shares their offset and norm; any other sensor makes both calls."""
-        fused = getattr(self.measure, "fused", None)
-        if fused is None or fused is not getattr(self.jacobian, "fused", None):
+        theirs bit for bit. A built-in sensor's two maps share one
+        ``evaluate``, which gives both in one call; any other sensor makes
+        both calls."""
+        evaluate = getattr(self.measure, "evaluate", None)
+        if evaluate is None or evaluate is not getattr(self.jacobian, "evaluate", None):
             return self.measure_at(X), self.jacobian_at(X)
-        Z, J = fused(X)
+        out = evaluate(X)
         P, d = len(X), self.output_dim
-        return self._stack_shaped(Z, (P, d)), self._stack_shaped(J, (P, d, X.shape[1]))
+        return (self._stack_shaped(out[self.measure.which], (P, d)),
+                self._stack_shaped(out[self.jacobian.which], (P, d, X.shape[1])))
 
 
 @dataclass(frozen=True)
@@ -296,44 +298,35 @@ def _resolve_noise(output_dim, noise_cov, noise_var):
 
 
 class _StackedMap:
-    """A built-in sensor map, written once for a (P, n) stack of states.
+    """One output of a built-in sensor kind's ``evaluate``, which maps a
+    (P, n) stack of states to its (P, 1) values and (P, 1, n) Jacobians
+    together; ``which`` is 0 for the values and 1 for the Jacobians.
 
-    Called on one state, it evaluates row 0 of a one-row stack, so the
-    one-state and stacked forms cannot drift. ``Sensor.measure_at`` and
-    ``Sensor.jacobian_at`` call ``stacked`` on a whole stack at once.
-    ``fused`` is shared by a kind's measure and Jacobian maps: it returns
-    both for a stack, with the same bits (``Sensor._measure_and_jacobian``).
-    ``angular`` marks a measure map whose values are angles in (-pi, pi].
+    Called on one state, it evaluates a one-row stack and returns row 0,
+    so the one-state and stacked forms cannot drift. ``Sensor.measure_at``
+    and ``Sensor.jacobian_at`` call ``stacked`` on a whole stack at once,
+    and ``Sensor._measure_and_jacobian`` makes one ``evaluate`` call when
+    both maps share it. ``angular`` marks a measure map whose values are
+    angles in (-pi, pi].
     """
 
-    __slots__ = ("stacked", "fused", "angular")
+    __slots__ = ("evaluate", "which", "angular")
 
-    def __init__(self, stacked: Callable[[np.ndarray], np.ndarray], fused, angular=False):
-        self.stacked = stacked
-        self.fused = fused
+    def __init__(self, evaluate, which: int, angular: bool = False):
+        self.evaluate = evaluate
+        self.which = which
         self.angular = angular
+
+    def stacked(self, X: np.ndarray) -> np.ndarray:
+        return self.evaluate(X)[self.which]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.stacked(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
 
-def _stacked_sensor(prepare, value, derivative, noise_cov, noise_var, name,
-                    angular=False) -> Sensor:
-    """A one-output sensor from a kind's three stack functions: ``prepare``
-    checks a stack and returns what its value and derivative share (an
-    offset, a norm), which ``value`` and ``derivative`` then take."""
-
-    def measure(X):
-        return value(X, prepare(X))
-
-    def jacobian(X):
-        return derivative(X, prepare(X))
-
-    def fused(X):
-        shared = prepare(X)
-        return value(X, shared), derivative(X, shared)
-
-    return Sensor(1, _StackedMap(measure, fused, angular), _StackedMap(jacobian, fused),
+def _stacked_sensor(evaluate, noise_cov, noise_var, name, angular=False) -> Sensor:
+    """A one-output sensor whose measure and Jacobian maps are ``evaluate``'s two outputs."""
+    return Sensor(1, _StackedMap(evaluate, 0, angular), _StackedMap(evaluate, 1),
                   _resolve_noise(1, noise_cov, noise_var), name=name)
 
 
@@ -349,12 +342,14 @@ def builtin_sensor(
 ) -> Sensor:
     """Library of concrete sensors with analytically coded Jacobians.
 
-    Each kind is written once, for a (P, n) stack of states, so
-    ``measure_at`` and ``jacobian_at`` evaluate a whole stack in one call;
-    the returned sensor's one-state ``measure`` and ``jacobian`` read row 0
-    of a one-row stack. A stack is checked as a whole: one row at an
-    anchor, or a stack of the wrong width, raises the error a one-state
-    call raises.
+    Each kind is one evaluation of a (P, n) stack of states that gives its
+    values and Jacobians together, so ``measure_at`` and ``jacobian_at``
+    evaluate a whole stack in one call; the returned sensor's one-state
+    ``measure`` and ``jacobian`` read row 0 of a one-row stack. A stack is
+    checked as a whole: one row at an anchor, or a stack of the wrong
+    width, raises the error a one-state call raises. A bearing is also
+    singular where its offset from the anchor is not zero but its square
+    underflows.
 
     Kinds:
         linear_coordinate: reads state coordinate ``axis``.
@@ -373,27 +368,21 @@ def builtin_sensor(
             )
         ax = int(axis)
 
-        def check(X):
+        def coordinate(X):
             if ax >= X.shape[1]:
                 raise InvalidParamsError(f"axis {ax} out of range for state dim {X.shape[1]}")
-
-        def coordinate(X, _):
-            return X[:, [ax]]
-
-        def unit_row(X, _):
             J = np.zeros((len(X), 1, X.shape[1]))
             J[:, 0, ax] = 1.0
-            return J
+            return X[:, [ax]], J
 
-        return _stacked_sensor(check, coordinate, unit_row, noise_cov, noise_var,
-                               name or f"linear_coordinate[{ax}]")
+        return _stacked_sensor(coordinate, noise_cov, noise_var, name or f"linear_coordinate[{ax}]")
 
     if kind == "range":
         if anchor is None:
             raise InvalidParamsError("range sensor needs an anchor point")
         a = np.asarray(anchor, dtype=float)
 
-        def offset(X):
+        def distance(X):
             if X.shape[1] != a.size:
                 raise InvalidParamsError(
                     f"range anchor has {a.size} coordinates, state dim {X.shape[1]}"
@@ -404,17 +393,9 @@ def builtin_sensor(
             r = np.sqrt(D[:, None, :] @ D[:, :, None])[:, 0]
             if (r == 0.0).any():
                 raise InvalidParamsError("range sensor evaluated at its anchor")
-            return D, r
+            return r, (D / r)[:, None, :]
 
-        def distance(X, shared):
-            return shared[1]
-
-        def direction(X, shared):
-            D, r = shared
-            return (D / r)[:, None, :]
-
-        return _stacked_sensor(offset, distance, direction, noise_cov, noise_var,
-                               name or "range")
+        return _stacked_sensor(distance, noise_cov, noise_var, name or "range")
 
     if kind == "bearing":
         if anchor is None:
@@ -423,30 +404,20 @@ def builtin_sensor(
         if a.size < 2:
             raise InvalidParamsError("bearing anchor needs at least two coordinates")
 
-        def offset(X):
+        def angle(X):
             if X.shape[1] < 2:
                 raise InvalidParamsError("bearing sensor needs state dim >= 2")
-            return X[:, 0] - a[0], X[:, 1] - a[1]
-
-        def angle(X, shared):
-            dx, dy = shared
-            if ((dx == 0.0) & (dy == 0.0)).any():
-                raise InvalidParamsError("bearing sensor evaluated at its anchor")
-            return np.arctan2(dy, dx)[:, None]
-
-        # also singular where the offset is not zero but its square underflows
-        def turn(X, shared):
-            dx, dy = shared
+            dx, dy = X[:, 0] - a[0], X[:, 1] - a[1]
+            # singular at the anchor, and where the offset's square underflows
             r2 = dx * dx + dy * dy
             if (r2 == 0.0).any():
                 raise InvalidParamsError("bearing sensor evaluated at its anchor")
             J = np.zeros((len(X), 1, X.shape[1]))
             J[:, 0, 0] = -dy / r2
             J[:, 0, 1] = dx / r2
-            return J
+            return np.arctan2(dy, dx)[:, None], J
 
-        return _stacked_sensor(offset, angle, turn, noise_cov, noise_var, name or "bearing",
-                               angular=True)
+        return _stacked_sensor(angle, noise_cov, noise_var, name or "bearing", angular=True)
 
     if kind == "quadratic":
         if weight is None:
@@ -456,19 +427,15 @@ def builtin_sensor(
             raise InvalidParamsError(f"weight must be square, got shape {W.shape}")
         W = 0.5 * (W + W.T)
 
-        def check(X):
+        def form(X):
             if X.shape[1] != W.shape[0]:
                 raise InvalidParamsError(
                     f"quadratic weight is {W.shape[0]} x {W.shape[0]}, state dim {X.shape[1]}"
                 )
+            # per row, these products are the one-state x @ W @ x and W @ x, bit for bit
+            return (0.5 * ((X[:, None, :] @ W) @ X[:, :, None])[:, 0],
+                    (W @ X[:, :, None]).transpose(0, 2, 1))
 
-        # per row, these products are the one-state x @ W @ x and W @ x, bit for bit
-        def form(X, _):
-            return 0.5 * ((X[:, None, :] @ W) @ X[:, :, None])[:, 0]
-
-        def gradient(X, _):
-            return (W @ X[:, :, None]).transpose(0, 2, 1)
-
-        return _stacked_sensor(check, form, gradient, noise_cov, noise_var, name or "quadratic")
+        return _stacked_sensor(form, noise_cov, noise_var, name or "quadratic")
 
     raise InvalidParamsError(f"unknown sensor kind {kind!r}")

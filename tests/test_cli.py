@@ -110,7 +110,9 @@ class TestConfigValidation:
          {"mu0": [0.0]}, [0.0, 0.0]),
         ({"kind": "tracking", "n": 1, "K": 2, "marginal_var": 1.0, "neighbor_corr": 0.4,
           "mean": [0.5, -0.5]}, {"mean": [0.5, -0.5]}, [0.5, -0.5]),
-    ], ids=["dense_custom-defaults", "gauss_markov-defaults", "tracking-mean"])
+        ({"kind": "tracking", "n": 1, "K": 2, "marginal_var": 1.0, "neighbor_corr": 0.4},
+         {"mean": [0.0, 0.0]}, [0.0, 0.0]),
+    ], ids=["dense_custom-defaults", "gauss_markov-defaults", "tracking-mean", "tracking-defaults"])
     def test_prior_defaults_and_noise_cov_survive_the_manifest(self, tmp_path, prior, resolved,
                                                                mean):
         write_config(tmp_path / "c.json", prior=prior, schedulers=["greedy", "random", "exhaustive"],
@@ -148,6 +150,8 @@ def _set_sensor(**fields):
 # must stop `run` with a ConfigError, never a bare Python error or a run
 MALFORMED = {
     "schedulers-not-a-list": (lambda cfg: cfg.update(schedulers=5), r"schedulers"),
+    "schedulers-repeated": (lambda cfg: cfg.update(schedulers=["greedy", "greedy", "lazy"]),
+                            r"schedulers: 'greedy' is named more than once"),
     "mean-string": (_set_prior(mean="0 0"), r"prior\.mean"),
     "mean-ragged": (_set_prior(mean=[[0.0], [0.0, 1.0]]), r"prior\.mean"),
     "matrix-strings": (_dense_custom([["1", "0"], ["0", "x"]]), r"prior\.matrix"),

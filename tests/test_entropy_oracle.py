@@ -617,6 +617,33 @@ class TestNonFiniteJacobian:
                 prior, nan_jacobian_suite(2), sched, [None, np.array([0.1, 0.2])]
             )
 
+    @staticmethod
+    def singular_suite(kind):
+        """A coordinate sensor and, at index 1, a ``kind`` sensor anchored at (1, 2)."""
+        return ss.SensorSuite(state_dim=2, sensors=(
+            ss.builtin_sensor("linear_coordinate", axis=0, noise_var=1.0),
+            ss.builtin_sensor(kind, anchor=[1.0, 2.0], noise_var=1.0),
+        ))
+
+    @pytest.mark.parametrize("kind", ["range", "bearing"])
+    def test_make_context_names_the_step_of_a_singular_state(self, kind):
+        # step 1's prior mean sits on sensor 1's anchor
+        prior = ss.build_tracking_prior(2, 3, 1.0, 0.3, mean=[0.0, 0.0, 1.0, 2.0, 3.0, 3.0])
+        with pytest.raises(ss.InvalidParamsError, match=(
+                rf"^step 1, sensor 1 \('{kind}'\): {kind} sensor evaluated at its anchor$")):
+            ss.make_context(prior, self.singular_suite(kind))
+
+    @pytest.mark.parametrize("kind", ["range", "bearing"])
+    def test_map_linearization_names_the_step_of_a_singular_iterate(self, kind):
+        # sensor 1 is picked at every step; the first iterate puts step 1 on its anchor
+        prior = ss.build_tracking_prior(2, 3, 1.0, 0.3)
+        sched = ss.Schedule(sets=((0, 1), (1,), (1,)), budgets=(2, 2, 2))
+        measurements = [np.array([0.5, 1.0]), np.array([1.0]), np.array([1.0])]
+        with pytest.raises(ss.InvalidParamsError, match=(
+                rf"^step 1, sensor 1 \('{kind}'\): {kind} sensor evaluated at its anchor$")):
+            ss.map_linearization(prior, self.singular_suite(kind), sched, measurements,
+                                 initial=np.array([0.5, 0.5, 1.0, 2.0, 3.0, 3.0]))
+
     @pytest.mark.parametrize("sets, named", [
         (((0, 1), (2,)), "step 0, sensor 1 ('broken pair')"),
         (((0,), (1, 2)), "step 1, sensor 1 ('broken pair')"),

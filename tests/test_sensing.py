@@ -237,13 +237,16 @@ class TestStackedEvaluation:
     @pytest.mark.parametrize("sensor, state", [
         (ss.builtin_sensor("range", anchor=[1.0, 2.0], noise_var=1.0), [1.0, 2.0]),
         (ss.builtin_sensor("bearing", anchor=[0.5, -0.5], noise_var=1.0), [0.5, -0.5]),
+        (ss.builtin_sensor("bearing", anchor=[0.0, 0.0], noise_var=1.0), [1e-200, 0.0]),
         (ss.builtin_sensor("range", anchor=[1.0, 2.0], noise_var=1.0), [1.0, 2.0, 3.0]),
         (ss.builtin_sensor("bearing", anchor=[0.5, -0.5], noise_var=1.0), [0.5]),
         (ss.builtin_sensor("linear_coordinate", axis=2, noise_var=1.0), [1.0, 2.0]),
         (ss.builtin_sensor("quadratic", weight=np.eye(2), noise_var=1.0), [1.0, 2.0, 3.0]),
-    ], ids=["range-anchor", "bearing-anchor", "range-width", "bearing-width",
-            "axis-width", "quadratic-width"])
+    ], ids=["range-anchor", "bearing-anchor", "bearing-underflow", "range-width",
+            "bearing-width", "axis-width", "quadratic-width"])
     def test_one_bad_row_raises_what_a_one_state_call_raises(self, sensor, state):
+        # at 1e-200 from its anchor a bearing's squared offset underflows:
+        # its value and its Jacobian are one evaluation, so both raise
         state = np.array(state)
         X = np.array([state + 1.0, state, state - 1.0])
         for evaluate in (sensor.measure_at, sensor.jacobian_at):
@@ -306,8 +309,6 @@ class TestFusedEvaluation:
     ], ids=["range-anchor", "bearing-anchor", "bearing-underflow", "range-width",
             "bearing-width", "axis-width", "quadratic-width"])
     def test_one_bad_row_raises_what_the_jacobian_raises(self, sensor, state):
-        # at 1e-200 from its anchor a bearing has a value but no Jacobian:
-        # the fused call needs both, so it raises what jacobian_at raises
         state = np.array(state)
         X = np.array([state + 1.0, state, state - 1.0])
         with pytest.raises(ss.InvalidParamsError) as public:
