@@ -4,7 +4,7 @@ The scheduling objective H(x_1:K | selections) has a precision-driven
 form and a covariance-driven form. They agree to rounding on every
 schedule; each is linear in the horizon when its prior matrix is
 block-tridiagonal. The oracle also exposes the posterior covariance,
-mutual information, and the Gauss-Newton MAP estimate used for
+mutual information, and the damped-Newton MAP estimate used for
 re-linearization.
 """
 
@@ -58,7 +58,7 @@ for k, chosen in enumerate(schedule.sets):
     parts = [suite.sensors[i].measure_at(x_true.reshape(3, 2)[k]) for i in chosen]
     measurements.append(np.concatenate(parts) if parts else None)
 solution = ss.map_linearization(prior, suite, schedule, measurements)
-print(f"\nMAP converged in {solution.iterations} Gauss-Newton iterations")
+print(f"\nMAP converged in {solution.iterations} damped Newton iterations")
 print("prior mean :", np.array_str(np.asarray(prior.mean), precision=3))
 print("MAP        :", np.array_str(solution.estimate, precision=3))
 print("truth      :", np.array_str(x_true, precision=3))

@@ -34,6 +34,7 @@ and evaluations are pure, so they may be called concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -51,7 +52,7 @@ from .blocklinalg import (
     _trtrs,
     logdet_block_tridiagonal_blocks,
 )
-from .errors import DimensionMismatchError, InvalidParamsError
+from .errors import DimensionMismatchError, InvalidParamsError, NotPositiveDefiniteError
 from .process_models import LOG_TWO_PI_E, GaussianPrior, prior_entropy
 from .sensing import Schedule, SensorSuite, _is_index
 
@@ -362,14 +363,19 @@ def mutual_information(ctx: OracleContext, schedule: Schedule) -> float:
 
 @dataclass(frozen=True)
 class MapEstimate:
-    """Gauss-Newton MAP result; ``converged`` is False when the iteration
-    cap was hit, in which case ``estimate`` is the last iterate, which is
-    not necessarily the best one: an undamped iteration can end on one
-    side of an oscillation."""
+    """MAP result. ``converged`` is False when the iteration cap was hit or
+    a line search stalled; ``estimate`` is then the last accepted iterate,
+    the one with the lowest negative log posterior so far."""
 
     estimate: np.ndarray
     converged: bool
     iterations: int
+
+
+# Armijo backtracking: the sufficient-decrease constant, and the smallest
+# step fraction tried before a search counts as stalled
+_ARMIJO_C = 1e-4
+_MIN_STEP = 2.0 ** -16
 
 
 def map_linearization(
@@ -385,32 +391,60 @@ def map_linearization(
     """MAP estimate of the batch state given realized past measurements.
 
     With no measurements (pure planning mode) the prior mean is returned
-    unchanged. Otherwise runs Gauss-Newton on the negative log posterior:
+    unchanged. Otherwise runs damped Newton on the negative log posterior
 
-        delta = solve(Xi(mu~) + P,  C^T R^-1 (y - c(mu~)) - P (mu~ - mu))
+        f(x) = 1/2 (x - mu)^T P (x - mu) + 1/2 sum_j r_j^T R_j^-1 r_j,
 
-    starting from ``initial`` (the prior mean when None), until
-    ||delta||_inf <= tol or max_iter. Each sensor's residual and Jacobian
-    are whitened by its noise factor L (R = L L^T), so C^T R^-1 terms are
-    products of whitened rows. For linear sensors the first step lands
-    exactly on the Gaussian posterior mean. An angle's residual y - h that
-    falls outside (-pi, pi] (a bearing read across the cut at +-pi) is
-    shifted by 2 pi; every other residual is the plain difference.
-    Covariance-form priors use the prior's dense precision, inverted once
-    per prior (the dense fallback is acceptable here because the MAP
-    solve happens once per step, not once per candidate); that dense
-    system is factored in place.
+    r_j = y_j - h_j(x), starting from ``initial`` (the prior mean when
+    None). Each iteration solves
 
-    An iteration is batched over the picks. Each pick's whitened [r | J]
+        (P + Xi - C) delta = C^T R^-1 r - P (x - mu),
+
+    where Xi = C^T R^-1 C is the Gauss-Newton information and C is the
+    residual curvature: per step, the sum over picked outputs of
+    w_j times the output's second derivative, w = R^-1 r. C is
+    block-diagonal, so the system is as banded as P + Xi. The built-in
+    sensor kinds give their second derivatives; any other sensor adds
+    nothing to C, and where P + Xi - C is not positive definite the
+    Gauss-Newton system P + Xi is solved instead. Near the answer the
+    residual curvature is what Gauss-Newton's linear rate leaves out, and
+    with it the rate is quadratic.
+
+    A full step with ||delta||_inf <= tol is taken without a search and
+    ends the solve, converged. This tests the step and not the objective:
+    near the answer the objective changes by about ||delta||^2, which
+    falls below its own rounding before delta reaches a small tol. Any
+    other step x + t delta passes Armijo backtracking on f: t = 1, 1/2,
+    1/4, ... until f(x + t delta) <= f(x) - 1e-4 t grad^T delta, where
+    grad = -f'(x). The accepted trial's sensor evaluation is the next
+    iteration's. A search that finds no such t down to 2^-16 has stalled:
+    the solve ends there with ``converged=False`` and the last accepted
+    iterate, as it does after ``max_iter`` iterations. A step cut that
+    far means the local model is far off; so it is where f falls toward
+    a bearing's anchor, at which any angle is read exactly, and a search
+    without a floor walks the state onto the singular point. For linear
+    sensors the first step lands exactly on the Gaussian posterior mean.
+
+    Each sensor's residual and Jacobian are whitened by its noise factor
+    L (R = L L^T), so C^T R^-1 terms are products of whitened rows. An
+    angle's residual y - h that falls outside (-pi, pi] (a bearing read
+    across the cut at +-pi) is shifted by 2 pi; every other residual is
+    the plain difference. Covariance-form priors use the prior's dense
+    precision, inverted once per prior (the dense fallback is acceptable
+    here because the MAP solve happens once per step, not once per
+    candidate); that dense system is factored in place.
+
+    An evaluation is batched over the picks. Each pick's whitened [r | J]
     is one transposed (n + 1) x d slot of a stack, zero-padded to the
     suite's largest output dimension d as ``make_context`` pads its rows.
     The picks that share a noise factor (one sensor's) take adjacent
-    slots, and each such group makes one value-and-Jacobian call
+    slots, and each such group makes one value-and-derivatives call
     (``Sensor._measure_and_jacobian``) and one in-place triangular solve.
     One batched product each gives every pick's information and gradient,
-    one reduction sums them per step in pick order, and a step's sum goes
-    into the diagonal blocks of the prior precision. The arguments,
-    schedule and measurements are checked before the first iteration.
+    one reduction sums them and the curvature per step in pick order, and
+    a step's sums go into the diagonal blocks of the prior precision. The
+    arguments, schedule and measurements are checked before the first
+    iteration.
 
     Args:
         past_schedule: selections that produced the measurements; steps
@@ -426,9 +460,13 @@ def map_linearization(
     Raises:
         InvalidParamsError: ``tol`` or ``max_iter`` is out of range,
             ``initial`` is not finite, a sensor cannot be evaluated at an
-            iterate (a built-in one at its anchor; names the step and the
-            sensor), or a residual or Jacobian is not finite (names the
-            first such pick by step and sensor).
+            iterate or a trial point (a built-in one at its anchor; names
+            the step and the sensor), or a residual or derivative is not
+            finite (names the first such pick by step and sensor).
+        NotPositiveDefiniteError: the Gauss-Newton system P + Xi is not
+            positive definite, e.g. at a state nearly on a bearing's
+            anchor; names the iteration, and the step where the banded
+            factorization reports it.
         DimensionMismatchError: ``initial``, the schedule or the
             measurements do not fit the prior, the suite or each other,
             e.g. a step with picks and no measurement, or a measurement at
@@ -480,9 +518,11 @@ def map_linearization(
     if not picks:
         return MapEstimate(estimate=np.array(prior.mean), converged=True, iterations=0)
 
-    # rows[p] is slot p's [r | J], transposed; the last slot stays zero, the
-    # filler of a step with fewer picks. A group's factor is padded to
-    # d x d with a unit diagonal, which keeps the padding zero.
+    # rows[p] is slot p's [r | J], transposed, inverses[p] its group's L^-1
+    # and second[p] its second derivatives, an n x n block per output
+    # (zero for a sensor that gives none); the last slot of each stays
+    # zero, the filler of a step with fewer picks. A group's factor is
+    # padded to d x d with a unit diagonal, which keeps the padding zero.
     d = max(s.output_dim for s in sensors)
     groups: dict[int, list[int]] = {}
     for p, (k, i, _) in enumerate(picks):
@@ -490,60 +530,113 @@ def map_linearization(
     order = [p for members in groups.values() for p in members]
     position = np.argsort(order)
     gather = np.array([picks[p][0] for p in order])
-    factors = []  # (sensor index, padded factor, its slots, its picks' measured values)
+    # (sensor index, its value-and-derivatives call, padded factor, its
+    # slots, its picks' values)
+    factors = []
+    inverses = np.zeros((len(picks) + 1, d, d))
     c0 = 0
     for members in groups.values():
         k, i, _ = picks[members[0]]
         L = np.eye(d)
         L[:sensors[i].output_dim, :sensors[i].output_dim] = sensors[i].noise_factor_at(k)
         group = slice(c0, c0 + len(members))
-        factors.append((i, L, group, np.array([picks[p][2] for p in members])))
+        inverses[group] = _trtrs(L, np.eye(d))
+        factors.append((i, functools.partial(sensors[i]._measure_and_jacobian, second=True),
+                        L, group, np.array([picks[p][2] for p in members])))
         c0 = group.stop
     rows = np.zeros((len(picks) + 1, n + 1, d))
+    second = np.zeros((len(picks) + 1, d, n * n))
     # slots[j, k]: the slot of step k's j-th pick, or the zero slot
     slots = np.full((max(map(len, sets)), K), len(picks))
     slots[[j for chosen in sets for j in range(len(chosen))], [k for k, _, _ in picks]] = position
 
     mu = np.array(prior.mean)
-    x = mu.copy() if initial is None else initial.copy()
     precision = _precision(prior)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    banded = isinstance(precision, BlockTridiagonalMatrix)
+
+    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """Fill ``rows`` and ``second`` at x; return f(x), P (x - mu) and
+        each slot's part of C."""
         states = x.reshape(K, n)[gather]
         # column 0 of a slot becomes L^-1 (y - h), the rest L^-1 J
-        for i, L, group, y in factors:
+        for i, derivatives, L, group, y in factors:
             sensor = sensors[i]
-            h, J = _naming_step(sensor._measure_and_jacobian, states[group], gather[group],
-                                i, sensor)
+            h, J, H = _naming_step(derivatives, states[group], gather[group], i, sensor)
             e = sensor.output_dim
             sensor._residual(y, h, out=rows[group, 0, :e])
             rows[group, 1:, :e] = J.swapaxes(1, 2)
             _trtrs(L, rows[group].reshape(-1, d).T, overwrite=True)
-        if not np.isfinite(rows).all():
+            if H is not None:
+                second[group, :e] = H.reshape(len(H), e, n * n)
+        # w^T second with w^T = (R^-1 r)^T = (L^-1 r)^T L^-1, for every slot
+        curvature = ((rows[:, None, 0] @ inverses) @ second).reshape(-1, n, n)
+        if not (np.isfinite(rows).all() and np.isfinite(curvature).all()):
             k, i, _ = next(pick for pick, slot in zip(picks, position)
-                           if not np.isfinite(rows[slot]).all())
-            raise InvalidParamsError(
-                f"step {k}, sensor {i} ({sensors[i].name!r}): non-finite residual or Jacobian"
-            )
+                           if not (np.isfinite(rows[slot]).all()
+                                   and np.isfinite(curvature[slot]).all()))
+            raise InvalidParamsError(f"step {k}, sensor {i} ({sensors[i].name!r}): "
+                                     "non-finite residual, Jacobian or second derivative")
+        dev = x - mu
+        prior_term = precision.matvec(dev) if banded else precision @ dev
+        residuals = rows[:, 0]
+        return 0.5 * (dev @ prior_term + np.vdot(residuals, residuals)), prior_term, curvature
+
+    x = mu.copy() if initial is None else initial.copy()
+    f, prior_term, curvature = evaluate(x)
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
         infos = rows[:, 1:] @ rows[:, 1:].swapaxes(1, 2)
         grads = rows[:, 1:] @ rows[:, :1].swapaxes(1, 2)
         # each step's picks summed in pick order, one step per column of slots
         xi = infos[slots].sum(axis=0)
         xi = 0.5 * (xi + xi.transpose(0, 2, 1))
-        grad = grads[slots].sum(axis=0).reshape(-1)
-        dev = x - mu
-        if isinstance(precision, BlockTridiagonalMatrix):
-            grad -= precision.matvec(dev)
-            delta = _band_solve(precision.diag_blocks + xi, precision.offdiag_blocks, grad)
-        else:
-            grad -= precision @ dev
-            system = _plus_blockdiag(precision, xi)
-            delta = _potrs(_cholesky(system, "Gauss-Newton system", overwrite=True), grad)
-
-        x = x + delta
+        grad = grads[slots].sum(axis=0).reshape(-1) - prior_term
+        delta = _newton_step(precision, xi, curvature[slots].sum(axis=0), grad, iterations)
         if np.abs(delta).max() <= tol:
+            x = x + delta
             converged = True
             break
+        # grad is -f'(x), so grad^T delta is the decrease rate along delta
+        slope = grad @ delta
+        t = 1.0
+        while True:
+            trial = x + t * delta
+            f_trial, trial_term, trial_curvature = evaluate(trial)
+            if f_trial <= f - _ARMIJO_C * t * slope:
+                break
+            t *= 0.5
+            if t < _MIN_STEP:
+                return MapEstimate(estimate=x, converged=False, iterations=iterations)
+        x, f, prior_term, curvature = trial, f_trial, trial_term, trial_curvature
 
     return MapEstimate(estimate=x, converged=converged, iterations=iterations)
+
+
+def _newton_step(precision, xi: np.ndarray, curvature: np.ndarray, grad: np.ndarray,
+                 iteration: int) -> np.ndarray:
+    """delta solving (P + Xi - C) delta = grad, or (P + Xi) delta = grad
+    where P + Xi - C is not positive definite; Xi and C are (K, n, n)
+    stacks of diagonal blocks. Raises NotPositiveDefiniteError naming the
+    MAP iteration, and the step where the banded factorization reports it,
+    when P + Xi is not positive definite either."""
+
+    def solve(blocks):
+        if isinstance(precision, BlockTridiagonalMatrix):
+            return _band_solve(precision.diag_blocks + blocks, precision.offdiag_blocks, grad)
+        return _potrs(_cholesky(_plus_blockdiag(precision, blocks), overwrite=True), grad)
+
+    # each failure is dropped as its handler ends: one kept past it would
+    # hold the frames of its traceback, and their arrays, in a cycle
+    try:
+        return solve(xi - curvature)
+    except NotPositiveDefiniteError:
+        pass
+    try:
+        return solve(xi)
+    except NotPositiveDefiniteError as exc:
+        step = "" if exc.block_index is None else f", step {exc.block_index}"
+        raise NotPositiveDefiniteError(
+            f"MAP iteration {iteration}{step}: Gauss-Newton system P + Xi is not positive definite",
+            exc.pivot, exc.block_index,
+        ) from exc

@@ -50,7 +50,7 @@ def _check_budget(k: int, s_k, m: int) -> int:
     return s_k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sensor:
     """One nonlinear sensor: measurement map, Jacobian, Gaussian noise.
 
@@ -63,7 +63,7 @@ class Sensor:
     SPD noise covariance, constant over time unless ``noise_overrides``
     maps specific step indices (non-negative integers) to replacement
     covariances. Each of these is factored once, here, as R = L L^T;
-    ``noise_factor_at`` returns L.
+    ``noise_factor_at`` returns L. Sensors compare and hash by identity.
 
     Raises:
         NotPositiveDefiniteError: a noise covariance is not SPD.
@@ -180,18 +180,21 @@ class Sensor:
             out[out > math.pi] -= 2.0 * math.pi
             out[out <= -math.pi] += 2.0 * math.pi
 
-    def _measure_and_jacobian(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _measure_and_jacobian(self, X: np.ndarray, second: bool = False):
         """``measure_at`` and ``jacobian_at`` of a (P, n) float stack, equal to
         theirs bit for bit. A built-in sensor's two maps share one
         ``evaluate``, which gives both in one call; any other sensor makes
-        both calls."""
+        both calls. With ``second`` a third item follows: the (P, d, n, n)
+        second derivatives of a built-in sensor's outputs, from the same
+        ``evaluate`` call, or None for any other sensor."""
         evaluate = getattr(self.measure, "evaluate", None)
         if evaluate is None or evaluate is not getattr(self.jacobian, "evaluate", None):
-            return self.measure_at(X), self.jacobian_at(X)
-        out = evaluate(X)
-        P, d = len(X), self.output_dim
-        return (self._stack_shaped(out[self.measure.which], (P, d)),
-                self._stack_shaped(out[self.jacobian.which], (P, d, X.shape[1])))
+            return (self.measure_at(X), self.jacobian_at(X)) + ((None,) if second else ())
+        out = evaluate(X, second)
+        P, d, n = len(X), self.output_dim, X.shape[1]
+        first = (self._stack_shaped(out[self.measure.which], (P, d)),
+                 self._stack_shaped(out[self.jacobian.which], (P, d, n)))
+        return first + (self._stack_shaped(out[2], (P, d, n, n)),) if second else first
 
 
 @dataclass(frozen=True)
@@ -300,7 +303,9 @@ def _resolve_noise(output_dim, noise_cov, noise_var):
 class _StackedMap:
     """One output of a built-in sensor kind's ``evaluate``, which maps a
     (P, n) stack of states to its (P, 1) values and (P, 1, n) Jacobians
-    together; ``which`` is 0 for the values and 1 for the Jacobians.
+    together, and with ``second`` set to its (P, 1, n, n) second
+    derivatives as well; ``which`` is 0 for the values and 1 for the
+    Jacobians.
 
     Called on one state, it evaluates a one-row stack and returns row 0,
     so the one-state and stacked forms cannot drift. ``Sensor.measure_at``
@@ -349,14 +354,18 @@ def builtin_sensor(
     checked as a whole: one row at an anchor, or a stack of the wrong
     width, raises the error a one-state call raises. A bearing is also
     singular where its offset from the anchor is not zero but its square
-    underflows.
+    underflows. The same evaluation gives each state's n x n second
+    derivative, for the MAP's Newton iteration only; ``measure_at`` and
+    ``jacobian_at`` never compute it.
 
-    Kinds:
-        linear_coordinate: reads state coordinate ``axis``.
-        range: Euclidean distance to ``anchor``; singular at the anchor.
+    Kinds (second derivative in brackets):
+        linear_coordinate: reads state coordinate ``axis`` [0].
+        range: Euclidean distance r to ``anchor``; singular at the anchor
+            [(I - u u^T) / r, u the unit offset].
         bearing: planar angle to ``anchor`` from the first two state
-            coordinates; singular at the anchor.
-        quadratic: 0.5 * x^T W x with symmetric ``weight`` W.
+            coordinates; singular at the anchor [the 2 x 2 block of
+            atan2's second derivative, zero elsewhere].
+        quadratic: 0.5 * x^T W x with symmetric ``weight`` W [W].
 
     Raises:
         InvalidParamsError: for unknown kinds or missing/invalid params.
@@ -368,12 +377,13 @@ def builtin_sensor(
             )
         ax = int(axis)
 
-        def coordinate(X):
-            if ax >= X.shape[1]:
-                raise InvalidParamsError(f"axis {ax} out of range for state dim {X.shape[1]}")
-            J = np.zeros((len(X), 1, X.shape[1]))
+        def coordinate(X, second=False):
+            P, n = X.shape
+            if ax >= n:
+                raise InvalidParamsError(f"axis {ax} out of range for state dim {n}")
+            J = np.zeros((P, 1, n))
             J[:, 0, ax] = 1.0
-            return X[:, [ax]], J
+            return (X[:, [ax]], J) + ((np.zeros((P, 1, n, n)),) if second else ())
 
         return _stacked_sensor(coordinate, noise_cov, noise_var, name or f"linear_coordinate[{ax}]")
 
@@ -381,8 +391,9 @@ def builtin_sensor(
         if anchor is None:
             raise InvalidParamsError("range sensor needs an anchor point")
         a = np.asarray(anchor, dtype=float)
+        identity = np.eye(a.size)
 
-        def distance(X):
+        def distance(X, second=False):
             if X.shape[1] != a.size:
                 raise InvalidParamsError(
                     f"range anchor has {a.size} coordinates, state dim {X.shape[1]}"
@@ -393,7 +404,11 @@ def builtin_sensor(
             r = np.sqrt(D[:, None, :] @ D[:, :, None])[:, 0]
             if (r == 0.0).any():
                 raise InvalidParamsError("range sensor evaluated at its anchor")
-            return r, (D / r)[:, None, :]
+            U = (D / r)[:, None, :]
+            if not second:
+                return r, U
+            # the unit offset u's derivative, (I - u u^T) / r
+            return r, U, ((identity - U.swapaxes(1, 2) * U) / r[:, :, None])[:, None]
 
         return _stacked_sensor(distance, noise_cov, noise_var, name or "range")
 
@@ -404,18 +419,27 @@ def builtin_sensor(
         if a.size < 2:
             raise InvalidParamsError("bearing anchor needs at least two coordinates")
 
-        def angle(X):
-            if X.shape[1] < 2:
+        def angle(X, second=False):
+            P, n = X.shape
+            if n < 2:
                 raise InvalidParamsError("bearing sensor needs state dim >= 2")
             dx, dy = X[:, 0] - a[0], X[:, 1] - a[1]
             # singular at the anchor, and where the offset's square underflows
             r2 = dx * dx + dy * dy
             if (r2 == 0.0).any():
                 raise InvalidParamsError("bearing sensor evaluated at its anchor")
-            J = np.zeros((len(X), 1, X.shape[1]))
-            J[:, 0, 0] = -dy / r2
-            J[:, 0, 1] = dx / r2
-            return np.arctan2(dy, dx)[:, None], J
+            u, v = dx / r2, dy / r2
+            J = np.zeros((P, 1, n))
+            J[:, 0, 0] = -v
+            J[:, 0, 1] = u
+            if not second:
+                return np.arctan2(dy, dx)[:, None], J
+            # the derivative of (-dy, dx) / r2 in the plane of the first two coordinates
+            H = np.zeros((P, 1, n, n))
+            H[:, 0, 0, 0] = 2.0 * u * v
+            H[:, 0, 1, 1] = -H[:, 0, 0, 0]
+            H[:, 0, 0, 1] = H[:, 0, 1, 0] = v * v - u * u
+            return np.arctan2(dy, dx)[:, None], J, H
 
         return _stacked_sensor(angle, noise_cov, noise_var, name or "bearing", angular=True)
 
@@ -427,14 +451,19 @@ def builtin_sensor(
             raise InvalidParamsError(f"weight must be square, got shape {W.shape}")
         W = 0.5 * (W + W.T)
 
-        def form(X):
+        def form(X, second=False):
             if X.shape[1] != W.shape[0]:
                 raise InvalidParamsError(
                     f"quadratic weight is {W.shape[0]} x {W.shape[0]}, state dim {X.shape[1]}"
                 )
             # per row, these products are the one-state x @ W @ x and W @ x, bit for bit
-            return (0.5 * ((X[:, None, :] @ W) @ X[:, :, None])[:, 0],
+            z, J = (0.5 * ((X[:, None, :] @ W) @ X[:, :, None])[:, 0],
                     (W @ X[:, :, None]).transpose(0, 2, 1))
+            if not second:
+                return z, J
+            H = np.empty((len(X), 1) + W.shape)
+            H[:] = W
+            return z, J, H
 
         return _stacked_sensor(form, noise_cov, noise_var, name or "quadratic")
 

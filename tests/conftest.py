@@ -48,29 +48,59 @@ def random_stable_system(rng, n, radius=0.8):
     return A
 
 
+# The second derivative at one state of each built-in sensor made by
+# random_sensor, keyed by its measure map, which a re-wrapped sensor keeps:
+# written here from each kind's formula, not read from the library.
+SECOND_DERIVATIVES = {}
+
+
+def _range_curvature(anchor):
+    def second(x):
+        D = x - anchor
+        r = np.linalg.norm(D)
+        return (r * r * np.eye(x.size) - np.outer(D, D)) / r**3
+    return second
+
+
+def _bearing_curvature(anchor):
+    def second(x):
+        dx, dy = x[0] - anchor[0], x[1] - anchor[1]
+        H = np.zeros((x.size, x.size))
+        H[:2, :2] = np.array([[2 * dx * dy, dy**2 - dx**2],
+                              [dy**2 - dx**2, -2 * dx * dy]]) / (dx**2 + dy**2) ** 2
+        return H
+    return second
+
+
 def random_sensor(rng, n, kind):
     noise_var = float(0.2 + 1.8 * rng.random())
     if kind == "linear_coordinate":
-        return ss.builtin_sensor(
+        sensor = ss.builtin_sensor(
             "linear_coordinate", axis=int(rng.integers(n)), noise_var=noise_var
         )
-    if kind == "range":
+        second = lambda x: np.zeros((x.size, x.size))
+    elif kind == "range":
         direction = rng.standard_normal(n)
         direction /= np.linalg.norm(direction)
         anchor = (1.5 + 1.5 * rng.random()) * direction
-        return ss.builtin_sensor("range", anchor=anchor, noise_var=noise_var)
-    if kind == "bearing":
+        sensor = ss.builtin_sensor("range", anchor=anchor, noise_var=noise_var)
+        second = _range_curvature(anchor)
+    elif kind == "bearing":
         direction = rng.standard_normal(2)
         direction /= np.linalg.norm(direction)
         anchor = np.zeros(n)
         anchor[:2] = (1.5 + 1.5 * rng.random()) * direction
-        return ss.builtin_sensor("bearing", anchor=anchor[:2], noise_var=noise_var)
-    if kind == "quadratic":
+        sensor = ss.builtin_sensor("bearing", anchor=anchor[:2], noise_var=noise_var)
+        second = _bearing_curvature(anchor[:2])
+    elif kind == "quadratic":
         B = rng.standard_normal((n, n))
-        return ss.builtin_sensor(
-            "quadratic", weight=B + B.T + np.eye(n), noise_var=noise_var
-        )
-    raise ValueError(kind)
+        W = B + B.T + np.eye(n)
+        sensor = ss.builtin_sensor("quadratic", weight=W, noise_var=noise_var)
+        second = lambda x: W
+    else:
+        raise ValueError(kind)
+    SECOND_DERIVATIVES[sensor.measure] = second
+    return sensor
 
 
 def random_suite(rng, n, m):
@@ -165,44 +195,78 @@ def measurement_model(suite, schedule, linearization):
     return scipy.linalg.block_diag(*C_blocks), scipy.linalg.block_diag(*R_blocks)
 
 
-def gauss_newton_reference(prior, suite, schedule, measurements, max_iter, tol=1e-8,
-                           start=None):
-    """Per-pick dense Gauss-Newton MAP iteration (independent oracle).
+def damped_newton_reference(prior, suite, schedule, measurements, max_iter, tol=1e-8,
+                            start=None):
+    """Per-pick dense damped-Newton MAP iteration (independent oracle).
 
     Starting from ``start`` (the prior mean when None), each iteration
     assembles C and R by ``measurement_model`` at the current iterate,
     stacks the picked sensors' predictions in the same order as the
     measurements, and solves
 
-        (P + C^T R^-1 C) delta = C^T R^-1 (y - h(x)) - P (x - mu)
+        (P + C^T R^-1 C - S) delta = C^T R^-1 r - P (x - mu),   r = y - h(x),
 
-    with the prior's dense precision P, until ||delta||_inf <= tol or
-    max_iter. A bearing's residual is an angle difference, taken into
-    [-pi, pi). Returns (estimate, converged, iterations).
+    with the prior's dense precision P. S is block-diagonal: step k's block
+    sums w_j times the second derivative (``SECOND_DERIVATIVES``) of each
+    built-in output j picked at k, w = R^-1 r; any other sensor adds
+    nothing. Where that matrix has no Cholesky factor, S is dropped. A
+    step with ||delta||_inf <= tol is taken and ends the iteration;
+    otherwise x + t delta, t = 1, 1/2, ..., is taken at the first t with
+
+        f(x + t delta) <= f(x) - 1e-4 t grad^T delta,
+
+    f the negative log posterior 1/2 (x - mu)^T P (x - mu) + 1/2 r^T R^-1 r,
+    and the iteration ends unconverged if no t >= 2^-16 passes. A
+    bearing's residual is an angle difference, taken into [-pi, pi).
+    Returns (estimate, converged, iterations).
     """
     n, K = suite.state_dim, schedule.num_steps
     P = prior.precision_dense()
     mu = np.asarray(prior.mean, dtype=float)
     y = np.concatenate([np.zeros(0)] + [m for m in measurements if m is not None])
+    picked = [(k, suite.sensors[i]) for k, chosen in enumerate(schedule.sets) for i in chosen]
     angular = np.concatenate([np.zeros(0, bool)] + [
-        np.full(suite.sensors[i].output_dim, getattr(suite.sensors[i].measure, "angular", False))
-        for chosen in schedule.sets for i in chosen
+        np.full(s.output_dim, getattr(s.measure, "angular", False)) for _, s in picked
     ])
-    x = mu.copy() if start is None else np.array(start, dtype=float)
-    for iteration in range(1, max_iter + 1):
+
+    def model(x):
+        """f(x), C, R and the residual r at x."""
         states = x.reshape(K, n)
         C, R = measurement_model(suite, schedule, x)
-        h = np.concatenate([np.zeros(0)] + [
-            suite.sensors[i].measure_at(states[k])
-            for k, chosen in enumerate(schedule.sets) for i in chosen
-        ])
+        h = np.concatenate([np.zeros(0)] + [s.measure_at(states[k]) for k, s in picked])
         r = y - h
         r[angular] = (r[angular] + np.pi) % (2.0 * np.pi) - np.pi
-        CtRinv = np.linalg.solve(R, C).T
-        delta = np.linalg.solve(P + CtRinv @ C, CtRinv @ r - P @ (x - mu))
-        x = x + delta
+        dev = x - mu
+        return 0.5 * (dev @ P @ dev + r @ np.linalg.solve(R, r)), C, R, r
+
+    x = mu.copy() if start is None else np.array(start, dtype=float)
+    f, C, R, r = model(x)
+    for iteration in range(1, max_iter + 1):
+        states = x.reshape(K, n)
+        w = np.linalg.solve(R, r)
+        S = np.zeros_like(P)
+        for j, (k, sensor) in zip(np.cumsum([0] + [s.output_dim for _, s in picked]), picked):
+            second = SECOND_DERIVATIVES.get(sensor.measure)
+            if second is not None:  # a built-in sensor, of one output
+                S[k * n:(k + 1) * n, k * n:(k + 1) * n] += w[j] * second(states[k])
+        gauss_newton = P + C.T @ np.linalg.solve(R, C)
+        grad = C.T @ w - P @ (x - mu)
+        try:
+            np.linalg.cholesky(gauss_newton - S)
+            delta = np.linalg.solve(gauss_newton - S, grad)
+        except np.linalg.LinAlgError:
+            delta = np.linalg.solve(gauss_newton, grad)
         if np.max(np.abs(delta)) <= tol:
-            return x, True, iteration
+            return x + delta, True, iteration
+        t = 1.0
+        while True:
+            f_trial, C, R, r = model(x + t * delta)
+            if f_trial <= f - 1e-4 * t * (grad @ delta):
+                break
+            t /= 2
+            if t < 2.0 ** -16:
+                return x, False, iteration
+        x, f = x + t * delta, f_trial
     return x, False, max_iter
 
 

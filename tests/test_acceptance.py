@@ -448,14 +448,16 @@ def test_criterion_9_cli_determinism(tmp_path):
 
 
 # The criterion-9 config with receding linearization, as written by the
-# code that stacks each step's readings in ascending sensor order and warm
-# starts each MAP solve. Any change to the receding path (the simulated
-# readings, the MAP iteration, the contexts built at its estimates) that
-# moves a printed digit shows here.
+# code that stacks each step's readings in ascending sensor order, warm
+# starts each MAP solve and solves it by damped Newton, which ends each
+# solve with a gradient norm below 1e-15 (Gauss-Newton's: up to 1.3e-9).
+# Any change to the receding path (the simulated readings, the MAP
+# iteration, the contexts built at its estimates) that moves a printed
+# digit shows here.
 RECEDING_RESULTS = (
     "scheduler,entropy_nats,mutual_info_nats,oracle_calls,bound_ratio\r\n"
-    "greedy,4.39635969619,1.85978954399,23,-0.00624683236497\r\n"
-    "lazy,4.39635969619,1.85978954399,17,-0.00624683236497\r\n"
+    "greedy,4.39635969617,1.85978954401,23,-0.00624683237294\r\n"
+    "lazy,4.39635969617,1.85978954401,17,-0.00624683237294\r\n"
     "random,4.73010380141,1.52604543876,1,0.174326797479\r\n"
     "exhaustive,4.40790536584,1.84824387434,1331,0\r\n"
 )
@@ -463,10 +465,10 @@ RECEDING_TRACE = (
     "k,pick_order,sensor,gain_nats\r\n"
     "0,0,0,0.559015187263\r\n"
     "0,1,1,0.263046547948\r\n"
-    "1,0,0,0.336257018392\r\n"
-    "1,1,1,0.190737289166\r\n"
-    "2,0,0,0.314678809124\r\n"
-    "2,1,1,0.18713020074\r\n"
+    "1,0,0,0.336257018395\r\n"
+    "1,1,1,0.19073728916\r\n"
+    "2,0,0,0.31467880912\r\n"
+    "2,1,1,0.187130200746\r\n"
 )
 
 

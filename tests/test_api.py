@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
 import sensorsched as ss
@@ -149,6 +150,10 @@ def test_greedy_trace_has_no_total_wall_time():
     assert not hasattr(ss.GreedyTrace, "total_wall_s")
 
 
+def _identity(x):
+    return x
+
+
 # types holding ndarray fields, each with a builder of equal but distinct instances
 ARRAY_HOLDERS = {
     "BlockTridiagonalMatrix": lambda: ss.BlockTridiagonalMatrix.identity(2, 3),
@@ -157,6 +162,8 @@ ARRAY_HOLDERS = {
         ss.build_tracking_prior(2, 3, 1.0, 0.4),
         ss.SensorSuite(2, (ss.builtin_sensor("range", anchor=[2.0, 2.0], noise_var=0.4),)),
     ),
+    "Sensor": lambda: ss.Sensor(2, _identity, _identity, np.eye(2)),
+    "builtin_sensor": lambda: ss.builtin_sensor("range", anchor=[0.0, 0.0], noise_var=1.0),
 }
 
 

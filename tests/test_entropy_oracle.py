@@ -1,8 +1,10 @@
 """The two entropy formulas, posterior covariance, MI, and MAP estimation."""
 
 import dataclasses
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ import sensorsched as ss
 from conftest import (
     PRIOR_KINDS,
     all_schedules,
-    gauss_newton_reference,
+    damped_newton_reference,
     measurement_model,
     random_instance,
     random_prior,
@@ -788,7 +790,7 @@ def starts(draw, prior):
 
 
 def _matches_per_pick_reference(data, problem, max_iter):
-    # the batched iteration against a per-pick dense Gauss-Newton built from
+    # the batched iteration against a per-pick dense damped Newton built from
     # the paper's stacked C and R, both from the same start; empty schedules
     # return the prior mean wherever they start
     prior, suite, schedule, measurements = problem
@@ -799,7 +801,7 @@ def _matches_per_pick_reference(data, problem, max_iter):
         assert (out.converged, out.iterations) == (True, 0)
         np.testing.assert_array_equal(out.estimate, prior.mean)
         return
-    estimate, converged, iterations = gauss_newton_reference(
+    estimate, converged, iterations = damped_newton_reference(
         prior, suite, schedule, measurements, max_iter, start=initial
     )
     assert (out.converged, out.iterations) == (converged, iterations)
@@ -908,6 +910,62 @@ class TestMapLinearization:
         assert np.linalg.norm(out.estimate - prior.mean) < 0.05
         seen = bearing.measure_at(out.estimate)[0]
         assert abs(seen - reading[0]) < 0.01
+
+    def test_receding_solve_that_hit_the_cap_converges_downhill(self):
+        # greedy step 3 of perfbench's receding_config(60): undamped
+        # Gauss-Newton ran into its 50-iteration cap on this problem
+        rec = json.loads((Path(__file__).parent / "data" / "receding60_step3_map.json").read_text())
+        prior = ss.build_tracking_prior(**rec["prior"])
+        suite = ss.SensorSuite(2, tuple(ss.builtin_sensor(**spec) for spec in rec["sensors"]))
+        sched = ss.Schedule(sets=tuple(map(tuple, rec["sets"])), budgets=(2,) * prior.K)
+        measurements = [None if m is None else np.array(m) for m in rec["measurements"]]
+        initial = np.array(rec["initial"])
+        out = ss.map_linearization(prior, suite, sched, measurements, initial=initial)
+        assert out.converged and out.iterations <= 10
+
+        P, mu = prior.precision_dense(), np.asarray(prior.mean)
+
+        def neg_log_posterior(x):
+            states, val = x.reshape(prior.K, prior.n), 0.5 * (x - mu) @ P @ (x - mu)
+            for k, chosen in enumerate(sched.sets):
+                for i, y in zip(chosen, measurements[k] if chosen else ()):
+                    sensor = suite.sensors[i]
+                    r = y - sensor.measure_at(states[k])[0]
+                    if sensor.name == "bearing":
+                        r = (r + np.pi) % (2 * np.pi) - np.pi
+                    val += 0.5 * r * r / sensor.noise_cov[0, 0]
+            return val
+
+        # the estimate after i iterations is that of a solve capped at i
+        iterates = [initial] + [
+            ss.map_linearization(prior, suite, sched, measurements, initial=initial,
+                                 max_iter=i).estimate for i in range(1, out.iterations)
+        ] + [out.estimate]
+        objective = [neg_log_posterior(x) for x in iterates]
+        assert all(b <= a for a, b in zip(objective, objective[1:])), objective
+
+    @pytest.mark.parametrize("kind, named", [
+        ("tracking", "MAP iteration 1: "),
+        ("gauss_markov", "MAP iteration 1, step 0: "),
+    ])
+    def test_system_that_fails_to_factor_names_the_iteration(self, kind, named):
+        # step 0 starts 1e-9 from the bearing's anchor, off its axes: the
+        # whitened Jacobian, about 1e13, swamps the prior in rounding, and
+        # neither the Newton nor the Gauss-Newton system factors. The dense
+        # factorization of the tracking prior's precision reports no step.
+        bearing = ss.builtin_sensor("bearing", anchor=[1.0, 2.0], noise_var=1e-4)
+        suite = ss.SensorSuite(2, (ss.builtin_sensor("linear_coordinate", axis=0, noise_var=1.0),
+                                   bearing))
+        prior = (ss.build_tracking_prior(2, 2, 1.0, 0.3) if kind == "tracking" else
+                 ss.build_gauss_markov_prior(0.9 * np.eye(2), 0.5 * np.eye(2), np.eye(2), K=2))
+        sched = ss.Schedule(sets=((1,), (0,)), budgets=(2, 2))
+        offset = 1e-9 * np.array([math.cos(math.pi / 12), math.sin(math.pi / 12)])
+        initial = np.concatenate([[1.0, 2.0] + offset, [0.5, 0.5]])
+        with pytest.raises(ss.NotPositiveDefiniteError, match=(
+                f"^{re.escape(named)}Gauss-Newton system P \\+ Xi is not positive definite$")) as exc:
+            ss.map_linearization(prior, suite, sched, [np.array([1.0]), np.array([0.5])],
+                                 initial=initial)
+        assert exc.value.block_index == (None if kind == "tracking" else 0)
 
     def test_nonlinear_map_reduces_objective(self):
         rng = np.random.default_rng(53)

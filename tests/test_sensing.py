@@ -346,6 +346,39 @@ class TestFusedEvaluation:
             sensor._measure_and_jacobian(np.ones((3, 2)))
 
 
+class TestSecondDerivatives:
+    """The second derivatives a built-in sensor's evaluation gives the MAP's
+    Newton iteration, against its own Jacobian."""
+
+    @given(kind=st.sampled_from(KINDS), n=st.sampled_from([2, 3, 4]),
+           P=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_second_derivative_is_the_jacobians_central_difference(self, kind, n, P, seed):
+        rng = np.random.default_rng(seed)
+        sensor = random_sensor(rng, n, kind)
+        X = rng.normal(0.0, 2.0, (P, n))
+        # states away from the anchors: a range reads its distance, and a
+        # bearing's Jacobian has norm one over its planar distance
+        J = sensor.jacobian_at(X)[:, 0]
+        far = {"range": sensor.measure_at(X)[:, 0],
+               "bearing": 1.0 / np.linalg.norm(J, axis=1)}.get(kind, np.ones(P))
+        X = X[far >= 0.5]
+        Z, J, H = sensor._measure_and_jacobian(X, second=True)
+        assert H.shape == (len(X), 1, n, n)
+        assert np.array_equal(Z, sensor.measure_at(X)) and np.array_equal(J, sensor.jacobian_at(X))
+        step = 1e-5
+        for j in range(n):
+            shift = np.zeros(n)
+            shift[j] = step
+            column = (sensor.jacobian_at(X + shift) - sensor.jacobian_at(X - shift)) / (2 * step)
+            np.testing.assert_allclose(H[:, :, :, j], column, rtol=1e-6, atol=1e-6)
+        assert np.array_equal(H, H.swapaxes(2, 3))
+
+    def test_user_sensor_has_none(self):
+        sensor = ss.Sensor(1, lambda x: [x @ x], lambda x: [2.0 * x], np.eye(1), name="u")
+        Z, J, H = sensor._measure_and_jacobian(np.array([[1.0, 2.0]]), second=True)
+        assert (Z.tolist(), J.tolist(), H) == ([[5.0]], [[[2.0, 4.0]]], None)
+
+
 class TestSchedule:
     def test_rejects_over_budget(self):
         with pytest.raises(ss.DimensionMismatchError):
