@@ -10,7 +10,6 @@ planning horizon.
 
 from .blocklinalg import (
     BlockTridiagonalMatrix,
-    logdet_block_tridiagonal,
     logdet_block_tridiagonal_blocks,
     logdet_dense,
 )
@@ -39,7 +38,6 @@ from .exhaustive import (
     EnumerationResult,
     certify_bound,
     exhaustive_optimum,
-    num_candidate_schedules,
 )
 from .process_models import (
     LOG_TWO_PI_E,
@@ -99,13 +97,11 @@ __all__ = [
     "finite_difference_jacobian",
     "greedy_schedule",
     "greedy_step_detailed",
-    "logdet_block_tridiagonal",
     "logdet_block_tridiagonal_blocks",
     "logdet_dense",
     "make_context",
     "map_linearization",
     "mutual_information",
-    "num_candidate_schedules",
     "posterior_covariance",
     "prior_entropy",
     "build_dense_prior",

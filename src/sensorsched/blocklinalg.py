@@ -29,9 +29,9 @@ Failure contract: a positive LAPACK ``info`` from ``dpbtrf`` or
 ``NotPositiveDefiniteError`` whose ``.pivot`` is the unfactored Schur
 pivot of the failing block, or the dense matrix (the first failing one
 of a stack), and whose ``.block_index`` is the failing block's index
-(None for dense matrices); a non-finite log-determinant raises it with
-both None. Any other nonzero ``info`` is an illegal call, an internal
-error, and raises RuntimeError.
+(for a dense matrix, None unless the caller gives its block size); a
+non-finite log-determinant raises it with both None. Any other nonzero
+``info`` is an illegal call, an internal error, and raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .errors import DimensionMismatchError, NotPositiveDefiniteError
 __all__ = [
     "BlockTridiagonalMatrix",
     "logdet_dense",
-    "logdet_block_tridiagonal",
     "logdet_block_tridiagonal_blocks",
 ]
 
@@ -151,13 +150,15 @@ def _lapack_error(routine: str, info: int) -> RuntimeError:
     return RuntimeError(f"LAPACK {routine} returned info={info}")
 
 
-def _cholesky(A: np.ndarray, what: str = "matrix", *, overwrite: bool = False) -> np.ndarray:
+def _cholesky(A: np.ndarray, what: str = "matrix", *, overwrite: bool = False,
+              block_dim: int | None = None) -> np.ndarray:
     """Lower Cholesky factor of a dense SPD matrix: the one dense factorization.
 
     With ``overwrite``, A must be a fresh, exactly symmetric, C-ordered
     array that the caller gives up: LAPACK factors its transpose, the same
     matrix in Fortran order, in place, and only the lower triangle of the
-    result is the factor.
+    result is the factor. With ``block_dim``, a failure reports the block
+    of the failing column as its ``block_index``.
     """
     if not overwrite:
         L, info = dpotrf(A, lower=1)
@@ -169,7 +170,8 @@ def _cholesky(A: np.ndarray, what: str = "matrix", *, overwrite: bool = False) -
             A += A.T
             A[np.diag_indices_from(A)] = diagonal
     if info > 0:
-        raise NotPositiveDefiniteError(f"{what} is not positive definite", A)
+        block = None if block_dim is None else (info - 1) // block_dim
+        raise NotPositiveDefiniteError(f"{what} is not positive definite", A, block)
     if info:
         raise _lapack_error("dpotrf", info)
     return L
@@ -365,19 +367,6 @@ def logdet_block_tridiagonal_blocks(
     if not diag.size:
         return 0.0
     return _logdet_of(_band_factor(diag, coupling)[0], "block")
-
-
-def logdet_block_tridiagonal(M: BlockTridiagonalMatrix) -> float:
-    """Log-determinant of an SPD block-tridiagonal matrix, linear in K.
-
-    One banded Cholesky factorization of the block stacks; equals
-    ``logdet_dense(M.assemble())`` up to rounding.
-
-    Raises:
-        NotPositiveDefiniteError: exactly when the assembled matrix is not
-            SPD, with the failing block's Schur pivot and index attached.
-    """
-    return logdet_block_tridiagonal_blocks(M.diag_blocks, M.offdiag_blocks)
 
 
 def _band_solve(diag: np.ndarray, coupling: np.ndarray, rhs: np.ndarray) -> np.ndarray:

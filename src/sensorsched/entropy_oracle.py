@@ -53,8 +53,8 @@ from .blocklinalg import (
     logdet_block_tridiagonal_blocks,
 )
 from .errors import DimensionMismatchError, InvalidParamsError, NotPositiveDefiniteError
-from .process_models import LOG_TWO_PI_E, GaussianPrior, prior_entropy
-from .sensing import Schedule, SensorSuite, _is_index
+from .process_models import LOG_TWO_PI_E, GaussianPrior, _covariance, _precision, prior_entropy
+from .sensing import Schedule, SensorSuite, _check_sets, _is_index
 
 __all__ = [
     "OracleContext",
@@ -214,22 +214,6 @@ def _naming_step(evaluate, X: np.ndarray, steps, i: int, sensor):
         raise
 
 
-def _precision(prior: GaussianPrior):
-    """The stored precision, or the prior's cached dense one (inverted once)."""
-    return prior.matrix if prior.form.is_precision else prior.precision_dense()
-
-
-def _check_schedule(ctx: OracleContext, schedule: Schedule) -> None:
-    if schedule.num_steps != ctx.K:
-        raise DimensionMismatchError(
-            f"schedule has {schedule.num_steps} steps, prior horizon is {ctx.K}"
-        )
-    m = ctx.suite.m
-    for k, chosen in enumerate(schedule.sets):
-        if chosen and chosen[-1] >= m:
-            raise DimensionMismatchError(f"step {k} selects a sensor index >= m={m}")
-
-
 def _gathered(stack: np.ndarray, sets: Sequence[tuple[int, ...]]) -> np.ndarray:
     """(len(sets), q, ...) entries of a padded stack for each row's picks, in pick order.
 
@@ -265,7 +249,7 @@ def conditional_entropy_precision_form(ctx: OracleContext, schedule: Schedule) -
         NotPositiveDefiniteError: the prior precision is invalid
             (Xi is PSD, so it cannot break positive definiteness).
     """
-    _check_schedule(ctx, schedule)
+    _check_sets(schedule.sets, ctx.K, ctx.suite.m)
     P = _precision(ctx.prior)
     # a step's increments are summed in pick order, then added to its prior block
     xi = _gathered(ctx._increments, schedule.sets).sum(axis=1)
@@ -300,8 +284,8 @@ def conditional_entropy_covariance_form(ctx: OracleContext, schedule: Schedule) 
             takes an invalid prior or a rank-deficient W whose rows are
             so large (tiny noise) that the identity is lost to rounding.
     """
-    _check_schedule(ctx, schedule)
-    S = ctx.prior.covariance_dense() if ctx.prior.form.is_precision else ctx.prior.matrix
+    _check_sets(schedule.sets, ctx.K, ctx.suite.m)
+    S = _covariance(ctx.prior)
     # each step's picked rows, (K, q d, n), zero-padded
     W = _gathered(ctx._rows, schedule.sets).reshape(ctx.K, -1, ctx.n)
     if isinstance(S, BlockTridiagonalMatrix):
@@ -348,7 +332,7 @@ def posterior_covariance(ctx: OracleContext, schedule: Schedule) -> np.ndarray:
 
     A covariance prior is read through its cached dense precision.
     """
-    _check_schedule(ctx, schedule)
+    _check_sets(schedule.sets, ctx.K, ctx.suite.m)
     P = _precision(ctx.prior)
     if isinstance(P, BlockTridiagonalMatrix):
         P = P.assemble()
@@ -465,8 +449,7 @@ def map_linearization(
             finite (names the first such pick by step and sensor).
         NotPositiveDefiniteError: the Gauss-Newton system P + Xi is not
             positive definite, e.g. at a state nearly on a bearing's
-            anchor; names the iteration, and the step where the banded
-            factorization reports it.
+            anchor; names the iteration and the step whose pivot fails.
         DimensionMismatchError: ``initial``, the schedule or the
             measurements do not fit the prior, the suite or each other,
             e.g. a step with picks and no measurement, or a measurement at
@@ -486,10 +469,7 @@ def map_linearization(
             raise InvalidParamsError("initial is not finite")
     if past_schedule is None or measurements is None:
         return MapEstimate(estimate=np.array(prior.mean), converged=True, iterations=0)
-    if past_schedule.num_steps != prior.K:
-        raise DimensionMismatchError(
-            f"schedule has {past_schedule.num_steps} steps, prior horizon is {prior.K}"
-        )
+    _check_sets(past_schedule.sets, prior.K, suite.m)
     if len(measurements) != prior.K:
         raise DimensionMismatchError(
             f"got {len(measurements)} measurement entries, expected {prior.K}"
@@ -505,8 +485,6 @@ def map_linearization(
             continue
         if measurements[k] is None:
             raise DimensionMismatchError(f"step {k} selects sensors {chosen} but has no measurement")
-        if chosen[-1] >= len(sensors):
-            raise DimensionMismatchError(f"step {k} selects a sensor index >= m={len(sensors)}")
         dims = [sensors[i].output_dim for i in chosen]
         y = np.asarray(measurements[k], dtype=float).reshape(-1)
         if y.shape != (sum(dims),):
@@ -618,13 +596,14 @@ def _newton_step(precision, xi: np.ndarray, curvature: np.ndarray, grad: np.ndar
     """delta solving (P + Xi - C) delta = grad, or (P + Xi) delta = grad
     where P + Xi - C is not positive definite; Xi and C are (K, n, n)
     stacks of diagonal blocks. Raises NotPositiveDefiniteError naming the
-    MAP iteration, and the step where the banded factorization reports it,
-    when P + Xi is not positive definite either."""
+    MAP iteration and the step of the failing pivot, banded or dense, when
+    P + Xi is not positive definite either."""
 
     def solve(blocks):
         if isinstance(precision, BlockTridiagonalMatrix):
             return _band_solve(precision.diag_blocks + blocks, precision.offdiag_blocks, grad)
-        return _potrs(_cholesky(_plus_blockdiag(precision, blocks), overwrite=True), grad)
+        return _potrs(_cholesky(_plus_blockdiag(precision, blocks), overwrite=True,
+                                block_dim=blocks.shape[1]), grad)
 
     # each failure is dropped as its handler ends: one kept past it would
     # hold the frames of its traceback, and their arrays, in a cycle
@@ -635,8 +614,8 @@ def _newton_step(precision, xi: np.ndarray, curvature: np.ndarray, grad: np.ndar
     try:
         return solve(xi)
     except NotPositiveDefiniteError as exc:
-        step = "" if exc.block_index is None else f", step {exc.block_index}"
         raise NotPositiveDefiniteError(
-            f"MAP iteration {iteration}{step}: Gauss-Newton system P + Xi is not positive definite",
+            f"MAP iteration {iteration}, step {exc.block_index}: "
+            "Gauss-Newton system P + Xi is not positive definite",
             exc.pivot, exc.block_index,
         ) from exc

@@ -10,8 +10,9 @@ class NotPositiveDefiniteError(SensorSchedError):
 
     ``pivot`` is the matrix that failed to factor: the Schur pivot of the
     failing block of a block-tridiagonal matrix, whose index is
-    ``block_index``, or a dense matrix. Each is None where it does not apply (``block_index``
-    for dense failures, both when a log-determinant came out non-finite).
+    ``block_index``, or a dense matrix, where ``block_index`` is the block
+    of the failing column if its caller gave the block size. Each is None
+    where it does not apply (both when a log-determinant came out non-finite).
     """
 
     def __init__(self, message: str, pivot=None, block_index: int | None = None):

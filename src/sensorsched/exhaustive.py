@@ -36,21 +36,15 @@ import numpy as np
 
 from .blocklinalg import _cholesky_stack
 from .entropy_oracle import OracleContext, _gathered, conditional_entropy
-from .errors import (
-    DimensionMismatchError,
-    NotPositiveDefiniteError,
-    OracleInconsistencyError,
-    TooLargeError,
-)
+from .errors import NotPositiveDefiniteError, OracleInconsistencyError, TooLargeError
 from .process_models import LOG_TWO_PI_E
-from .sensing import Schedule, _check_budget
+from .sensing import Schedule, _check_budgets
 
 __all__ = [
     "EnumerationResult",
     "BoundCertificate",
     "exhaustive_optimum",
     "certify_bound",
-    "num_candidate_schedules",
 ]
 
 # Gaps below DEGENERATE_GAP mean MAX == OPT: every schedule is equivalent
@@ -102,18 +96,6 @@ def _step_candidates(m: int, s_k: int) -> list[tuple[int, ...]]:
     for size in range(s_k + 1):
         out.extend(itertools.combinations(range(m), size))
     return out
-
-
-def num_candidate_schedules(m: int, budgets: Sequence[int]) -> int:
-    """Number of feasible schedules the enumeration will visit.
-
-    Raises:
-        DimensionMismatchError: a budget is not an integer in [0, m].
-    """
-    total = 1
-    for k, s_k in enumerate(budgets):
-        total *= sum(math.comb(m, j) for j in range(_check_budget(k, s_k, m) + 1))
-    return total
 
 
 def _walk(S: np.ndarray, logdet: np.ndarray, k: int, xi: list[np.ndarray],
@@ -185,10 +167,9 @@ def exhaustive_optimum(
             reference oracle's, or a walk cost exceeds H(x), by more than
             EQUAL_TOL relative.
     """
-    budgets = tuple(_check_budget(k, b, ctx.suite.m) for k, b in enumerate(budgets))
-    if len(budgets) != ctx.K:
-        raise DimensionMismatchError(f"{len(budgets)} budgets for horizon {ctx.K}")
-    total = num_candidate_schedules(ctx.suite.m, budgets)
+    m = ctx.suite.m
+    budgets = _check_budgets(budgets, ctx.K, m)
+    total = math.prod(sum(math.comb(m, j) for j in range(s_k + 1)) for s_k in budgets)
     if total > cap:
         raise TooLargeError(
             f"{total} candidate schedules exceed the cap of {cap}; "

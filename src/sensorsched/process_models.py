@@ -14,12 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocklinalg import (
-    BlockTridiagonalMatrix,
-    _inverse_spd,
-    logdet_block_tridiagonal,
-    logdet_dense,
-)
+from . import blocklinalg
+from .blocklinalg import BlockTridiagonalMatrix, _inverse_spd, logdet_dense
 from .errors import DimensionMismatchError, NotPositiveDefiniteError
 
 __all__ = [
@@ -88,7 +84,9 @@ class GaussianPrior:
                     f"matrix blocks ({self.matrix.block_dim}, {self.matrix.num_blocks}) "
                     f"do not match (n={self.n}, K={self.K})"
                 )
-            logdet = logdet_block_tridiagonal(self.matrix)
+            # looked up at call time, so a wrapper on the kernel sees this call too
+            logdet = blocklinalg.logdet_block_tridiagonal_blocks(
+                self.matrix.diag_blocks, self.matrix.offdiag_blocks)
         else:
             dense = np.asarray(self.matrix, dtype=float)
             if dense.shape != (self.dim, self.dim):
@@ -104,11 +102,6 @@ class GaussianPrior:
     @property
     def dim(self) -> int:
         return self.n * self.K
-
-    @property
-    def covariance_logdet(self) -> float:
-        """log det of the batch covariance, whichever form is stored."""
-        return -self.matrix_logdet if self.form.is_precision else self.matrix_logdet
 
     def assembled(self) -> np.ndarray:
         """Dense array of the stored matrix (not a form conversion)."""
@@ -134,6 +127,16 @@ class GaussianPrior:
             out.setflags(write=False)
             object.__setattr__(self, key, out)
         return out
+
+
+def _precision(prior: GaussianPrior):
+    """The stored precision, or the prior's cached dense one (inverted once)."""
+    return prior.matrix if prior.form.is_precision else prior.precision_dense()
+
+
+def _covariance(prior: GaussianPrior):
+    """The stored covariance, or the prior's cached dense one (inverted once)."""
+    return prior.covariance_dense() if prior.form.is_precision else prior.matrix
 
 
 def build_tracking_prior(
@@ -268,4 +271,5 @@ def prior_entropy(p: GaussianPrior) -> float:
     H = (nK/2) log(2 pi e) + (1/2) log det Sigma; precision forms use the
     negated stored log-determinant instead of inverting.
     """
-    return 0.5 * p.dim * LOG_TWO_PI_E + 0.5 * p.covariance_logdet
+    logdet = -p.matrix_logdet if p.form.is_precision else p.matrix_logdet
+    return 0.5 * p.dim * LOG_TWO_PI_E + 0.5 * logdet

@@ -39,7 +39,8 @@ import numpy as np
 from .blocklinalg import _cholesky, _cholesky_stack, _trtrs
 from .entropy_oracle import OracleContext, conditional_entropy
 from .errors import DimensionMismatchError, InvalidParamsError, OracleInconsistencyError
-from .sensing import Schedule, _check_budget, _is_index
+from .process_models import _covariance
+from .sensing import Schedule, _check_budget, _check_budgets, _check_sets, _is_index
 
 __all__ = [
     "StepTrace",
@@ -156,9 +157,8 @@ class _DowndateGains:
     """
 
     def __init__(self, ctx, sets, k):
-        prior = ctx.prior
         self.ctx, self.k, self.chosen = ctx, 0, []
-        self.S = np.array(prior.covariance_dense() if prior.form.is_precision else prior.matrix)
+        self.S = np.array(_covariance(ctx.prior))
         for chosen in sets[:k]:
             self.chosen = list(chosen)
             self.advance()
@@ -280,9 +280,7 @@ def greedy_step_detailed(
     sets = tuple(
         fixed_prefix.sets[j] if j < k else () for j in range(ctx.K)
     )
-    for j, chosen in enumerate(sets):
-        if chosen and chosen[-1] >= ctx.suite.m:
-            raise DimensionMismatchError(f"step {j} selects a sensor index >= m={ctx.suite.m}")
+    _check_sets(sets, ctx.K, ctx.suite.m)
     trace = _select(_gain_source(ctx, sets, k), k, s_k, lazy)
     return replace(trace, oracle_calls=trace.oracle_calls + int(any(sets)))
 
@@ -306,12 +304,7 @@ def greedy_schedule(
     Returns:
         (schedule, trace) with per-step picks, gains and call counts.
     """
-    budgets = tuple(budgets)
-    if len(budgets) != ctx.K:
-        raise DimensionMismatchError(
-            f"{len(budgets)} budgets for a horizon of {ctx.K}"
-        )
-    budgets = tuple(_check_budget(k, b, ctx.suite.m) for k, b in enumerate(budgets))
+    budgets = _check_budgets(budgets, ctx.K, ctx.suite.m)
 
     source = _gain_source(ctx, [()] * ctx.K, 0)
     steps: list[StepTrace] = []

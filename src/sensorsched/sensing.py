@@ -50,6 +50,23 @@ def _check_budget(k: int, s_k, m: int) -> int:
     return s_k
 
 
+def _check_budgets(budgets, K: int, m: int) -> tuple[int, ...]:
+    """K budgets, each checked by ``_check_budget``."""
+    budgets = tuple(budgets)
+    if len(budgets) != K:
+        raise DimensionMismatchError(f"{len(budgets)} budgets for a horizon of {K}")
+    return tuple(_check_budget(k, s_k, m) for k, s_k in enumerate(budgets))
+
+
+def _check_sets(sets, K: int, m: int) -> None:
+    """A schedule's sorted index sets fit a horizon of K steps and a suite of m sensors."""
+    if len(sets) != K:
+        raise DimensionMismatchError(f"schedule has {len(sets)} steps, prior horizon is {K}")
+    for k, chosen in enumerate(sets):
+        if chosen and chosen[-1] >= m:
+            raise DimensionMismatchError(f"step {k} selects a sensor index >= m={m}")
+
+
 @dataclass(frozen=True, eq=False)
 class Sensor:
     """One nonlinear sensor: measurement map, Jacobian, Gaussian noise.
@@ -226,9 +243,8 @@ class Schedule:
     budgets: tuple[int, ...]
 
     def __post_init__(self):
-        budgets = tuple(_step_integer(k, "budget", s) for k, s in enumerate(self.budgets))
-        if any(s < 0 for s in budgets):
-            raise DimensionMismatchError("budgets must be non-negative")
+        # no suite here, so no upper bound
+        budgets = tuple(_check_budget(k, s, math.inf) for k, s in enumerate(self.budgets))
         sets = []
         for k, raw in enumerate(self.sets):
             indices = [_step_integer(k, "sensor index", i) for i in raw]

@@ -61,7 +61,7 @@ def cross_formula_instances():
         suite = random_suite(rng, n, m)
         budgets = tuple(int(rng.integers(0, m + 1)) for _ in range(K))
         ctx = ss.make_context(prior, suite)
-        count = ss.num_candidate_schedules(m, budgets)
+        count = math.prod(sum(math.comb(m, j) for j in range(s + 1)) for s in budgets)
         if count <= 4096:
             schedules = list(all_schedules(m, budgets))
         else:
@@ -229,7 +229,8 @@ def test_criterion_4_sparse_logdet_correctness():
         K = int(rng.integers(1, 9))
         M, dense = random_spd_block_tridiag(rng, n, K)
         oracle = np.linalg.slogdet(dense)[1]
-        err = abs(ss.logdet_block_tridiagonal(M) - oracle) / max(1.0, abs(oracle))
+        got = ss.logdet_block_tridiagonal_blocks(M.diag_blocks, M.offdiag_blocks)
+        err = abs(got - oracle) / max(1.0, abs(oracle))
         worst = max(worst, err)
         assert err <= 1e-9
     # constructed indefinite matrices must raise
@@ -246,7 +247,7 @@ def test_criterion_4_sparse_logdet_correctness():
     for M in indefinite:
         assert np.linalg.eigvalsh(M.assemble())[0] < 0
         with pytest.raises(ss.NotPositiveDefiniteError):
-            ss.logdet_block_tridiagonal(M)
+            ss.logdet_block_tridiagonal_blocks(M.diag_blocks, M.offdiag_blocks)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     report(4, f"500 SPD instances, worst relative error {worst:.3e}, {elapsed:.1f}s")
@@ -371,6 +372,32 @@ def test_criterion_6_linear_in_k_scaling():
         f"{sparse['ms_200']:.2f} ms, dense {dense['ms_100']:.2f}/{dense['ms_200']:.2f} ms; "
         f"{elapsed:.0f}s",
     )
+
+
+@pytest.mark.parametrize("K", [30, 60])
+def test_receding_map_iterations_per_solve_are_bounded(monkeypatch, tmp_path, K):
+    # beside criterion 6's clocks, a count: every receding MAP solve of the
+    # benchmark's receding workload converges in a few damped Newton
+    # iterations, at either horizon
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench.workloads import receding_config
+    from sensorsched import cli
+
+    solves = []
+    solve = cli.map_linearization
+
+    def counted(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(cli, "map_linearization", counted)
+    config = tmp_path / "receding.json"
+    config.write_text(json.dumps(receding_config(K)))
+    run_scenario(config, tmp_path / "out")
+    iterations = [solve.iterations for solve in solves]
+    assert len(solves) == 2 * K  # greedy and lazy, one solve per step
+    assert all(solve.converged for solve in solves)
+    assert max(iterations) <= 12 and sum(iterations) / len(iterations) <= 6, iterations
 
 
 def test_criterion_7_lazy_greedy(enumerable_instances):

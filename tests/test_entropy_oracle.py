@@ -944,15 +944,13 @@ class TestMapLinearization:
         objective = [neg_log_posterior(x) for x in iterates]
         assert all(b <= a for a, b in zip(objective, objective[1:])), objective
 
-    @pytest.mark.parametrize("kind, named", [
-        ("tracking", "MAP iteration 1: "),
-        ("gauss_markov", "MAP iteration 1, step 0: "),
-    ])
-    def test_system_that_fails_to_factor_names_the_iteration(self, kind, named):
+    @pytest.mark.parametrize("kind", ["tracking", "gauss_markov"])
+    def test_system_that_fails_to_factor_names_the_iteration(self, kind):
         # step 0 starts 1e-9 from the bearing's anchor, off its axes: the
         # whitened Jacobian, about 1e13, swamps the prior in rounding, and
         # neither the Newton nor the Gauss-Newton system factors. The dense
-        # factorization of the tracking prior's precision reports no step.
+        # factorization of the tracking prior's precision fails in a column
+        # of step 0, as the banded one of the Gauss-Markov prior does.
         bearing = ss.builtin_sensor("bearing", anchor=[1.0, 2.0], noise_var=1e-4)
         suite = ss.SensorSuite(2, (ss.builtin_sensor("linear_coordinate", axis=0, noise_var=1.0),
                                    bearing))
@@ -961,11 +959,11 @@ class TestMapLinearization:
         sched = ss.Schedule(sets=((1,), (0,)), budgets=(2, 2))
         offset = 1e-9 * np.array([math.cos(math.pi / 12), math.sin(math.pi / 12)])
         initial = np.concatenate([[1.0, 2.0] + offset, [0.5, 0.5]])
-        with pytest.raises(ss.NotPositiveDefiniteError, match=(
-                f"^{re.escape(named)}Gauss-Newton system P \\+ Xi is not positive definite$")) as exc:
+        named = "^MAP iteration 1, step 0: Gauss-Newton system P \\+ Xi is not positive definite$"
+        with pytest.raises(ss.NotPositiveDefiniteError, match=named) as exc:
             ss.map_linearization(prior, suite, sched, [np.array([1.0]), np.array([0.5])],
                                  initial=initial)
-        assert exc.value.block_index == (None if kind == "tracking" else 0)
+        assert exc.value.block_index == 0
 
     def test_nonlinear_map_reduces_objective(self):
         rng = np.random.default_rng(53)

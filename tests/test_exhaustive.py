@@ -76,7 +76,6 @@ class TestExhaustiveOptimum:
         up_to = ss.exhaustive_optimum(ctx, [2, 1])
         per_step = lambda s: sum(math.comb(4, j) for j in range(s + 1))
         assert up_to.num_enumerated == per_step(2) * per_step(1)
-        assert up_to.num_enumerated == ss.num_candidate_schedules(4, [2, 1])
 
     def test_matches_independent_reimplementation(self):
         prior, suite = random_instance(93, n=1, K=2, m=4, kind="tracking")

@@ -107,7 +107,6 @@ BUDGET_CALLS = {
     "greedy_schedule": lambda ctx, prefix, b: ss.greedy_schedule(ctx, [1, b]),
     "random_schedule": lambda ctx, prefix, b: ss.random_schedule([1, b], m=3, seed=0),
     "exhaustive_optimum": lambda ctx, prefix, b: ss.exhaustive_optimum(ctx, [1, b]),
-    "num_candidate_schedules": lambda ctx, prefix, b: ss.num_candidate_schedules(3, [1, b]),
 }
 
 

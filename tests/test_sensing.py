@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sensorsched as ss
-from conftest import random_sensor
+from conftest import random_instance, random_sensor
 
 KINDS = ("linear_coordinate", "range", "bearing", "quadratic")
 
@@ -414,3 +414,46 @@ class TestSchedule:
         sched = ss.Schedule(sets=((np.int64(2), np.int32(0)),), budgets=(np.int64(2),))
         assert sched.sets == ((0, 2),) and sched.budgets == (2,)
         assert all(type(i) is int for i in sched.sets[0] + sched.budgets)
+
+    def test_negative_budget_names_its_step(self):
+        with pytest.raises(ss.DimensionMismatchError, match="^budget -1 at step 1 is negative$"):
+            ss.Schedule(sets=((), ()), budgets=(1, -1))
+
+
+def _map(ctx, schedule):
+    measurements = [np.zeros(len(chosen)) if chosen else None for chosen in schedule.sets]
+    return ss.map_linearization(ctx.prior, ctx.suite, schedule, measurements)
+
+
+# every entry point that takes a whole schedule, called on a K=2, m=3 context
+SCHEDULE_CALLS = {
+    "precision_form": ss.conditional_entropy_precision_form,
+    "covariance_form": ss.conditional_entropy_covariance_form,
+    "conditional_entropy": ss.conditional_entropy,
+    "posterior_covariance": ss.posterior_covariance,
+    "mutual_information": ss.mutual_information,
+    "map_linearization": _map,
+}
+INDEX_3 = ss.Schedule(sets=((0,), (1, 3)), budgets=(2, 2))
+THREE_STEPS = ss.Schedule.empty([1, 1, 1])
+SHAPE_RULES = (
+    [(f"{name}-index", call, INDEX_3, "step 1 selects a sensor index >= m=3")
+     for name, call in SCHEDULE_CALLS.items()]
+    + [(f"{name}-length", call, THREE_STEPS, "schedule has 3 steps, prior horizon is 2")
+       for name, call in SCHEDULE_CALLS.items()]
+    + [("greedy_step_detailed-index",
+        lambda ctx, prefix: ss.greedy_step_detailed(ctx, prefix, 1, 1),
+        ss.Schedule(sets=((3,), ()), budgets=(1, 1)), "step 0 selects a sensor index >= m=3"),
+       ("greedy_schedule-budgets", ss.greedy_schedule, [1, 1, 1], "3 budgets for a horizon of 2"),
+       ("exhaustive_optimum-budgets", ss.exhaustive_optimum, [1], "1 budgets for a horizon of 2")]
+)
+
+
+@pytest.mark.parametrize("call, argument, message",
+                         [rule[1:] for rule in SHAPE_RULES], ids=[rule[0] for rule in SHAPE_RULES])
+def test_every_entry_point_words_a_misfit_alike(call, argument, message):
+    # a schedule or budget list that does not fit the horizon or the suite
+    # is rejected in the same words wherever it enters
+    prior, suite = random_instance(65, n=2, K=2, m=3, kind="gauss_markov")
+    with pytest.raises(ss.DimensionMismatchError, match=f"^{re.escape(message)}$"):
+        call(ss.make_context(prior, suite), argument)
