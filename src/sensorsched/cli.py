@@ -29,7 +29,7 @@ import numpy as np
 
 from .blocklinalg import _cholesky
 from .entropy_oracle import conditional_entropy, make_context, map_linearization
-from .errors import ConfigError, SensorSchedError
+from .errors import ConfigError, DimensionMismatchError, SensorSchedError
 from .exhaustive import certify_bound, exhaustive_optimum
 from .process_models import (
     GaussianPrior,
@@ -39,7 +39,7 @@ from .process_models import (
     densify,
 )
 from .scheduler import GreedyTrace, StepTrace, greedy_schedule, greedy_step_detailed, random_schedule
-from .sensing import Schedule, SensorSuite, _is_index, builtin_sensor
+from .sensing import Schedule, SensorSuite, _check_budgets, _is_index, builtin_sensor
 
 __all__ = ["Scenario", "load_scenario", "run_scenario", "main"]
 
@@ -260,17 +260,11 @@ def load_scenario(path: str | Path) -> Scenario:
     sensors = tuple(_validate_sensor(s, n, i) for i, s in enumerate(raw_sensors))
 
     raw_budgets = _require(cfg, "budgets", (int, list), "")
-    if _is_index(raw_budgets):
-        budgets = tuple(raw_budgets for _ in range(K))
-    else:
-        if len(raw_budgets) != K:
-            raise ConfigError(f"budgets: expected {K} entries, got {len(raw_budgets)}")
-        budgets = tuple(raw_budgets)
-    for k, b in enumerate(budgets):
-        if not _is_index(b) or b < 0:
-            raise ConfigError(f"budgets[{k}]: must be a non-negative integer, got {b!r}")
-        if b > len(sensors):
-            raise ConfigError(f"budgets[{k}]: {b} exceeds the {len(sensors)} sensors")
+    try:
+        budgets = _check_budgets(raw_budgets if isinstance(raw_budgets, list) else [raw_budgets] * K,
+                                 K, len(sensors))
+    except DimensionMismatchError as exc:
+        raise ConfigError(f"budgets: {exc}") from exc
 
     linearization = _optional(cfg, "linearization", "prior_mean",
                               lambda v: v in _LINEARIZATIONS, f"must be one of {_LINEARIZATIONS}")

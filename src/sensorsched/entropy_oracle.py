@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -77,39 +77,45 @@ class OracleContext:
     Jacobian at every step's linearization point, whitened by its noise
     factor: ``whitened_jacobians[k, i]`` is W = L^-1 J with R = L L^T,
     zero-padded to the largest sensor output dimension d, so sensor i's
-    rows beyond its ``output_dim`` are zero. ``info_increments`` is the
-    (K, m, n, n) stack of their information W^T W = J^T R^-1 J. Both are
-    read-only views of stacks with one more sensor slot, m, that is all
-    zeros: the filler of a step with fewer picks than another.
+    rows beyond its ``output_dim`` are zero. The constructor derives the
+    other two fields: ``prior_entropy`` is H(x) of the prior, and
+    ``info_increments`` is the (K, m, n, n) stack of the information
+    W^T W = J^T R^-1 J, symmetrized. Both stacks are read-only views of
+    stacks with one more sensor slot, m, that is all zeros: the filler of
+    a step with fewer picks than another.
 
     Raises:
-        DimensionMismatchError: a stack does not have its shape; names
-            the field and the expected shape.
+        DimensionMismatchError: ``whitened_jacobians`` does not have its
+            shape; names the field and the expected shape.
     """
 
     prior: GaussianPrior
     suite: SensorSuite
     linearization: np.ndarray
-    prior_entropy: float
     whitened_jacobians: np.ndarray
-    info_increments: np.ndarray
+    prior_entropy: float = field(init=False)
+    info_increments: np.ndarray = field(init=False)
 
     def __post_init__(self):
         K, n, sensors = self.K, self.n, self.suite.sensors
-        d = max((s.output_dim for s in sensors), default=0)
-        for name, padded, shape in (("whitened_jacobians", "_rows", (K, len(sensors), d, n)),
-                                    ("info_increments", "_increments", (K, len(sensors), n, n))):
-            try:
-                stack = np.asarray(getattr(self, name), dtype=float)
-                got = stack.shape
-            except ValueError:
-                got = "a ragged nesting"
-            if got != shape:
-                raise DimensionMismatchError(f"{name}: expected shape {shape}, got {got}")
-            stack = np.concatenate([stack, np.zeros((K, 1) + shape[2:])], axis=1)
+        shape = (K, len(sensors), max((s.output_dim for s in sensors), default=0), n)
+        try:
+            rows = np.asarray(self.whitened_jacobians, dtype=float)
+            got = rows.shape
+        except ValueError:
+            got = "a ragged nesting"
+        if got != shape:
+            raise DimensionMismatchError(f"whitened_jacobians: expected shape {shape}, got {got}")
+        rows = np.concatenate([rows, np.zeros((K, 1) + shape[2:])], axis=1)
+        # zero-padded rows add exact zeros: each product equals the unpadded W^T W
+        increments = np.swapaxes(rows, 2, 3) @ rows
+        increments = 0.5 * (increments + np.swapaxes(increments, 2, 3))
+        for name, padded, stack in (("whitened_jacobians", "_rows", rows),
+                                    ("info_increments", "_increments", increments)):
             stack.setflags(write=False)
             object.__setattr__(self, padded, stack)
             object.__setattr__(self, name, stack[:, :-1])
+        object.__setattr__(self, "prior_entropy", prior_entropy(self.prior))
 
     @property
     def n(self) -> int:
@@ -118,6 +124,27 @@ class OracleContext:
     @property
     def K(self) -> int:
         return self.prior.K
+
+
+def _checked_point(prior: GaussianPrior, suite: SensorSuite, point, name: str) -> np.ndarray:
+    """A fresh float copy of ``point``, a finite length-nK state (the prior
+    mean when None), once ``suite`` is checked to fit ``prior``: its state
+    dimension is n and no sensor overrides its noise at a step >= K."""
+    if suite.state_dim != prior.n:
+        raise DimensionMismatchError(f"suite state_dim {suite.state_dim} != prior n {prior.n}")
+    for i, sensor in enumerate(suite.sensors):
+        for k in sensor.noise_overrides or ():
+            if k >= prior.K:
+                raise DimensionMismatchError(
+                    f"sensor {i} ({sensor.name!r}): noise override at step {k} "
+                    f"is beyond the horizon K={prior.K}"
+                )
+    x = np.array(prior.mean if point is None else point, dtype=float)
+    if x.shape != (prior.dim,):
+        raise DimensionMismatchError(f"{name} has shape {x.shape}, expected ({prior.dim},)")
+    if not np.isfinite(x).all():
+        raise InvalidParamsError(f"{name} is not finite")
+    return x
 
 
 def make_context(
@@ -138,31 +165,17 @@ def make_context(
             prior mean (pure planning mode).
 
     Raises:
-        InvalidParamsError: a sensor cannot be evaluated at a step's state
-            (a built-in one at its anchor), or a Jacobian is not finite;
-            names the step and the sensor.
-        DimensionMismatchError: a sensor overrides its noise at a step
-            beyond the horizon; names the sensor and the step.
+        InvalidParamsError: the linearization is not finite, a sensor
+            cannot be evaluated at a step's state (a built-in one at its
+            anchor), or a Jacobian is not finite; the last two name the
+            step and the sensor.
+        DimensionMismatchError: the suite's state dimension is not the
+            prior's n, the linearization is not of length nK, or a sensor
+            overrides its noise at a step beyond the horizon (names the
+            sensor and the step).
     """
-    if suite.state_dim != prior.n:
-        raise DimensionMismatchError(
-            f"suite state_dim {suite.state_dim} != prior n {prior.n}"
-        )
-    lin = prior.mean if linearization is None else np.asarray(linearization, dtype=float)
-    if lin.shape != (prior.dim,):
-        raise DimensionMismatchError(
-            f"linearization has shape {lin.shape}, expected ({prior.dim},)"
-        )
-    lin = lin.copy()
+    lin = _checked_point(prior, suite, linearization, "linearization")
     lin.setflags(write=False)
-    for i, sensor in enumerate(suite.sensors):
-        for k in sensor.noise_overrides or ():
-            if k >= prior.K:
-                raise DimensionMismatchError(
-                    f"sensor {i} ({sensor.name!r}): noise override at step {k} "
-                    f"is beyond the horizon K={prior.K}"
-                )
-
     K, n, sensors = prior.K, prior.n, suite.sensors
     rows = np.zeros((K, suite.m, max((s.output_dim for s in sensors), default=0), n))
     states = lin.reshape(K, n)
@@ -187,16 +200,7 @@ def make_context(
         raise InvalidParamsError(
             f"step {k}, sensor {i} ({sensors[i].name!r}): Jacobian is not finite"
         )
-    # zero-padded rows add exact zeros: each product equals the unpadded W^T W
-    increments = np.swapaxes(rows, 2, 3) @ rows
-    return OracleContext(
-        prior=prior,
-        suite=suite,
-        linearization=lin,
-        prior_entropy=prior_entropy(prior),
-        whitened_jacobians=rows,
-        info_increments=0.5 * (increments + np.swapaxes(increments, 2, 3)),
-    )
+    return OracleContext(prior=prior, suite=suite, linearization=lin, whitened_jacobians=rows)
 
 
 def _naming_step(evaluate, X: np.ndarray, steps, i: int, sensor):
@@ -409,24 +413,28 @@ def map_linearization(
     without a floor walks the state onto the singular point. For linear
     sensors the first step lands exactly on the Gaussian posterior mean.
 
-    Each sensor's residual and Jacobian are whitened by its noise factor
-    L (R = L L^T), so C^T R^-1 terms are products of whitened rows. An
-    angle's residual y - h that falls outside (-pi, pi] (a bearing read
-    across the cut at +-pi) is shifted by 2 pi; every other residual is
-    the plain difference. Covariance-form priors use the prior's dense
+    Each sensor's residual, Jacobian and second derivatives are whitened
+    by its noise factor L (R = L L^T), so the C^T R^-1 terms and the
+    curvature are products of whitened rows. An angle's residual y - h
+    that falls outside (-pi, pi] (a bearing read across the cut at +-pi)
+    is shifted by 2 pi; every other residual is the plain difference. Covariance-form priors use the prior's dense
     precision, inverted once per prior (the dense fallback is acceptable
     here because the MAP solve happens once per step, not once per
     candidate); that dense system is factored in place.
 
-    An evaluation is batched over the picks. Each pick's whitened [r | J]
-    is one transposed (n + 1) x d slot of a stack, zero-padded to the
-    suite's largest output dimension d as ``make_context`` pads its rows.
-    The picks that share a noise factor (one sensor's) take adjacent
-    slots, and each such group makes one value-and-derivatives call
-    (``Sensor._measure_and_jacobian``) and one in-place triangular solve.
-    One batched product each gives every pick's information and gradient,
-    one reduction sums them and the curvature per step in pick order, and
-    a step's sums go into the diagonal blocks of the prior precision. The
+    An evaluation is batched over the picks. Each pick's whitened
+    L^-1 [r | J | H], the residual, the Jacobian's n columns and the n^2
+    second derivatives of each output (zero for a sensor that gives
+    none), is one transposed (1 + n + n^2) x d slot of a stack,
+    zero-padded to the suite's largest output dimension d as
+    ``make_context`` pads its rows. The picks that share a noise factor
+    (one sensor's) take adjacent slots, and each such group makes one
+    value-and-derivatives call (``Sensor._measure_and_jacobian``) and one
+    in-place triangular solve. Information, gradient and curvature are
+    then products of whitened rows: one batched product gives every
+    pick's information and another its gradient and curvature, once per
+    iteration; one reduction sums each per step in pick order, and a
+    step's sums go into the diagonal blocks of the prior precision. The
     arguments, schedule and measurements are checked before the first
     iteration.
 
@@ -450,7 +458,9 @@ def map_linearization(
         NotPositiveDefiniteError: the Gauss-Newton system P + Xi is not
             positive definite, e.g. at a state nearly on a bearing's
             anchor; names the iteration and the step whose pivot fails.
-        DimensionMismatchError: ``initial``, the schedule or the
+        DimensionMismatchError: the suite does not fit the prior (its
+            state dimension is not n, or a sensor overrides its noise at a
+            step beyond the horizon), or ``initial``, the schedule or the
             measurements do not fit the prior, the suite or each other,
             e.g. a step with picks and no measurement, or a measurement at
             a step with no picks.
@@ -459,14 +469,7 @@ def map_linearization(
         raise InvalidParamsError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if not isinstance(tol, numbers.Real) or isinstance(tol, bool) or not 0 <= tol < math.inf:
         raise InvalidParamsError(f"tol must be a finite number >= 0, got {tol!r}")
-    if initial is not None:
-        initial = np.asarray(initial, dtype=float)
-        if initial.shape != (prior.dim,):
-            raise DimensionMismatchError(
-                f"initial has shape {initial.shape}, expected ({prior.dim},)"
-            )
-        if not np.isfinite(initial).all():
-            raise InvalidParamsError("initial is not finite")
+    x = _checked_point(prior, suite, initial, "initial")
     if past_schedule is None or measurements is None:
         return MapEstimate(estimate=np.array(prior.mean), converged=True, iterations=0)
     _check_sets(past_schedule.sets, prior.K, suite.m)
@@ -477,7 +480,9 @@ def map_linearization(
 
     n, K, sensors = prior.n, prior.K, suite.sensors
     sets = past_schedule.sets
-    picks: list[tuple[int, int, np.ndarray]] = []  # (step, sensor, measured values)
+    # one group per noise factor, in order of first use: its sensor's
+    # index, the factor, and each pick as (step, place in the step, values)
+    groups: dict[int, tuple[int, np.ndarray, list]] = {}
     for k, chosen in enumerate(sets):
         if not chosen:
             if measurements[k] is not None:
@@ -491,86 +496,76 @@ def map_linearization(
             raise DimensionMismatchError(
                 f"step {k} measurement has shape {y.shape}, expected ({sum(dims)},)"
             )
-        ends = np.cumsum(dims)
-        picks.extend((k, i, y[end - d:end]) for i, d, end in zip(chosen, dims, ends))
-    if not picks:
+        for j, (i, e, end) in enumerate(zip(chosen, dims, np.cumsum(dims))):
+            L = sensors[i].noise_factor_at(k)
+            groups.setdefault(id(L), (i, L, []))[2].append((k, j, y[end - e:end]))
+    if not groups:
         return MapEstimate(estimate=np.array(prior.mean), converged=True, iterations=0)
 
-    # rows[p] is slot p's [r | J], transposed, inverses[p] its group's L^-1
-    # and second[p] its second derivatives, an n x n block per output
-    # (zero for a sensor that gives none); the last slot of each stays
-    # zero, the filler of a step with fewer picks. A group's factor is
-    # padded to d x d with a unit diagonal, which keeps the padding zero.
+    # a group's picks take adjacent slots of the stack; the stack's last
+    # slot stays zero, the filler of a step with fewer picks. A group's
+    # factor is padded to d x d with a unit diagonal, which keeps the
+    # padding zero. slots[j, k]: the slot of step k's j-th pick, or the
+    # zero slot
     d = max(s.output_dim for s in sensors)
-    groups: dict[int, list[int]] = {}
-    for p, (k, i, _) in enumerate(picks):
-        groups.setdefault(id(sensors[i].noise_factor_at(k)), []).append(p)
-    order = [p for members in groups.values() for p in members]
-    position = np.argsort(order)
-    gather = np.array([picks[p][0] for p in order])
+    num_picks = sum(len(picks) for _, _, picks in groups.values())
+    stack = np.zeros((num_picks + 1, 1 + n + n * n, d))
+    slots = np.full((max(map(len, sets)), K), num_picks)
     # (sensor index, its value-and-derivatives call, padded factor, its
-    # slots, its picks' values)
+    # slots, its picks' steps and values)
     factors = []
-    inverses = np.zeros((len(picks) + 1, d, d))
-    c0 = 0
-    for members in groups.values():
-        k, i, _ = picks[members[0]]
-        L = np.eye(d)
-        L[:sensors[i].output_dim, :sensors[i].output_dim] = sensors[i].noise_factor_at(k)
-        group = slice(c0, c0 + len(members))
-        inverses[group] = _trtrs(L, np.eye(d))
+    start = 0
+    for i, L, picks in groups.values():
+        group = slice(start, start + len(picks))
+        start = group.stop
+        steps, places, values = zip(*picks)
+        slots[places, steps] = range(group.start, group.stop)
+        padded = np.eye(d)
+        padded[:len(L), :len(L)] = L
         factors.append((i, functools.partial(sensors[i]._measure_and_jacobian, second=True),
-                        L, group, np.array([picks[p][2] for p in members])))
-        c0 = group.stop
-    rows = np.zeros((len(picks) + 1, n + 1, d))
-    second = np.zeros((len(picks) + 1, d, n * n))
-    # slots[j, k]: the slot of step k's j-th pick, or the zero slot
-    slots = np.full((max(map(len, sets)), K), len(picks))
-    slots[[j for chosen in sets for j in range(len(chosen))], [k for k, _, _ in picks]] = position
+                        padded, group, np.array(steps), np.array(values)))
 
     mu = np.array(prior.mean)
     precision = _precision(prior)
     banded = isinstance(precision, BlockTridiagonalMatrix)
 
-    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """Fill ``rows`` and ``second`` at x; return f(x), P (x - mu) and
-        each slot's part of C."""
-        states = x.reshape(K, n)[gather]
-        # column 0 of a slot becomes L^-1 (y - h), the rest L^-1 J
-        for i, derivatives, L, group, y in factors:
+    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
+        """Fill the stack at x; return f(x) and P (x - mu)."""
+        states = x.reshape(K, n)
+        for i, derivatives, L, group, steps, y in factors:
             sensor = sensors[i]
-            h, J, H = _naming_step(derivatives, states[group], gather[group], i, sensor)
+            h, J, H = _naming_step(derivatives, states[steps], steps, i, sensor)
             e = sensor.output_dim
-            sensor._residual(y, h, out=rows[group, 0, :e])
-            rows[group, 1:, :e] = J.swapaxes(1, 2)
-            _trtrs(L, rows[group].reshape(-1, d).T, overwrite=True)
+            sensor._residual(y, h, out=stack[group, 0, :e])
+            stack[group, 1:n + 1, :e] = J.swapaxes(1, 2)
             if H is not None:
-                second[group, :e] = H.reshape(len(H), e, n * n)
-        # w^T second with w^T = (R^-1 r)^T = (L^-1 r)^T L^-1, for every slot
-        curvature = ((rows[:, None, 0] @ inverses) @ second).reshape(-1, n, n)
-        if not (np.isfinite(rows).all() and np.isfinite(curvature).all()):
-            k, i, _ = next(pick for pick, slot in zip(picks, position)
-                           if not (np.isfinite(rows[slot]).all()
-                                   and np.isfinite(curvature[slot]).all()))
+                stack[group, n + 1:, :e] = H.reshape(len(H), e, n * n).swapaxes(1, 2)
+            _trtrs(L, stack[group].reshape(-1, d).T, overwrite=True)
+        if not np.isfinite(stack).all():
+            # the first pick with a non-finite entry, by step, then by place in the step
+            k, j = np.argwhere(~np.isfinite(stack).all(axis=(1, 2))[slots].T)[0]
+            i = sets[k][j]
             raise InvalidParamsError(f"step {k}, sensor {i} ({sensors[i].name!r}): "
                                      "non-finite residual, Jacobian or second derivative")
         dev = x - mu
         prior_term = precision.matvec(dev) if banded else precision @ dev
-        residuals = rows[:, 0]
-        return 0.5 * (dev @ prior_term + np.vdot(residuals, residuals)), prior_term, curvature
+        residuals = stack[:, 0]
+        return 0.5 * (dev @ prior_term + np.vdot(residuals, residuals)), prior_term
 
-    x = mu.copy() if initial is None else initial.copy()
-    f, prior_term, curvature = evaluate(x)
+    f, prior_term = evaluate(x)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        infos = rows[:, 1:] @ rows[:, 1:].swapaxes(1, 2)
-        grads = rows[:, 1:] @ rows[:, :1].swapaxes(1, 2)
+        rows = stack[:, 1:n + 1]
+        infos = rows @ rows.swapaxes(1, 2)
+        # each slot's J^T r (its gradient) over its sum_o r_o H_o (its curvature)
+        products = stack[:, 1:] @ stack[:, :1].swapaxes(1, 2)
         # each step's picks summed in pick order, one step per column of slots
         xi = infos[slots].sum(axis=0)
         xi = 0.5 * (xi + xi.transpose(0, 2, 1))
-        grad = grads[slots].sum(axis=0).reshape(-1) - prior_term
-        delta = _newton_step(precision, xi, curvature[slots].sum(axis=0), grad, iterations)
+        grad = products[slots, :n].sum(axis=0).reshape(-1) - prior_term
+        curvature = products[slots, n:].sum(axis=0).reshape(K, n, n)
+        delta = _newton_step(precision, xi, curvature, grad, iterations)
         if np.abs(delta).max() <= tol:
             x = x + delta
             converged = True
@@ -580,13 +575,13 @@ def map_linearization(
         t = 1.0
         while True:
             trial = x + t * delta
-            f_trial, trial_term, trial_curvature = evaluate(trial)
+            f_trial, trial_term = evaluate(trial)
             if f_trial <= f - _ARMIJO_C * t * slope:
                 break
             t *= 0.5
             if t < _MIN_STEP:
                 return MapEstimate(estimate=x, converged=False, iterations=iterations)
-        x, f, prior_term, curvature = trial, f_trial, trial_term, trial_curvature
+        x, f, prior_term = trial, f_trial, trial_term
 
     return MapEstimate(estimate=x, converged=converged, iterations=iterations)
 

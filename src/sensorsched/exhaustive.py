@@ -184,7 +184,8 @@ def exhaustive_optimum(
     best = int(np.argmin(costs))
     at = np.unravel_index(best, [len(c) for c in per_step])
     opt_sets = tuple(c[i] for c, i in zip(per_step, at))
-    opt_cost = conditional_entropy(ctx, Schedule._unchecked(opt_sets, budgets))
+    opt_schedule = Schedule(sets=opt_sets, budgets=budgets)
+    opt_cost = conditional_entropy(ctx, opt_schedule)
     if abs(costs[best] - opt_cost) > EQUAL_TOL * max(1.0, abs(opt_cost)):
         raise OracleInconsistencyError(
             f"schedule {opt_sets}: enumeration cost {costs[best]!r} differs "
@@ -193,7 +194,7 @@ def exhaustive_optimum(
     return EnumerationResult(
         opt_cost=opt_cost,
         max_cost=max_cost,
-        opt_schedule=Schedule(sets=opt_sets, budgets=budgets),
+        opt_schedule=opt_schedule,
         num_enumerated=total,
     )
 

@@ -271,8 +271,8 @@ class Schedule:
 
     @classmethod
     def _unchecked(cls, sets, budgets) -> "Schedule":
-        # internal fast path for callers that construct already-valid,
-        # sorted index tuples in bulk (greedy scans, enumeration)
+        # internal fast path for scheduler._OracleGains, which builds an
+        # already-valid schedule of sorted index tuples for every gain
         obj = object.__new__(cls)
         object.__setattr__(obj, "sets", sets)
         object.__setattr__(obj, "budgets", budgets)

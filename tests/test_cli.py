@@ -79,7 +79,8 @@ class TestConfigValidation:
 
     def test_bad_budget_is_diagnosed(self, tmp_path):
         write_config(tmp_path / "c.json", budgets=[1, 7])
-        with pytest.raises(ss.ConfigError, match=r"budgets\[1\]"):
+        with pytest.raises(ss.ConfigError,
+                           match=r"^budgets: budget 7 at step 1 exceeds the 2 sensors$"):
             load_scenario(tmp_path / "c.json")
 
     def test_bad_sensor_field_is_diagnosed(self, tmp_path):
@@ -167,7 +168,8 @@ MALFORMED = {
         r"sensors\[0\]\.noise_var",
     ),
     "budgets-true": (lambda cfg: cfg.update(budgets=True), r"budgets"),
-    "budgets-entry-true": (lambda cfg: cfg.update(budgets=[True, 1]), r"budgets\[0\]"),
+    "budgets-entry-true": (lambda cfg: cfg.update(budgets=[True, 1]),
+                           r"budgets: step 0 has budget True, not an integer"),
     "seed-true": (lambda cfg: cfg.update(seed=True), r"seed"),
     "seed-negative": (lambda cfg: cfg.update(seed=-1),
                       r"seed: must be a non-negative integer, got -1"),

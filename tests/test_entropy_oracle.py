@@ -382,9 +382,12 @@ def test_planted_non_spd_increment_names_its_step(seed, n, K, data):
     sets[k] = (i,)
     # the pivot at step k is at most P_kk plus the planted increment
     bad = -(np.linalg.eigvalsh(prior.matrix.diag_blocks[k])[-1] + 1.0) * np.eye(n)
-    increments = ctx.info_increments.copy()
+    # the increments are derived from the whitened Jacobians, so the plant
+    # goes into the padded stack that every evaluation gathers from
+    increments = ctx._increments.copy()
     increments[k, i] = bad
-    planted = dataclasses.replace(ctx, info_increments=increments)
+    planted = dataclasses.replace(ctx)
+    object.__setattr__(planted, "_increments", increments)
     schedule = ss.Schedule(sets=tuple(sets), budgets=(3,) * K)
     assert np.isfinite(ss.conditional_entropy(ctx, schedule))
     with pytest.raises(ss.NotPositiveDefiniteError) as info:
@@ -519,14 +522,24 @@ class TestContextCaches:
         assert np.array_equal(same.whitened_jacobians, W)
         assert np.array_equal(same.info_increments, ctx.info_increments)
 
+    def test_constructor_takes_only_what_it_cannot_derive(self):
+        # H(x) and W^T W follow from the prior and W, so a caller cannot
+        # give ones that disagree with them
+        ctx = self._two_output_context()
+        assert [f.name for f in dataclasses.fields(ss.OracleContext) if f.init] == [
+            "prior", "suite", "linearization", "whitened_jacobians"]
+        with pytest.raises(TypeError):
+            ss.OracleContext(ctx.prior, ctx.suite, ctx.linearization, ctx.whitened_jacobians,
+                             ctx.prior_entropy)
+        built = ss.OracleContext(ctx.prior, ctx.suite, ctx.linearization, ctx.whitened_jacobians)
+        assert built.prior_entropy == ss.prior_entropy(ctx.prior)
+        assert np.array_equal(built.info_increments, ctx.info_increments)
+
     @pytest.mark.parametrize("field, edit, got", [
-        ("info_increments", lambda a: a[:-1], r"\(2, 2, 2, 2\)"),
-        ("info_increments", lambda a: a[:, :1], r"\(3, 1, 2, 2\)"),
         ("whitened_jacobians", lambda a: a[:2], r"\(2, 2, 2, 2\)"),
         ("whitened_jacobians", lambda a: a[:, :, :1], r"\(3, 2, 1, 2\)"),
         ("whitened_jacobians", lambda a: [[W[:1], W] for W in a[:, 1]], "a ragged nesting"),
-    ], ids=["increments-short-K", "increments-short-m", "rows-short-K", "rows-unpadded",
-            "rows-ragged"])
+    ], ids=["rows-short-K", "rows-unpadded", "rows-ragged"])
     def test_misshaped_field_raises_naming_it_and_its_shape(self, field, edit, got):
         ctx = self._two_output_context()
         with pytest.raises(ss.DimensionMismatchError,

@@ -112,9 +112,10 @@ class TestExhaustiveOptimum:
     def test_planted_non_spd_candidate_pivot_reports_its_step(self, kind):
         prior, suite = random_instance(102, n=2, K=3, m=3, kind=kind)
         ctx = ss.make_context(prior, suite)
-        increments = ctx.info_increments.copy()
+        increments = ctx._increments.copy()
         increments[1, 2] = -1e3 * np.eye(2)
-        planted = dataclasses.replace(ctx, info_increments=increments)
+        planted = dataclasses.replace(ctx)
+        object.__setattr__(planted, "_increments", increments)
         with pytest.raises(ss.NotPositiveDefiniteError) as err:
             ss.exhaustive_optimum(planted, [1, 1, 1])
         assert err.value.block_index == 1

@@ -457,3 +457,42 @@ def test_every_entry_point_words_a_misfit_alike(call, argument, message):
     prior, suite = random_instance(65, n=2, K=2, m=3, kind="gauss_markov")
     with pytest.raises(ss.DimensionMismatchError, match=f"^{re.escape(message)}$"):
         call(ss.make_context(prior, suite), argument)
+
+
+# a misfit of the suite to the prior, or of the point a linearization is
+# taken at: (suite of one sensor, point) from the sensor, the error, and its
+# words with {name} for the entry point's name of the point
+_LC = ss.builtin_sensor("linear_coordinate", axis=0, noise_var=1.0, name="lc")
+POINT_RULES = {
+    "suite-state_dim": (lambda: (ss.SensorSuite(3, (_LC,)), None),
+                        ss.DimensionMismatchError, "suite state_dim 3 != prior n 2"),
+    "override-at-K": (lambda: (ss.SensorSuite(2, (ss.Sensor(1, _LC.measure, _LC.jacobian, 1.0,
+                                                            name="lc",
+                                                            noise_overrides={2: [[9.0]]}),)),
+                               None),
+                      ss.DimensionMismatchError,
+                      "sensor 0 ('lc'): noise override at step 2 is beyond the horizon K=2"),
+    "point-shape": (lambda: (ss.SensorSuite(2, (_LC,)), np.zeros(3)),
+                    ss.DimensionMismatchError, "{name} has shape (3,), expected (4,)"),
+    "point-not-finite": (lambda: (ss.SensorSuite(2, (_LC,)), np.array([0.0, np.nan, 0.0, 0.0])),
+                         ss.InvalidParamsError, "{name} is not finite"),
+}
+
+
+@pytest.mark.parametrize("entry", ["make_context", "map_linearization"])
+@pytest.mark.parametrize("case", list(POINT_RULES))
+def test_make_context_and_the_map_word_a_misfit_alike(case, entry):
+    # both linearize the suite at a point of the prior, and both reject a
+    # misfit before any sensor is evaluated, in the same words
+    build, error, message = POINT_RULES[case]
+    suite, point = build()
+    prior = ss.build_tracking_prior(2, 2, marginal_var=1.0, neighbor_corr=0.4)
+    if entry == "make_context":
+        call, name = lambda: ss.make_context(prior, suite, point), "linearization"
+    else:
+        # a real solve: one reading at step 0
+        schedule = ss.Schedule(sets=((0,), ()), budgets=(1, 1))
+        call, name = lambda: ss.map_linearization(prior, suite, schedule, [np.zeros(1), None],
+                                                  initial=point), "initial"
+    with pytest.raises(error, match=f"^{re.escape(message.format(name=name))}$"):
+        call()
