@@ -150,25 +150,14 @@ def _lapack_error(routine: str, info: int) -> RuntimeError:
     return RuntimeError(f"LAPACK {routine} returned info={info}")
 
 
-def _cholesky(A: np.ndarray, what: str = "matrix", *, overwrite: bool = False,
+def _cholesky(A: np.ndarray, what: str = "matrix", *,
               block_dim: int | None = None) -> np.ndarray:
     """Lower Cholesky factor of a dense SPD matrix: the one dense factorization.
 
-    With ``overwrite``, A must be a fresh, exactly symmetric, C-ordered
-    array that the caller gives up: LAPACK factors its transpose, the same
-    matrix in Fortran order, in place, and only the lower triangle of the
-    result is the factor. With ``block_dim``, a failure reports the block
-    of the failing column as its ``block_index``.
+    Only the lower triangle of A is read. With ``block_dim``, a failure
+    reports the block of the failing column as its ``block_index``.
     """
-    if not overwrite:
-        L, info = dpotrf(A, lower=1)
-    else:
-        diagonal = A.diagonal().copy()
-        L, info = dpotrf(A.T, lower=1, overwrite_a=1, clean=0)
-        if info > 0:  # the factor overwrote the upper triangle and diagonal
-            A = np.tril(A, -1)
-            A += A.T
-            A[np.diag_indices_from(A)] = diagonal
+    L, info = dpotrf(A, lower=1)
     if info > 0:
         block = None if block_dim is None else (info - 1) // block_dim
         raise NotPositiveDefiniteError(f"{what} is not positive definite", A, block)
@@ -241,11 +230,11 @@ def _logdet_of(factor_diagonal: np.ndarray, what: str) -> float:
     return logdet
 
 
-def _logdet_dense(A: np.ndarray, overwrite: bool = False) -> float:
-    """``logdet_dense`` of a square float array; ``overwrite`` as in ``_cholesky``."""
+def _logdet_dense(A: np.ndarray) -> float:
+    """``logdet_dense`` of a square float array."""
     if A.shape[0] == 0:
         return 0.0
-    return _logdet_of(_cholesky(A, overwrite=overwrite).diagonal(), "dense")
+    return _logdet_of(_cholesky(A).diagonal(), "dense")
 
 
 def logdet_dense(M: np.ndarray) -> float:

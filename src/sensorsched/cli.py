@@ -30,7 +30,7 @@ import numpy as np
 from .blocklinalg import _cholesky
 from .entropy_oracle import conditional_entropy, make_context, map_linearization
 from .errors import ConfigError, DimensionMismatchError, SensorSchedError
-from .exhaustive import certify_bound, exhaustive_optimum
+from .exhaustive import _is_cap, certify_bound, exhaustive_optimum
 from .process_models import (
     GaussianPrior,
     build_dense_prior,
@@ -281,8 +281,7 @@ def load_scenario(path: str | Path) -> Scenario:
         if s in schedulers[:j]:
             raise ConfigError(f"schedulers: {s!r} is named more than once")
 
-    cap = _optional(cfg, "exhaustive_cap", 10**6, lambda v: _is_index(v) and v >= 1,
-                    "must be a positive integer")
+    cap = _optional(cfg, "exhaustive_cap", 10**6, _is_cap, "must be a positive integer")
 
     return Scenario(
         name=name,
@@ -403,6 +402,10 @@ def run_scenario(
 
     Returns a mapping of output names to their paths: results, trace,
     timings, manifest.
+
+    Raises:
+        ConfigError: the config is invalid, or pairs "receding" linearization
+            with the "exhaustive" scheduler (``force_schedulers`` included).
     """
     scenario = load_scenario(config_path)
     if force_schedulers is not None:
@@ -410,6 +413,9 @@ def run_scenario(
             dict.fromkeys(tuple(force_schedulers) + scenario.schedulers)
         )
         scenario = dataclasses.replace(scenario, schedulers=schedulers)
+    if scenario.linearization == "receding" and "exhaustive" in scenario.schedulers:
+        # OPT is scored under the prior-mean context, a receding row under its own
+        raise ConfigError("schedulers: 'exhaustive' cannot certify linearization 'receding'")
     out_dir = Path(output_dir) if output_dir is not None else Path(config_path).parent
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -71,42 +71,67 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class OracleContext:
-    """Immutable evaluation context: prior, suite, linearization, caches.
+    """Immutable evaluation context: every sensor linearized at every step.
 
+    Built from a prior, a suite and ``linearization``, the length-nK point
+    of the Jacobians (the prior mean when None: pure planning mode), kept
+    as a read-only copy; the constructor derives every other field.
     ``whitened_jacobians`` is the (K, m, d, n) stack of every sensor's
-    Jacobian at every step's linearization point, whitened by its noise
-    factor: ``whitened_jacobians[k, i]`` is W = L^-1 J with R = L L^T,
+    Jacobian at every step's state, whitened by its noise factor:
+    ``whitened_jacobians[k, i]`` is W = L^-1 J with R = L L^T,
     zero-padded to the largest sensor output dimension d, so sensor i's
-    rows beyond its ``output_dim`` are zero. The constructor derives the
-    other two fields: ``prior_entropy`` is H(x) of the prior, and
-    ``info_increments`` is the (K, m, n, n) stack of the information
-    W^T W = J^T R^-1 J, symmetrized. Both stacks are read-only views of
-    stacks with one more sensor slot, m, that is all zeros: the filler of
-    a step with fewer picks than another.
+    rows beyond its ``output_dim`` are zero. ``info_increments`` is the
+    (K, m, n, n) stack of the information W^T W = J^T R^-1 J,
+    symmetrized, and ``prior_entropy`` is H(x) of the prior. Both stacks
+    are read-only views of stacks with one more sensor slot, m, that is
+    all zeros: the filler of a step with fewer picks than another.
 
     Raises:
-        DimensionMismatchError: ``whitened_jacobians`` does not have its
-            shape; names the field and the expected shape.
+        InvalidParamsError: the linearization is not finite, a sensor
+            cannot be evaluated at a step's state (a built-in one at its
+            anchor), or a Jacobian is not finite; the last two name the
+            step and the sensor.
+        DimensionMismatchError: the suite's state dimension is not the
+            prior's n, the linearization is not of length nK, or a sensor
+            overrides its noise at a step beyond the horizon (names the
+            sensor and the step).
     """
 
     prior: GaussianPrior
     suite: SensorSuite
-    linearization: np.ndarray
-    whitened_jacobians: np.ndarray
+    linearization: np.ndarray | None = None
+    whitened_jacobians: np.ndarray = field(init=False)
     prior_entropy: float = field(init=False)
     info_increments: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        lin = _checked_point(self.prior, self.suite, self.linearization, "linearization")
+        lin.setflags(write=False)
+        object.__setattr__(self, "linearization", lin)
         K, n, sensors = self.K, self.n, self.suite.sensors
-        shape = (K, len(sensors), max((s.output_dim for s in sensors), default=0), n)
-        try:
-            rows = np.asarray(self.whitened_jacobians, dtype=float)
-            got = rows.shape
-        except ValueError:
-            got = "a ragged nesting"
-        if got != shape:
-            raise DimensionMismatchError(f"whitened_jacobians: expected shape {shape}, got {got}")
-        rows = np.concatenate([rows, np.zeros((K, 1) + shape[2:])], axis=1)
+        rows = np.zeros((K, len(sensors) + 1, max((s.output_dim for s in sensors), default=0), n))
+        states = lin.reshape(K, n)
+        for i, sensor in enumerate(sensors):
+            # one Jacobian call over all K states, then one solve per noise
+            # factor over the side-by-side columns of the steps that share it.
+            # LAPACK solves a single column by another kernel, which divides
+            # where the many-column one multiplies by a reciprocal, so with
+            # n = 1 each step keeps a solve of its own, and its bits.
+            J = _naming_step(sensor.jacobian_at, states, range(K), i, sensor)
+            d = sensor.output_dim
+            # the steps that no override replaces share the sensor's own factor
+            overrides = sensor.noise_overrides or {}
+            shared = ([[k for k in range(K) if k not in overrides]] + [[k] for k in overrides]
+                      if n > 1 else [[k] for k in range(K)])
+            for ks in filter(None, shared):
+                B = _trtrs(sensor.noise_factor_at(ks[0]), J[ks].transpose(1, 0, 2).reshape(d, -1))
+                rows[ks, i, :d] = B.reshape(d, len(ks), n).transpose(1, 0, 2)
+        finite = np.isfinite(rows).all(axis=(2, 3))
+        if not finite.all():
+            k, i = np.argwhere(~finite)[0]
+            raise InvalidParamsError(
+                f"step {k}, sensor {i} ({sensors[i].name!r}): Jacobian is not finite"
+            )
         # zero-padded rows add exact zeros: each product equals the unpadded W^T W
         increments = np.swapaxes(rows, 2, 3) @ rows
         increments = 0.5 * (increments + np.swapaxes(increments, 2, 3))
@@ -152,55 +177,9 @@ def make_context(
     suite: SensorSuite,
     linearization: np.ndarray | None = None,
 ) -> OracleContext:
-    """Build an OracleContext, linearizing every sensor at every step.
-
-    Each sensor's Jacobians at all K states come from one ``jacobian_at``
-    call on the (K, n) stack of states, and are whitened by one triangular
-    solve per distinct noise factor.
-
-    Args:
-        prior: batch-state Gaussian prior.
-        suite: available sensors; ``suite.state_dim`` must equal prior.n.
-        linearization: length-nK point for the Jacobians; defaults to the
-            prior mean (pure planning mode).
-
-    Raises:
-        InvalidParamsError: the linearization is not finite, a sensor
-            cannot be evaluated at a step's state (a built-in one at its
-            anchor), or a Jacobian is not finite; the last two name the
-            step and the sensor.
-        DimensionMismatchError: the suite's state dimension is not the
-            prior's n, the linearization is not of length nK, or a sensor
-            overrides its noise at a step beyond the horizon (names the
-            sensor and the step).
-    """
-    lin = _checked_point(prior, suite, linearization, "linearization")
-    lin.setflags(write=False)
-    K, n, sensors = prior.K, prior.n, suite.sensors
-    rows = np.zeros((K, suite.m, max((s.output_dim for s in sensors), default=0), n))
-    states = lin.reshape(K, n)
-    for i, sensor in enumerate(sensors):
-        # one Jacobian call over all K states, then one solve per noise
-        # factor over the side-by-side columns of the steps that share it.
-        # LAPACK solves a single column by another kernel, which divides
-        # where the many-column one multiplies by a reciprocal, so with
-        # n = 1 each step keeps a solve of its own, and its bits.
-        J = _naming_step(sensor.jacobian_at, states, range(K), i, sensor)
-        d = sensor.output_dim
-        # the steps that no override replaces share the sensor's own factor
-        overrides = sensor.noise_overrides or {}
-        shared = ([[k for k in range(K) if k not in overrides]] + [[k] for k in overrides]
-                  if n > 1 else [[k] for k in range(K)])
-        for ks in filter(None, shared):
-            B = _trtrs(sensor.noise_factor_at(ks[0]), J[ks].transpose(1, 0, 2).reshape(d, -1))
-            rows[ks, i, :d] = B.reshape(d, len(ks), n).transpose(1, 0, 2)
-    finite = np.isfinite(rows).all(axis=(2, 3))
-    if not finite.all():
-        k, i = np.argwhere(~finite)[0]
-        raise InvalidParamsError(
-            f"step {k}, sensor {i} ({sensors[i].name!r}): Jacobian is not finite"
-        )
-    return OracleContext(prior=prior, suite=suite, linearization=lin, whitened_jacobians=rows)
+    """``OracleContext(prior, suite, linearization)``: linearize every
+    sensor at every step, at ``linearization`` or the prior mean."""
+    return OracleContext(prior, suite, linearization)
 
 
 def _naming_step(evaluate, X: np.ndarray, steps, i: int, sensor):
@@ -260,7 +239,7 @@ def conditional_entropy_precision_form(ctx: OracleContext, schedule: Schedule) -
     if isinstance(P, BlockTridiagonalMatrix):
         logdet = logdet_block_tridiagonal_blocks(P.diag_blocks + xi, P.offdiag_blocks)
     else:
-        logdet = _logdet_dense(_plus_blockdiag(P, xi), overwrite=True)
+        logdet = _logdet_dense(_plus_blockdiag(P, xi))
     return 0.5 * ctx.prior.dim * LOG_TWO_PI_E - 0.5 * logdet
 
 
@@ -311,7 +290,7 @@ def conditional_entropy_covariance_form(ctx: OracleContext, schedule: Schedule) 
         Sy = WS.reshape(len(WS), K, ctx.n).swapaxes(0, 1) @ np.swapaxes(W, 1, 2)
         Sy = Sy.swapaxes(0, 1).reshape(len(WS), real.size)[:, real]
         Sy[np.diag_indices_from(Sy)] += 1.0
-        logdet = _logdet_dense(0.5 * (Sy + Sy.T), overwrite=True)
+        logdet = _logdet_dense(0.5 * (Sy + Sy.T))
     return ctx.prior_entropy - 0.5 * logdet
 
 
@@ -417,10 +396,10 @@ def map_linearization(
     by its noise factor L (R = L L^T), so the C^T R^-1 terms and the
     curvature are products of whitened rows. An angle's residual y - h
     that falls outside (-pi, pi] (a bearing read across the cut at +-pi)
-    is shifted by 2 pi; every other residual is the plain difference. Covariance-form priors use the prior's dense
-    precision, inverted once per prior (the dense fallback is acceptable
-    here because the MAP solve happens once per step, not once per
-    candidate); that dense system is factored in place.
+    is shifted by 2 pi; every other residual is the plain difference.
+    Covariance-form priors use the prior's dense precision, inverted once
+    per prior (the dense fallback is acceptable here because the MAP
+    solve happens once per step, not once per candidate).
 
     An evaluation is batched over the picks. Each pick's whitened
     L^-1 [r | J | H], the residual, the Jacobian's n columns and the n^2
@@ -597,8 +576,8 @@ def _newton_step(precision, xi: np.ndarray, curvature: np.ndarray, grad: np.ndar
     def solve(blocks):
         if isinstance(precision, BlockTridiagonalMatrix):
             return _band_solve(precision.diag_blocks + blocks, precision.offdiag_blocks, grad)
-        return _potrs(_cholesky(_plus_blockdiag(precision, blocks), overwrite=True,
-                                block_dim=blocks.shape[1]), grad)
+        return _potrs(_cholesky(_plus_blockdiag(precision, blocks), block_dim=blocks.shape[1]),
+                      grad)
 
     # each failure is dropped as its handler ends: one kept past it would
     # hold the frames of its traceback, and their arrays, in a cycle

@@ -26,7 +26,7 @@ class DimensionMismatchError(SensorSchedError):
 
 
 class InvalidParamsError(SensorSchedError):
-    """Bad sensor parameters, or a sensor evaluated at a singular point."""
+    """Bad or non-finite parameters, or a sensor evaluated at a singular point."""
 
 
 class TooLargeError(SensorSchedError):

@@ -36,9 +36,10 @@ import numpy as np
 
 from .blocklinalg import _cholesky_stack
 from .entropy_oracle import OracleContext, _gathered, conditional_entropy
-from .errors import NotPositiveDefiniteError, OracleInconsistencyError, TooLargeError
+from .errors import (InvalidParamsError, NotPositiveDefiniteError, OracleInconsistencyError,
+                     TooLargeError)
 from .process_models import LOG_TWO_PI_E
-from .sensing import Schedule, _check_budgets
+from .sensing import Schedule, _check_budgets, _is_index
 
 __all__ = [
     "EnumerationResult",
@@ -89,6 +90,11 @@ class BoundCertificate:
         if self.ratio is None:
             return self.certified_equal
         return self.ratio <= 0.5 + 1e-9
+
+
+def _is_cap(cap) -> bool:
+    """True for an enumeration cap: an integer >= 1, and not a bool."""
+    return _is_index(cap) and cap >= 1
 
 
 def _step_candidates(m: int, s_k: int) -> list[tuple[int, ...]]:
@@ -155,9 +161,10 @@ def exhaustive_optimum(
     OPT is re-evaluated by ``conditional_entropy``, and MAX is H(x).
 
     Args:
-        cap: refuse enumerations beyond this many schedules.
+        cap: refuse enumerations beyond this many schedules; an integer >= 1.
 
     Raises:
+        InvalidParamsError: ``cap`` is not an integer >= 1.
         DimensionMismatchError: the budgets do not cover the horizon, or
             one is not an integer in [0, m]; the message names the step.
         TooLargeError: the candidate count exceeds ``cap``.
@@ -167,6 +174,8 @@ def exhaustive_optimum(
             reference oracle's, or a walk cost exceeds H(x), by more than
             EQUAL_TOL relative.
     """
+    if not _is_cap(cap):
+        raise InvalidParamsError(f"cap must be an integer >= 1, got {cap!r}")
     m = ctx.suite.m
     budgets = _check_budgets(budgets, ctx.K, m)
     total = math.prod(sum(math.comb(m, j) for j in range(s_k + 1)) for s_k in budgets)

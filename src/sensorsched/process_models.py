@@ -16,7 +16,7 @@ import numpy as np
 
 from . import blocklinalg
 from .blocklinalg import BlockTridiagonalMatrix, _inverse_spd, logdet_dense
-from .errors import DimensionMismatchError, NotPositiveDefiniteError
+from .errors import DimensionMismatchError, InvalidParamsError, NotPositiveDefiniteError
 
 __all__ = [
     "LOG_TWO_PI_E",
@@ -51,9 +51,9 @@ class PriorForm(str, enum.Enum):
 class GaussianPrior:
     """Gaussian over the stacked state of K steps of dimension n each.
 
-    ``matrix`` is the covariance or the precision of the batch state per
-    ``form``. It is verified SPD at construction by one factorization,
-    whose log-determinant is kept in ``matrix_logdet``.
+    ``mean`` must be finite. ``matrix`` is the covariance or the precision
+    of the batch state per ``form``. It is verified SPD at construction by
+    one factorization, whose log-determinant is kept in ``matrix_logdet``.
     """
 
     n: int
@@ -71,6 +71,8 @@ class GaussianPrior:
             raise DimensionMismatchError(
                 f"mean has shape {mean.shape}, expected ({self.dim},)"
             )
+        if not np.isfinite(mean).all():
+            raise InvalidParamsError("mean is not finite")
         mean = mean.copy()
         mean.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -153,11 +155,13 @@ def build_tracking_prior(
     *covariance* regime. Mean defaults to zero.
 
     Raises:
-        NotPositiveDefiniteError: if ``neighbor_corr`` makes the assembled
-            covariance indefinite (possible for |corr| >= 0.5 at long K).
+        NotPositiveDefiniteError: if ``marginal_var`` is not positive and
+            finite, or ``neighbor_corr`` makes the assembled covariance
+            indefinite (possible for |corr| >= 0.5 at long K).
     """
-    if marginal_var <= 0:
-        raise NotPositiveDefiniteError(f"marginal_var must be positive, got {marginal_var}")
+    if not 0 < marginal_var < np.inf:
+        raise NotPositiveDefiniteError(
+            f"marginal_var must be positive and finite, got {marginal_var}")
     if not -1.0 < neighbor_corr < 1.0:
         raise NotPositiveDefiniteError(
             f"neighbor_corr must be in (-1, 1), got {neighbor_corr}"
@@ -187,6 +191,7 @@ def build_gauss_markov_prior(
     mean propagates mu_{k+1} = A mu_k from ``mu0`` (default zero).
 
     Raises:
+        InvalidParamsError: if A, Q, Sigma0 or mu0 is not finite; names it.
         NotPositiveDefiniteError: if Q or Sigma0 is not SPD.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -197,6 +202,12 @@ def build_gauss_markov_prior(
         raise DimensionMismatchError(
             f"A, Q, Sigma0 must all be {n} x {n}; got {A.shape}, {Q.shape}, {Sigma0.shape}"
         )
+    mu = np.zeros(n) if mu0 is None else np.asarray(mu0, dtype=float)
+    if mu.shape != (n,):
+        raise DimensionMismatchError(f"mu0 has shape {mu.shape}, expected ({n},)")
+    for name, value in (("A", A), ("Q", Q), ("Sigma0", Sigma0), ("mu0", mu)):
+        if not np.isfinite(value).all():
+            raise InvalidParamsError(f"{name} is not finite")
     Q_inv = _inverse_spd(0.5 * (Q + Q.T), "Q")
     Sigma0_inv = _inverse_spd(0.5 * (Sigma0 + Sigma0.T), "Sigma0")
 
@@ -211,9 +222,6 @@ def build_gauss_markov_prior(
     off = tuple(-AtQinv for _ in range(K - 1))
     precision = BlockTridiagonalMatrix(diag_blocks=tuple(diag), offdiag_blocks=off)
 
-    mu = np.zeros(n) if mu0 is None else np.asarray(mu0, dtype=float)
-    if mu.shape != (n,):
-        raise DimensionMismatchError(f"mu0 has shape {mu.shape}, expected ({n},)")
     means = [mu]
     for _ in range(K - 1):
         means.append(A @ means[-1])

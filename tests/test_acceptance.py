@@ -496,19 +496,21 @@ def test_criterion_9_cli_determinism(tmp_path):
     report(9, "results.csv and trace.csv byte-identical across reruns + manifest round trip")
 
 
-# The criterion-9 config with receding linearization, as written by the
-# code that stacks each step's readings in ascending sensor order, warm
-# starts each MAP solve and solves it by damped Newton, which ends each
-# solve with a gradient norm below 1e-15 (Gauss-Newton's: up to 1.3e-9).
+# The criterion-9 config with receding linearization and without the
+# exhaustive scheduler (its OPT is scored under the prior-mean context,
+# the receding rows are not, so the CLI refuses the pair), as written by
+# the code that stacks each step's readings in ascending sensor order,
+# warm starts each MAP solve and solves it by damped Newton, which ends
+# each solve with a gradient norm below 1e-15 (Gauss-Newton's: up to
+# 1.3e-9).
 # Any change to the receding path (the simulated readings, the MAP
 # iteration, the contexts built at its estimates) that moves a printed
 # digit shows here.
 RECEDING_RESULTS = (
-    "scheduler,entropy_nats,mutual_info_nats,oracle_calls,bound_ratio\r\n"
-    "greedy,4.39635969617,1.85978954401,23,-0.00624683237294\r\n"
-    "lazy,4.39635969617,1.85978954401,17,-0.00624683237294\r\n"
-    "random,4.73010380141,1.52604543876,1,0.174326797479\r\n"
-    "exhaustive,4.40790536584,1.84824387434,1331,0\r\n"
+    "scheduler,entropy_nats,mutual_info_nats,oracle_calls\r\n"
+    "greedy,4.39635969617,1.85978954401,23\r\n"
+    "lazy,4.39635969617,1.85978954401,17\r\n"
+    "random,4.73010380141,1.52604543876,1\r\n"
 )
 RECEDING_TRACE = (
     "k,pick_order,sensor,gain_nats\r\n"
@@ -523,22 +525,23 @@ RECEDING_TRACE = (
 
 def test_criterion_9_receding_outputs_are_pinned(tmp_path):
     cfg_path = tmp_path / "scenario.json"
-    cfg_path.write_text(json.dumps(dict(CRITERION_9_CONFIG, linearization="receding")))
+    cfg_path.write_text(json.dumps(dict(CRITERION_9_CONFIG, linearization="receding",
+                                        schedulers=["greedy", "lazy", "random"])))
     paths = run_scenario(cfg_path, tmp_path / "run")
     assert paths["results"].read_bytes() == RECEDING_RESULTS.encode()
     assert paths["trace"].read_bytes() == RECEDING_TRACE.encode()
     report(9, "receding results.csv and trace.csv equal their pinned bytes")
 
 
-# demos/configs/small_tracking.json with receding linearization: a tracking
-# prior stored as a sparse covariance, whose MAP solves take the dense
-# precision path that the benchmark's receding workload times.
+# demos/configs/small_tracking.json with receding linearization and without
+# the exhaustive scheduler: a tracking prior stored as a sparse covariance,
+# whose MAP solves take the dense precision path that the benchmark's
+# receding workload times.
 TRACKING_RECEDING_RESULTS = (
-    "scheduler,entropy_nats,mutual_info_nats,oracle_calls,bound_ratio\r\n"
-    "greedy,5.59054211809,2.53742660032,23,0.0127858752398\r\n"
-    "lazy,5.59054211809,2.53742660032,20,0.0127858752398\r\n"
-    "random,6.558148619,1.56982009941,1,0.389243978417\r\n"
-    "exhaustive,5.55767871072,2.57029000769,1331,0\r\n"
+    "scheduler,entropy_nats,mutual_info_nats,oracle_calls\r\n"
+    "greedy,5.59054211809,2.53742660032,23\r\n"
+    "lazy,5.59054211809,2.53742660032,20\r\n"
+    "random,6.558148619,1.56982009941,1\r\n"
 )
 TRACKING_RECEDING_TRACE = (
     "k,pick_order,sensor,gain_nats\r\n"
@@ -554,7 +557,8 @@ TRACKING_RECEDING_TRACE = (
 def test_sparse_covariance_receding_outputs_are_pinned(tmp_path):
     demo = Path(__file__).resolve().parents[1] / "demos" / "configs" / "small_tracking.json"
     cfg_path = tmp_path / "scenario.json"
-    cfg_path.write_text(json.dumps(dict(json.loads(demo.read_text()), linearization="receding")))
+    cfg_path.write_text(json.dumps(dict(json.loads(demo.read_text()), linearization="receding",
+                                        schedulers=["greedy", "lazy", "random"])))
     paths = run_scenario(cfg_path, tmp_path / "run")
     assert paths["results"].read_bytes() == TRACKING_RECEDING_RESULTS.encode()
     assert paths["trace"].read_bytes() == TRACKING_RECEDING_TRACE.encode()

@@ -241,17 +241,6 @@ class TestFailureContract:
         assert info.value.block_index == K - 1
         np.testing.assert_allclose(info.value.pivot, schur, rtol=1e-9, atol=1e-9)
 
-    def test_in_place_dense_factor_matches_and_keeps_the_pivot(self):
-        rng = np.random.default_rng(41)
-        _, A = random_spd_block_tridiag(rng, 3, 4)
-        owned = A.copy()
-        assert blocklinalg._logdet_dense(owned, overwrite=True) == ss.logdet_dense(A)
-        assert not np.array_equal(owned, A)  # factored in place, no copy
-        owned = INDEFINITE.copy()
-        with pytest.raises(ss.NotPositiveDefiniteError) as info:
-            blocklinalg._logdet_dense(owned, overwrite=True)
-        np.testing.assert_array_equal(info.value.pivot, INDEFINITE)
-
     def test_nan_dense_input_raises(self):
         A = np.eye(3)
         A[1, 0] = A[0, 1] = np.nan

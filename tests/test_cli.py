@@ -406,6 +406,23 @@ class TestVerbs:
         greedy = next(r for r in rows if r["scheduler"] == "greedy")
         assert float(greedy["bound_ratio"]) <= 0.5 + 1e-9
 
+    @pytest.mark.parametrize("verb, schedulers", [
+        ("run", ["greedy", "exhaustive"]),
+        ("certify", ["greedy"]),
+    ], ids=["run", "certify"])
+    def test_receding_linearization_is_not_certified(self, tmp_path, capsys, verb, schedulers):
+        # OPT is scored under the prior-mean context and the receding rows
+        # under their own, so their bound ratio would mix two objectives
+        write_receding_config(tmp_path / "c.json")
+        cfg = json.loads((tmp_path / "c.json").read_text())
+        (tmp_path / "c.json").write_text(json.dumps(dict(cfg, schedulers=schedulers)))
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--config", str(tmp_path / "c.json"), "--output-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: schedulers: 'exhaustive' cannot certify linearization 'receding'\n")
+        assert not (tmp_path / "o").exists()
+
     def test_config_error_exits_nonzero(self, tmp_path):
         (tmp_path / "c.json").write_text("{}")
         with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +167,17 @@ class TestExhaustiveOptimum:
         ctx = ss.make_context(prior, suite)
         with pytest.raises(ss.TooLargeError):
             ss.exhaustive_optimum(ctx, [5, 5, 5], cap=100)
+
+    @pytest.mark.parametrize("cap", [None, "9", True, -1, 0, 2.5],
+                             ids=["none", "str", "bool", "negative", "zero", "float"])
+    def test_cap_that_is_not_a_positive_integer_raises_naming_it(self, cap):
+        # 9 schedules: a cap read as a number would raise TooLargeError
+        prior, suite = random_instance(96, n=1, K=2, m=2)
+        ctx = ss.make_context(prior, suite)
+        with pytest.raises(ss.InvalidParamsError,
+                           match=rf"^cap must be an integer >= 1, got {re.escape(repr(cap))}$"):
+            ss.exhaustive_optimum(ctx, [1, 1], cap=cap)
+        assert ss.exhaustive_optimum(ctx, [1, 1], cap=np.int64(9)).num_enumerated == 9
 
 
 class TestCertifyBound:

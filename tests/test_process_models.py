@@ -181,3 +181,49 @@ class TestValidation:
     def test_stored_matrix_must_be_spd(self):
         with pytest.raises(ss.NotPositiveDefiniteError):
             ss.build_dense_prior(1, 2, np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def _one_at(shape, index, value):
+    out = np.eye(*shape) if len(shape) == 2 else np.zeros(shape)
+    out[index] = value
+    return out
+
+
+# each prior input with a NaN or an infinity, and the error naming it; the
+# check comes before any arithmetic on the input, so no RuntimeWarning
+# (an error under this suite's warning filter) is emitted first
+NON_FINITE_PRIOR_INPUTS = {
+    "GaussianPrior-mean": (lambda: ss.GaussianPrior(
+        n=1, K=2, mean=[0.0, math.nan], matrix=np.eye(2), form=ss.PriorForm.COVARIANCE_DENSE),
+        ss.InvalidParamsError, "^mean is not finite$"),
+    "tracking-mean": (lambda: ss.build_tracking_prior(
+        2, 3, 1.0, 0.4, mean=_one_at((6,), 0, math.nan)),
+        ss.InvalidParamsError, "^mean is not finite$"),
+    "dense-mean": (lambda: ss.build_dense_prior(1, 2, np.eye(2), mean=[math.inf, 0.0]),
+                   ss.InvalidParamsError, "^mean is not finite$"),
+    "tracking-marginal_var-nan": (lambda: ss.build_tracking_prior(2, 3, math.nan, 0.4),
+                                  ss.NotPositiveDefiniteError,
+                                  "^marginal_var must be positive and finite, got nan$"),
+    "tracking-marginal_var-inf": (lambda: ss.build_tracking_prior(2, 3, math.inf, 0.4),
+                                  ss.NotPositiveDefiniteError,
+                                  "^marginal_var must be positive and finite, got inf$"),
+    "gauss_markov-A": (lambda: ss.build_gauss_markov_prior(
+        _one_at((2, 2), (0, 1), math.inf), np.eye(2), np.eye(2), K=3),
+        ss.InvalidParamsError, "^A is not finite$"),
+    "gauss_markov-Q": (lambda: ss.build_gauss_markov_prior(
+        np.eye(2), _one_at((2, 2), (1, 1), math.nan), np.eye(2), K=3),
+        ss.InvalidParamsError, "^Q is not finite$"),
+    "gauss_markov-Sigma0": (lambda: ss.build_gauss_markov_prior(
+        np.eye(2), np.eye(2), _one_at((2, 2), (0, 0), math.inf), K=3),
+        ss.InvalidParamsError, "^Sigma0 is not finite$"),
+    "gauss_markov-mu0": (lambda: ss.build_gauss_markov_prior(
+        np.eye(2), np.eye(2), np.eye(2), mu0=[math.inf, 0.0], K=3),
+        ss.InvalidParamsError, "^mu0 is not finite$"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_PRIOR_INPUTS))
+def test_non_finite_prior_input_raises_naming_it(case):
+    build, error, message = NON_FINITE_PRIOR_INPUTS[case]
+    with pytest.raises(error, match=message):
+        build()

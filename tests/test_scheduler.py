@@ -214,9 +214,13 @@ class TestGreedyStep:
         # oracle; a NaN whitened row must still be caught at its candidate
         prior, suite = random_instance(75, n=2, K=3, m=3, kind=kind)
         ctx = ss.make_context(prior, suite)
-        rows = np.array(ctx.whitened_jacobians)
+        # the rows are derived from the sensors, so the plant goes into the
+        # padded stack and the view of it that the gain sources read
+        rows = ctx._rows.copy()
         rows[1, 2, 0, 0] = math.nan
-        planted = dataclasses.replace(ctx, whitened_jacobians=rows)
+        planted = dataclasses.replace(ctx)
+        object.__setattr__(planted, "_rows", rows)
+        object.__setattr__(planted, "whitened_jacobians", rows[:, :-1])
         with pytest.raises(ss.SensorSchedError, match="step 1, sensor 2"):
             ss.greedy_schedule(planted, [1] * prior.K, lazy=lazy)
         with pytest.raises(ss.SensorSchedError, match="step 1, sensor 2"):

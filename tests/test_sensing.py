@@ -479,16 +479,16 @@ POINT_RULES = {
 }
 
 
-@pytest.mark.parametrize("entry", ["make_context", "map_linearization"])
+@pytest.mark.parametrize("entry", ["make_context", "OracleContext", "map_linearization"])
 @pytest.mark.parametrize("case", list(POINT_RULES))
 def test_make_context_and_the_map_word_a_misfit_alike(case, entry):
-    # both linearize the suite at a point of the prior, and both reject a
+    # each linearizes the suite at a point of the prior, and each rejects a
     # misfit before any sensor is evaluated, in the same words
     build, error, message = POINT_RULES[case]
     suite, point = build()
     prior = ss.build_tracking_prior(2, 2, marginal_var=1.0, neighbor_corr=0.4)
-    if entry == "make_context":
-        call, name = lambda: ss.make_context(prior, suite, point), "linearization"
+    if entry != "map_linearization":
+        call, name = lambda: getattr(ss, entry)(prior, suite, point), "linearization"
     else:
         # a real solve: one reading at step 0
         schedule = ss.Schedule(sets=((0,), ()), budgets=(1, 1))
