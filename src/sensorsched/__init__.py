@@ -21,7 +21,6 @@ from .entropy_oracle import (
     conditional_entropy_precision_form,
     make_context,
     map_linearization,
-    mutual_information,
     posterior_covariance,
 )
 from .errors import (
@@ -101,7 +100,6 @@ __all__ = [
     "logdet_dense",
     "make_context",
     "map_linearization",
-    "mutual_information",
     "posterior_covariance",
     "prior_entropy",
     "build_dense_prior",

@@ -63,7 +63,6 @@ __all__ = [
     "conditional_entropy_precision_form",
     "conditional_entropy_covariance_form",
     "posterior_covariance",
-    "mutual_information",
     "map_linearization",
     "MapEstimate",
 ]
@@ -257,10 +256,11 @@ def conditional_entropy_covariance_form(ctx: OracleContext, schedule: Schedule) 
     covariance; its K diagonal and K - 1 coupling blocks are then built
     by batched products over the steps' gathered rows, zero-padded to a
     common size, and go to one banded log-determinant. A dense prior
-    covariance takes W block-diagonal with one row per picked output, the
-    padding dropped. No jitter is applied: its eigenvalues are at least 1
-    in exact arithmetic. A precision prior is read through its cached
-    dense covariance.
+    covariance takes the same padded rows as one block-diagonal W and one
+    dense log-determinant; a zero row adds a decoupled unit entry, so the
+    padding leaves either log-det as it is. No jitter is applied: the
+    eigenvalues are at least 1 in exact arithmetic. A precision prior is
+    read through its cached dense covariance.
 
     Raises:
         NotPositiveDefiniteError: I + W Sigma W^T fails to factor, which
@@ -271,24 +271,19 @@ def conditional_entropy_covariance_form(ctx: OracleContext, schedule: Schedule) 
     S = _covariance(ctx.prior)
     # each step's picked rows, (K, q d, n), zero-padded
     W = _gathered(ctx._rows, schedule.sets).reshape(ctx.K, -1, ctx.n)
+    # a zero row adds a decoupled unit diagonal entry to I + W Sigma W^T,
+    # which leaves the log-det as it is
+    Wt = np.swapaxes(W, 1, 2)
     if isinstance(S, BlockTridiagonalMatrix):
-        # a zero row adds a decoupled unit diagonal entry to I + W Sigma W^T,
-        # which leaves the log-det as it is
-        Wt = np.swapaxes(W, 1, 2)
         diag = W @ S.diag_blocks @ Wt
         diag[:, range(W.shape[1]), range(W.shape[1])] += 1.0
         logdet = logdet_block_tridiagonal_blocks(diag, W[:-1] @ S.offdiag_blocks @ Wt[1:])
     else:
-        # only the real rows: those below each pick's output dimension,
-        # none of the filler slot's (a real row may be all zeros)
-        K, m1, d = ctx._rows.shape[:3]
-        dims = np.broadcast_to([s.output_dim for s in ctx.suite.sensors] + [0], (K, m1))
-        real = (np.arange(d) < _gathered(dims, schedule.sets)[..., None]).ravel()
         # W Sigma, one step's rows times Sigma's row block at a time; then
         # its column block k times step k's rows, for each step
-        WS = (W @ S.reshape(K, ctx.n, -1)).reshape(-1, ctx.prior.dim)[real]
-        Sy = WS.reshape(len(WS), K, ctx.n).swapaxes(0, 1) @ np.swapaxes(W, 1, 2)
-        Sy = Sy.swapaxes(0, 1).reshape(len(WS), real.size)[:, real]
+        WS = (W @ S.reshape(ctx.K, ctx.n, -1)).reshape(-1, ctx.prior.dim)
+        Sy = WS.reshape(len(WS), ctx.K, ctx.n).swapaxes(0, 1) @ Wt
+        Sy = Sy.swapaxes(0, 1).reshape(len(WS), len(WS))
         Sy[np.diag_indices_from(Sy)] += 1.0
         logdet = _logdet_dense(0.5 * (Sy + Sy.T))
     return ctx.prior_entropy - 0.5 * logdet
@@ -321,11 +316,6 @@ def posterior_covariance(ctx: OracleContext, schedule: Schedule) -> np.ndarray:
         P = P.assemble()
     xi = _gathered(ctx._increments, schedule.sets).sum(axis=1)
     return _inverse_spd(_plus_blockdiag(P, xi), "posterior information matrix")
-
-
-def mutual_information(ctx: OracleContext, schedule: Schedule) -> float:
-    """I(x_1:K ; y_1:K) = H(x_1:K) - H(x_1:K | schedule), in nats."""
-    return ctx.prior_entropy - conditional_entropy(ctx, schedule)
 
 
 @dataclass(frozen=True)

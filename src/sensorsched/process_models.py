@@ -52,8 +52,9 @@ class GaussianPrior:
     """Gaussian over the stacked state of K steps of dimension n each.
 
     ``mean`` must be finite. ``matrix`` is the covariance or the precision
-    of the batch state per ``form``. It is verified SPD at construction by
-    one factorization, whose log-determinant is kept in ``matrix_logdet``.
+    of the batch state per ``form``. It must be finite, and is verified SPD
+    at construction by one factorization, whose log-determinant is kept in
+    ``matrix_logdet``.
     """
 
     n: int
@@ -86,15 +87,19 @@ class GaussianPrior:
                     f"matrix blocks ({self.matrix.block_dim}, {self.matrix.num_blocks}) "
                     f"do not match (n={self.n}, K={self.K})"
                 )
+            stacks = (self.matrix.diag_blocks, self.matrix.offdiag_blocks)
+            if not all(np.isfinite(stack).all() for stack in stacks):
+                raise InvalidParamsError("matrix is not finite")
             # looked up at call time, so a wrapper on the kernel sees this call too
-            logdet = blocklinalg.logdet_block_tridiagonal_blocks(
-                self.matrix.diag_blocks, self.matrix.offdiag_blocks)
+            logdet = blocklinalg.logdet_block_tridiagonal_blocks(*stacks)
         else:
             dense = np.asarray(self.matrix, dtype=float)
             if dense.shape != (self.dim, self.dim):
                 raise DimensionMismatchError(
                     f"matrix has shape {dense.shape}, expected ({self.dim}, {self.dim})"
                 )
+            if not np.isfinite(dense).all():
+                raise InvalidParamsError("matrix is not finite")
             dense = 0.5 * (dense + dense.T)
             dense.setflags(write=False)
             object.__setattr__(self, "matrix", dense)

@@ -351,6 +351,17 @@ def _stacked_sensor(evaluate, noise_cov, noise_var, name, angular=False) -> Sens
                   _resolve_noise(1, noise_cov, noise_var), name=name)
 
 
+def _given(kind: str, field: str, value, what: str) -> np.ndarray:
+    """``value`` as a float array; raises naming the kind and the field
+    when it is missing or not finite."""
+    if value is None:
+        raise InvalidParamsError(f"{kind} sensor needs {what}")
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise InvalidParamsError(f"{kind} {field} is not finite")
+    return arr
+
+
 def builtin_sensor(
     kind: str,
     *,
@@ -384,7 +395,9 @@ def builtin_sensor(
         quadratic: 0.5 * x^T W x with symmetric ``weight`` W [W].
 
     Raises:
-        InvalidParamsError: for unknown kinds or missing/invalid params.
+        InvalidParamsError: for unknown kinds or missing/invalid params,
+            e.g. an anchor or weight that is not finite (names the kind
+            and the field).
     """
     if kind == "linear_coordinate":
         if not _is_index(axis) or axis < 0:
@@ -404,9 +417,7 @@ def builtin_sensor(
         return _stacked_sensor(coordinate, noise_cov, noise_var, name or f"linear_coordinate[{ax}]")
 
     if kind == "range":
-        if anchor is None:
-            raise InvalidParamsError("range sensor needs an anchor point")
-        a = np.asarray(anchor, dtype=float)
+        a = _given("range", "anchor", anchor, "an anchor point")
         identity = np.eye(a.size)
 
         def distance(X, second=False):
@@ -429,9 +440,7 @@ def builtin_sensor(
         return _stacked_sensor(distance, noise_cov, noise_var, name or "range")
 
     if kind == "bearing":
-        if anchor is None:
-            raise InvalidParamsError("bearing sensor needs an anchor point")
-        a = np.asarray(anchor, dtype=float)
+        a = _given("bearing", "anchor", anchor, "an anchor point")
         if a.size < 2:
             raise InvalidParamsError("bearing anchor needs at least two coordinates")
 
@@ -460,9 +469,7 @@ def builtin_sensor(
         return _stacked_sensor(angle, noise_cov, noise_var, name or "bearing", angular=True)
 
     if kind == "quadratic":
-        if weight is None:
-            raise InvalidParamsError("quadratic sensor needs a weight matrix")
-        W = np.atleast_2d(np.asarray(weight, dtype=float))
+        W = np.atleast_2d(_given("quadratic", "weight", weight, "a weight matrix"))
         if W.shape[0] != W.shape[1]:
             raise InvalidParamsError(f"weight must be square, got shape {W.shape}")
         W = 0.5 * (W + W.T)

@@ -5,14 +5,18 @@ import dataclasses
 import json
 import logging
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sensorsched as ss
 from sensorsched import cli
 from sensorsched.cli import load_scenario, main, run_scenario
+from sensorsched.exhaustive import EQUAL_TOL
 
 
 def write_config(path, **overrides):
@@ -429,3 +433,83 @@ class TestVerbs:
             main(["run", "--config", str(tmp_path / "c.json")])
         assert exc.value.code == 2
 
+
+@st.composite
+def certifiable_configs(draw):
+    """A plain or dense tracking or Gauss-Markov config, n = 2, K <= 3,
+    1 to 4 built-in sensors and per-step budgets of 0 to 2. Each size is
+    drawn largest first, so the first examples are the largest."""
+    seed = draw(st.integers(0, 2**20))
+    rng = np.random.default_rng(seed)
+    K, m = draw(st.sampled_from([3, 2, 1])), draw(st.sampled_from([4, 3, 2, 1]))
+    if draw(st.sampled_from(["tracking", "gauss_markov"])) == "tracking":
+        prior = {"kind": "tracking", "n": 2, "K": K,
+                 "marginal_var": float(rng.uniform(0.5, 2.0)),
+                 "neighbor_corr": float(rng.uniform(-0.45, 0.45))}
+    else:
+        B = rng.standard_normal((2, 2))
+        prior = {"kind": "gauss_markov", "n": 2, "K": K,
+                 "A": rng.uniform(-0.6, 0.6, (2, 2)).tolist(),
+                 "Q": (B @ B.T + 0.1 * np.eye(2)).tolist(),
+                 "Sigma0": (rng.uniform(0.5, 1.5) * np.eye(2)).tolist()}
+    sensors = []
+    kinds = ["linear_coordinate", "range", "bearing", "quadratic"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=m, max_size=m)):
+        # anchors off the prior mean, zero
+        spec = {"kind": kind, "noise_var": float(rng.uniform(0.1, 1.0))}
+        if kind == "linear_coordinate":
+            spec["axis"] = int(rng.integers(2))
+        elif kind == "quadratic":
+            B = rng.standard_normal((2, 2))
+            spec["weight"] = (0.5 * (B + B.T) + np.eye(2)).tolist()
+        else:
+            angle, radius = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(2.0, 4.0)
+            spec["anchor"] = [radius * np.cos(angle), radius * np.sin(angle)]
+        sensors.append(spec)
+    budget = st.sampled_from(range(min(2, m), -1, -1))
+    budgets = draw(st.lists(budget, min_size=K, max_size=K))
+    return {"name": "bound-ratio", "seed": seed, "prior": prior, "sensors": sensors,
+            "budgets": budgets, "schedulers": ["lazy", "random"], "dense": draw(st.booleans())}
+
+
+@settings(max_examples=25)
+@given(certifiable_configs())
+def test_every_written_bound_ratio_is_in_range(cfg):
+    # run with exhaustive, and certify (which adds greedy and exhaustive)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "run.json").write_text(json.dumps(
+            dict(cfg, schedulers=["greedy", "lazy", "random", "exhaustive"])))
+        (tmp / "certify.json").write_text(json.dumps(cfg))
+        for verb in ("run", "certify"):
+            assert main([verb, "--config", str(tmp / f"{verb}.json"),
+                         "--output-dir", str(tmp / verb)]) == 0
+            rows = read_csv(tmp / verb / "results.csv")
+            assert {r["scheduler"] for r in rows} == {"greedy", "lazy", "random", "exhaustive"}
+            for row in rows:
+                ratio = float(row["bound_ratio"])
+                assert ratio >= -EQUAL_TOL, (verb, row)
+                if row["scheduler"] in ("greedy", "lazy"):
+                    assert ratio <= 0.5 + 1e-9, (verb, row)
+
+
+def test_receding_equals_planning_with_linear_sensors(tmp_path):
+    # a linear sensor's Jacobian is the same at every point, so the receding
+    # run picks and scores as the planning run does; it makes one more
+    # oracle call per step after the first, for the entropy of the prefix
+    K = 12
+    write_config(
+        tmp_path / "plan.json", seed=3, budgets=2, schedulers=["greedy", "lazy"],
+        prior={"kind": "tracking", "n": 2, "K": K, "marginal_var": 1.0, "neighbor_corr": 0.4},
+        sensors=[{"kind": "linear_coordinate", "axis": axis, "noise_var": var}
+                 for axis, var in ((0, 0.5), (1, 1.0), (0, 2.0), (1, 0.3))],
+    )
+    cfg = json.loads((tmp_path / "plan.json").read_text())
+    (tmp_path / "receding.json").write_text(json.dumps(dict(cfg, linearization="receding")))
+    plan = run_scenario(tmp_path / "plan.json", tmp_path / "plan")
+    receding = run_scenario(tmp_path / "receding.json", tmp_path / "receding")
+    assert plan["trace"].read_bytes() == receding["trace"].read_bytes()
+    for p, r in zip(read_csv(plan["results"]), read_csv(receding["results"]), strict=True):
+        assert (r["scheduler"], r["entropy_nats"], r["mutual_info_nats"]) == (
+            p["scheduler"], p["entropy_nats"], p["mutual_info_nats"])
+        assert int(r["oracle_calls"]) - int(p["oracle_calls"]) == K - 1

@@ -219,6 +219,13 @@ NON_FINITE_PRIOR_INPUTS = {
     "gauss_markov-mu0": (lambda: ss.build_gauss_markov_prior(
         np.eye(2), np.eye(2), np.eye(2), mu0=[math.inf, 0.0], K=3),
         ss.InvalidParamsError, "^mu0 is not finite$"),
+    "dense-matrix": (lambda: ss.build_dense_prior(1, 2, [[math.nan, 0.0], [0.0, 1.0]]),
+                     ss.InvalidParamsError, "^matrix is not finite$"),
+    "sparse-matrix": (lambda: ss.GaussianPrior(
+        n=2, K=2, mean=np.zeros(4), form=ss.PriorForm.COVARIANCE_SPARSE,
+        matrix=ss.BlockTridiagonalMatrix([np.eye(2), _one_at((2, 2), (1, 1), math.inf)],
+                                         [np.zeros((2, 2))])),
+        ss.InvalidParamsError, "^matrix is not finite$"),
 }
 
 

@@ -85,6 +85,16 @@ class TestBuiltinSensors:
         with pytest.raises(ss.InvalidParamsError, match="not finite"):
             ss.builtin_sensor("range", anchor=[0.0], noise_cov=[[value]])
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("range", {"anchor": [np.nan, 0.0]}, "range anchor"),
+        ("bearing", {"anchor": [np.inf, 0.0]}, "bearing anchor"),
+        ("quadratic", {"weight": [[1.0, 0.0], [0.0, np.nan]]}, "quadratic weight"),
+    ], ids=["range-anchor", "bearing-anchor", "quadratic-weight"])
+    def test_non_finite_parameter_raises_naming_kind_and_field(self, kind, params, message):
+        # at construction, not later as a Jacobian the caller never gave
+        with pytest.raises(ss.InvalidParamsError, match=f"^{message} is not finite$"):
+            ss.builtin_sensor(kind, noise_var=1.0, **params)
+
     def test_noise_factor_per_step(self):
         base = ss.builtin_sensor("linear_coordinate", axis=0, noise_var=4.0)
         sensor = ss.Sensor(1, base.measure, base.jacobian, base.noise_cov,
@@ -431,7 +441,6 @@ SCHEDULE_CALLS = {
     "covariance_form": ss.conditional_entropy_covariance_form,
     "conditional_entropy": ss.conditional_entropy,
     "posterior_covariance": ss.posterior_covariance,
-    "mutual_information": ss.mutual_information,
     "map_linearization": _map,
 }
 INDEX_3 = ss.Schedule(sets=((0,), (1, 3)), budgets=(2, 2))
