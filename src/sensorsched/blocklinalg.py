@@ -11,18 +11,21 @@ form the kernels take whole. Dense fallbacks are provided for
 everything. All values are natural-log (nats).
 
 Every SPD factorization in the package happens here: in the one banded
-factorization, the one dense Cholesky, which also factors each sensor
-noise covariance once, when the sensor is built, or the stacked Cholesky
-with which exhaustive enumeration, and the greedy scheduler's dense gain
-source, factor every candidate of a step at once. The first two call LAPACK directly (``dpbtrf``, ``dpbtrs``,
+factorization, which also conditions the greedy scheduler's window on a
+sparse covariance prior's prefix, the one dense Cholesky, which also
+factors each sensor noise covariance once, when the sensor is built, or
+the stacked Cholesky with which exhaustive enumeration, and the greedy
+scheduler's downdate gain source, factor every candidate of a step at
+once. The first two call LAPACK directly (``dpbtrf``, ``dpbtrs``,
 ``dpotrf``, ``dpotrs`` from ``scipy.linalg.lapack``), because at these
 sizes the checks and dispatch of the higher-level wrappers cost several
 times the factorization itself; the stack goes through
 ``np.linalg.cholesky``, which pays that dispatch once for the whole
-stack. Inputs are not checked for finiteness on the way in; a
-log-determinant takes one ``log`` over all factor diagonals and checks
-the sum once, so NaN or infinite input either fails a factorization or
-makes that sum non-finite.
+stack. The kernels do not check their inputs for finiteness (a
+``BlockTridiagonalMatrix`` does, when it is built); a log-determinant
+takes one ``log`` over all factor diagonals and checks the sum once, so
+NaN or infinite input either fails a factorization or makes that sum
+non-finite.
 
 Failure contract: a positive LAPACK ``info`` from ``dpbtrf`` or
 ``dpotrf`` means the matrix is not positive definite and raises
@@ -44,7 +47,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtrtrs
 
-from .errors import DimensionMismatchError, NotPositiveDefiniteError
+from .errors import DimensionMismatchError, InvalidParamsError, NotPositiveDefiniteError
 
 __all__ = [
     "BlockTridiagonalMatrix",
@@ -70,9 +73,15 @@ class BlockTridiagonalMatrix:
     ``diag_blocks`` is the (K, n, n) stack of diagonal blocks and
     ``offdiag_blocks`` the (K - 1, n, n) stack of upper off-diagonal
     blocks: block (k, k+1) is ``offdiag_blocks[k]`` and block (k+1, k) its
-    transpose. Any sequence of n x n blocks is accepted and stored as a
-    read-only float stack, which the kernels read whole. Diagonal blocks
-    are symmetrized once here and never re-checked by operations.
+    transpose. Any sequence of finite n x n blocks is accepted and stored
+    as a read-only float stack, which the kernels read whole. Diagonal
+    blocks are symmetrized once here and never re-checked by operations.
+
+    Raises:
+        DimensionMismatchError: the blocks do not form K square diagonal
+            and K - 1 off-diagonal blocks of one size.
+        InvalidParamsError: a block is not finite, checked before the
+            diagonal blocks are symmetrized.
     """
 
     diag_blocks: np.ndarray
@@ -94,6 +103,8 @@ class BlockTridiagonalMatrix:
                 f"got {len(self.offdiag_blocks)}"
             )
         off = _square_stack(self.offdiag_blocks, first[0], "off-diagonal")
+        if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+            raise InvalidParamsError("matrix is not finite")
         for name, stack in (("diag_blocks", 0.5 * (diag + diag.transpose(0, 2, 1))),
                             ("offdiag_blocks", off)):
             stack.setflags(write=False)
@@ -288,12 +299,18 @@ def _schur_pivot(
     """
     if not j:
         return diag[0]
-    p = diag.shape[1]
+    X = _trtrs(_factor_block(factor, j - 1), coupling[j - 1])
+    return diag[j] - X.T @ X
+
+
+def _factor_block(factor: np.ndarray, j: int) -> np.ndarray:
+    """Diagonal block L_j of a band factor from ``_band_factor``, dense and
+    lower-triangular: L_j L_j^T is the Schur pivot D_j."""
+    p = len(factor) // 2
     r, c = np.tril_indices(p)
     L = np.zeros((p, p))
-    L[r, c] = factor[r - c, (j - 1) * p + c]
-    X = _trtrs(L, coupling[j - 1])
-    return diag[j] - X.T @ X
+    L[r, c] = factor[r - c, j * p + c]
+    return L
 
 
 def _band_factor(diag: np.ndarray, coupling: np.ndarray) -> np.ndarray:

@@ -242,6 +242,23 @@ def conditional_entropy_precision_form(ctx: OracleContext, schedule: Schedule) -
     return 0.5 * ctx.prior.dim * LOG_TWO_PI_E - 0.5 * logdet
 
 
+def _covariance_blocks(ctx: OracleContext, sets: Sequence[tuple[int, ...]]):
+    """I + W Sigma W^T over the first len(sets) steps of a block-tridiagonal
+    prior covariance, for the picks ``sets``.
+
+    Returns W, the steps' gathered rows, (k, q d, n) and zero-padded, and
+    the (k, q d, q d) diagonal and (k - 1, q d, q d) coupling block stacks.
+    A zero row adds a decoupled unit diagonal entry, so the padding leaves
+    the log-det, and every pivot's, as it is.
+    """
+    S, k = ctx.prior.matrix, len(sets)
+    W = _gathered(ctx._rows[:k], sets).reshape(k, -1, ctx.n)
+    Wt = np.swapaxes(W, 1, 2)
+    diag = W @ S.diag_blocks[:k] @ Wt
+    diag[:, range(W.shape[1]), range(W.shape[1])] += 1.0
+    return W, diag, W[:-1] @ S.offdiag_blocks[:k - 1] @ Wt[1:]
+
+
 def conditional_entropy_covariance_form(ctx: OracleContext, schedule: Schedule) -> float:
     """H(x_1:K | schedule) evaluated through the prior covariance.
 
@@ -269,16 +286,13 @@ def conditional_entropy_covariance_form(ctx: OracleContext, schedule: Schedule) 
     """
     _check_sets(schedule.sets, ctx.K, ctx.suite.m)
     S = _covariance(ctx.prior)
-    # each step's picked rows, (K, q d, n), zero-padded
-    W = _gathered(ctx._rows, schedule.sets).reshape(ctx.K, -1, ctx.n)
-    # a zero row adds a decoupled unit diagonal entry to I + W Sigma W^T,
-    # which leaves the log-det as it is
-    Wt = np.swapaxes(W, 1, 2)
     if isinstance(S, BlockTridiagonalMatrix):
-        diag = W @ S.diag_blocks @ Wt
-        diag[:, range(W.shape[1]), range(W.shape[1])] += 1.0
-        logdet = logdet_block_tridiagonal_blocks(diag, W[:-1] @ S.offdiag_blocks @ Wt[1:])
+        logdet = logdet_block_tridiagonal_blocks(*_covariance_blocks(ctx, schedule.sets)[1:])
     else:
+        # each step's picked rows, (K, q d, n), zero-padded; a zero row adds
+        # a decoupled unit diagonal entry, which leaves the log-det as it is
+        W = _gathered(ctx._rows, schedule.sets).reshape(ctx.K, -1, ctx.n)
+        Wt = np.swapaxes(W, 1, 2)
         # W Sigma, one step's rows times Sigma's row block at a time; then
         # its column block k times step k's rows, for each step
         WS = (W @ S.reshape(ctx.K, ctx.n, -1)).reshape(-1, ctx.prior.dim)

@@ -87,11 +87,10 @@ class GaussianPrior:
                     f"matrix blocks ({self.matrix.block_dim}, {self.matrix.num_blocks}) "
                     f"do not match (n={self.n}, K={self.K})"
                 )
-            stacks = (self.matrix.diag_blocks, self.matrix.offdiag_blocks)
-            if not all(np.isfinite(stack).all() for stack in stacks):
-                raise InvalidParamsError("matrix is not finite")
+            # the matrix checked that its blocks are finite when it was built;
             # looked up at call time, so a wrapper on the kernel sees this call too
-            logdet = blocklinalg.logdet_block_tridiagonal_blocks(*stacks)
+            logdet = blocklinalg.logdet_block_tridiagonal_blocks(
+                self.matrix.diag_blocks, self.matrix.offdiag_blocks)
         else:
             dense = np.asarray(self.matrix, dtype=float)
             if dense.shape != (self.dim, self.dim):

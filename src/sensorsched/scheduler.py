@@ -10,20 +10,25 @@ Eager and lazy evaluation are two refresh policies of one selection
 loop over a max-heap of candidate gains. After each pick the eager policy
 re-evaluates every remaining candidate, at most s_k * m gain evaluations
 per step; the lazy policy keeps the stale gains as upper bounds -- valid
-by supermodularity -- and refreshes only the top. Ties are broken toward
-the lowest sensor index (a deterministic refinement of the arbitrary
-tie-break) so that runs are reproducible and both policies return the
-same schedule.
+by supermodularity -- and refreshes only the top. Candidates are ranked
+by their gain on a fixed 1e-12-nat grid and ties are broken toward the
+lowest sensor index (a deterministic refinement of the arbitrary
+tie-break), so that runs are reproducible, both policies return the same
+schedule, and gains that two sources round an ulp apart still tie.
 
 The loop reads its gains from one gain source per run, picked by the
-stored prior form as ``conditional_entropy`` dispatches. With a sparse
-prior a gain evaluation is one full oracle call, and the gain its drop
-from the running base value, which is cached, never re-evaluated. With a dense
-prior, where one oracle call is a cubic dense Cholesky, the source keeps
-the covariance of the steps not yet fixed, given the picks so far: a
-step's m candidate gains 1/2 logdet(I + W_i S_kk W_i^T) take one stacked
-d x d Cholesky, and each pick conditions it by a rank-d downdate, so a
-greedy run costs one order of K less. A gain evaluation reads one of
+stored prior form. With a sparse precision prior a gain evaluation is
+one full oracle call, and the gain its drop from the running base value,
+which is cached, never re-evaluated. Every other prior is read as a
+covariance (a dense precision through its cached inverse), and the
+source keeps the covariance of the steps not yet fixed, given the picks
+so far: a step's m candidate gains 1/2 logdet(I + W_i S_kk W_i^T) take
+one stacked d x d Cholesky, and each pick conditions it by a rank-d
+downdate. A dense prior's is kept whole, so a greedy run costs one order
+of K less than a dense oracle call per candidate. A block-tridiagonal
+covariance's is kept to a window of two blocks, because conditioning on
+a step changes only the next step's block; so a gain costs the same at
+any K and a greedy run is linear in K. A gain evaluation reads one of
 those gains; what the trace counts keeps its meaning either way.
 """
 
@@ -36,10 +41,22 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .blocklinalg import _cholesky, _cholesky_stack, _trtrs
-from .entropy_oracle import OracleContext, conditional_entropy
-from .errors import DimensionMismatchError, InvalidParamsError, OracleInconsistencyError
-from .process_models import _covariance
+from .blocklinalg import (
+    BlockTridiagonalMatrix,
+    _band_factor,
+    _cholesky,
+    _cholesky_stack,
+    _factor_block,
+    _trtrs,
+)
+from .entropy_oracle import OracleContext, _covariance_blocks, conditional_entropy
+from .errors import (
+    DimensionMismatchError,
+    InvalidParamsError,
+    NotPositiveDefiniteError,
+    OracleInconsistencyError,
+)
+from .process_models import PriorForm, _covariance
 from .sensing import Schedule, _check_budget, _check_budgets, _check_sets, _is_index
 
 __all__ = [
@@ -74,10 +91,11 @@ class GreedyTrace:
     s_k * m per step; the paper-level guarantee quotes a tighter per-step
     count, but a ground set of size m scanned once per pick costs m - t + 1
     evaluations at pick t, which is what this trace reports. With a sparse
-    prior each evaluation is one full oracle call; with a dense prior it
-    reads the candidate's gain from the covariance that the dense backend
-    downdates after each pick, and all m of a refresh come from one
-    stacked factorization.
+    precision prior each evaluation is one full oracle call; with any other
+    prior it reads the candidate's gain from the covariance that the
+    downdate source conditions after each pick (a two-block window for a
+    sparse covariance), and all m of a refresh come from one stacked
+    factorization.
     """
 
     steps: tuple[StepTrace, ...]
@@ -105,7 +123,7 @@ def _clamp_gain(gain: float, k: int, i: int) -> float:
 
 
 class _OracleGains:
-    """Sparse priors: a gain is the drop between two full oracle calls.
+    """Sparse precision priors: a gain is the drop between two full oracle calls.
 
     ``base`` is the entropy of the picks so far, and ``after[i]`` the
     entropy with candidate i added, as last evaluated; a pick's becomes
@@ -140,29 +158,74 @@ class _OracleGains:
 
 
 class _DowndateGains:
-    """Dense priors: gains read from S, the covariance of the steps not yet fixed.
+    """Every other prior: gains read from S, the covariance of the steps not yet fixed.
 
-    S starts as a copy of the prior covariance (a precision prior's cached
-    dense inverse) and covers steps k..K-1 given the picks before k; C is
-    its step-k block given step k's picks so far. Candidate i's gain is
+    S covers steps k..K-1 given the picks before k, and C is its step-k
+    block given step k's picks so far. Candidate i's gain is
     1/2 logdet(I + W_i C W_i^T), with W_i its whitened rows as the
     context stores them (a zero-padded row adds a unit diagonal entry);
     one stacked Cholesky factors all m of them. A pick conditions C on
     W_i by a rank-d update. When the step ends, its picks, in ascending
     order, condition the trailing block in one rank update,
     S_tt <- S_tt - G (I + W S_kk W^T)^-1 G^T with G = S_tk W^T, and its
-    rows and columns are dropped; a prefix is conditioned on step by step
-    the same way, so a step's gains do not depend on how its prefix was
-    reached.
+    rows and columns are dropped.
+
+    A dense prior's S starts as a copy of its covariance (a precision
+    prior's cached dense inverse), and a prefix is conditioned on step by
+    step the same way, so a step's gains do not depend on how its prefix
+    was reached. A block-tridiagonal covariance keeps S to a window of two
+    blocks: step k's, and the prior's blocks (k, k+1) and (k+1, k+1).
+    Conditioning on steps <= k changes only block k+1 of the trailing
+    covariance, because Sigma_jt = 0 for |j - t| > 1; so the same rank
+    update downdates the window, and step k+2's prior row and column are
+    appended, at O(n^3) a step. Its prefix is conditioned on at once:
+    S_k = Sigma_kk - X^T X with X = L_{k-1}^-1 W_{k-1} Sigma_{k-1,k}, where
+    L_{k-1} is the last diagonal block of the band factor of the prefix's
+    I + W Sigma W^T.
     """
 
     def __init__(self, ctx, sets, k):
         self.ctx, self.k, self.chosen = ctx, 0, []
-        self.S = np.array(_covariance(ctx.prior))
-        for chosen in sets[:k]:
-            self.chosen = list(chosen)
-            self.advance()
+        S = _covariance(ctx.prior)
+        self.band = S if isinstance(S, BlockTridiagonalMatrix) else None
+        if self.band is not None:
+            self.k = k
+            self.S = self._window(self._prefix_block(sets))
+        else:
+            self.S = np.array(S)
+            for chosen in sets[:k]:
+                self.chosen = list(chosen)
+                self.advance()
         self._begin()
+
+    def _prefix_block(self, sets) -> np.ndarray:
+        """Sigma_kk of a block-tridiagonal covariance given the picks ``sets``
+        fixes before k, from one band factorization of the prefix."""
+        k, band = self.k, self.band
+        if not any(sets[:k]):
+            return band.diag_blocks[k]
+        W, diag, coupling = _covariance_blocks(self.ctx, sets[:k])
+        try:
+            factor = _band_factor(diag, coupling)
+        except NotPositiveDefiniteError as exc:
+            j = exc.block_index
+            raise NotPositiveDefiniteError(
+                f"step {j}, sensors {list(sets[j])}: I + W S W^T is not positive definite",
+                exc.pivot, j) from exc
+        X = _trtrs(_factor_block(factor, k - 1), W[k - 1] @ band.offdiag_blocks[k - 1])
+        return band.diag_blocks[k] - X.T @ X
+
+    def _window(self, S_k: np.ndarray) -> np.ndarray:
+        """Step k's block S_k beside the prior's blocks (k, k+1) and (k+1, k+1)."""
+        k, n, band = self.k, self.ctx.n, self.band
+        if k + 1 == band.num_blocks:
+            return S_k
+        S = np.empty((2 * n, 2 * n))
+        S[:n, :n] = S_k
+        S[:n, n:] = band.offdiag_blocks[k]
+        S[n:, :n] = band.offdiag_blocks[k].T
+        S[n:, n:] = band.diag_blocks[k + 1]
+        return S
 
     def _begin(self) -> None:
         n = self.ctx.n
@@ -201,12 +264,14 @@ class _DowndateGains:
             self.S -= V.T @ V
         self.k += 1
         self.chosen = []
+        if self.band is not None:
+            self.S = self._window(self.S)
         self._begin()
 
 
 def _gain_source(ctx, sets, k):
     """Gains at step k given the picks ``sets`` fixes before it, by the stored prior form."""
-    if ctx.prior.form.is_sparse:
+    if ctx.prior.form is PriorForm.PRECISION_SPARSE:
         return _OracleGains(ctx, sets, k)
     return _DowndateGains(ctx, sets, k)
 
@@ -214,11 +279,15 @@ def _gain_source(ctx, sets, k):
 def _select(source, k, s_k, lazy):
     """Greedy selection at step k from a gain source; returns its trace.
 
-    Candidates sit in a max-heap of (-gain, sensor). After each pick the
-    eager policy re-evaluates every remaining candidate; the lazy policy
-    marks them stale and re-evaluates a stale entry only when it reaches
-    the top, re-inserting it unless it still beats the next one. The step
-    stops at its first non-positive gain.
+    Candidates sit in a heap ordered by their gain on a fixed 1e-12-nat
+    grid, largest first, then by sensor index: gains that differ only by
+    rounding tie, and the lowest index wins, whichever source computed
+    them. The integer key is monotone in the gain, so a stale gain still
+    bounds its key. The trace keeps each pick's unrounded gain. After each
+    pick the eager policy re-evaluates every remaining candidate; the lazy
+    policy marks them stale and re-evaluates a stale entry only when it
+    reaches the top, re-inserting it unless it still beats the next one.
+    The step stops at its first non-positive gain.
     """
     calls = 0
     chosen: list[int] = []
@@ -227,7 +296,8 @@ def _select(source, k, s_k, lazy):
     def entry(i):
         nonlocal calls
         calls += 1
-        return (-_clamp_gain(source.gain(i), k, i), i)
+        gain = _clamp_gain(source.gain(i), k, i)
+        return (-int(gain * 1e12 + 0.5), i, gain)
 
     heap = [entry(i) for i in range(source.ctx.suite.m)] if s_k else []
     heapq.heapify(heap)
@@ -240,17 +310,16 @@ def _select(source, k, s_k, lazy):
             if heap and top > heap[0]:
                 heapq.heappush(heap, top)
                 continue
-        neg_gain, i = top
-        gain = -neg_gain
+        _, i, gain = top
         if gain <= 0.0:
             break
         chosen.append(i)
         gains.append(gain)
         source.pick(i)
         if lazy:
-            stale = {j for _, j in heap}
+            stale = {j for _, j, _ in heap}
         elif len(chosen) < s_k:
-            heap = [entry(j) for j in sorted(j for _, j in heap)]
+            heap = [entry(j) for j in sorted(j for _, j, _ in heap)]
             heapq.heapify(heap)
     return StepTrace(step=k, chosen=tuple(chosen), gains=tuple(gains), oracle_calls=calls)
 
@@ -267,8 +336,11 @@ def greedy_step_detailed(
 
     ``fixed_prefix`` must cover steps 0..k-1; its sets at step k and
     beyond are ignored. A non-empty prefix adds one evaluation to the
-    count: the oracle call that gives the base value with a sparse prior,
-    the downdates by the prefix's picks, step by step, with a dense one.
+    count: the oracle call that gives the base value with a sparse
+    precision prior; one band factorization of the prefix's
+    I + W Sigma W^T, which conditions step k's block, with a sparse
+    covariance; the downdates by the prefix's picks, step by step, with a
+    dense prior.
     """
     if not 0 <= k < ctx.K:
         raise DimensionMismatchError(f"step {k} outside horizon of {ctx.K}")

@@ -374,6 +374,46 @@ def test_criterion_6_linear_in_k_scaling():
     )
 
 
+def test_sparse_covariance_greedy_counts_are_linear_in_k(monkeypatch):
+    # beside criterion 6's clocks, counts for a prior stored as a sparse
+    # covariance (criterion 6's suite generator on a tracking prior):
+    # greedy reads every gain from its two-block window, so it makes no
+    # oracle call and factors no band, and its gain evaluations grow
+    # exactly with K; a step given a prefix factors that prefix once, in
+    # one band of k blocks
+    from sensorsched import blocklinalg, scheduler
+
+    factored = []
+    band_factor = blocklinalg._band_factor
+
+    def counted(diag, coupling):
+        factored.append(len(diag))
+        return band_factor(diag, coupling)
+
+    def no_oracle(_ctx, _schedule):
+        raise AssertionError("a sparse covariance gain called the oracle")
+
+    contexts = {K: ss.make_context(ss.build_tracking_prior(4, K, 1.0, 0.4),
+                                   random_suite(np.random.default_rng(777), 4, 8))
+                for K in (50, 100)}
+    monkeypatch.setattr(blocklinalg, "_band_factor", counted)
+    monkeypatch.setattr(scheduler, "_band_factor", counted)
+    monkeypatch.setattr(scheduler, "conditional_entropy", no_oracle)
+    evaluations = {}
+    for K, ctx in contexts.items():
+        for lazy in (False, True):
+            schedule, trace = ss.greedy_schedule(ctx, [2] * K, lazy=lazy)
+            evaluations[K, lazy] = trace.total_oracle_calls
+        assert factored == []
+        k = K // 2
+        step = ss.greedy_step_detailed(ctx, schedule, k, 2)
+        assert factored == [k]
+        assert step.chosen == trace.steps[k].chosen
+        factored.clear()
+    assert evaluations[100, False] == 2 * evaluations[50, False] == 2 * 50 * (8 + 7)
+    assert evaluations[100, True] == 2 * evaluations[50, True]
+
+
 def _receding_solves(monkeypatch, tmp_path, K, **config):
     """Every MAP solve of a CLI run on the benchmark's receding workload at
     horizon K (``perfbench.workloads.receding_config``, read only), with

@@ -329,6 +329,16 @@ class TestConstruction:
         )
         np.testing.assert_allclose(M.diag_blocks[0], [[2.0, 0.5], [0.5, 2.0]])
 
+    @pytest.mark.parametrize("diag, off", [
+        ([[[1.0, np.inf], [-np.inf, 1.0]]], []),
+        ([np.eye(2), np.eye(2)], [[[0.0, np.nan], [0.0, 0.0]]]),
+    ], ids=["diagonal", "off-diagonal"])
+    def test_non_finite_block_raises_before_symmetrizing(self, diag, off):
+        # inf and -inf in transposed places would make 0.5 (D + D^T) warn
+        # "invalid value", an error under the suite's warning filter
+        with pytest.raises(ss.InvalidParamsError, match="^matrix is not finite$"):
+            ss.BlockTridiagonalMatrix(diag, off)
+
     def test_assembled_is_symmetric(self):
         rng = np.random.default_rng(23)
         M, dense = random_spd_block_tridiag(rng, 2, 5)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sensorsched as ss
-from conftest import random_feasible_schedule, random_instance
+from conftest import (
+    random_feasible_schedule,
+    random_instance,
+    random_spd_block_tridiag,
+    random_suite,
+)
 
 
 def single_pick(budgets, k, i):
@@ -239,15 +245,71 @@ class TestGreedyStep:
         with pytest.raises(ss.NotPositiveDefiniteError, match="step 0, sensor 1 \\('sharp'\\)"):
             ss.greedy_schedule(ctx, [1, 1])
 
+    @pytest.mark.parametrize("kind", ["dense_cov", "tracking"])
+    def test_indefinite_covariance_prefix_raises_naming_its_step(self, kind):
+        # the prefix's picks condition an indefinite covariance, planted
+        # past the prior's check: I + W S W^T at step 0 is 1 - 4. The dense
+        # source downdates step by step, the banded one factors the prefix
+        # in one band; both name the step and its picks alike
+        prior, _ = random_instance(77, n=1, K=3, kind=kind)
+        if kind == "dense_cov":
+            object.__setattr__(prior, "matrix", -np.eye(3))
+        else:
+            object.__setattr__(prior.matrix, "diag_blocks", -np.ones((3, 1, 1)))
+        suite = ss.SensorSuite(state_dim=1, sensors=(
+            ss.builtin_sensor("linear_coordinate", axis=0, noise_var=4.0),
+            ss.builtin_sensor("linear_coordinate", axis=0, noise_var=0.25),
+        ))
+        ctx = ss.make_context(prior, suite)
+        prefix = ss.Schedule(sets=((1,), (), ()), budgets=(1, 1, 1))
+        with pytest.raises(ss.NotPositiveDefiniteError) as info:
+            ss.greedy_step_detailed(ctx, prefix, 2, 1)
+        assert str(info.value) == "step 0, sensors [1]: I + W S W^T is not positive definite"
+
     @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
     def test_nan_gain_raises_naming_step_and_sensor(self, monkeypatch, lazy):
-        prior, suite = random_instance(76, K=3, m=2)
+        # a sparse precision prior: its gains are differences of oracle calls
+        prior, suite = random_instance(76, K=3, m=2, kind="gauss_markov")
         ctx = ss.make_context(prior, suite)
         monkeypatch.setattr(
             "sensorsched.scheduler.conditional_entropy", lambda _ctx, _schedule: math.nan
         )
         with pytest.raises(ss.OracleInconsistencyError, match="step 0, sensor 0"):
             ss.greedy_schedule(ctx, [1] * prior.K, lazy=lazy)
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    def test_sparse_covariance_nan_block_raises_naming_step_and_sensor(self, lazy):
+        # a tracking prior's gains come from its two-block window; a NaN in
+        # the prior's block 1, planted past the prior's check, reaches the
+        # window when step 0 ends and must be caught at step 1's first candidate
+        prior, suite = random_instance(76, n=2, K=3, m=2, kind="tracking")
+        ctx = ss.make_context(prior, suite)
+        diag = prior.matrix.diag_blocks.copy()
+        diag[1, 0, 0] = math.nan
+        object.__setattr__(prior.matrix, "diag_blocks", diag)
+        with pytest.raises(ss.SensorSchedError, match="step 1, sensor 0"):
+            ss.greedy_schedule(ctx, [1] * prior.K, lazy=lazy)
+
+
+@pytest.mark.parametrize("seed", [4, 7, 9])
+def test_sparse_and_densified_greedy_pick_alike(monkeypatch, seed):
+    # perfbench's certify instance at this seed: two range sensors tie at
+    # step 0 in exact arithmetic, and the sparse and dense gain sources
+    # round them apart by an ulp; the 1e-12-nat grid ties them again
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench.workloads import certify_config
+
+    config = certify_config(seed, 3)
+    prior = ss.build_tracking_prior(**{k: v for k, v in config["prior"].items() if k != "kind"})
+    suite = ss.SensorSuite(state_dim=2, sensors=tuple(
+        ss.builtin_sensor(spec["kind"], **{k: v for k, v in spec.items() if k != "kind"})
+        for spec in config["sensors"]
+    ))
+    for lazy in (False, True):
+        sparse = ss.greedy_schedule(ss.make_context(prior, suite), [2] * 3, lazy=lazy)[0]
+        dense = ss.greedy_schedule(ss.make_context(ss.densify(prior), suite), [2] * 3, lazy=lazy)[0]
+        assert sparse.sets == dense.sets
+
 
 class TestLazyGreedy:
     def test_identical_output_to_eager(self):
@@ -319,10 +381,21 @@ def test_lazy_equals_eager(instance):
 
 
 @st.composite
-def dense_instances(draw):
-    """A small dense-prior instance, its budgets, and a random prefix and step."""
-    kind = draw(st.sampled_from(["dense_cov", "dense_prec"]))
-    prior, suite = random_instance(draw(st.integers(0, 2**20)), kind=kind)
+def downdate_instances(draw):
+    """A small instance whose gains come from covariance downdates, its
+    budgets, and a random prefix and step. The prior is dense, a tracking
+    covariance, or a random block-tridiagonal covariance."""
+    kind = draw(st.sampled_from(["dense_cov", "dense_prec", "tracking", "banded"]))
+    seed = draw(st.integers(0, 2**20))
+    if kind == "banded":
+        rng = np.random.default_rng(seed)
+        n, K, m = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        covariance = random_spd_block_tridiag(rng, n, K)[0]
+        prior = ss.GaussianPrior(n, K, rng.normal(0.0, 0.7, n * K), covariance,
+                                 "covariance_sparse")
+        suite = random_suite(rng, n, m)
+    else:
+        prior, suite = random_instance(seed, kind=kind)
     budgets = draw(st.lists(st.integers(0, suite.m), min_size=prior.K, max_size=prior.K))
     rng = np.random.default_rng(draw(st.integers(0, 2**20)))
     prefix = random_feasible_schedule(rng, suite.m, [suite.m] * prior.K)
@@ -354,9 +427,9 @@ def assert_picks_match_the_oracle(ctx, sets, step):
         base = after[i]
 
 
-@settings(max_examples=60)
-@given(dense_instances())
-def test_dense_downdate_gains_match_the_reference_oracle(instance):
+@settings(max_examples=100)
+@given(downdate_instances())
+def test_downdate_gains_match_the_reference_oracle(instance):
     ctx, budgets, prefix, k = instance
     for lazy in (False, True):
         schedule, trace = ss.greedy_schedule(ctx, budgets, lazy=lazy)
