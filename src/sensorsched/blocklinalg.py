@@ -11,8 +11,8 @@ form the kernels take whole. Dense fallbacks are provided for
 everything. All values are natural-log (nats).
 
 Every SPD factorization in the package happens here: in the one banded
-factorization, which also conditions the greedy scheduler's window on a
-sparse covariance prior's prefix, the one dense Cholesky, which also
+factorization, which also conditions the greedy scheduler's step block
+on a sparse covariance prior's prefix, the one dense Cholesky, which also
 factors each sensor noise covariance once, when the sensor is built, or
 the stacked Cholesky with which exhaustive enumeration, and the greedy
 scheduler's downdate gain source, factor every candidate of a step at

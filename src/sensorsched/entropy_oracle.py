@@ -34,7 +34,6 @@ and evaluations are pure, so they may be called concurrently.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -381,20 +380,24 @@ def map_linearization(
     residual curvature is what Gauss-Newton's linear rate leaves out, and
     with it the rate is quadratic.
 
-    A full step with ||delta||_inf <= tol is taken without a search and
-    ends the solve, converged. This tests the step and not the objective:
-    near the answer the objective changes by about ||delta||^2, which
-    falls below its own rounding before delta reaches a small tol. Any
-    other step x + t delta passes Armijo backtracking on f: t = 1, 1/2,
-    1/4, ... until f(x + t delta) <= f(x) - 1e-4 t grad^T delta, where
-    grad = -f'(x). The accepted trial's sensor evaluation is the next
-    iteration's. A search that finds no such t down to 2^-16 has stalled:
-    the solve ends there with ``converged=False`` and the last accepted
-    iterate, as it does after ``max_iter`` iterations. A step cut that
-    far means the local model is far off; so it is where f falls toward
-    a bearing's anchor, at which any angle is read exactly, and a search
-    without a floor walks the state onto the singular point. For linear
-    sensors the first step lands exactly on the Gaussian posterior mean.
+    A full step is taken without a search and ends the solve, converged,
+    when ||delta||_inf <= tol, or when its slope grad^T delta, the Newton
+    decrement lambda^2 = grad^T (P + Xi - C)^-1 grad, is at most
+    8 eps |f(x)| (eps the float64 machine epsilon): f cannot resolve a
+    decrease that small, so a line search could only stall at the answer.
+    The first tests the step and not the objective: near the answer the
+    objective changes by about ||delta||^2, which falls below its own
+    rounding before delta reaches a small tol. Any other step x + t delta
+    passes Armijo backtracking on f: t = 1, 1/2, 1/4, ... until
+    f(x + t delta) <= f(x) - 1e-4 t grad^T delta, where grad = -f'(x).
+    The accepted trial's sensor evaluation is the next iteration's. A
+    search that finds no such t down to 2^-16 has stalled: the solve ends
+    there with ``converged=False`` and the last accepted iterate, as it
+    does after ``max_iter`` iterations. A step cut that far means the
+    local model is far off; so it is where f falls toward a bearing's
+    anchor, at which any angle is read exactly, and a search without a
+    floor walks the state onto the singular point. For linear sensors the
+    first step lands exactly on the Gaussian posterior mean.
 
     Each sensor's residual, Jacobian and second derivatives are whitened
     by its noise factor L (R = L L^T), so the C^T R^-1 terms and the
@@ -494,8 +497,7 @@ def map_linearization(
     num_picks = sum(len(picks) for _, _, picks in groups.values())
     stack = np.zeros((num_picks + 1, 1 + n + n * n, d))
     slots = np.full((max(map(len, sets)), K), num_picks)
-    # (sensor index, its value-and-derivatives call, padded factor, its
-    # slots, its picks' steps and values)
+    # (sensor index, padded factor, its slots, its picks' steps and values)
     factors = []
     start = 0
     for i, L, picks in groups.values():
@@ -505,8 +507,7 @@ def map_linearization(
         slots[places, steps] = range(group.start, group.stop)
         padded = np.eye(d)
         padded[:len(L), :len(L)] = L
-        factors.append((i, functools.partial(sensors[i]._measure_and_jacobian, second=True),
-                        padded, group, np.array(steps), np.array(values)))
+        factors.append((i, padded, group, np.array(steps), np.array(values)))
 
     mu = np.array(prior.mean)
     precision = _precision(prior)
@@ -515,9 +516,9 @@ def map_linearization(
     def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
         """Fill the stack at x; return f(x) and P (x - mu)."""
         states = x.reshape(K, n)
-        for i, derivatives, L, group, steps, y in factors:
+        for i, L, group, steps, y in factors:
             sensor = sensors[i]
-            h, J, H = _naming_step(derivatives, states[steps], steps, i, sensor)
+            h, J, H = _naming_step(sensor._measure_and_jacobian, states[steps], steps, i, sensor)
             e = sensor.output_dim
             sensor._residual(y, h, out=stack[group, 0, :e])
             stack[group, 1:n + 1, :e] = J.swapaxes(1, 2)
@@ -549,12 +550,12 @@ def map_linearization(
         grad = products[slots, :n].sum(axis=0).reshape(-1) - prior_term
         curvature = products[slots, n:].sum(axis=0).reshape(K, n, n)
         delta = _newton_step(precision, xi, curvature, grad, iterations)
-        if np.abs(delta).max() <= tol:
+        # grad is -f'(x), so grad^T delta is the decrease rate along delta
+        slope = grad @ delta
+        if np.abs(delta).max() <= tol or slope <= 8 * np.finfo(float).eps * abs(f):
             x = x + delta
             converged = True
             break
-        # grad is -f'(x), so grad^T delta is the decrease rate along delta
-        slope = grad @ delta
         t = 1.0
         while True:
             trial = x + t * delta

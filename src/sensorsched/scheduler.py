@@ -26,10 +26,12 @@ so far: a step's m candidate gains 1/2 logdet(I + W_i S_kk W_i^T) take
 one stacked d x d Cholesky, and each pick conditions it by a rank-d
 downdate. A dense prior's is kept whole, so a greedy run costs one order
 of K less than a dense oracle call per candidate. A block-tridiagonal
-covariance's is kept to a window of two blocks, because conditioning on
-a step changes only the next step's block; so a gain costs the same at
-any K and a greedy run is linear in K. A gain evaluation reads one of
-those gains; what the trace counts keeps its meaning either way.
+covariance's is kept to step k's block alone, because conditioning on
+step k changes only step k+1's block:
+S_{k+1} = Sigma_{k+1,k+1} - Sigma_{k+1,k} W_k^T (I + W_k S_k W_k^T)^-1 W_k Sigma_{k,k+1};
+so a gain costs the same at any K and a greedy run is linear in K. A
+gain evaluation reads one of those gains; what the trace counts keeps
+its meaning either way.
 """
 
 from __future__ import annotations
@@ -93,8 +95,8 @@ class GreedyTrace:
     evaluations at pick t, which is what this trace reports. With a sparse
     precision prior each evaluation is one full oracle call; with any other
     prior it reads the candidate's gain from the covariance that the
-    downdate source conditions after each pick (a two-block window for a
-    sparse covariance), and all m of a refresh come from one stacked
+    downdate source conditions after each pick (step k's block alone for
+    a sparse covariance), and all m of a refresh come from one stacked
     factorization.
     """
 
@@ -158,27 +160,27 @@ class _OracleGains:
 
 
 class _DowndateGains:
-    """Every other prior: gains read from S, the covariance of the steps not yet fixed.
+    """Every other prior: gains read from S, a covariance of the steps not yet fixed.
 
-    S covers steps k..K-1 given the picks before k, and C is its step-k
-    block given step k's picks so far. Candidate i's gain is
+    S is conditioned on the picks before k, and C is its step-k block
+    given step k's picks so far. Candidate i's gain is
     1/2 logdet(I + W_i C W_i^T), with W_i its whitened rows as the
     context stores them (a zero-padded row adds a unit diagonal entry);
     one stacked Cholesky factors all m of them. A pick conditions C on
     W_i by a rank-d update. When the step ends, its picks, in ascending
-    order, condition the trailing block in one rank update,
-    S_tt <- S_tt - G (I + W S_kk W^T)^-1 G^T with G = S_tk W^T, and its
-    rows and columns are dropped.
+    order, condition the block B of the steps after k in one rank update,
+    B <- B - G^T W^T (I + W S_kk W^T)^-1 W G with G the coupling S_{k,>k},
+    and S becomes B.
 
-    A dense prior's S starts as a copy of its covariance (a precision
-    prior's cached dense inverse), and a prefix is conditioned on step by
-    step the same way, so a step's gains do not depend on how its prefix
-    was reached. A block-tridiagonal covariance keeps S to a window of two
-    blocks: step k's, and the prior's blocks (k, k+1) and (k+1, k+1).
-    Conditioning on steps <= k changes only block k+1 of the trailing
-    covariance, because Sigma_jt = 0 for |j - t| > 1; so the same rank
-    update downdates the window, and step k+2's prior row and column are
-    appended, at O(n^3) a step. Its prefix is conditioned on at once:
+    A dense prior's S is the whole trailing covariance: it starts as a
+    copy of the prior's (a precision prior's cached dense inverse), B and
+    G are views of it, and a prefix is conditioned on step by step the
+    same way, so a step's gains do not depend on how its prefix was
+    reached. A block-tridiagonal covariance keeps S to step k's n x n
+    block, because conditioning on step k changes only step k+1's block:
+    B is a copy of Sigma_{k+1,k+1} and G the prior coupling Sigma_{k,k+1},
+    which the picks before k leave as it is; so a step costs O(n^3) at any
+    K. Its prefix is conditioned on at once:
     S_k = Sigma_kk - X^T X with X = L_{k-1}^-1 W_{k-1} Sigma_{k-1,k}, where
     L_{k-1} is the last diagonal block of the band factor of the prefix's
     I + W Sigma W^T.
@@ -190,7 +192,7 @@ class _DowndateGains:
         self.band = S if isinstance(S, BlockTridiagonalMatrix) else None
         if self.band is not None:
             self.k = k
-            self.S = self._window(self._prefix_block(sets))
+            self.S = self._prefix_block(sets)
         else:
             self.S = np.array(S)
             for chosen in sets[:k]:
@@ -214,18 +216,6 @@ class _DowndateGains:
                 exc.pivot, j) from exc
         X = _trtrs(_factor_block(factor, k - 1), W[k - 1] @ band.offdiag_blocks[k - 1])
         return band.diag_blocks[k] - X.T @ X
-
-    def _window(self, S_k: np.ndarray) -> np.ndarray:
-        """Step k's block S_k beside the prior's blocks (k, k+1) and (k+1, k+1)."""
-        k, n, band = self.k, self.ctx.n, self.band
-        if k + 1 == band.num_blocks:
-            return S_k
-        S = np.empty((2 * n, 2 * n))
-        S[:n, :n] = S_k
-        S[:n, n:] = band.offdiag_blocks[k]
-        S[n:, :n] = band.offdiag_blocks[k].T
-        S[n:, n:] = band.diag_blocks[k + 1]
-        return S
 
     def _begin(self) -> None:
         n = self.ctx.n
@@ -253,19 +243,19 @@ class _DowndateGains:
         self.gains = None
 
     def advance(self) -> None:
-        n, S = self.ctx.n, self.S
-        self.S = S[n:, n:]
+        k, n, S = self.k, self.ctx.n, self.S
+        if self.band is None:
+            B, G = S[n:, n:], S[:n, n:]
+        else:
+            B, G = self.band.diag_blocks[k + 1].copy(), self.band.offdiag_blocks[k]
         if self.chosen:
-            W = self.ctx.whitened_jacobians[self.k, sorted(self.chosen)].reshape(-1, n)
+            W = self.ctx.whitened_jacobians[k, sorted(self.chosen)].reshape(-1, n)
             M = W @ S[:n, :n] @ W.T
             M.flat[::len(M) + 1] += 1.0
-            L = _cholesky(M, f"step {self.k}, sensors {sorted(self.chosen)}: I + W S W^T")
-            V = _trtrs(L, W @ S[:n, n:])
-            self.S -= V.T @ V
-        self.k += 1
-        self.chosen = []
-        if self.band is not None:
-            self.S = self._window(self.S)
+            L = _cholesky(M, f"step {k}, sensors {sorted(self.chosen)}: I + W S W^T")
+            V = _trtrs(L, W @ G)
+            B -= V.T @ V
+        self.S, self.k, self.chosen = B, k + 1, []
         self._begin()
 
 

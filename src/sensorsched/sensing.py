@@ -197,21 +197,20 @@ class Sensor:
             out[out > math.pi] -= 2.0 * math.pi
             out[out <= -math.pi] += 2.0 * math.pi
 
-    def _measure_and_jacobian(self, X: np.ndarray, second: bool = False):
+    def _measure_and_jacobian(self, X: np.ndarray):
         """``measure_at`` and ``jacobian_at`` of a (P, n) float stack, equal to
-        theirs bit for bit. A built-in sensor's two maps share one
-        ``evaluate``, which gives both in one call; any other sensor makes
-        both calls. With ``second`` a third item follows: the (P, d, n, n)
-        second derivatives of a built-in sensor's outputs, from the same
-        ``evaluate`` call, or None for any other sensor."""
+        theirs bit for bit, and the (P, d, n, n) second derivatives of a
+        built-in sensor's outputs, or None for any other sensor. A built-in
+        sensor's two maps share one ``evaluate``, which gives all three in
+        one call; any other sensor makes both calls."""
         evaluate = getattr(self.measure, "evaluate", None)
         if evaluate is None or evaluate is not getattr(self.jacobian, "evaluate", None):
-            return (self.measure_at(X), self.jacobian_at(X)) + ((None,) if second else ())
-        out = evaluate(X, second)
+            return self.measure_at(X), self.jacobian_at(X), None
+        out = evaluate(X, True)
         P, d, n = len(X), self.output_dim, X.shape[1]
-        first = (self._stack_shaped(out[self.measure.which], (P, d)),
-                 self._stack_shaped(out[self.jacobian.which], (P, d, n)))
-        return first + (self._stack_shaped(out[2], (P, d, n, n)),) if second else first
+        return (self._stack_shaped(out[self.measure.which], (P, d)),
+                self._stack_shaped(out[self.jacobian.which], (P, d, n)),
+                self._stack_shaped(out[2], (P, d, n, n)))
 
 
 @dataclass(frozen=True)
@@ -326,8 +325,8 @@ class _StackedMap:
     Called on one state, it evaluates a one-row stack and returns row 0,
     so the one-state and stacked forms cannot drift. ``Sensor.measure_at``
     and ``Sensor.jacobian_at`` call ``stacked`` on a whole stack at once,
-    and ``Sensor._measure_and_jacobian`` makes one ``evaluate`` call when
-    both maps share it. ``angular`` marks a measure map whose values are
+    and ``Sensor._measure_and_jacobian`` makes one ``evaluate`` call, with
+    ``second`` set, when both maps share it. ``angular`` marks a measure map whose values are
     angles in (-pi, pi].
     """
 

@@ -377,7 +377,7 @@ def test_criterion_6_linear_in_k_scaling():
 def test_sparse_covariance_greedy_counts_are_linear_in_k(monkeypatch):
     # beside criterion 6's clocks, counts for a prior stored as a sparse
     # covariance (criterion 6's suite generator on a tracking prior):
-    # greedy reads every gain from its two-block window, so it makes no
+    # greedy reads every gain from step k's conditional block, so it makes no
     # oracle call and factors no band, and its gain evaluations grow
     # exactly with K; a step given a prefix factors that prefix once, in
     # one band of k blocks

@@ -927,15 +927,21 @@ class TestMapLinearization:
         seen = bearing.measure_at(out.estimate)[0]
         assert abs(seen - reading[0]) < 0.01
 
-    def test_receding_solve_that_hit_the_cap_converges_downhill(self):
-        # greedy step 3 of perfbench's receding_config(60): undamped
-        # Gauss-Newton ran into its 50-iteration cap on this problem
-        rec = json.loads((Path(__file__).parent / "data" / "receding60_step3_map.json").read_text())
+    @staticmethod
+    def recorded_solve(name):
+        """(prior, suite, schedule, measurements, initial) of a recorded MAP solve."""
+        rec = json.loads((Path(__file__).parent / "data" / name).read_text())
         prior = ss.build_tracking_prior(**rec["prior"])
         suite = ss.SensorSuite(2, tuple(ss.builtin_sensor(**spec) for spec in rec["sensors"]))
         sched = ss.Schedule(sets=tuple(map(tuple, rec["sets"])), budgets=(2,) * prior.K)
         measurements = [None if m is None else np.array(m) for m in rec["measurements"]]
-        initial = np.array(rec["initial"])
+        return prior, suite, sched, measurements, np.array(rec["initial"])
+
+    def test_receding_solve_that_hit_the_cap_converges_downhill(self):
+        # greedy step 3 of perfbench's receding_config(60): undamped
+        # Gauss-Newton ran into its 50-iteration cap on this problem
+        prior, suite, sched, measurements, initial = self.recorded_solve(
+            "receding60_step3_map.json")
         out = ss.map_linearization(prior, suite, sched, measurements, initial=initial)
         assert out.converged and out.iterations <= 10
 
@@ -959,6 +965,17 @@ class TestMapLinearization:
         ] + [out.estimate]
         objective = [neg_log_posterior(x) for x in iterates]
         assert all(b <= a for a, b in zip(objective, objective[1:])), objective
+
+    def test_receding_solve_at_its_rounding_floor_converges(self):
+        # greedy step 28 of perfbench's receding_config(240): from iteration
+        # 5 the Newton step stays at max|delta| ~ 1.1e-8, just over tol, while
+        # its slope grad^T delta (~6e-16) is below what f can resolve; a line
+        # search there stalls, and the solve ended unconverged after 10
+        # iterations at the answer
+        prior, suite, sched, measurements, initial = self.recorded_solve(
+            "receding240_step28_map.json")
+        out = ss.map_linearization(prior, suite, sched, measurements, initial=initial)
+        assert out.converged and out.iterations <= 6, out
 
     @pytest.mark.parametrize("kind", ["tracking", "gauss_markov"])
     def test_system_that_fails_to_factor_names_the_iteration(self, kind):

@@ -279,9 +279,10 @@ class TestGreedyStep:
 
     @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
     def test_sparse_covariance_nan_block_raises_naming_step_and_sensor(self, lazy):
-        # a tracking prior's gains come from its two-block window; a NaN in
-        # the prior's block 1, planted past the prior's check, reaches the
-        # window when step 0 ends and must be caught at step 1's first candidate
+        # a tracking prior's gains come from step k's block alone; a NaN in
+        # the prior's block 1, planted past the prior's check, is copied into
+        # step 1's block when step 0 ends and must be caught at step 1's
+        # first candidate
         prior, suite = random_instance(76, n=2, K=3, m=2, kind="tracking")
         ctx = ss.make_context(prior, suite)
         diag = prior.matrix.diag_blocks.copy()
@@ -437,6 +438,20 @@ def test_downdate_gains_match_the_reference_oracle(instance):
             assert_picks_match_the_oracle(ctx, schedule.sets, step)
         step = ss.greedy_step_detailed(ctx, prefix, k, budgets[k], lazy=lazy)
         assert_picks_match_the_oracle(ctx, prefix.sets, step)
+
+
+def test_sparse_covariance_steps_match_the_run_at_every_k():
+    # a long horizon on a prior stored as a sparse covariance (criterion 6's
+    # suite generator on a tracking prior): a run conditions step k's block
+    # step by step, a single step factors its prefix in one band; both must
+    # give the same picks and gains at every k
+    ctx = ss.make_context(ss.build_tracking_prior(4, 200, 1.0, 0.4),
+                          random_suite(np.random.default_rng(777), 4, 8))
+    schedule, trace = ss.greedy_schedule(ctx, [2] * ctx.K)
+    for k, run in enumerate(trace.steps):
+        step = ss.greedy_step_detailed(ctx, schedule, k, 2)
+        assert step.chosen == run.chosen, k
+        np.testing.assert_allclose(step.gains, run.gains, rtol=1e-12, atol=0, err_msg=str(k))
 
 
 class TestRandomSchedule:

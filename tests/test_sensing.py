@@ -303,8 +303,8 @@ class TestFusedEvaluation:
         rng = np.random.default_rng(seed)
         sensor = random_sensor(rng, n, kind)
         X = rng.normal(0.0, 2.0, (P, n))
-        Z, J = sensor._measure_and_jacobian(X)
-        assert Z.shape == (P, 1) and J.shape == (P, 1, n)
+        Z, J, H = sensor._measure_and_jacobian(X)
+        assert Z.shape == (P, 1) and J.shape == (P, 1, n) and H.shape == (P, 1, n, n)
         assert np.array_equal(Z, sensor.measure_at(X))
         assert np.array_equal(J, sensor.jacobian_at(X))
 
@@ -332,8 +332,8 @@ class TestFusedEvaluation:
                            lambda x: calls.append("J") or [[1.0, 1.0], [1.0, 0.0]],
                            np.eye(2), name="u")
         X = np.array([[1.0, 2.0], [3.0, 5.0]])
-        Z, J = sensor._measure_and_jacobian(X)
-        assert Z.tolist() == [[3.0, 1.0], [8.0, 3.0]]
+        Z, J, H = sensor._measure_and_jacobian(X)
+        assert Z.tolist() == [[3.0, 1.0], [8.0, 3.0]] and H is None
         assert J.tolist() == [[[1.0, 1.0], [1.0, 0.0]]] * 2
         assert calls == ["h", "h", "J", "J"]
 
@@ -343,8 +343,8 @@ class TestFusedEvaluation:
         far = ss.builtin_sensor("range", anchor=[3.0, 4.0], noise_var=1.0)
         sensor = ss.Sensor(1, near.measure, far.jacobian, np.eye(1), name="mixed")
         X = np.array([[0.0, 1.0], [6.0, 8.0]])
-        Z, J = sensor._measure_and_jacobian(X)
-        assert Z.tolist() == [[1.0], [10.0]]
+        Z, J, H = sensor._measure_and_jacobian(X)
+        assert Z.tolist() == [[1.0], [10.0]] and H is None
         assert np.array_equal(J, far.jacobian_at(X))
 
     def test_builtin_maps_under_a_wrong_output_dim_raise(self):
@@ -372,7 +372,7 @@ class TestSecondDerivatives:
         far = {"range": sensor.measure_at(X)[:, 0],
                "bearing": 1.0 / np.linalg.norm(J, axis=1)}.get(kind, np.ones(P))
         X = X[far >= 0.5]
-        Z, J, H = sensor._measure_and_jacobian(X, second=True)
+        Z, J, H = sensor._measure_and_jacobian(X)
         assert H.shape == (len(X), 1, n, n)
         assert np.array_equal(Z, sensor.measure_at(X)) and np.array_equal(J, sensor.jacobian_at(X))
         step = 1e-5
@@ -385,7 +385,7 @@ class TestSecondDerivatives:
 
     def test_user_sensor_has_none(self):
         sensor = ss.Sensor(1, lambda x: [x @ x], lambda x: [2.0 * x], np.eye(1), name="u")
-        Z, J, H = sensor._measure_and_jacobian(np.array([[1.0, 2.0]]), second=True)
+        Z, J, H = sensor._measure_and_jacobian(np.array([[1.0, 2.0]]))
         assert (Z.tolist(), J.tolist(), H) == ([[5.0]], [[[2.0, 4.0]]], None)
 
 
