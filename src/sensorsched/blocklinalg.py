@@ -39,7 +39,6 @@ non-finite log-determinant raises it with both None. Any other nonzero
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -261,8 +260,7 @@ def logdet_dense(M: np.ndarray) -> float:
     return _logdet_dense(A)
 
 
-@functools.lru_cache(maxsize=32)
-def _band_positions(K: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _band_table(K: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where K diagonal and K - 1 coupling blocks of size p go in band storage.
 
     The band array is C-ordered (K p, 2p): its row j holds column j of the
@@ -272,7 +270,8 @@ def _band_positions(K: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     (k, k+1), is matrix entry ((k+1)p + c, kp + r) below the diagonal.
     Returns the flat band positions of the diagonal blocks' lower
     triangles, their flat positions in the (K, p, p) stack, and the flat
-    band positions of the whole (K - 1, p, p) coupling stack.
+    band positions of the whole (K - 1, p, p) coupling stack, read-only.
+    Each array lists block 0's entries first, then block 1's, and so on.
     """
     k, r, c = np.meshgrid(np.arange(K), np.arange(p), np.arange(p), indexing="ij")
     lower = (r >= c).reshape(-1)
@@ -284,6 +283,26 @@ def _band_positions(K: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     for a in positions:
         a.setflags(write=False)
     return positions
+
+
+# block size p -> (K, _band_table(K, p)), the largest table built for p
+_band_tables: dict[int, tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+
+
+def _band_positions(K: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_band_table(K, p)`` for K >= 1 blocks, as read-only leading slices of
+    one table per block size. A block's positions do not depend on how
+    many blocks follow it, so the table for any larger K starts with them;
+    a K beyond the table's rebuilds it for max(K, twice as many) blocks,
+    so a run that factors every size up to K builds about log2 K tables."""
+    built, table = _band_tables.get(p, (0, ()))
+    if built < K:
+        built = max(K, 2 * built)
+        table = _band_table(built, p)
+        _band_tables[p] = built, table
+    to_diag, from_diag, to_coupling = table
+    lower = K * p * (p + 1) // 2
+    return to_diag[:lower], from_diag[:lower], to_coupling[:(K - 1) * p * p]
 
 
 def _schur_pivot(

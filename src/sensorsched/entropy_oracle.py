@@ -21,12 +21,14 @@ An OracleContext freezes the linearization point and precomputes every
 per-(step, sensor) whitened Jacobian W = L^-1 J and its information W^T W,
 with the noise factor L that each sensor computes once when built, as two
 (step, sensor) stacks; they are the only copy. Every evaluation gathers
-the selected sensors' blocks from them: the information form adds each
-step's sum to the prior precision's diagonal blocks, and the covariance
-form multiplies the gathered rows into the prior covariance. So with a
+the selected sensors' blocks from them with one fancy index, whose
+(q, K) index array is the schedule's sets transposed (q the most picks
+at any step): the information form adds each step's sum, taken in pick
+order, to the prior precision's diagonal blocks, and the covariance form
+multiplies the gathered rows into the prior covariance. So with a
 block-tridiagonal prior one evaluation (the greedy scheduler makes
-thousands) is a few batched array operations over the K steps and one
-banded log-determinant of K blocks. Neither formula adds jitter: every
+thousands) is a few batched array operations over the K steps, with no
+Python loop over them, and one banded log-determinant of K blocks. Neither formula adds jitter: every
 eigenvalue of I + W Sigma W^T is at least 1 in exact arithmetic, so a
 failed factorization is reported, never retried. Contexts are immutable
 and evaluations are pure, so they may be called concurrently.
@@ -34,6 +36,8 @@ and evaluations are pure, so they may be called concurrently.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -199,12 +203,24 @@ def _gathered(stack: np.ndarray, sets: Sequence[tuple[int, ...]]) -> np.ndarray:
     """(len(sets), q, ...) entries of a padded stack for each row's picks, in pick order.
 
     Row j of ``stack``, shape (len(sets), m + 1, ...), is gathered at the
-    indices ``sets[j]``; q is the most picks in any set, and a set with
-    fewer is filled up with the stack's zero slot m.
+    indices ``sets[j]``; q is the most picks in any set (1 if every set is
+    empty), and a set with fewer is filled up with the stack's zero slot m.
+    ``zip_longest`` transposes and pads the sets into one (q, len(sets))
+    index, so the gather is one fancy index however many rows there are.
+    It makes q contiguous (len(sets), ...) slabs, the t-th holding every
+    row's t-th pick, and returns them as a (len(sets), q, ...) view.
     """
-    filler = (stack.shape[1] - 1,) * max(map(len, sets), default=0)
-    picks = np.array([chosen + filler[len(chosen):] for chosen in sets], dtype=np.intp)
-    return stack[np.arange(len(sets))[:, None], picks]
+    m = stack.shape[1] - 1
+    picks = list(itertools.zip_longest(*sets, fillvalue=m)) or [(m,) * len(sets)]
+    return stack[np.arange(len(sets)), np.array(picks, dtype=np.intp)].swapaxes(0, 1)
+
+
+def _pick_sums(stack: np.ndarray, sets: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """(len(sets), ...) sums of each row's gathered entries, added left to right
+    in pick order: one ``np.add`` of whole slabs per pick after the first.
+    ``.sum(axis=1)`` adds them in that order too, except where a slab is a
+    single number (one row of 1 x 1 blocks): NumPy sums those pairwise."""
+    return functools.reduce(np.add, _gathered(stack, sets).swapaxes(0, 1))
 
 
 def _plus_blockdiag(P: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -233,7 +249,7 @@ def conditional_entropy_precision_form(ctx: OracleContext, schedule: Schedule) -
     _check_sets(schedule.sets, ctx.K, ctx.suite.m)
     P = _precision(ctx.prior)
     # a step's increments are summed in pick order, then added to its prior block
-    xi = _gathered(ctx._increments, schedule.sets).sum(axis=1)
+    xi = _pick_sums(ctx._increments, schedule.sets)
     if isinstance(P, BlockTridiagonalMatrix):
         logdet = logdet_block_tridiagonal_blocks(P.diag_blocks + xi, P.offdiag_blocks)
     else:
@@ -327,7 +343,7 @@ def posterior_covariance(ctx: OracleContext, schedule: Schedule) -> np.ndarray:
     P = _precision(ctx.prior)
     if isinstance(P, BlockTridiagonalMatrix):
         P = P.assemble()
-    xi = _gathered(ctx._increments, schedule.sets).sum(axis=1)
+    xi = _pick_sums(ctx._increments, schedule.sets)
     return _inverse_spd(_plus_blockdiag(P, xi), "posterior information matrix")
 
 
@@ -482,7 +498,7 @@ def map_linearization(
             raise DimensionMismatchError(
                 f"step {k} measurement has shape {y.shape}, expected ({sum(dims)},)"
             )
-        for j, (i, e, end) in enumerate(zip(chosen, dims, np.cumsum(dims))):
+        for j, (i, e, end) in enumerate(zip(chosen, dims, itertools.accumulate(dims))):
             L = sensors[i].noise_factor_at(k)
             groups.setdefault(id(L), (i, L, []))[2].append((k, j, y[end - e:end]))
     if not groups:

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .blocklinalg import _cholesky_stack
-from .entropy_oracle import OracleContext, _gathered, conditional_entropy
+from .entropy_oracle import OracleContext, _pick_sums, conditional_entropy
 from .errors import (InvalidParamsError, NotPositiveDefiniteError, OracleInconsistencyError,
                      TooLargeError)
 from .process_models import LOG_TWO_PI_E
@@ -139,8 +139,11 @@ def _enumerate(ctx: OracleContext, budgets: tuple[int, ...]):
     combination order). ``budgets`` must already be checked.
     """
     per_step = [_step_candidates(ctx.suite.m, s_k) for s_k in budgets]
-    # Xi of every candidate set of a step, summed in the oracle's order
-    xi = [_gathered(ctx._increments[[k] * len(c)], c).sum(axis=1) for k, c in enumerate(per_step)]
+    # Xi of every candidate set of a step, summed in pick order as the oracle
+    # sums it: each candidate gathers from one read-only broadcast of step k's row
+    rows = ctx._increments.shape[1:]
+    xi = [_pick_sums(np.broadcast_to(ctx._increments[k], (len(c), *rows)), c)
+          for k, c in enumerate(per_step)]
     logdets = np.empty(math.prod(len(c) for c in per_step))
     _walk(ctx.prior.precision_dense()[None], np.zeros(1), 0, xi, logdets, 0)
     costs = 0.5 * ctx.prior.dim * LOG_TWO_PI_E - 0.5 * logdets

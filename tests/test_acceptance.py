@@ -573,6 +573,79 @@ def test_criterion_9_receding_outputs_are_pinned(tmp_path):
     report(9, "receding results.csv and trace.csv equal their pinned bytes")
 
 
+# demos/configs/scaling_bench.json under `run`: a Gauss-Markov prior stored
+# as a sparse precision, K = 25, so every greedy gain is one precision-form
+# oracle call over the steps' gathered picks, as written by the code that
+# padded each step's picks into a tuple of its own. Any change to the
+# gather, its pick-order sum or the banded log-det that moves a printed
+# digit shows here.
+SCALING_BENCH_RESULTS = (
+    "scheduler,entropy_nats,mutual_info_nats,oracle_calls\r\n"
+    "greedy,24.0973330291,17.9542463273,175\r\n"
+)
+SCALING_BENCH_TRACE = (
+    "k,pick_order,sensor,gain_nats\r\n"
+    "0,0,2,0.733168534397\r\n"
+    "0,1,0,0.463442649153\r\n"
+    "1,0,2,0.461321525668\r\n"
+    "1,1,0,0.303941652696\r\n"
+    "2,0,2,0.439906843088\r\n"
+    "2,1,0,0.277699664205\r\n"
+    "3,0,2,0.437854009027\r\n"
+    "3,1,0,0.270350142595\r\n"
+    "4,0,2,0.438057268698\r\n"
+    "4,1,0,0.26669870963\r\n"
+    "5,0,2,0.438528101006\r\n"
+    "5,1,0,0.264013775309\r\n"
+    "6,0,2,0.43899569515\r\n"
+    "6,1,0,0.261744000185\r\n"
+    "7,0,2,0.439420008304\r\n"
+    "7,1,0,0.259753642973\r\n"
+    "8,0,2,0.439798212675\r\n"
+    "8,1,0,0.257991702027\r\n"
+    "9,0,2,0.440134152943\r\n"
+    "9,1,0,0.256427202723\r\n"
+    "10,0,2,0.44043255571\r\n"
+    "10,1,0,0.255035908313\r\n"
+    "11,0,2,0.440697843833\r\n"
+    "11,1,0,0.253797262194\r\n"
+    "12,0,2,0.440933933887\r\n"
+    "12,1,0,0.252693444517\r\n"
+    "13,0,2,0.441144250747\r\n"
+    "13,1,0,0.251708906082\r\n"
+    "14,0,2,0.441331784125\r\n"
+    "14,1,0,0.250830039547\r\n"
+    "15,0,2,0.441499146898\r\n"
+    "15,1,0,0.250044912497\r\n"
+    "16,0,2,0.441648626943\r\n"
+    "16,1,0,0.249343042025\r\n"
+    "17,0,2,0.441782231619\r\n"
+    "17,1,0,0.248715202405\r\n"
+    "18,0,2,0.441901725665\r\n"
+    "18,1,0,0.24815326052\r\n"
+    "19,0,2,0.442008663454\r\n"
+    "19,1,0,0.247650034784\r\n"
+    "20,0,2,0.442104416513\r\n"
+    "20,1,0,0.247199174007\r\n"
+    "21,0,2,0.442190197054\r\n"
+    "21,1,0,0.246795053178\r\n"
+    "22,0,2,0.442267078145\r\n"
+    "22,1,0,0.246432683623\r\n"
+    "23,0,2,0.442336011058\r\n"
+    "23,1,0,0.246107635373\r\n"
+    "24,0,2,0.442397840219\r\n"
+    "24,1,0,0.245815969942\r\n"
+)
+
+
+def test_sparse_precision_planning_outputs_are_pinned(tmp_path):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "configs" / "scaling_bench.json"
+    paths = run_scenario(demo, tmp_path / "run")
+    assert paths["results"].read_bytes() == SCALING_BENCH_RESULTS.encode()
+    assert paths["trace"].read_bytes() == SCALING_BENCH_TRACE.encode()
+    report(9, "sparse-precision planning results.csv and trace.csv equal their pinned bytes")
+
+
 # demos/configs/small_tracking.json with receding linearization and without
 # the exhaustive scheduler: a tracking prior stored as a sparse covariance,
 # whose MAP solves take the dense precision path that the benchmark's

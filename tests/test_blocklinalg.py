@@ -322,6 +322,34 @@ class TestKernelProperties:
             ss.logdet_block_tridiagonal_blocks(diag, off)
 
 
+class TestBandPositions:
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_fewer_blocks_are_a_prefix_of_more(self, p):
+        # a block's band positions do not depend on how many blocks follow,
+        # so every K's positions are the leading entries of a larger K's
+        largest = blocklinalg._band_table(50, p)
+        for K in range(1, 51):
+            own = blocklinalg._band_table(K, p)
+            got = blocklinalg._band_positions(K, p)
+            for a, b, c in zip(own, got, largest):
+                assert np.array_equal(a, b) and np.array_equal(a, c[:len(a)])
+                assert not b.flags.writeable
+
+    def test_rising_k_rebuilds_the_table_a_logarithmic_number_of_times(self, monkeypatch):
+        # a receding run factors one prefix band per step, K = 1, 2, ...; a
+        # table that grows by doubling is built at most 9 times up to K = 200
+        monkeypatch.setattr(blocklinalg, "_band_tables", {})
+        built = []
+        real = blocklinalg._band_table
+        monkeypatch.setattr(blocklinalg, "_band_table", lambda K, p: built.append(K) or real(K, p))
+        for K in range(1, 201):
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(blocklinalg._band_positions(K, 2), real(K, 2)))
+        assert len(built) <= 9 and built[-1] >= 200
+        blocklinalg._band_positions(7, 2)  # a smaller K reads the same table
+        assert len(built) <= 9 and blocklinalg._band_tables[2][0] == built[-1]
+
+
 class TestConstruction:
     def test_diag_blocks_symmetrized(self):
         M = ss.BlockTridiagonalMatrix(

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sensorsched as ss
@@ -413,6 +413,51 @@ def test_plus_blockdiag_equals_a_loop_over_the_blocks(order):
     got = _plus_blockdiag(P, blocks)
     assert np.array_equal(got, loop)
     assert got.flags.c_contiguous and not np.shares_memory(got, P)
+
+
+def _pick_case(K, n, m, sets, seed):
+    """A (K, m + 1, n, n) stack of entries from 1e-8 to 1e8, whose slot m is
+    zero, and ``sets``: so the order of a sum shows in its bits."""
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((K, m + 1, n, n)) * 10.0 ** rng.integers(-8, 9, (K, m + 1, n, n))
+    stack[:, m] = 0.0
+    return stack, sets
+
+
+@st.composite
+def pick_cases(draw):
+    K, n, m = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    chosen = st.lists(st.booleans(), min_size=m, max_size=m)
+    sets = tuple(tuple(i for i, on in enumerate(draw(chosen)) if on) for _ in range(K))
+    return _pick_case(K, n, m, sets, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=150)
+@given(pick_cases())
+@example(_pick_case(3, 2, 4, ((), (), ()), 0))  # the all-empty schedule
+@example(_pick_case(1, 1, 9, (tuple(range(9)),), 1))  # one number per slab
+@example(_pick_case(4, 1, 10, (tuple(range(10)), (1, 3), (), tuple(range(1, 9))), 2))
+@example(_pick_case(2, 3, 8, (tuple(range(8)), (7,)), 3))
+def test_gathered_picks_are_summed_in_pick_order(case):
+    # the one gather of every oracle branch, posterior_covariance and the
+    # enumeration: row k's entries at its picks, in pick order, then zero
+    # filler; their sum adds them left to right, bit for bit, whatever the
+    # number of picks, n or K (NumPy's own reduction sums pairwise where a
+    # slab is one number)
+    from functools import reduce
+
+    from sensorsched.entropy_oracle import _gathered, _pick_sums
+
+    stack, sets = case
+    gathered = _gathered(stack, sets)
+    assert gathered.shape == (len(stack), max(1, *map(len, sets))) + stack.shape[2:]
+    for k, chosen in enumerate(sets):
+        for j, i in enumerate(chosen):
+            assert np.array_equal(gathered[k, j], stack[k, i])
+        assert not gathered[k, len(chosen):].any()
+    reference = [reduce(np.add, stack[k, list(chosen)], np.zeros(stack.shape[2:]))
+                 for k, chosen in enumerate(sets)]
+    assert np.array_equal(_pick_sums(stack, sets), reference)
 
 
 def test_dense_covariance_form_factors_the_padded_rows(monkeypatch):
