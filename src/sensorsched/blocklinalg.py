@@ -322,11 +322,19 @@ def _schur_pivot(
     return diag[j] - X.T @ X
 
 
+# block size p -> ``np.tril_indices(p)``, read-only
+_lower_triangles: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
 def _factor_block(factor: np.ndarray, j: int) -> np.ndarray:
     """Diagonal block L_j of a band factor from ``_band_factor``, dense and
     lower-triangular: L_j L_j^T is the Schur pivot D_j."""
     p = len(factor) // 2
-    r, c = np.tril_indices(p)
+    if p not in _lower_triangles:
+        _lower_triangles[p] = np.tril_indices(p)
+        for a in _lower_triangles[p]:
+            a.setflags(write=False)
+    r, c = _lower_triangles[p]
     L = np.zeros((p, p))
     L[r, c] = factor[r - c, j * p + c]
     return L

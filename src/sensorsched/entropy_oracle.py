@@ -21,17 +21,21 @@ An OracleContext freezes the linearization point and precomputes every
 per-(step, sensor) whitened Jacobian W = L^-1 J and its information W^T W,
 with the noise factor L that each sensor computes once when built, as two
 (step, sensor) stacks; they are the only copy. Every evaluation gathers
-the selected sensors' blocks from them with one fancy index, whose
-(q, K) index array is the schedule's sets transposed (q the most picks
-at any step): the information form adds each step's sum, taken in pick
-order, to the prior precision's diagonal blocks, and the covariance form
-multiplies the gathered rows into the prior covariance. So with a
-block-tridiagonal prior one evaluation (the greedy scheduler makes
-thousands) is a few batched array operations over the K steps, with no
-Python loop over them, and one banded log-determinant of K blocks. Neither formula adds jitter: every
-eigenvalue of I + W Sigma W^T is at least 1 in exact arithmetic, so a
-failed factorization is reported, never retried. Contexts are immutable
-and evaluations are pure, so they may be called concurrently.
+the selected sensors' blocks from them with one fancy index: the
+schedule's own (q, K) pick index, column k step k's sorted set padded
+with -1 (q the most picks at any step), which a schedule builds once and
+the greedy scheduler builds column by column. One reduction over that
+index checks it against the horizon and the suite. The information form
+adds each step's sum, taken in pick order, to the prior precision's
+diagonal blocks, and the covariance form multiplies the gathered rows
+into the prior covariance. So with a block-tridiagonal prior one
+evaluation (the greedy scheduler makes thousands) is a few batched array
+operations over the K steps, with no Python pass over the schedule's
+sets, and one banded log-determinant of K blocks. Neither formula adds
+jitter: every eigenvalue of I + W Sigma W^T is at least 1 in exact
+arithmetic, so a failed factorization is reported, never retried.
+Contexts are immutable and evaluations are pure, so they may be called
+concurrently.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -57,7 +60,7 @@ from .blocklinalg import (
 )
 from .errors import DimensionMismatchError, InvalidParamsError, NotPositiveDefiniteError
 from .process_models import LOG_TWO_PI_E, GaussianPrior, _covariance, _precision, prior_entropy
-from .sensing import Schedule, SensorSuite, _check_sets, _is_index
+from .sensing import Schedule, SensorSuite, _check_picks, _is_index
 
 __all__ = [
     "OracleContext",
@@ -199,28 +202,25 @@ def _naming_step(evaluate, X: np.ndarray, steps, i: int, sensor):
         raise
 
 
-def _gathered(stack: np.ndarray, sets: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """(len(sets), q, ...) entries of a padded stack for each row's picks, in pick order.
+def _gathered(stack: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """(len(stack), q, ...) entries of a padded stack at a pick index, in pick order.
 
-    Row j of ``stack``, shape (len(sets), m + 1, ...), is gathered at the
-    indices ``sets[j]``; q is the most picks in any set (1 if every set is
-    empty), and a set with fewer is filled up with the stack's zero slot m.
-    ``zip_longest`` transposes and pads the sets into one (q, len(sets))
-    index, so the gather is one fancy index however many rows there are.
-    It makes q contiguous (len(sets), ...) slabs, the t-th holding every
-    row's t-th pick, and returns them as a (len(sets), q, ...) view.
+    Row j of ``stack``, shape (len(stack), m + 1, ...), is gathered at
+    column j of ``picks``, a (q, len(stack)) pick index (``_pick_index``)
+    whose -1 filler reads the stack's zero slot m. The gather is one fancy
+    index however many rows there are. It makes q contiguous
+    (len(stack), ...) slabs, the t-th holding every row's t-th pick, and
+    returns them as a (len(stack), q, ...) view.
     """
-    m = stack.shape[1] - 1
-    picks = list(itertools.zip_longest(*sets, fillvalue=m)) or [(m,) * len(sets)]
-    return stack[np.arange(len(sets)), np.array(picks, dtype=np.intp)].swapaxes(0, 1)
+    return stack[np.arange(len(stack)), picks].swapaxes(0, 1)
 
 
-def _pick_sums(stack: np.ndarray, sets: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """(len(sets), ...) sums of each row's gathered entries, added left to right
+def _pick_sums(stack: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """(len(stack), ...) sums of each row's gathered entries, added left to right
     in pick order: one ``np.add`` of whole slabs per pick after the first.
     ``.sum(axis=1)`` adds them in that order too, except where a slab is a
     single number (one row of 1 x 1 blocks): NumPy sums those pairwise."""
-    return functools.reduce(np.add, _gathered(stack, sets).swapaxes(0, 1))
+    return functools.reduce(np.add, _gathered(stack, picks).swapaxes(0, 1))
 
 
 def _plus_blockdiag(P: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -246,10 +246,11 @@ def conditional_entropy_precision_form(ctx: OracleContext, schedule: Schedule) -
         NotPositiveDefiniteError: the prior precision is invalid
             (Xi is PSD, so it cannot break positive definiteness).
     """
-    _check_sets(schedule.sets, ctx.K, ctx.suite.m)
+    picks = schedule._picks
+    _check_picks(picks, ctx.K, ctx.suite.m)
     P = _precision(ctx.prior)
     # a step's increments are summed in pick order, then added to its prior block
-    xi = _pick_sums(ctx._increments, schedule.sets)
+    xi = _pick_sums(ctx._increments, picks)
     if isinstance(P, BlockTridiagonalMatrix):
         logdet = logdet_block_tridiagonal_blocks(P.diag_blocks + xi, P.offdiag_blocks)
     else:
@@ -257,17 +258,17 @@ def conditional_entropy_precision_form(ctx: OracleContext, schedule: Schedule) -
     return 0.5 * ctx.prior.dim * LOG_TWO_PI_E - 0.5 * logdet
 
 
-def _covariance_blocks(ctx: OracleContext, sets: Sequence[tuple[int, ...]]):
-    """I + W Sigma W^T over the first len(sets) steps of a block-tridiagonal
-    prior covariance, for the picks ``sets``.
+def _covariance_blocks(ctx: OracleContext, picks: np.ndarray):
+    """I + W Sigma W^T over the first k steps of a block-tridiagonal prior
+    covariance, for the (q, k) pick index ``picks``.
 
     Returns W, the steps' gathered rows, (k, q d, n) and zero-padded, and
     the (k, q d, q d) diagonal and (k - 1, q d, q d) coupling block stacks.
     A zero row adds a decoupled unit diagonal entry, so the padding leaves
     the log-det, and every pivot's, as it is.
     """
-    S, k = ctx.prior.matrix, len(sets)
-    W = _gathered(ctx._rows[:k], sets).reshape(k, -1, ctx.n)
+    S, k = ctx.prior.matrix, picks.shape[1]
+    W = _gathered(ctx._rows[:k], picks).reshape(k, -1, ctx.n)
     Wt = np.swapaxes(W, 1, 2)
     diag = W @ S.diag_blocks[:k] @ Wt
     diag[:, range(W.shape[1]), range(W.shape[1])] += 1.0
@@ -299,14 +300,15 @@ def conditional_entropy_covariance_form(ctx: OracleContext, schedule: Schedule) 
             takes an invalid prior or a rank-deficient W whose rows are
             so large (tiny noise) that the identity is lost to rounding.
     """
-    _check_sets(schedule.sets, ctx.K, ctx.suite.m)
+    picks = schedule._picks
+    _check_picks(picks, ctx.K, ctx.suite.m)
     S = _covariance(ctx.prior)
     if isinstance(S, BlockTridiagonalMatrix):
-        logdet = logdet_block_tridiagonal_blocks(*_covariance_blocks(ctx, schedule.sets)[1:])
+        logdet = logdet_block_tridiagonal_blocks(*_covariance_blocks(ctx, picks)[1:])
     else:
         # each step's picked rows, (K, q d, n), zero-padded; a zero row adds
         # a decoupled unit diagonal entry, which leaves the log-det as it is
-        W = _gathered(ctx._rows, schedule.sets).reshape(ctx.K, -1, ctx.n)
+        W = _gathered(ctx._rows, picks).reshape(ctx.K, -1, ctx.n)
         Wt = np.swapaxes(W, 1, 2)
         # W Sigma, one step's rows times Sigma's row block at a time; then
         # its column block k times step k's rows, for each step
@@ -339,11 +341,12 @@ def posterior_covariance(ctx: OracleContext, schedule: Schedule) -> np.ndarray:
 
     A covariance prior is read through its cached dense precision.
     """
-    _check_sets(schedule.sets, ctx.K, ctx.suite.m)
+    picks = schedule._picks
+    _check_picks(picks, ctx.K, ctx.suite.m)
     P = _precision(ctx.prior)
     if isinstance(P, BlockTridiagonalMatrix):
         P = P.assemble()
-    xi = _pick_sums(ctx._increments, schedule.sets)
+    xi = _pick_sums(ctx._increments, picks)
     return _inverse_spd(_plus_blockdiag(P, xi), "posterior information matrix")
 
 
@@ -362,6 +365,8 @@ class MapEstimate:
 # step fraction tried before a search counts as stalled
 _ARMIJO_C = 1e-4
 _MIN_STEP = 2.0 ** -16
+# a Newton decrement at most this times |f| is below what f can resolve
+_FLAT_SLOPE = 8 * np.finfo(float).eps
 
 
 def map_linearization(
@@ -474,7 +479,7 @@ def map_linearization(
     x = _checked_point(prior, suite, initial, "initial")
     if past_schedule is None or measurements is None:
         return MapEstimate(estimate=np.array(prior.mean), converged=True, iterations=0)
-    _check_sets(past_schedule.sets, prior.K, suite.m)
+    _check_picks(past_schedule._picks, prior.K, suite.m)
     if len(measurements) != prior.K:
         raise DimensionMismatchError(
             f"got {len(measurements)} measurement entries, expected {prior.K}"
@@ -568,7 +573,7 @@ def map_linearization(
         delta = _newton_step(precision, xi, curvature, grad, iterations)
         # grad is -f'(x), so grad^T delta is the decrease rate along delta
         slope = grad @ delta
-        if np.abs(delta).max() <= tol or slope <= 8 * np.finfo(float).eps * abs(f):
+        if np.abs(delta).max() <= tol or slope <= _FLAT_SLOPE * abs(f):
             x = x + delta
             converged = True
             break

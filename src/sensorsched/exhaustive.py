@@ -39,7 +39,7 @@ from .entropy_oracle import OracleContext, _pick_sums, conditional_entropy
 from .errors import (InvalidParamsError, NotPositiveDefiniteError, OracleInconsistencyError,
                      TooLargeError)
 from .process_models import LOG_TWO_PI_E
-from .sensing import Schedule, _check_budgets, _is_index
+from .sensing import Schedule, _check_budgets, _is_index, _pick_index
 
 __all__ = [
     "EnumerationResult",
@@ -140,9 +140,10 @@ def _enumerate(ctx: OracleContext, budgets: tuple[int, ...]):
     """
     per_step = [_step_candidates(ctx.suite.m, s_k) for s_k in budgets]
     # Xi of every candidate set of a step, summed in pick order as the oracle
-    # sums it: each candidate gathers from one read-only broadcast of step k's row
+    # sums it: each candidate gathers from one read-only broadcast of step k's
+    # row, at one pick index of all the step's candidates
     rows = ctx._increments.shape[1:]
-    xi = [_pick_sums(np.broadcast_to(ctx._increments[k], (len(c), *rows)), c)
+    xi = [_pick_sums(np.broadcast_to(ctx._increments[k], (len(c), *rows)), _pick_index(c))
           for k, c in enumerate(per_step)]
     logdets = np.empty(math.prod(len(c) for c in per_step))
     _walk(ctx.prior.precision_dense()[None], np.zeros(1), 0, xi, logdets, 0)

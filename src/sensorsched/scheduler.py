@@ -59,7 +59,7 @@ from .errors import (
     OracleInconsistencyError,
 )
 from .process_models import PriorForm, _covariance
-from .sensing import Schedule, _check_budget, _check_budgets, _check_sets, _is_index
+from .sensing import Schedule, _check_budget, _check_budgets, _check_picks, _is_index
 
 __all__ = [
     "StepTrace",
@@ -129,24 +129,35 @@ class _OracleGains:
 
     ``base`` is the entropy of the picks so far, and ``after[i]`` the
     entropy with candidate i added, as last evaluated; a pick's becomes
-    the next base, so no value is evaluated twice. The oracle reads only
-    a schedule's sets, so each is scored under budgets of m, which admit
-    any set.
+    the next base, so no value is evaluated twice. ``picks`` holds the
+    fixed steps' pick index, in rows enough for any step's set, and
+    ``filled`` counts the rows they fill; a scored schedule carries a copy
+    of the filled rows, or more, with step k's sorted column written in.
+    The oracle reads only a schedule's picks, so each is scored under
+    the prefix's budgets, of m, which admit any set.
     """
 
-    def __init__(self, ctx, sets, k):
-        self.ctx, self.sets, self.k = ctx, list(sets), k
-        self.budgets = (ctx.suite.m,) * ctx.K
+    def __init__(self, ctx, prefix, k):
+        self.ctx, self.sets, self.k = ctx, list(prefix.sets), k
+        self.budgets = prefix.budgets
+        self.filled = len(prefix._picks)
+        self.picks = np.full((max(self.filled, ctx.suite.m), ctx.K), -1, np.intp)
+        self.picks[:self.filled] = prefix._picks
         self.base = ctx.prior_entropy
-        if any(sets):
-            self.base = conditional_entropy(ctx, Schedule._unchecked(tuple(sets), self.budgets))
+        if prefix._picks.max() >= 0:
+            self.base = conditional_entropy(ctx, prefix)
         self.chosen: list[int] = []
         self.after: dict[int, float] = {}
 
     def gain(self, i: int) -> float:
+        chosen = sorted(self.chosen + [i])
+        picks = self.picks[:max(self.filled, len(chosen))].copy()
+        picks[:len(chosen), self.k] = chosen
+        picks.setflags(write=False)
         sets = list(self.sets)
-        sets[self.k] = tuple(sorted(self.chosen + [i]))
-        self.after[i] = conditional_entropy(self.ctx, Schedule._unchecked(tuple(sets), self.budgets))
+        sets[self.k] = tuple(chosen)
+        schedule = Schedule._unchecked(tuple(sets), self.budgets, picks)
+        self.after[i] = conditional_entropy(self.ctx, schedule)
         return self.base - self.after[i]
 
     def pick(self, i: int) -> None:
@@ -154,7 +165,10 @@ class _OracleGains:
         self.base = self.after[i]
 
     def advance(self) -> None:
-        self.sets[self.k] = tuple(sorted(self.chosen))
+        chosen = sorted(self.chosen)
+        self.sets[self.k] = tuple(chosen)
+        self.picks[:len(chosen), self.k] = chosen
+        self.filled = max(self.filled, len(chosen))
         self.k += 1
         self.chosen = []
 
@@ -186,33 +200,33 @@ class _DowndateGains:
     I + W Sigma W^T.
     """
 
-    def __init__(self, ctx, sets, k):
+    def __init__(self, ctx, prefix, k):
         self.ctx, self.k, self.chosen = ctx, 0, []
         S = _covariance(ctx.prior)
         self.band = S if isinstance(S, BlockTridiagonalMatrix) else None
         if self.band is not None:
             self.k = k
-            self.S = self._prefix_block(sets)
+            self.S = self._prefix_block(prefix)
         else:
             self.S = np.array(S)
-            for chosen in sets[:k]:
+            for chosen in prefix.sets[:k]:
                 self.chosen = list(chosen)
                 self.advance()
         self._begin()
 
-    def _prefix_block(self, sets) -> np.ndarray:
-        """Sigma_kk of a block-tridiagonal covariance given the picks ``sets``
+    def _prefix_block(self, prefix) -> np.ndarray:
+        """Sigma_kk of a block-tridiagonal covariance given the picks ``prefix``
         fixes before k, from one band factorization of the prefix."""
         k, band = self.k, self.band
-        if not any(sets[:k]):
+        if prefix._picks.max() < 0:
             return band.diag_blocks[k]
-        W, diag, coupling = _covariance_blocks(self.ctx, sets[:k])
+        W, diag, coupling = _covariance_blocks(self.ctx, prefix._picks[:, :k])
         try:
             factor = _band_factor(diag, coupling)
         except NotPositiveDefiniteError as exc:
             j = exc.block_index
             raise NotPositiveDefiniteError(
-                f"step {j}, sensors {list(sets[j])}: I + W S W^T is not positive definite",
+                f"step {j}, sensors {list(prefix.sets[j])}: I + W S W^T is not positive definite",
                 exc.pivot, j) from exc
         X = _trtrs(_factor_block(factor, k - 1), W[k - 1] @ band.offdiag_blocks[k - 1])
         return band.diag_blocks[k] - X.T @ X
@@ -259,11 +273,13 @@ class _DowndateGains:
         self._begin()
 
 
-def _gain_source(ctx, sets, k):
-    """Gains at step k given the picks ``sets`` fixes before it, by the stored prior form."""
+def _gain_source(ctx, prefix, k):
+    """Gains at step k given the picks the schedule ``prefix`` fixes before it,
+    by the stored prior form. The prefix's steps from k on are empty, and
+    its budgets are m."""
     if ctx.prior.form is PriorForm.PRECISION_SPARSE:
-        return _OracleGains(ctx, sets, k)
-    return _DowndateGains(ctx, sets, k)
+        return _OracleGains(ctx, prefix, k)
+    return _DowndateGains(ctx, prefix, k)
 
 
 def _select(source, k, s_k, lazy):
@@ -339,12 +355,22 @@ def greedy_step_detailed(
         raise DimensionMismatchError(
             f"prefix covers {fixed_prefix.num_steps} steps, step {k} needs {k}"
         )
-    sets = tuple(
-        fixed_prefix.sets[j] if j < k else () for j in range(ctx.K)
-    )
-    _check_sets(sets, ctx.K, ctx.suite.m)
-    trace = _select(_gain_source(ctx, sets, k), k, s_k, lazy)
-    return replace(trace, oracle_calls=trace.oracle_calls + int(any(sets)))
+    # the prefix's first k columns, cut to the rows they fill
+    picks = fixed_prefix._picks[:, :k]
+    picks = picks[:max(1, int((picks >= 0).any(axis=1).sum()))]
+    prefix = _prefix(ctx, fixed_prefix.sets[:k], picks)
+    _check_picks(prefix._picks, ctx.K, ctx.suite.m)
+    trace = _select(_gain_source(ctx, prefix, k), k, s_k, lazy)
+    return replace(trace, oracle_calls=trace.oracle_calls + int(prefix._picks.max() >= 0))
+
+
+def _prefix(ctx, sets, picks: np.ndarray) -> Schedule:
+    """The schedule whose first k steps are ``sets``, with their (q, k) pick
+    index ``picks``, and whose other steps are empty, under budgets of m."""
+    index = np.full((len(picks), ctx.K), -1, np.intp)
+    index[:, :len(sets)] = picks
+    index.setflags(write=False)
+    return Schedule._unchecked(sets + ((),) * (ctx.K - len(sets)), (ctx.suite.m,) * ctx.K, index)
 
 
 def greedy_schedule(
@@ -368,7 +394,7 @@ def greedy_schedule(
     """
     budgets = _check_budgets(budgets, ctx.K, ctx.suite.m)
 
-    source = _gain_source(ctx, [()] * ctx.K, 0)
+    source = _gain_source(ctx, _prefix(ctx, (), np.empty((1, 0), np.intp)), 0)
     steps: list[StepTrace] = []
     for k in range(ctx.K):
         if k:

@@ -10,6 +10,8 @@ suite, and a sensor's rows beyond its own ``output_dim`` are zero.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -31,6 +33,8 @@ __all__ = [
 
 def _is_index(value) -> bool:
     """True for an integer (NumPy integers included) that is not a bool."""
+    if type(value) is int:  # the common case, without the costlier ABC check
+        return True
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
@@ -58,13 +62,23 @@ def _check_budgets(budgets, K: int, m: int) -> tuple[int, ...]:
     return tuple(_check_budget(k, s_k, m) for k, s_k in enumerate(budgets))
 
 
-def _check_sets(sets, K: int, m: int) -> None:
-    """A schedule's sorted index sets fit a horizon of K steps and a suite of m sensors."""
-    if len(sets) != K:
-        raise DimensionMismatchError(f"schedule has {len(sets)} steps, prior horizon is {K}")
-    for k, chosen in enumerate(sets):
-        if chosen and chosen[-1] >= m:
-            raise DimensionMismatchError(f"step {k} selects a sensor index >= m={m}")
+def _pick_index(sets) -> np.ndarray:
+    """The read-only (q, len(sets)) pick index of sorted index sets: column j
+    is ``sets[j]`` padded with -1, and q the most picks in any set (1 if
+    every set is empty). -1 reads a padded stack's last slot, its zeros."""
+    picks = np.array(list(itertools.zip_longest(*sets, fillvalue=-1)) or [(-1,) * len(sets)],
+                     dtype=np.intp)
+    picks.setflags(write=False)
+    return picks
+
+
+def _check_picks(picks: np.ndarray, K: int, m: int) -> None:
+    """A schedule's pick index fits a horizon of K steps and a suite of m sensors."""
+    if picks.shape[1] != K:
+        raise DimensionMismatchError(f"schedule has {picks.shape[1]} steps, prior horizon is {K}")
+    if picks.max() >= m:
+        k = int((picks >= m).any(axis=0).argmax())
+        raise DimensionMismatchError(f"step {k} selects a sensor index >= m={m}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,6 +250,10 @@ class Schedule:
     set (duplicates rejected) of at most ``budgets[k]`` indices. Budgets
     and indices must be integers; a bool, float or string is rejected,
     never truncated.
+
+    Every evaluation reads the sets through ``_picks``, their
+    ``_pick_index``, built on first read and never compared, hashed,
+    shown or pickled.
     """
 
     sets: tuple[tuple[int, ...], ...]
@@ -269,13 +287,21 @@ class Schedule:
         return cls(sets=tuple(() for _ in budgets), budgets=tuple(budgets))
 
     @classmethod
-    def _unchecked(cls, sets, budgets) -> "Schedule":
-        # internal fast path for scheduler._OracleGains, which builds an
-        # already-valid schedule of sorted index tuples for every gain
+    def _unchecked(cls, sets, budgets, picks: np.ndarray) -> "Schedule":
+        # internal fast path for the scheduler, which builds an already-valid
+        # schedule of sorted index tuples for every gain, with its pick index
         obj = object.__new__(cls)
         object.__setattr__(obj, "sets", sets)
         object.__setattr__(obj, "budgets", budgets)
+        obj.__dict__["_picks"] = picks
         return obj
+
+    @functools.cached_property
+    def _picks(self) -> np.ndarray:
+        return _pick_index(self.sets)
+
+    def __getstate__(self):
+        return {"sets": self.sets, "budgets": self.budgets}
 
     @property
     def num_steps(self) -> int:

@@ -440,16 +440,18 @@ def pick_cases(draw):
 @example(_pick_case(2, 3, 8, (tuple(range(8)), (7,)), 3))
 def test_gathered_picks_are_summed_in_pick_order(case):
     # the one gather of every oracle branch, posterior_covariance and the
-    # enumeration: row k's entries at its picks, in pick order, then zero
-    # filler; their sum adds them left to right, bit for bit, whatever the
-    # number of picks, n or K (NumPy's own reduction sums pairwise where a
-    # slab is one number)
+    # enumeration, at the sets' pick index: row k's entries at its picks,
+    # in pick order, then zero filler; their sum adds them left to right,
+    # bit for bit, whatever the number of picks, n or K (NumPy's own
+    # reduction sums pairwise where a slab is one number)
     from functools import reduce
 
     from sensorsched.entropy_oracle import _gathered, _pick_sums
+    from sensorsched.sensing import _pick_index
 
     stack, sets = case
-    gathered = _gathered(stack, sets)
+    picks = _pick_index(sets)
+    gathered = _gathered(stack, picks)
     assert gathered.shape == (len(stack), max(1, *map(len, sets))) + stack.shape[2:]
     for k, chosen in enumerate(sets):
         for j, i in enumerate(chosen):
@@ -457,7 +459,7 @@ def test_gathered_picks_are_summed_in_pick_order(case):
         assert not gathered[k, len(chosen):].any()
     reference = [reduce(np.add, stack[k, list(chosen)], np.zeros(stack.shape[2:]))
                  for k, chosen in enumerate(sets)]
-    assert np.array_equal(_pick_sums(stack, sets), reference)
+    assert np.array_equal(_pick_sums(stack, picks), reference)
 
 
 def test_dense_covariance_form_factors_the_padded_rows(monkeypatch):

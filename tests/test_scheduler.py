@@ -454,6 +454,39 @@ def test_sparse_covariance_steps_match_the_run_at_every_k():
         np.testing.assert_allclose(step.gains, run.gains, rtol=1e-12, atol=0, err_msg=str(k))
 
 
+def test_every_scored_schedule_carries_the_pick_index_of_its_sets(monkeypatch):
+    # a sparse precision instance of the benchmark's horizon size (n = 4,
+    # K = 25, m = 8): every schedule the oracle gain source scores, in runs
+    # and in single steps after a prefix, carries the index its sets build,
+    # step k's column written in ascending order whatever the pick order
+    from sensorsched import scheduler
+    from sensorsched.sensing import _pick_index
+
+    prior, suite = random_instance(28, n=4, K=25, m=8, kind="gauss_markov")
+    ctx = ss.make_context(prior, suite)
+    oracle, scored, counted = scheduler.conditional_entropy, [], 0
+
+    def checked(ctx, schedule):
+        assert np.array_equal(schedule._picks, _pick_index(schedule.sets))
+        assert schedule._picks.shape == _pick_index(schedule.sets).shape
+        assert not schedule._picks.flags.writeable
+        scored.append(schedule)
+        return oracle(ctx, schedule)
+
+    monkeypatch.setattr(scheduler, "conditional_entropy", checked)
+    for lazy in (False, True):
+        schedule, trace = ss.greedy_schedule(ctx, [3] * ctx.K, lazy=lazy)
+        counted += trace.total_oracle_calls
+        # a later pick below an earlier one: its column needs sorting
+        assert any(list(step.chosen) != sorted(step.chosen) for step in trace.steps)
+        for k in (0, 1, 12, 24):
+            step = ss.greedy_step_detailed(ctx, schedule, k, 3, lazy=lazy)
+            assert step.chosen == trace.steps[k].chosen
+            counted += step.oracle_calls
+    # one oracle call per gain evaluation, and one for a non-empty prefix
+    assert len(scored) == counted
+
+
 class TestRandomSchedule:
     def test_deterministic_by_seed(self):
         a = ss.random_schedule([2, 1, 3], m=5, seed=123)

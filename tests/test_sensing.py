@@ -1,10 +1,15 @@
 """Sensors and schedules."""
 
+import dataclasses
+import enum
+import itertools
+import numbers
+import pickle
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import sensorsched as ss
@@ -428,6 +433,84 @@ class TestSchedule:
     def test_negative_budget_names_its_step(self):
         with pytest.raises(ss.DimensionMismatchError, match="^budget -1 at step 1 is negative$"):
             ss.Schedule(sets=((), ()), budgets=(1, -1))
+
+
+class _Step(enum.IntEnum):
+    FIRST = 0
+    SECOND = 1
+
+
+@given(st.one_of(st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
+                 st.integers(0, 2**8 - 1).map(np.uint8), st.booleans(),
+                 st.booleans().map(np.bool_), st.floats(), st.text(max_size=3),
+                 st.sampled_from(_Step)))
+def test_is_index_is_the_abc_definition(value):
+    # a plain int takes a shortcut; everything else, bools and an IntEnum
+    # included, keeps the numbers.Integral check
+    from sensorsched.sensing import _is_index
+
+    assert _is_index(value) is (isinstance(value, numbers.Integral)
+                                and not isinstance(value, bool))
+
+
+def _reference_check(sets, K, m):
+    """The per-step loop that checked a schedule's sets before the pick index."""
+    if len(sets) != K:
+        raise ss.DimensionMismatchError(f"schedule has {len(sets)} steps, prior horizon is {K}")
+    for k, chosen in enumerate(sets):
+        if chosen and chosen[-1] >= m:
+            raise ss.DimensionMismatchError(f"step {k} selects a sensor index >= m={m}")
+
+
+@st.composite
+def ragged_sets(draw):
+    """Sorted index sets of K = 1..6 steps, some reaching past a suite of m =
+    1..10 sensors, and a horizon of K - 1, K or K + 1."""
+    K, m = draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    sets = tuple(tuple(sorted(draw(st.sets(st.integers(0, m + 2), max_size=m))))
+                 for _ in range(K))
+    return sets, m, draw(st.sampled_from([K - 1, K, K, K + 1]))
+
+
+@given(ragged_sets())
+@example((((), (), ()), 4, 3))  # the all-empty schedule
+@example((((), (), ()), 4, 2))
+@example((((0, 2, 5),), 6, 1))  # K = 1
+@example((((0, 2, 6),), 6, 1))
+@example((((1,), (0, 9), (10,)), 10, 3))  # the first of two steps past m is named
+def test_pick_index_is_the_sets_transposed_and_checks_as_the_loop_did(case):
+    from sensorsched.sensing import _check_picks
+
+    sets, m, K = case
+    schedule = ss.Schedule(sets=sets, budgets=tuple(map(len, sets)))
+    picks = schedule._picks
+    want = np.array(list(itertools.zip_longest(*sets, fillvalue=-1)) or [(-1,) * len(sets)])
+    assert picks.dtype == np.intp and not picks.flags.writeable
+    assert np.array_equal(picks, want) and picks.shape == want.shape
+    try:
+        _reference_check(sets, K, m)
+    except ss.DimensionMismatchError as exc:
+        with pytest.raises(ss.DimensionMismatchError, match=f"^{re.escape(str(exc))}$"):
+            _check_picks(picks, K, m)
+    else:
+        _check_picks(picks, K, m)
+
+
+def test_pick_index_is_not_part_of_a_schedules_value():
+    # built on first read; pickling or replacing the schedule rebuilds it,
+    # and ==, hash and repr read the sets and budgets alone
+    schedule = ss.Schedule(sets=((2, 0), (), (1,)), budgets=(2, 2, 2))
+    fresh = ss.Schedule(sets=((2, 0), (), (1,)), budgets=(2, 2, 2))
+    want = np.array([[0, -1, 1], [2, -1, -1]])
+    assert np.array_equal(schedule._picks, want)
+    assert schedule == fresh and hash(schedule) == hash(fresh)
+    assert repr(schedule) == repr(fresh) == ("Schedule(sets=((0, 2), (), (1,)), "
+                                             "budgets=(2, 2, 2))")
+    for copy in (pickle.loads(pickle.dumps(schedule)), dataclasses.replace(schedule)):
+        assert copy == schedule and "_picks" not in vars(copy)
+        assert np.array_equal(copy._picks, want) and not copy._picks.flags.writeable
+    assert np.array_equal(dataclasses.replace(schedule, sets=((1,), (0,), ()))._picks,
+                          [[1, 0, -1]])
 
 
 def _map(ctx, schedule):
