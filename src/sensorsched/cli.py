@@ -365,7 +365,6 @@ def _receding_greedy(prior, suite, budgets, lazy, seed):
     x_true = np.asarray(prior.mean) + _cholesky(cov) @ rng.standard_normal(prior.dim)
 
     K = prior.K
-    sets: list[tuple[int, ...]] = [() for _ in range(K)]
     measurements: list[np.ndarray | None] = [None] * K
     linearization = np.asarray(prior.mean)
     steps: list[StepTrace] = []
@@ -375,12 +374,11 @@ def _receding_greedy(prior, suite, budgets, lazy, seed):
     for k in range(K):
         ctx = make_context(prior, suite, linearization=linearization)
         detail = greedy_step_detailed(ctx, schedule, k, budgets[k], lazy=lazy)
-        sets[k] = detail.chosen
         measurements[k] = _simulate_measurements(
             suite, detail.chosen, k, x_true.reshape(K, prior.n)[k], rng
         )
         # the schedule this step's MAP solve reads is the next step's prefix
-        schedule = Schedule(sets=tuple(sets), budgets=budgets)
+        schedule = schedule._with_step(k, detail.chosen)
         solution = map_linearization(prior, suite, schedule, measurements, initial=linearization)
         if not solution.converged:
             logger.warning(

@@ -44,6 +44,7 @@ import functools
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,19 +119,23 @@ class OracleContext:
         states = lin.reshape(K, n)
         for i, sensor in enumerate(sensors):
             # one Jacobian call over all K states, then one solve per noise
-            # factor over the side-by-side columns of the steps that share it.
+            # factor over the side-by-side columns of the steps that share it:
+            # all K, as one slice, when no override replaces the sensor's own.
             # LAPACK solves a single column by another kernel, which divides
             # where the many-column one multiplies by a reciprocal, so with
             # n = 1 each step keeps a solve of its own, and its bits.
             J = _naming_step(sensor.jacobian_at, states, range(K), i, sensor)
             d = sensor.output_dim
-            # the steps that no override replaces share the sensor's own factor
             overrides = sensor.noise_overrides or {}
-            shared = ([[k for k in range(K) if k not in overrides]] + [[k] for k in overrides]
-                      if n > 1 else [[k] for k in range(K)])
-            for ks in filter(None, shared):
-                B = _trtrs(sensor.noise_factor_at(ks[0]), J[ks].transpose(1, 0, 2).reshape(d, -1))
-                rows[ks, i, :d] = B.reshape(d, len(ks), n).transpose(1, 0, 2)
+            if n > 1 and not overrides:
+                shared = [(sensor.noise_factor_at(0), slice(None))]
+            else:
+                steps = ([[k for k in range(K) if k not in overrides]] + [[k] for k in overrides]
+                         if n > 1 else [[k] for k in range(K)])
+                shared = [(sensor.noise_factor_at(ks[0]), ks) for ks in steps if ks]
+            for L, ks in shared:
+                B = _trtrs(L, J[ks].transpose(1, 0, 2).reshape(d, -1))
+                rows[ks, i, :d] = B.reshape(d, -1, n).transpose(1, 0, 2)
         finite = np.isfinite(rows).all(axis=(2, 3))
         if not finite.all():
             k, i = np.argwhere(~finite)[0]
@@ -486,85 +491,110 @@ def map_linearization(
         )
 
     n, K, sensors = prior.n, prior.K, suite.sensors
-    sets = past_schedule.sets
-    # one group per noise factor, in order of first use: its sensor's
-    # index, the factor, and each pick as (step, place in the step, values)
-    groups: dict[int, tuple[int, np.ndarray, list]] = {}
-    for k, chosen in enumerate(sets):
-        if not chosen:
-            if measurements[k] is not None:
-                raise DimensionMismatchError(f"step {k} has a measurement but selects no sensor")
-            continue
-        if measurements[k] is None:
-            raise DimensionMismatchError(f"step {k} selects sensors {chosen} but has no measurement")
-        dims = [sensors[i].output_dim for i in chosen]
-        y = np.asarray(measurements[k], dtype=float).reshape(-1)
-        if y.shape != (sum(dims),):
+    picks = past_schedule._picks
+    # each step's readings checked against its picks' output dimensions
+    dims = np.array([s.output_dim for s in sensors] + [0])
+    need, filled = dims[picks].sum(axis=0), picks[0] >= 0
+    given = np.fromiter(map(operator.is_not, measurements, itertools.repeat(None)), bool, K)
+    readings = list(map(np.asarray, itertools.compress(measurements, given)))
+    sizes = np.zeros(K, np.intp)
+    sizes[given] = np.fromiter(map(operator.attrgetter("size"), readings), np.intp, len(readings))
+    failing = (given != filled) | (sizes != need)
+    if failing.any():
+        k = int(failing.argmax())
+        if not filled[k]:
+            raise DimensionMismatchError(f"step {k} has a measurement but selects no sensor")
+        if not given[k]:
             raise DimensionMismatchError(
-                f"step {k} measurement has shape {y.shape}, expected ({sum(dims)},)"
-            )
-        for j, (i, e, end) in enumerate(zip(chosen, dims, itertools.accumulate(dims))):
-            L = sensors[i].noise_factor_at(k)
-            groups.setdefault(id(L), (i, L, []))[2].append((k, j, y[end - e:end]))
-    if not groups:
+                f"step {k} selects sensors {past_schedule.sets[k]} but has no measurement")
+        raise DimensionMismatchError(
+            f"step {k} measurement has shape ({sizes[k]},), expected ({need[k]},)")
+    # the picks in (step, place) order, and their values: the steps'
+    # readings laid end to end, one pick's to a row padded to the suite's
+    # largest output dimension d
+    steps, places = np.nonzero(picks.T >= 0)
+    num_picks = len(steps)
+    if not num_picks:
         return MapEstimate(estimate=np.array(prior.mean), converged=True, iterations=0)
+    chosen = picks[places, steps]
+    d = int(dims.max())
+    values = np.zeros((num_picks, d))
+    values[np.arange(d) < dims[chosen, None]] = np.concatenate(readings, axis=None)
 
-    # a group's picks take adjacent slots of the stack; the stack's last
-    # slot stays zero, the filler of a step with fewer picks. A group's
-    # factor is padded to d x d with a unit diagonal, which keeps the
-    # padding zero. slots[j, k]: the slot of step k's j-th pick, or the
-    # zero slot
-    d = max(s.output_dim for s in sensors)
-    num_picks = sum(len(picks) for _, _, picks in groups.values())
+    # one group per noise factor, in order of first use: each pick's key
+    # numbers its factor, a sensor's own or its override at the pick's step
+    number: dict[int, int] = {}
+    key = np.array([number.setdefault(id(s._factors[None]), len(number)) for s in sensors])[chosen]
+    overridden = np.zeros((len(sensors), K), bool)
+    for i, sensor in enumerate(sensors):
+        if sensor.noise_overrides:
+            overridden[i, list(sensor.noise_overrides)] = True
+    for p in np.flatnonzero(overridden[chosen, steps]):
+        L = sensors[chosen[p]].noise_factor_at(steps[p])
+        key[p] = number.setdefault(id(L), len(number))
+    first = np.full(len(number), num_picks)
+    np.minimum.at(first, key, np.arange(num_picks))
+    # a group's picks take adjacent slots of the stack, in (step, place)
+    # order; the stack's last slot stays zero, the filler of a step with
+    # fewer picks. A group's factor is padded to d x d with a unit
+    # diagonal, which keeps the padding zero. slots[j, k]: the slot of
+    # step k's j-th pick, or the zero slot
+    order = np.argsort(first[key], kind="stable")
+    counts = np.bincount(key, minlength=len(number))[np.argsort(first)]
+    slots = np.full(picks.shape, num_picks)
+    slots[places[order], steps[order]] = np.arange(num_picks)
+    chosen, steps, values = chosen[order], steps[order], values[order]
     stack = np.zeros((num_picks + 1, 1 + n + n * n, d))
-    slots = np.full((max(map(len, sets)), K), num_picks)
-    # (sensor index, padded factor, its slots, its picks' steps and values)
+    # per group: sensor index, padded factor, its picks' steps and values,
+    # and its views of the stack: residuals, Jacobians, second
+    # derivatives, and all three side by side as the solve's columns
     factors = []
-    start = 0
-    for i, L, picks in groups.values():
-        group = slice(start, start + len(picks))
-        start = group.stop
-        steps, places, values = zip(*picks)
-        slots[places, steps] = range(group.start, group.stop)
-        padded = np.eye(d)
-        padded[:len(L), :len(L)] = L
-        factors.append((i, padded, group, np.array(steps), np.array(values)))
+    stop = 0
+    for count in counts[counts > 0]:
+        group = slice(stop, stop + count)
+        i, k, stop = chosen[stop], steps[stop], stop + count
+        L, e = sensors[i].noise_factor_at(k), sensors[i].output_dim
+        if e < d:
+            L, factor = np.eye(d), L
+            L[:e, :e] = factor
+        block = stack[group]
+        factors.append((i, L, steps[group], values[group, :e], block[:, 0, :e],
+                        block[:, 1:n + 1, :e], block[:, n + 1:, :e], block.reshape(-1, d).T))
 
     mu = np.array(prior.mean)
     precision = _precision(prior)
     banded = isinstance(precision, BlockTridiagonalMatrix)
 
+    residuals, rows, columns = stack[:, 0], stack[:, 1:n + 1], stack[:, :1].swapaxes(1, 2)
+
     def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
         """Fill the stack at x; return f(x) and P (x - mu)."""
         states = x.reshape(K, n)
-        for i, L, group, steps, y in factors:
+        for i, L, steps, y, residual, jacobian, second, whitened in factors:
             sensor = sensors[i]
             h, J, H = _naming_step(sensor._measure_and_jacobian, states[steps], steps, i, sensor)
-            e = sensor.output_dim
-            sensor._residual(y, h, out=stack[group, 0, :e])
-            stack[group, 1:n + 1, :e] = J.swapaxes(1, 2)
+            sensor._residual(y, h, out=residual)
+            jacobian[...] = J.swapaxes(1, 2)
             if H is not None:
-                stack[group, n + 1:, :e] = H.reshape(len(H), e, n * n).swapaxes(1, 2)
-            _trtrs(L, stack[group].reshape(-1, d).T, overwrite=True)
+                second[...] = H.reshape(H.shape[:2] + (n * n,)).swapaxes(1, 2)
+            _trtrs(L, whitened, overwrite=True)
         if not np.isfinite(stack).all():
             # the first pick with a non-finite entry, by step, then by place in the step
             k, j = np.argwhere(~np.isfinite(stack).all(axis=(1, 2))[slots].T)[0]
-            i = sets[k][j]
+            i = picks[j, k]
             raise InvalidParamsError(f"step {k}, sensor {i} ({sensors[i].name!r}): "
                                      "non-finite residual, Jacobian or second derivative")
         dev = x - mu
         prior_term = precision.matvec(dev) if banded else precision @ dev
-        residuals = stack[:, 0]
         return 0.5 * (dev @ prior_term + np.vdot(residuals, residuals)), prior_term
 
     f, prior_term = evaluate(x)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        rows = stack[:, 1:n + 1]
         infos = rows @ rows.swapaxes(1, 2)
         # each slot's J^T r (its gradient) over its sum_o r_o H_o (its curvature)
-        products = stack[:, 1:] @ stack[:, :1].swapaxes(1, 2)
+        products = stack[:, 1:] @ columns
         # each step's picks summed in pick order, one step per column of slots
         xi = infos[slots].sum(axis=0)
         xi = 0.5 * (xi + xi.transpose(0, 2, 1))

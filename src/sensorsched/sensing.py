@@ -62,6 +62,19 @@ def _check_budgets(budgets, K: int, m: int) -> tuple[int, ...]:
     return tuple(_check_budget(k, s_k, m) for k, s_k in enumerate(budgets))
 
 
+def _checked_set(k: int, raw, cap: int) -> tuple[int, ...]:
+    """Step k's set as a sorted tuple of distinct non-negative ints, at most
+    ``cap`` of them; a bool, float or string index is rejected."""
+    indices = [_step_integer(k, "sensor index", i) for i in raw]
+    if any(i < 0 for i in indices):
+        raise DimensionMismatchError(f"step {k} has a negative sensor index")
+    if len(set(indices)) != len(indices):
+        raise DimensionMismatchError(f"step {k} selects a sensor more than once")
+    if len(indices) > cap:
+        raise DimensionMismatchError(f"step {k} selects {len(indices)} sensors, budget is {cap}")
+    return tuple(sorted(indices))
+
+
 def _pick_index(sets) -> np.ndarray:
     """The read-only (q, len(sets)) pick index of sorted index sets: column j
     is ``sets[j]`` padded with -1, and q the most picks in any set (1 if
@@ -262,24 +275,10 @@ class Schedule:
     def __post_init__(self):
         # no suite here, so no upper bound
         budgets = tuple(_check_budget(k, s, math.inf) for k, s in enumerate(self.budgets))
-        sets = []
-        for k, raw in enumerate(self.sets):
-            indices = [_step_integer(k, "sensor index", i) for i in raw]
-            if any(i < 0 for i in indices):
-                raise DimensionMismatchError(f"step {k} has a negative sensor index")
-            if len(set(indices)) != len(indices):
-                raise DimensionMismatchError(f"step {k} selects a sensor more than once")
-            sets.append(tuple(sorted(indices)))
+        sets = tuple(self.sets)
         if len(sets) != len(budgets):
-            raise DimensionMismatchError(
-                f"{len(sets)} step sets vs {len(budgets)} budgets"
-            )
-        for k, (chosen, cap) in enumerate(zip(sets, budgets)):
-            if len(chosen) > cap:
-                raise DimensionMismatchError(
-                    f"step {k} selects {len(chosen)} sensors, budget is {cap}"
-                )
-        object.__setattr__(self, "sets", tuple(sets))
+            raise DimensionMismatchError(f"{len(sets)} step sets vs {len(budgets)} budgets")
+        object.__setattr__(self, "sets", tuple(map(_checked_set, itertools.count(), sets, budgets)))
         object.__setattr__(self, "budgets", budgets)
 
     @classmethod
@@ -294,6 +293,26 @@ class Schedule:
         object.__setattr__(obj, "sets", sets)
         object.__setattr__(obj, "budgets", budgets)
         obj.__dict__["_picks"] = picks
+        return obj
+
+    def _with_step(self, k: int, raw) -> "Schedule":
+        """This schedule with step k's set replaced by ``raw``, which alone is
+        checked, as ``__post_init__`` checks a step. Its pick index is a copy
+        with column k written, and with more rows when this set is the
+        largest: no pass over the other steps' sets."""
+        chosen = _checked_set(k, raw, self.budgets[k])
+        picks = self._picks
+        grown = np.full((max(len(picks), len(chosen)), picks.shape[1]), -1, np.intp)
+        grown[:len(picks)] = picks
+        grown[:, k] = -1
+        grown[:len(chosen), k] = chosen
+        if len(self.sets[k]) == len(picks) > len(chosen):  # the old set may have set q
+            grown = grown[:max(1, int((grown >= 0).any(axis=1).sum()))]
+        grown.setflags(write=False)
+        obj = object.__new__(Schedule)
+        object.__setattr__(obj, "sets", self.sets[:k] + (chosen,) + self.sets[k + 1:])
+        object.__setattr__(obj, "budgets", self.budgets)
+        obj.__dict__["_picks"] = grown
         return obj
 
     @functools.cached_property

@@ -319,6 +319,45 @@ class TestRunScenario:
         rows = read_csv(a["results"])
         assert rows[0]["scheduler"] == "greedy"
 
+    def test_receding_step_makes_one_call_of_each_layer_in_step_order(self, tmp_path,
+                                                                       monkeypatch):
+        # perfbench times a receding step from its make_context call to its
+        # map_linearization call, all three looked up on the cli module
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+        from perfbench.workloads import receding_config
+
+        calls = []
+
+        def counted(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                # the loop fills its measurement list in place: keep it as it is now
+                calls.append((name, tuple(a[:] if isinstance(a, list) else a for a in args),
+                              kwargs))
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("make_context", "greedy_step_detailed", "map_linearization"):
+            monkeypatch.setattr(cli, name, counted(name))
+        K = 8
+        path = tmp_path / "receding.json"
+        path.write_text(json.dumps(dict(receding_config(K), schedulers=["greedy", "lazy"])))
+        run_scenario(path, tmp_path / "out")
+        layers = ["make_context", "greedy_step_detailed", "map_linearization"]
+        # the planning context first, then greedy's K steps and lazy's
+        plan, *steps = calls
+        assert plan[0] == "make_context" and len(plan[1]) == 2 and not plan[2]
+        assert [name for name, _, _ in steps] == layers * (2 * K)
+        for k, (_, step, solve) in enumerate(zip(*[iter(steps)] * 3)):
+            k %= K
+            assert step[1][2] == k  # greedy_step_detailed(ctx, prefix, k, ...)
+            schedule, measurements = solve[1][2:4]
+            assert all(schedule.sets[:k + 1]) and not any(schedule.sets[k + 1:])
+            assert [y is not None for y in measurements] == [j <= k for j in range(K)]
+            np.testing.assert_array_equal(
+                schedule._picks, ss.Schedule(sets=schedule.sets, budgets=schedule.budgets)._picks)
+
     def test_receding_readings_reach_the_map_in_ascending_sensor_order(self, tmp_path,
                                                                        monkeypatch):
         # sensor 1 is far more informative, so greedy picks it before sensor 0;

@@ -796,12 +796,13 @@ class TestMapInputChecks:
         assert out.iterations == 1
 
 
-@st.composite
-def map_problems(draw, builtins=False):
+def _map_problem(draw, builtins=False):
     """A prior of any kind, smooth nonlinear sensors of 1 to 3 outputs with
     per-step noise overrides, 0 to 3 picks per step, and noisy measurements
     of a state drawn near the prior mean. With ``builtins``, built-in
-    sensors of every kind, some with overrides, come first in the suite."""
+    sensors of every kind, some with overrides, come first in the suite.
+    ``draw`` maps a strategy to a value: hypothesis's, or a replay of
+    recorded values (``map_grouping_pins.json``)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**20)))
     n, K = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     prior = random_prior(rng, n, K, draw(st.sampled_from(PRIOR_KINDS)))
@@ -840,6 +841,49 @@ def map_problems(draw, builtins=False):
     ]
     suite = ss.SensorSuite(state_dim=n, sensors=tuple(sensors))
     return prior, suite, schedule, measurements
+
+
+map_problems = st.composite(_map_problem)
+
+
+MAP_PINS = json.loads((Path(__file__).parent / "data" / "map_grouping_pins.json").read_text())
+
+
+def _hexes(a):
+    return [float(v).hex() for v in np.asarray(a).ravel()]
+
+
+@pytest.mark.parametrize("pin", MAP_PINS["problems"], ids=lambda pin: str(pin["draws"][0]))
+def test_map_and_context_match_their_pins_bit_for_bit(pin, monkeypatch):
+    # the reference properties' 1e-10 tolerance sees neither the MAP's slot
+    # order, which the residual stack's vdot reads, nor the bits of each
+    # step's sums or of the context's whitening. The slot order is pinned as
+    # the groups one evaluation fills, in order: a change of it seldom moves
+    # an estimate's bits
+    from sensorsched import entropy_oracle
+
+    values = iter(pin["draws"])
+    prior, suite, schedule, measurements = _map_problem(lambda _: next(values), builtins=True)
+    filled, naming_step = [], entropy_oracle._naming_step
+
+    def recording(evaluate, X, steps, i, sensor):
+        filled.append([int(i), [int(k) for k in steps]])
+        return naming_step(evaluate, X, steps, i, sensor)
+
+    monkeypatch.setattr(entropy_oracle, "_naming_step", recording)
+    ss.map_linearization(prior, suite, schedule, measurements)
+    groups = pin["groups"]
+    assert filled[:len(groups)] == groups and len(filled) % len(groups) == 0
+    for kwargs, want in (({}, pin["map"]), ({"max_iter": 1}, pin["map_max_iter_1"])):
+        out = ss.map_linearization(prior, suite, schedule, measurements, **kwargs)
+        assert {"converged": out.converged, "iterations": out.iterations,
+                "estimate": _hexes(out.estimate)} == want
+    plain = ss.SensorSuite(suite.state_dim, tuple(
+        ss.Sensor(s.output_dim, s.measure, s.jacobian, s.noise_cov, name=s.name)
+        for s in suite.sensors))
+    for name, pinned in pin.get("whitened_jacobians", {}).items():
+        W = ss.make_context(prior, suite if name == "drawn" else plain).whitened_jacobians
+        assert (list(W.shape), _hexes(W)) == (pinned["shape"], pinned["values"])
 
 
 @st.composite

@@ -513,6 +513,59 @@ def test_pick_index_is_not_part_of_a_schedules_value():
                           [[1, 0, -1]])
 
 
+# an index that no schedule accepts: how it is written into a step's set
+CORRUPTIONS = {
+    "negative": lambda raw: raw + [-1],
+    "duplicate": lambda raw: raw + raw[:1] if raw else [0, 0],
+    "bool": lambda raw: raw + [True],
+    "float": lambda raw: raw + [1.0],
+}
+
+
+@st.composite
+def step_writes(draw):
+    """Budgets of K = 1..6 steps, each at or one below its set's size, and
+    the writes that fill the steps in a random order, then may rewrite up
+    to two of them; one write may hold an index no schedule accepts."""
+    K, m = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    ragged = st.lists(st.integers(0, m - 1), unique=True, max_size=m)
+    sets = [draw(ragged) for _ in range(K)]
+    budgets = tuple(len(raw) - draw(st.integers(0, min(1, len(raw)))) for raw in sets)
+    writes = [(k, sets[k]) for k in draw(st.permutations(range(K)))]
+    writes += draw(st.lists(st.tuples(st.integers(0, K - 1), ragged), max_size=2))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(writes) - 1))
+        k, raw = writes[at]
+        writes[at] = (k, CORRUPTIONS[draw(st.sampled_from(sorted(CORRUPTIONS)))](raw))
+    return budgets, writes
+
+
+@given(step_writes())
+@example(((2, 1, 2), [(1, [0]), (0, [3, 1]), (2, [])]))  # K = 3, q set by step 0
+@example(((3,), [(0, [0, 2, 1]), (0, [1])]))  # K = 1, a rewrite drops q
+@example(((2, 0), [(1, []), (0, [0, 1]), (0, [])]))  # back to the all-empty index
+def test_a_schedule_grown_one_step_at_a_time_is_the_schedule_of_its_sets(case):
+    # the receding loop's path: each write checks its own set alone, as the
+    # constructor checks it, and writes one column into a copy of the index
+    budgets, writes = case
+    sets = [()] * len(budgets)
+    grown = ss.Schedule.empty(budgets)
+    for k, raw in writes:
+        sets[k] = tuple(raw)
+        try:
+            want = ss.Schedule(sets=tuple(sets), budgets=budgets)
+        except ss.DimensionMismatchError as exc:
+            with pytest.raises(ss.DimensionMismatchError, match=f"^{re.escape(str(exc))}$"):
+                grown._with_step(k, raw)
+            return
+        grown = grown._with_step(k, raw)
+        assert grown == want and hash(grown) == hash(want)
+        assert grown.sets == want.sets and all(type(i) is int for s in grown.sets for i in s)
+        picks = vars(grown)["_picks"]  # written, not rebuilt from the sets
+        assert picks.dtype == np.intp and not picks.flags.writeable
+        assert picks.shape == want._picks.shape and np.array_equal(picks, want._picks)
+
+
 def _map(ctx, schedule):
     measurements = [np.zeros(len(chosen)) if chosen else None for chosen in schedule.sets]
     return ss.map_linearization(ctx.prior, ctx.suite, schedule, measurements)
