@@ -23,12 +23,12 @@ with the noise factor L that each sensor computes once when built, as two
 (step, sensor) stacks; they are the only copy. Every evaluation gathers
 the selected sensors' blocks from them with one fancy index: the
 schedule's own (q, K) pick index, column k step k's sorted set padded
-with -1 (q the most picks at any step), which a schedule builds once and
-the greedy scheduler builds column by column. One reduction over that
-index checks it against the horizon and the suite. The information form
-adds each step's sum, taken in pick order, to the prior precision's
-diagonal blocks, and the covariance form multiplies the gathered rows
-into the prior covariance. So with a block-tridiagonal prior one
+with -1 (q the most picks at any step), which only ``Schedule`` writes,
+whole or a column at a time. One reduction over that index checks it
+against the horizon and the suite. The information form adds each
+step's sum, taken in pick order, to the prior precision's diagonal
+blocks, and the covariance form multiplies the gathered rows into the
+prior covariance. So with a block-tridiagonal prior one
 evaluation (the greedy scheduler makes thousands) is a few batched array
 operations over the K steps, with no Python pass over the schedule's
 sets, and one banded log-determinant of K blocks. Neither formula adds
@@ -439,16 +439,17 @@ def map_linearization(
     second derivatives of each output (zero for a sensor that gives
     none), is one transposed (1 + n + n^2) x d slot of a stack,
     zero-padded to the suite's largest output dimension d as
-    ``make_context`` pads its rows. The picks that share a noise factor
-    (one sensor's) take adjacent slots, and each such group makes one
-    value-and-derivatives call (``Sensor._measure_and_jacobian``) and one
-    in-place triangular solve. Information, gradient and curvature are
-    then products of whitened rows: one batched product gives every
-    pick's information and another its gradient and curvature, once per
-    iteration; one reduction sums each per step in pick order, and a
-    step's sums go into the diagonal blocks of the prior precision. The
-    arguments, schedule and measurements are checked before the first
-    iteration.
+    ``make_context`` pads its rows. One sensor index's picks at steps it
+    does not override share its noise factor and take adjacent slots,
+    and each such group makes one value-and-derivatives call
+    (``Sensor._measure_and_jacobian``) and one in-place triangular solve;
+    a pick at an overridden step is a group alone. Information, gradient
+    and curvature are then products of whitened rows: one batched product
+    gives every pick's information and another its gradient and
+    curvature, once per iteration; one reduction sums each per step in
+    pick order, and a step's sums go into the diagonal blocks of the
+    prior precision. The arguments, schedule and measurements are checked
+    before the first iteration.
 
     Args:
         past_schedule: selections that produced the measurements; steps
@@ -521,18 +522,16 @@ def map_linearization(
     values = np.zeros((num_picks, d))
     values[np.arange(d) < dims[chosen, None]] = np.concatenate(readings, axis=None)
 
-    # one group per noise factor, in order of first use: each pick's key
-    # numbers its factor, a sensor's own or its override at the pick's step
-    number: dict[int, int] = {}
-    key = np.array([number.setdefault(id(s._factors[None]), len(number)) for s in sensors])[chosen]
+    # one group per noise factor, in order of first use: a pick is keyed by
+    # its sensor index, or by a number of its own if its step overrides it
     overridden = np.zeros((len(sensors), K), bool)
     for i, sensor in enumerate(sensors):
         if sensor.noise_overrides:
             overridden[i, list(sensor.noise_overrides)] = True
-    for p in np.flatnonzero(overridden[chosen, steps]):
-        L = sensors[chosen[p]].noise_factor_at(steps[p])
-        key[p] = number.setdefault(id(L), len(number))
-    first = np.full(len(number), num_picks)
+    key = chosen.copy()
+    own = np.flatnonzero(overridden[chosen, steps])
+    key[own] = len(sensors) + np.arange(len(own))
+    first = np.full(len(sensors) + len(own), num_picks)
     np.minimum.at(first, key, np.arange(num_picks))
     # a group's picks take adjacent slots of the stack, in (step, place)
     # order; the stack's last slot stays zero, the filler of a step with
@@ -540,7 +539,7 @@ def map_linearization(
     # diagonal, which keeps the padding zero. slots[j, k]: the slot of
     # step k's j-th pick, or the zero slot
     order = np.argsort(first[key], kind="stable")
-    counts = np.bincount(key, minlength=len(number))[np.argsort(first)]
+    counts = np.bincount(key, minlength=len(first))[np.argsort(first)]
     slots = np.full(picks.shape, num_picks)
     slots[places[order], steps[order]] = np.arange(num_picks)
     chosen, steps, values = chosen[order], steps[order], values[order]

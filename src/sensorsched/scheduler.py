@@ -19,15 +19,19 @@ schedule, and gains that two sources round an ulp apart still tie.
 The loop reads its gains from one gain source per run, picked by the
 stored prior form. With a sparse precision prior a gain evaluation is
 one full oracle call, and the gain its drop from the running base value,
-which is cached, never re-evaluated. Every other prior is read as a
-covariance (a dense precision through its cached inverse), and the
-source keeps the covariance of the steps not yet fixed, given the picks
-so far: a step's m candidate gains 1/2 logdet(I + W_i S_kk W_i^T) take
-one stacked d x d Cholesky, and each pick conditions it by a rank-d
-downdate. A dense prior's is kept whole, so a greedy run costs one order
-of K less than a dense oracle call per candidate. A block-tridiagonal
-covariance's is kept to step k's block alone, because conditioning on
-step k changes only step k+1's block:
+which is cached, never re-evaluated. The scheduler builds no schedule
+or pick index itself: ``Schedule`` gives it a run's empty start, the
+prefix a single step starts from, and each scored schedule, the fixed
+steps with step k's candidate set written in. Every other prior is
+read as a covariance (a dense precision through its cached inverse),
+and the source keeps the covariance of the steps not yet fixed, given
+the picks so far: a step's m candidate gains
+1/2 logdet(I + W_i S_kk W_i^T) take one stacked d x d Cholesky, and
+each pick conditions it by a rank-d downdate. A dense prior's is kept
+whole, so a greedy run costs one order of K less than a dense oracle
+call per candidate. A block-tridiagonal covariance's is kept to step
+k's block alone, because conditioning on step k changes only step
+k+1's block:
 S_{k+1} = Sigma_{k+1,k+1} - Sigma_{k+1,k} W_k^T (I + W_k S_k W_k^T)^-1 W_k Sigma_{k,k+1};
 so a gain costs the same at any K and a greedy run is linear in K. A
 gain evaluation reads one of those gains; what the trace counts keeps
@@ -129,20 +133,14 @@ class _OracleGains:
 
     ``base`` is the entropy of the picks so far, and ``after[i]`` the
     entropy with candidate i added, as last evaluated; a pick's becomes
-    the next base, so no value is evaluated twice. ``picks`` holds the
-    fixed steps' pick index, in rows enough for any step's set, and
-    ``filled`` counts the rows they fill; a scored schedule carries a copy
-    of the filled rows, or more, with step k's sorted column written in.
-    The oracle reads only a schedule's picks, so each is scored under
-    the prefix's budgets, of m, which admit any set.
+    the next base, so no value is evaluated twice. ``fixed`` is the
+    schedule of the steps before k, under budgets of m, which admit any
+    set; a candidate is scored on it with step k's picks, sorted, written
+    in by ``Schedule._set_step``, and a step's end writes them into it.
     """
 
     def __init__(self, ctx, prefix, k):
-        self.ctx, self.sets, self.k = ctx, list(prefix.sets), k
-        self.budgets = prefix.budgets
-        self.filled = len(prefix._picks)
-        self.picks = np.full((max(self.filled, ctx.suite.m), ctx.K), -1, np.intp)
-        self.picks[:self.filled] = prefix._picks
+        self.ctx, self.fixed, self.k = ctx, prefix, k
         self.base = ctx.prior_entropy
         if prefix._picks.max() >= 0:
             self.base = conditional_entropy(ctx, prefix)
@@ -150,13 +148,7 @@ class _OracleGains:
         self.after: dict[int, float] = {}
 
     def gain(self, i: int) -> float:
-        chosen = sorted(self.chosen + [i])
-        picks = self.picks[:max(self.filled, len(chosen))].copy()
-        picks[:len(chosen), self.k] = chosen
-        picks.setflags(write=False)
-        sets = list(self.sets)
-        sets[self.k] = tuple(chosen)
-        schedule = Schedule._unchecked(tuple(sets), self.budgets, picks)
+        schedule = self.fixed._set_step(self.k, tuple(sorted(self.chosen + [i])))
         self.after[i] = conditional_entropy(self.ctx, schedule)
         return self.base - self.after[i]
 
@@ -165,10 +157,7 @@ class _OracleGains:
         self.base = self.after[i]
 
     def advance(self) -> None:
-        chosen = sorted(self.chosen)
-        self.sets[self.k] = tuple(chosen)
-        self.picks[:len(chosen), self.k] = chosen
-        self.filled = max(self.filled, len(chosen))
+        self.fixed = self.fixed._set_step(self.k, tuple(sorted(self.chosen)))
         self.k += 1
         self.chosen = []
 
@@ -355,22 +344,10 @@ def greedy_step_detailed(
         raise DimensionMismatchError(
             f"prefix covers {fixed_prefix.num_steps} steps, step {k} needs {k}"
         )
-    # the prefix's first k columns, cut to the rows they fill
-    picks = fixed_prefix._picks[:, :k]
-    picks = picks[:max(1, int((picks >= 0).any(axis=1).sum()))]
-    prefix = _prefix(ctx, fixed_prefix.sets[:k], picks)
+    prefix = fixed_prefix._head(k, (ctx.suite.m,) * ctx.K)
     _check_picks(prefix._picks, ctx.K, ctx.suite.m)
     trace = _select(_gain_source(ctx, prefix, k), k, s_k, lazy)
     return replace(trace, oracle_calls=trace.oracle_calls + int(prefix._picks.max() >= 0))
-
-
-def _prefix(ctx, sets, picks: np.ndarray) -> Schedule:
-    """The schedule whose first k steps are ``sets``, with their (q, k) pick
-    index ``picks``, and whose other steps are empty, under budgets of m."""
-    index = np.full((len(picks), ctx.K), -1, np.intp)
-    index[:, :len(sets)] = picks
-    index.setflags(write=False)
-    return Schedule._unchecked(sets + ((),) * (ctx.K - len(sets)), (ctx.suite.m,) * ctx.K, index)
 
 
 def greedy_schedule(
@@ -394,7 +371,7 @@ def greedy_schedule(
     """
     budgets = _check_budgets(budgets, ctx.K, ctx.suite.m)
 
-    source = _gain_source(ctx, _prefix(ctx, (), np.empty((1, 0), np.intp)), 0)
+    source = _gain_source(ctx, Schedule._blank((ctx.suite.m,) * ctx.K), 0)
     steps: list[StepTrace] = []
     for k in range(ctx.K):
         if k:

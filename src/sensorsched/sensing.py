@@ -265,8 +265,9 @@ class Schedule:
     never truncated.
 
     Every evaluation reads the sets through ``_picks``, their
-    ``_pick_index``, built on first read and never compared, hashed,
-    shown or pickled.
+    ``_pick_index``, never compared, hashed, shown or pickled. Only this
+    class writes it: on first read, or a column at a time for the
+    schedules the greedy scheduler scores and the receding loop extends.
     """
 
     sets: tuple[tuple[int, ...], ...]
@@ -287,33 +288,51 @@ class Schedule:
 
     @classmethod
     def _unchecked(cls, sets, budgets, picks: np.ndarray) -> "Schedule":
-        # internal fast path for the scheduler, which builds an already-valid
-        # schedule of sorted index tuples for every gain, with its pick index
+        # the one raw constructor: ``sets`` are sorted tuples of distinct
+        # ints and ``picks`` their index, which it makes read-only
+        picks.setflags(write=False)
         obj = object.__new__(cls)
         object.__setattr__(obj, "sets", sets)
         object.__setattr__(obj, "budgets", budgets)
         obj.__dict__["_picks"] = picks
         return obj
 
+    @classmethod
+    def _blank(cls, budgets: tuple[int, ...]) -> "Schedule":
+        """The all-empty schedule under ``budgets``, unchecked: a run's start."""
+        K = len(budgets)
+        return cls._unchecked(((),) * K, budgets, np.full((1, K), -1, np.intp))
+
+    def _head(self, k: int, budgets: tuple[int, ...]) -> "Schedule":
+        """The first k steps, then empty ones to len(budgets) steps, under
+        ``budgets``, unchecked: the prefix a single greedy step starts from."""
+        picks = self._picks[:, :k]
+        picks = picks[:max(1, int((picks >= 0).any(axis=1).sum()))]
+        index = np.full((len(picks), len(budgets)), -1, np.intp)
+        index[:, :k] = picks
+        return Schedule._unchecked(self.sets[:k] + ((),) * (len(budgets) - k), budgets, index)
+
     def _with_step(self, k: int, raw) -> "Schedule":
-        """This schedule with step k's set replaced by ``raw``, which alone is
-        checked, as ``__post_init__`` checks a step. Its pick index is a copy
-        with column k written, and with more rows when this set is the
-        largest: no pass over the other steps' sets."""
-        chosen = _checked_set(k, raw, self.budgets[k])
+        """``_set_step`` of ``raw``, checked alone as ``__post_init__`` checks a step."""
+        return self._set_step(k, _checked_set(k, raw, self.budgets[k]))
+
+    def _set_step(self, k: int, chosen: tuple[int, ...]) -> "Schedule":
+        """This schedule with step k's set replaced by ``chosen``, a sorted
+        tuple of distinct ints, unchecked; its index is a copy with column k
+        written, with no pass over the other steps' sets."""
         picks = self._picks
-        grown = np.full((max(len(picks), len(chosen)), picks.shape[1]), -1, np.intp)
-        grown[:len(picks)] = picks
-        grown[:, k] = -1
-        grown[:len(chosen), k] = chosen
-        if len(self.sets[k]) == len(picks) > len(chosen):  # the old set may have set q
-            grown = grown[:max(1, int((grown >= 0).any(axis=1).sum()))]
-        grown.setflags(write=False)
-        obj = object.__new__(Schedule)
-        object.__setattr__(obj, "sets", self.sets[:k] + (chosen,) + self.sets[k + 1:])
-        object.__setattr__(obj, "budgets", self.budgets)
-        obj.__dict__["_picks"] = grown
-        return obj
+        if len(chosen) > len(picks):
+            index = np.full((len(chosen), picks.shape[1]), -1, np.intp)
+            index[:len(picks)] = picks
+        else:
+            index = picks.copy()
+            if self.sets[k]:  # a rewrite: the old set may have set q
+                index[:, k] = -1
+                index = index[:max(1, len(chosen), int((index >= 0).any(axis=1).sum()))]
+        index[:len(chosen), k] = chosen
+        sets = list(self.sets)
+        sets[k] = chosen
+        return Schedule._unchecked(tuple(sets), self.budgets, index)
 
     @functools.cached_property
     def _picks(self) -> np.ndarray:

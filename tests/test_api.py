@@ -204,3 +204,31 @@ def test_no_module_imports_a_name_it_does_not_use():
     unused = {path.name: _unused_imports(path.read_text()) for path in sorted(package.glob("*.py"))}
     assert {f"{module}.py" for module in SUBMODULES} <= set(unused)
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _raw_schedule_builds(source: str) -> list[int]:
+    """Lines that build a ``Schedule`` without its checks: a reference to its
+    raw constructor ``_unchecked``, or a ``__new__`` call on ``Schedule``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "_unchecked":
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "__new__"
+              and any(isinstance(n, ast.Name) and n.id == "Schedule"
+                      for n in [node.func.value, *node.args])):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_sensing_builds_a_schedule_without_its_checks():
+    # a schedule's pick index has one writer: every other module asks
+    # Schedule for the schedules it scores or extends
+    assert _raw_schedule_builds("s = Schedule._unchecked(a, b, c)\n"
+                                "t = object.__new__(Schedule)\n"
+                                "u = Schedule.__new__(Schedule)\n"
+                                "v = object.__new__(cls)\n") == [1, 2, 3]
+    package = Path(ss.__file__).resolve().parent
+    raw = {path.name: _raw_schedule_builds(path.read_text()) for path in package.glob("*.py")}
+    assert raw["sensing.py"]
+    assert {name: lines for name, lines in raw.items() if lines and name != "sensing.py"} == {}

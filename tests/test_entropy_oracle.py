@@ -796,11 +796,12 @@ class TestMapInputChecks:
         assert out.iterations == 1
 
 
-def _map_problem(draw, builtins=False):
+def _map_problem(draw, builtins=False, shared=False):
     """A prior of any kind, smooth nonlinear sensors of 1 to 3 outputs with
     per-step noise overrides, 0 to 3 picks per step, and noisy measurements
     of a state drawn near the prior mean. With ``builtins``, built-in
     sensors of every kind, some with overrides, come first in the suite.
+    With ``shared``, the suite ends with its first ``Sensor`` object again.
     ``draw`` maps a strategy to a value: hypothesis's, or a replay of
     recorded values (``map_grouping_pins.json``)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**20)))
@@ -825,6 +826,8 @@ def _map_problem(draw, builtins=False):
             random_spd(rng, rows, 0.3),
             noise_overrides={k: random_spd(rng, rows, 0.3) for k in sorted(override_steps)},
         ))
+    if shared:
+        sensors.append(sensors[0])
     m = len(sensors)
     sets = tuple(
         tuple(sorted(draw(st.sets(st.integers(0, m - 1), max_size=min(m, 3)))))
@@ -916,8 +919,10 @@ def _matches_per_pick_reference(data, problem, max_iter):
 
 
 @settings(max_examples=80)
-@given(st.data(), map_problems(), st.sampled_from([1, 3]))
+@given(st.data(), map_problems() | map_problems(shared=True), st.sampled_from([1, 3]))
 def test_batched_map_matches_per_pick_reference(data, problem, max_iter):
+    # a suite may hold one sensor object at two indices: each index's picks
+    # are a group of their own
     _matches_per_pick_reference(data, problem, max_iter)
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import sensorsched as ss
 from conftest import (
+    PRIOR_KINDS,
     random_feasible_schedule,
     random_instance,
     random_spd_block_tridiag,
@@ -485,6 +486,23 @@ def test_every_scored_schedule_carries_the_pick_index_of_its_sets(monkeypatch):
             counted += step.oracle_calls
     # one oracle call per gain evaluation, and one for a non-empty prefix
     assert len(scored) == counted
+
+
+@pytest.mark.parametrize("kind", PRIOR_KINDS)
+def test_a_prefix_of_just_k_steps_scores_step_k_as_the_padded_prefix(kind):
+    # ``fixed_prefix`` need only cover steps 0..k-1: a prefix of exactly k
+    # steps gives step k the trace that the same picks padded with empty
+    # steps to the horizon give, whichever gain source the prior picks
+    prior, suite = random_instance(30, n=2, K=5, m=4, kind=kind)
+    ctx = ss.make_context(prior, suite)
+    sets = ((0, 2), (1,), (), (1, 3), (2,))
+    for k in range(ctx.K):
+        short = ss.Schedule(sets=sets[:k], budgets=(2,) * k)
+        padded = ss.Schedule(sets=sets[:k] + ((),) * (ctx.K - k), budgets=(2,) * ctx.K)
+        for lazy in (False, True):
+            step = ss.greedy_step_detailed(ctx, short, k, 2, lazy=lazy)
+            assert step == ss.greedy_step_detailed(ctx, padded, k, 2, lazy=lazy), k
+            assert len(step.chosen) == 2 and step.oracle_calls > 0
 
 
 class TestRandomSchedule:

@@ -546,9 +546,14 @@ def step_writes(draw):
 @example(((2, 0), [(1, []), (0, [0, 1]), (0, [])]))  # back to the all-empty index
 def test_a_schedule_grown_one_step_at_a_time_is_the_schedule_of_its_sets(case):
     # the receding loop's path: each write checks its own set alone, as the
-    # constructor checks it, and writes one column into a copy of the index
+    # constructor checks it, and writes one column into a copy of the index;
+    # and the prefix a single greedy step starts from, the first k steps
+    # followed by empty ones, carries the index of its own sets
+    from sensorsched.sensing import _pick_index
+
     budgets, writes = case
-    sets = [()] * len(budgets)
+    K = len(budgets)
+    sets = [()] * K
     grown = ss.Schedule.empty(budgets)
     for k, raw in writes:
         sets[k] = tuple(raw)
@@ -564,6 +569,13 @@ def test_a_schedule_grown_one_step_at_a_time_is_the_schedule_of_its_sets(case):
         picks = vars(grown)["_picks"]  # written, not rebuilt from the sets
         assert picks.dtype == np.intp and not picks.flags.writeable
         assert picks.shape == want._picks.shape and np.array_equal(picks, want._picks)
+        for j in range(K + 1):
+            head = grown._head(j, budgets)
+            want = ss.Schedule(sets=tuple(sets[:j]) + ((),) * (K - j), budgets=budgets)
+            assert head == want and hash(head) == hash(want)
+            picks, index = vars(head)["_picks"], _pick_index(head.sets)
+            assert picks.dtype == np.intp and not picks.flags.writeable
+            assert picks.shape == index.shape and np.array_equal(picks, index)
 
 
 def _map(ctx, schedule):
