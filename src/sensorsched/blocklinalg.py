@@ -15,13 +15,14 @@ factorization, which also conditions the greedy scheduler's step block
 on a sparse covariance prior's prefix, the one dense Cholesky, which also
 factors each sensor noise covariance once, when the sensor is built, or
 the stacked Cholesky with which exhaustive enumeration, and the greedy
-scheduler's downdate gain source, factor every candidate of a step at
-once. The first two call LAPACK directly (``dpbtrf``, ``dpbtrs``,
-``dpotrf``, ``dpotrs`` from ``scipy.linalg.lapack``), because at these
-sizes the checks and dispatch of the higher-level wrappers cost several
-times the factorization itself; the stack goes through
-``np.linalg.cholesky``, which pays that dispatch once for the whole
-stack. The kernels do not check their inputs for finiteness (a
+scheduler's downdate gain source where a sensor has more than one
+output, factor every candidate of a step at once (with one output per
+sensor, the scheduler's 1 x 1 factors are square roots). The first two
+call LAPACK directly (``dpbtrf``, ``dpbtrs``, ``dpotrf``, ``dpotrs``
+from ``scipy.linalg.lapack``), because at these sizes the checks and
+dispatch of the higher-level wrappers cost several times the
+factorization itself; the stack goes through ``np.linalg.cholesky``,
+which pays that dispatch once for the whole stack. The kernels do not check their inputs for finiteness (a
 ``BlockTridiagonalMatrix`` does, when it is built); a log-determinant
 takes one ``log`` over all factor diagonals and checks the sum once, so
 NaN or infinite input either fails a factorization or makes that sum

@@ -26,8 +26,11 @@ steps with step k's candidate set written in. Every other prior is
 read as a covariance (a dense precision through its cached inverse),
 and the source keeps the covariance of the steps not yet fixed, given
 the picks so far: a step's m candidate gains
-1/2 logdet(I + W_i S_kk W_i^T) take one stacked d x d Cholesky, and
-each pick conditions it by a rank-d downdate. A dense prior's is kept
+1/2 logdet(I + W_i S_kk W_i^T) take one batched quadratic form. Where
+every sensor has one output (d = 1, as for every built-in kind) a gain
+is 1/2 log(1 + w_i S_kk w_i^T) and a pick a rank-1 update, with no
+factorization; otherwise the m d x d matrices take one stacked
+Cholesky and a pick a rank-d downdate. A dense prior's is kept
 whole, so a greedy run costs one order of K less than a dense oracle
 call per candidate. A block-tridiagonal covariance's is kept to step
 k's block alone, because conditioning on step k changes only step
@@ -100,8 +103,9 @@ class GreedyTrace:
     precision prior each evaluation is one full oracle call; with any other
     prior it reads the candidate's gain from the covariance that the
     downdate source conditions after each pick (step k's block alone for
-    a sparse covariance), and all m of a refresh come from one stacked
-    factorization.
+    a sparse covariance), and all m of a refresh come from one batched
+    quadratic form: square roots of 1 + w C w^T for scalar sensors, one
+    stacked factorization where a sensor has more than one output.
     """
 
     steps: tuple[StepTrace, ...]
@@ -168,9 +172,13 @@ class _DowndateGains:
     S is conditioned on the picks before k, and C is its step-k block
     given step k's picks so far. Candidate i's gain is
     1/2 logdet(I + W_i C W_i^T), with W_i its whitened rows as the
-    context stores them (a zero-padded row adds a unit diagonal entry);
-    one stacked Cholesky factors all m of them. A pick conditions C on
-    W_i by a rank-d update. When the step ends, its picks, in ascending
+    context stores them (a zero-padded row adds a unit diagonal entry).
+    When every row width d is 1, the factor of 1 + w_i C w_i^T is its
+    square root and a pick the rank-1 update C <- C - v^T v with
+    v = w_i C / f_i, so a refresh factors nothing; otherwise one stacked
+    Cholesky factors all m of them, and a pick conditions C on W_i by a
+    rank-d update. Either way a factor that is not positive definite names
+    the step and the sensor. When the step ends, its picks, in ascending
     order, condition the block B of the steps after k in one rank update,
     B <- B - G^T W^T (I + W S_kk W^T)^-1 W G with G the coupling S_{k,>k},
     and S becomes B.
@@ -231,16 +239,29 @@ class _DowndateGains:
             W = self.ctx.whitened_jacobians[k]
             A = W @ self.C @ W.swapaxes(1, 2)
             d = A.shape[1]
-            A.reshape(len(A), -1)[:, ::d + 1] += 1.0
+            a = A.reshape(len(A), -1)[:, ::d + 1] if d > 1 else A.reshape(-1)  # diagonals
+            a += 1.0
             if self.chosen:  # never scored again: rounding may leave them indefinite
-                A[self.chosen] = np.eye(d)
-            self.factors = _cholesky_stack(A, k, lambda j: (
-                f"step {k}, sensor {j} ({sensors[j].name!r}): I + W S W^T"))
-            self.gains = np.log(np.diagonal(self.factors, 0, 1, 2)).sum(axis=1).tolist()
+                A[self.chosen] = np.eye(d) if d > 1 else 1.0
+            # one output per sensor: each factor is a square root. A pivot
+            # that is not positive (or NaN) takes the stacked path, which
+            # names the failing sensor (or passes the NaN on to the gain)
+            if d == 1 and a.min() > 0.0:
+                self.factors = np.sqrt(a)
+                gains = np.log(self.factors)
+            else:
+                self.factors = _cholesky_stack(A, k, lambda j: (
+                    f"step {k}, sensor {j} ({sensors[j].name!r}): I + W S W^T"))
+                gains = np.log(np.diagonal(self.factors, 0, 1, 2)).sum(axis=1)
+            self.gains = gains.tolist()
         return self.gains[i]
 
     def pick(self, i: int) -> None:
-        V = _trtrs(self.factors[i], self.ctx.whitened_jacobians[self.k, i] @ self.C)
+        x, f = self.ctx.whitened_jacobians[self.k, i] @ self.C, self.factors[i]
+        if f.ndim:
+            V = _trtrs(f, x)
+        else:  # rounded as dtrtrs rounds: one column divided, a row by the reciprocal
+            V = x / f if x.size == 1 else x * (1.0 / f)
         self.C -= V.T @ V
         self.chosen.append(i)
         self.gains = None

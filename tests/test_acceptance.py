@@ -699,18 +699,38 @@ DENSE_TRACKING_ROWS = {
 }
 
 
-@pytest.mark.parametrize("verb, order", [
+SMALL_TRACKING_VERBS = pytest.mark.parametrize("verb, order", [
     ("run", ("greedy", "lazy", "random", "exhaustive")),
     ("certify", ("greedy", "exhaustive", "lazy", "random")),
 ])
-def test_dense_covariance_outputs_are_pinned(tmp_path, capsys, verb, order):
+
+
+def assert_small_tracking_pinned(tmp_path, capsys, verb, order, **overrides):
+    """small_tracking.json with ``overrides`` under ``verb`` prints the
+    pinned rows in ``order`` and the pinned trace."""
     demo = Path(__file__).resolve().parents[1] / "demos" / "configs" / "small_tracking.json"
     cfg_path = tmp_path / "scenario.json"
-    cfg_path.write_text(json.dumps(dict(json.loads(demo.read_text()), dense=True)))
+    cfg_path.write_text(json.dumps(dict(json.loads(demo.read_text()), **overrides)))
     assert main([verb, "--config", str(cfg_path), "--output-dir", str(tmp_path / "run")]) == 0
     capsys.readouterr()
     results = "scheduler,entropy_nats,mutual_info_nats,oracle_calls,bound_ratio\r\n" + "".join(
         DENSE_TRACKING_ROWS[name] for name in order)
     assert (tmp_path / "run" / "results.csv").read_bytes() == results.encode()
     assert (tmp_path / "run" / "trace.csv").read_bytes() == DENSE_TRACKING_TRACE.encode()
+
+
+@SMALL_TRACKING_VERBS
+def test_dense_covariance_outputs_are_pinned(tmp_path, capsys, verb, order):
+    assert_small_tracking_pinned(tmp_path, capsys, verb, order, dense=True)
     report(9, f"dense covariance {verb}: results.csv and trace.csv equal their pinned bytes")
+
+
+# demos/configs/small_tracking.json as it is: the same prior stored as a
+# sparse covariance, so greedy reads its gains from step k's conditional
+# block and the exhaustive walk scores OPT; the bytes, written by the code
+# that factored every refresh as a stack of 1 x 1 Cholesky factors, are the
+# dense form's.
+@SMALL_TRACKING_VERBS
+def test_sparse_covariance_planning_outputs_are_pinned(tmp_path, capsys, verb, order):
+    assert_small_tracking_pinned(tmp_path, capsys, verb, order)
+    report(9, f"sparse covariance {verb}: results.csv and trace.csv equal their pinned bytes")

@@ -1,6 +1,7 @@
 """Greedy scheduling, lazy acceleration, and the random baseline."""
 
 import dataclasses
+import json
 import math
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from conftest import (
     PRIOR_KINDS,
     random_feasible_schedule,
     random_instance,
+    random_spd,
     random_spd_block_tridiag,
     random_suite,
 )
@@ -228,9 +230,10 @@ class TestGreedyStep:
         planted = dataclasses.replace(ctx)
         object.__setattr__(planted, "_rows", rows)
         object.__setattr__(planted, "whitened_jacobians", rows[:, :-1])
-        with pytest.raises(ss.SensorSchedError, match="step 1, sensor 2"):
+        named = "^step 1, sensor 2: marginal gain nan is not finite$"
+        with pytest.raises(ss.OracleInconsistencyError, match=named):
             ss.greedy_schedule(planted, [1] * prior.K, lazy=lazy)
-        with pytest.raises(ss.SensorSchedError, match="step 1, sensor 2"):
+        with pytest.raises(ss.OracleInconsistencyError, match=named):
             ss.greedy_step_detailed(planted, ss.Schedule.empty([1] * prior.K), 1, 1, lazy=lazy)
 
     def test_dense_failing_factorization_raises_naming_step_and_sensor(self):
@@ -243,8 +246,35 @@ class TestGreedyStep:
             ss.builtin_sensor("linear_coordinate", axis=0, noise_var=0.25, name="sharp"),
         ))
         ctx = ss.make_context(prior, suite)
-        with pytest.raises(ss.NotPositiveDefiniteError, match="step 0, sensor 1 \\('sharp'\\)"):
+        with pytest.raises(ss.NotPositiveDefiniteError) as info:
             ss.greedy_schedule(ctx, [1, 1])
+        assert str(info.value) == ("step 0, sensor 1 ('sharp'): "
+                                   "I + W S W^T is not positive definite")
+        assert info.value.block_index == 0
+        np.testing.assert_array_equal(info.value.pivot, [[-3.0]])
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    def test_sparse_covariance_failing_factorization_raises_naming_step_and_sensor(self, lazy):
+        # a tracking prior whose step-1 block is -1, planted past the prior's
+        # check; step 0 picks nothing, so step 1's block is the prior's and
+        # I + W S W^T is 1 - 1/4 for sensor 0 and 1 - 4 for sensor 1, in a
+        # run and in a single step alike
+        prior = ss.build_tracking_prior(1, 3, 1.0, 0.4)
+        object.__setattr__(prior.matrix, "diag_blocks", np.array([[[1.0]], [[-1.0]], [[1.0]]]))
+        suite = ss.SensorSuite(state_dim=1, sensors=(
+            ss.builtin_sensor("linear_coordinate", axis=0, noise_var=4.0),
+            ss.builtin_sensor("linear_coordinate", axis=0, noise_var=0.25, name="sharp"),
+        ))
+        ctx = ss.make_context(prior, suite)
+        for run in (lambda: ss.greedy_schedule(ctx, [0, 1, 1], lazy=lazy),
+                    lambda: ss.greedy_step_detailed(ctx, ss.Schedule.empty([1] * 3), 1, 1,
+                                                    lazy=lazy)):
+            with pytest.raises(ss.NotPositiveDefiniteError) as info:
+                run()
+            assert str(info.value) == ("step 1, sensor 1 ('sharp'): "
+                                       "I + W S W^T is not positive definite")
+            assert info.value.block_index == 1
+            np.testing.assert_array_equal(info.value.pivot, [[-3.0]])
 
     @pytest.mark.parametrize("kind", ["dense_cov", "tracking"])
     def test_indefinite_covariance_prefix_raises_naming_its_step(self, kind):
@@ -289,7 +319,8 @@ class TestGreedyStep:
         diag = prior.matrix.diag_blocks.copy()
         diag[1, 0, 0] = math.nan
         object.__setattr__(prior.matrix, "diag_blocks", diag)
-        with pytest.raises(ss.SensorSchedError, match="step 1, sensor 0"):
+        with pytest.raises(ss.OracleInconsistencyError,
+                           match="^step 1, sensor 0: marginal gain nan is not finite$"):
             ss.greedy_schedule(ctx, [1] * prior.K, lazy=lazy)
 
 
@@ -386,7 +417,10 @@ def test_lazy_equals_eager(instance):
 def downdate_instances(draw):
     """A small instance whose gains come from covariance downdates, its
     budgets, and a random prefix and step. The prior is dense, a tracking
-    covariance, or a random block-tridiagonal covariance."""
+    covariance, or a random block-tridiagonal covariance. The built-in
+    sensors have one output each, so their gains take the scalar path; at
+    n >= 2 some suites also hold a linear sensor of two outputs, which
+    sends every gain of the suite through the stacked 2 x 2 factorization."""
     kind = draw(st.sampled_from(["dense_cov", "dense_prec", "tracking", "banded"]))
     seed = draw(st.integers(0, 2**20))
     if kind == "banded":
@@ -398,6 +432,14 @@ def downdate_instances(draw):
         suite = random_suite(rng, n, m)
     else:
         prior, suite = random_instance(seed, kind=kind)
+    if prior.n >= 2 and draw(st.booleans()):
+        rng = np.random.default_rng(seed + 1)
+        H = rng.standard_normal((2, prior.n))
+        pair = ss.Sensor(2, lambda x, H=H: H @ x, lambda x, H=H: H, random_spd(rng, 2, 0.3),
+                         name="pair")
+        sensors = list(suite.sensors)
+        sensors.insert(draw(st.integers(0, suite.m)), pair)
+        suite = ss.SensorSuite(state_dim=prior.n, sensors=tuple(sensors))
     budgets = draw(st.lists(st.integers(0, suite.m), min_size=prior.K, max_size=prior.K))
     rng = np.random.default_rng(draw(st.integers(0, 2**20)))
     prefix = random_feasible_schedule(rng, suite.m, [suite.m] * prior.K)
@@ -439,6 +481,55 @@ def test_downdate_gains_match_the_reference_oracle(instance):
             assert_picks_match_the_oracle(ctx, schedule.sets, step)
         step = ss.greedy_step_detailed(ctx, prefix, k, budgets[k], lazy=lazy)
         assert_picks_match_the_oracle(ctx, prefix.sets, step)
+
+
+DOWNDATE_PINS = json.loads((Path(__file__).parent / "data" / "downdate_gain_pins.json").read_text())
+
+
+def downdate_pin_instance(name):
+    """The context and per-step budgets of one ``downdate_gain_pins.json``
+    instance: a dense covariance or dense precision prior, criterion 6's
+    tracking prior and suite at K = 50, the same at n = 1, or a random
+    block-tridiagonal covariance; every sensor is a built-in one of one
+    output."""
+    if name in ("tracking", "tracking_n1"):
+        n = 4 if name == "tracking" else 1
+        ctx = ss.make_context(ss.build_tracking_prior(n, 50, 1.0, 0.4),
+                              random_suite(np.random.default_rng(777), n, 8))
+        return ctx, [2] * ctx.K
+    if name == "banded":
+        rng = np.random.default_rng(31)
+        covariance = random_spd_block_tridiag(rng, 3, 8)[0]
+        prior = ss.GaussianPrior(3, 8, rng.normal(0.0, 0.7, 24), covariance,
+                                 "covariance_sparse")
+        suite = random_suite(rng, 3, 6)
+    else:
+        prior, suite = random_instance(31, n=3, K=8, m=6, kind=name)
+    return ss.make_context(prior, suite), [3] * prior.K
+
+
+def downdate_pin_record(ctx, budgets):
+    """Picks, gain evaluations and ``float.hex`` gains of an eager and a lazy
+    run, and of one step after the run's own picks before it."""
+    def record(steps):
+        return {"picks": [list(s.chosen) for s in steps],
+                "calls": [s.oracle_calls for s in steps],
+                "gains": [[g.hex() for g in s.gains] for s in steps]}
+
+    k, out = ctx.K // 2, {}
+    for policy, lazy in (("eager", False), ("lazy", True)):
+        schedule, trace = ss.greedy_schedule(ctx, budgets, lazy=lazy)
+        step = ss.greedy_step_detailed(ctx, schedule, k, budgets[k], lazy=lazy)
+        out[policy] = {"run": record(trace.steps), "step": dict(record([step]), k=k)}
+    return out
+
+
+@pytest.mark.parametrize("name", ["dense_cov", "dense_prec", "tracking", "tracking_n1", "banded"])
+def test_downdate_gains_match_their_pins_bit_for_bit(name):
+    # the reference-oracle property's 1e-9 tolerance does not see the bits
+    # of a gain; these were written by the tree that factored every refresh
+    # as a stack of d x d Cholesky factors, d = 1 included
+    assert downdate_pin_record(*downdate_pin_instance(name)) == DOWNDATE_PINS["instances"][name]
 
 
 def test_sparse_covariance_steps_match_the_run_at_every_k():
